@@ -19,7 +19,7 @@ import struct
 import tempfile
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping
+from typing import Iterable, Mapping
 
 import numpy as np
 
@@ -224,14 +224,21 @@ def write_archive(
 
     header_bytes = json.dumps(header, separators=(",", ":"), ensure_ascii=True).encode("utf-8")
 
+    write_atomic(path, [struct.pack("<Q", len(header_bytes)), header_bytes, *blobs])
+
+
+def write_atomic(path: str | Path, chunks: Iterable[bytes]) -> None:
+    """Write ``chunks`` to a temp file beside ``path``, then rename it into place.
+
+    Readers see either the old file or the complete new one; on any failure
+    the temp file is removed and ``path`` is left untouched.
+    """
     target = Path(path)
     fd, tmp_name = tempfile.mkstemp(dir=target.parent, prefix=target.name + ".", suffix=".tmp")
     try:
         with os.fdopen(fd, "wb") as f:
-            f.write(struct.pack("<Q", len(header_bytes)))
-            f.write(header_bytes)
-            for raw in blobs:
-                f.write(raw)
+            for chunk in chunks:
+                f.write(chunk)
         os.replace(tmp_name, target)
     except BaseException:
         try:

@@ -44,23 +44,15 @@ def _check_pair(x: np.ndarray, y: np.ndarray) -> None:
         raise ValueError(f"length mismatch: {len(x)} vs {len(y)}")
 
 
-def pearson_abs(x: np.ndarray, y: np.ndarray) -> float:
-    """Absolute Pearson correlation of two equally long flat vectors.
-
-    Returns 0 when either vector has zero variance: a constant update
-    carries no directional conflict signal.
-    """
-    x = np.asarray(x)
-    y = np.asarray(y)
-    _check_pair(x, y)
-    if len(x) == 0:
-        raise ValueError("vectors must hold at least one element")
+def _center(x: np.ndarray) -> tuple[np.ndarray, float]:
+    """Float64 deviations from the mean and their sum of squares."""
     # np.sum keeps the reduction order fixed regardless of thread count,
     # unlike BLAS-backed dot products.
     dx = x.astype(np.float64) - np.sum(x, dtype=np.float64) / len(x)
-    dy = y.astype(np.float64) - np.sum(y, dtype=np.float64) / len(y)
-    var_x = float(np.sum(dx * dx))
-    var_y = float(np.sum(dy * dy))
+    return dx, float(np.sum(dx * dx))
+
+
+def _pearson_centered(dx: np.ndarray, var_x: float, dy: np.ndarray, var_y: float) -> float:
     if var_x == 0.0 or var_y == 0.0:
         return 0.0
     prod = var_x * var_y
@@ -72,6 +64,37 @@ def pearson_abs(x: np.ndarray, y: np.ndarray) -> float:
     return min(abs(float(rho)), 1.0)
 
 
+_Signs = tuple[np.ndarray, np.ndarray, int]
+
+
+def _signs(x: np.ndarray) -> _Signs:
+    """Positive mask, negative mask and nonzero count of one vector."""
+    return x > 0, x < 0, int(np.count_nonzero(x))
+
+
+def _disagreement(sx: _Signs, sy: _Signs) -> float:
+    (pos_x, neg_x, nonzero_x), (pos_y, neg_y, nonzero_y) = sx, sy
+    opposite = int(np.count_nonzero(pos_x & neg_y) + np.count_nonzero(neg_x & pos_y))
+    nonzero = nonzero_x + nonzero_y
+    if nonzero == 0:
+        return 0.0
+    return 2.0 * opposite / nonzero
+
+
+def pearson_abs(x: np.ndarray, y: np.ndarray) -> float:
+    """Absolute Pearson correlation of two equally long flat vectors.
+
+    Returns 0 when either vector has zero variance: a constant update
+    carries no directional conflict signal.
+    """
+    x = np.asarray(x)
+    y = np.asarray(y)
+    _check_pair(x, y)
+    if len(x) == 0:
+        raise ValueError("vectors must hold at least one element")
+    return _pearson_centered(*_center(x), *_center(y))
+
+
 def sign_disagreement(x: np.ndarray, y: np.ndarray) -> float:
     """Ratio of positions where two updates pull in opposite directions.
 
@@ -81,15 +104,10 @@ def sign_disagreement(x: np.ndarray, y: np.ndarray) -> float:
     x = np.asarray(x)
     y = np.asarray(y)
     _check_pair(x, y)
-    opposite = int(np.count_nonzero((x > 0) & (y < 0)) + np.count_nonzero((x < 0) & (y > 0)))
-    nonzero = int(np.count_nonzero(x)) + int(np.count_nonzero(y))
-    if nonzero == 0:
-        return 0.0
-    return 2.0 * opposite / nonzero
+    return _disagreement(_signs(x), _signs(y))
 
 
-def _layer_flats(task_vectors: Sequence[TaskVector], grouping: LayerGrouping) -> list[list[np.ndarray]]:
-    """Flatten every task vector per layer group; [layer][task] order."""
+def _check_names(task_vectors: Sequence[TaskVector], grouping: LayerGrouping) -> None:
     if not task_vectors:
         raise ValidationError("need at least one task vector")
     grouped = {name for _, members in grouping.groups for name in members}
@@ -98,43 +116,73 @@ def _layer_flats(task_vectors: Sequence[TaskVector], grouping: LayerGrouping) ->
             raise ValidationError(
                 f"task vector {tv.label!r} keys do not match the grouping's name set"
             )
-    return [
-        [flatten_group(tv.deltas, members) for tv in task_vectors]
-        for _, members in grouping.groups
-    ]
+
+
+def _importance(flats: Sequence[np.ndarray]) -> float:
+    total = 0.0
+    for flat in flats:
+        total += float(np.sum(np.abs(flat), dtype=np.float64) / len(flat)) if len(flat) else 0.0
+    return total / len(flats)
 
 
 def layer_importance(task_vectors: Sequence[TaskVector], grouping: LayerGrouping) -> np.ndarray:
     """Mean absolute task-vector magnitude per layer, averaged over tasks."""
-    flats = _layer_flats(task_vectors, grouping)
-    out = np.zeros(len(grouping), dtype=np.float64)
-    for l, per_task in enumerate(flats):
-        total = 0.0
-        for flat in per_task:
-            total += float(np.sum(np.abs(flat), dtype=np.float64) / len(flat)) if len(flat) else 0.0
-        out[l] = total / len(task_vectors)
-    return out
+    _check_names(task_vectors, grouping)
+    return np.array(
+        [
+            _importance([flatten_group(tv.deltas, members) for tv in task_vectors])
+            for _, members in grouping.groups
+        ],
+        dtype=np.float64,
+    )
+
+
+def _score_layer(
+    task_vectors: Sequence[TaskVector],
+    members: Sequence[str],
+    task_pairs: Sequence[tuple[int, int]],
+) -> tuple[float, list[float], list[float]]:
+    """Importance, then |rho| and sign disagreement per task pair, of one layer group.
+
+    Each task is flattened, centred and sign-masked once; every pair is scored
+    from those values, which are freed on return.
+    """
+    flats = [flatten_group(tv.deltas, members) for tv in task_vectors]
+    importance = _importance(flats)
+    if not task_pairs or not len(flats[0]):
+        return importance, [0.0] * len(task_pairs), [0.0] * len(task_pairs)
+    centered = [_center(flat) for flat in flats]
+    signs = [_signs(flat) for flat in flats]
+    del flats
+    rho = [_pearson_centered(*centered[i], *centered[j]) for i, j in task_pairs]
+    dis = [_disagreement(signs[i], signs[j]) for i, j in task_pairs]
+    return importance, rho, dis
 
 
 def layer_conflict(task_vectors: Sequence[TaskVector], grouping: LayerGrouping) -> ConflictReport:
     """Score every layer's inter-task conflict and importance.
 
-    With a single task there are no pairs and conflict is zero everywhere,
-    deferring the allocation entirely to importance.
+    Streams layer by layer: each task's layer is flattened, centred and
+    sign-masked once, every task pair is scored from those cached values,
+    and they are freed before the next layer, so memory grows with the
+    largest layer rather than the model. With a single task there are no
+    pairs and conflict is zero everywhere, deferring the allocation entirely
+    to importance. A layer group with no elements scores 0 conflict and 0
+    importance.
     """
-    flats = _layer_flats(task_vectors, grouping)
+    _check_names(task_vectors, grouping)
     n_layers = len(grouping)
-    n_tasks = len(task_vectors)
+    task_pairs = list(combinations(range(len(task_vectors)), 2))
+    rho = np.zeros((len(task_pairs), n_layers), dtype=np.float64)
+    dis = np.zeros((len(task_pairs), n_layers), dtype=np.float64)
+    importance = np.zeros(n_layers, dtype=np.float64)
+    for l, (_, members) in enumerate(grouping.groups):
+        importance[l], rho[:, l], dis[:, l] = _score_layer(task_vectors, members, task_pairs)
 
-    pairs: list[PairConflict] = []
-    for i, j in combinations(range(n_tasks), 2):
-        rho = np.zeros(n_layers, dtype=np.float64)
-        dis = np.zeros(n_layers, dtype=np.float64)
-        for l in range(n_layers):
-            rho[l] = pearson_abs(flats[l][i], flats[l][j])
-            dis[l] = sign_disagreement(flats[l][i], flats[l][j])
-        pairs.append(PairConflict(task_pair=(i, j), per_layer_rho_abs=rho, per_layer_sign_disagreement=dis))
-
+    pairs = tuple(
+        PairConflict(task_pair=pair, per_layer_rho_abs=rho[k], per_layer_sign_disagreement=dis[k])
+        for k, pair in enumerate(task_pairs)
+    )
     conflict = np.zeros(n_layers, dtype=np.float64)
     if pairs:
         for pair in pairs:  # fixed pair order keeps the reduction bit-stable
@@ -144,6 +192,6 @@ def layer_conflict(task_vectors: Sequence[TaskVector], grouping: LayerGrouping) 
     return ConflictReport(
         layer_ids=tuple(grouping.layer_ids),
         conflict=conflict,
-        importance=layer_importance(task_vectors, grouping),
-        pairs=tuple(pairs),
+        importance=importance,
+        pairs=pairs,
     )

@@ -4,8 +4,6 @@ from __future__ import annotations
 
 import io
 import json
-import os
-import tempfile
 from csv import DictWriter
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -13,6 +11,7 @@ from pathlib import Path
 import numpy as np
 
 from .allocation import AllocationResult
+from .archive import write_atomic
 from .conflict import ConflictReport
 from .errors import ValidationError
 
@@ -113,15 +112,4 @@ class LayerDiagnostics:
         if fmt not in REPORT_FORMATS:
             raise ValidationError(f"report format must be one of {REPORT_FORMATS}, got {fmt!r}")
         text = self.to_json() if fmt == "json" else self.to_csv()
-        target = Path(path)
-        fd, tmp_name = tempfile.mkstemp(dir=target.parent, prefix=target.name + ".", suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as f:
-                f.write(text)
-            os.replace(tmp_name, target)
-        except BaseException:
-            try:
-                os.unlink(tmp_name)
-            except OSError:
-                pass
-            raise
+        write_atomic(path, [text.encode("utf-8")])

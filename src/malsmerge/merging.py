@@ -57,6 +57,11 @@ def sparsify_top_fraction(v: np.ndarray, s: float) -> np.ndarray:
 
     Magnitude ties keep the lower flat index, which pins the result across
     platforms and sort implementations. ``s = 1`` keeps nothing.
+
+    Runs in O(n): a partial selection finds the smallest kept magnitude,
+    every entry above it is kept, and the remaining slots go to the entries
+    equal to it in ascending index order. Kept entries are copied as they
+    are, so a kept ``-0.0`` stays ``-0.0``.
     """
     if not 0.0 <= s <= 1.0:
         raise ValueError(f"sparsity level must lie in [0, 1], got {s}")
@@ -64,11 +69,14 @@ def sparsify_top_fraction(v: np.ndarray, s: float) -> np.ndarray:
     if v.ndim != 1:
         raise ValueError("input must be a flat vector")
     n_keep = 0 if s == 1.0 else math.ceil((1.0 - s) * v.size)
-    out = np.zeros_like(v)
-    if n_keep:
-        keep = np.argsort(-np.abs(v), kind="stable")[:n_keep]
-        out[keep] = v[keep]
-    return out
+    if n_keep == 0:
+        return np.zeros_like(v)
+    magnitude = np.abs(v)
+    threshold = np.partition(magnitude, v.size - n_keep)[v.size - n_keep]
+    keep = magnitude > threshold
+    n_ties = n_keep - int(np.count_nonzero(keep))
+    keep[np.flatnonzero(magnitude == threshold)[:n_ties]] = True
+    return np.where(keep, v, v.dtype.type(0))
 
 
 def _stack(sparsified: Sequence[np.ndarray]) -> np.ndarray:

@@ -8,11 +8,14 @@ from hypothesis import strategies as st
 from malsmerge import (
     TaskVector,
     ValidationError,
+    compute_task_vector,
+    flatten_group,
     group_layers,
     layer_conflict,
     layer_importance,
     pearson_abs,
     sign_disagreement,
+    synthesize_checkpoints,
 )
 from oracles import pearson_abs_oracle, sign_disagreement_oracle
 
@@ -176,6 +179,23 @@ class TestLayerConflict:
             layer_conflict(reversed_tvs, grouping).conflict,
             atol=1e-15,
         )
+
+    def test_fused_loop_matches_public_kernels_exactly(self):
+        base, tuned = synthesize_checkpoints(17, 5, 3000, 4, [0.9, 0.7, 0.5, 0.3, 0.1])
+        tvs = [compute_task_vector(base, t, f"t{i}") for i, t in enumerate(tuned)]
+        grouping = group_layers(base)
+        report = layer_conflict(tvs, grouping)
+        assert [pair.task_pair for pair in report.pairs] == [
+            (0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)
+        ]
+        for pair in report.pairs:
+            i, j = pair.task_pair
+            for l, (_, members) in enumerate(grouping.groups):
+                x = flatten_group(tvs[i].deltas, members)
+                y = flatten_group(tvs[j].deltas, members)
+                assert pair.per_layer_rho_abs[l] == pearson_abs(x, y)
+                assert pair.per_layer_sign_disagreement[l] == sign_disagreement(x, y)
+        assert report.importance.tobytes() == layer_importance(tvs, grouping).tobytes()
 
     def test_name_set_mismatch_rejected(self):
         tvs, grouping = _two_layer_vectors(([1.0], [2.0]))

@@ -53,6 +53,19 @@ class TestSparsifyTopFraction:
                 v = np.round(v)  # force magnitude ties
             s = float(rng.random())
             np.testing.assert_array_equal(sparsify_top_fraction(v, s), sparsify_oracle(v, s))
+        # large, tie-heavy vectors on a dyadic grid, with a share of signed zeros
+        for n in (20_011, 49_999):
+            v = np.round(rng.normal(size=n) * 8) / 8
+            zeros = rng.random(n) < 0.2
+            v[zeros] = np.where(rng.random(n) < 0.5, -0.0, 0.0)[zeros]
+            for s in (0.1, 0.5, 0.9):
+                expected = np.array(sparsify_oracle(v, s), dtype=v.dtype)
+                assert sparsify_top_fraction(v, s).tobytes() == expected.tobytes()
+        # a kept -0.0 stays -0.0; a dropped one becomes +0.0
+        v = np.array([-0.0, 3.0, 0.0, -0.0], dtype=np.float32)
+        kept = np.array([-0.0, 3.0, 0.0, 0.0], dtype=np.float32)
+        assert sparsify_top_fraction(v, 0.5).tobytes() == kept.tobytes()
+        assert sparsify_top_fraction(v, 0.0).tobytes() == v.tobytes()
 
 
 class TestElectSigns:
@@ -255,6 +268,34 @@ class TestMerge:
     def test_bad_lambda_rejected(self):
         with pytest.raises(ValidationError, match="lambda"):
             MergeConfig(lam=0.0)
+
+    @pytest.mark.parametrize("method", ["mals", "uniform_sparsity", "ties"])
+    def test_empty_layer_group_merges(self, method):
+        rng = np.random.default_rng(5)
+        base = {
+            "m.layers.0.w": rng.normal(size=(4, 5)).astype(np.float32),
+            "m.layers.1.w": np.zeros((0, 3), dtype=np.float32),
+            "m.layers.2.w": rng.normal(size=(3, 3)).astype(np.float32),
+        }
+        tuned = [
+            {k: (v + rng.normal(size=v.shape)).astype(np.float32) for k, v in base.items()}
+            for _ in range(3)
+        ]
+        out = merge(base, tuned, MergeConfig(method=method))
+        assert out.merged["m.layers.1.w"].shape == (0, 3)
+        assert out.conflict.conflict[1] == 0.0
+        assert out.conflict.importance[1] == 0.0
+        for pair in out.conflict.pairs:
+            assert pair.per_layer_rho_abs[1] == 0.0
+            assert pair.per_layer_sign_disagreement[1] == 0.0
+        if method != "mals":
+            # one trim level everywhere, so the empty group leaves the rest untouched
+            def drop(m):
+                return {k: v for k, v in m.items() if k != "m.layers.1.w"}
+
+            without = merge(drop(base), [drop(t) for t in tuned], MergeConfig(method=method))
+            for name, value in without.merged.items():
+                np.testing.assert_array_equal(out.merged[name], value)
 
     def test_determinism_across_runs(self):
         base, tuned = _checkpoints(seed=8)
