@@ -10,7 +10,7 @@ from .allocation import (
     project_to_budget,
     softmax_weights,
 )
-from .archive import TensorInfo, archive_info, read_archive, validate_tensor_map, write_archive
+from .archive import TensorInfo, archive_info, read_archive, write_archive
 from .conflict import (
     ConflictReport,
     PairConflict,
@@ -93,7 +93,6 @@ __all__ = [
     "synthesize_checkpoints",
     "unflatten_group",
     "validate_compatibility",
-    "validate_tensor_map",
     "write_archive",
     "write_synthetic_set",
 ]

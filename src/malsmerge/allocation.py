@@ -8,7 +8,7 @@ mean-sparsity budget while respecting the box bounds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -60,7 +60,6 @@ class AllocationResult:
     s_final: np.ndarray
     iterations: int
     converged: bool
-    config: AllocationConfig = field(repr=False, default=AllocationConfig())
 
     @property
     def mean_sparsity(self) -> float:
@@ -180,5 +179,4 @@ def allocate(report: ConflictReport, config: AllocationConfig) -> AllocationResu
         s_final=s_final,
         iterations=iterations,
         converged=converged,
-        config=config,
     )

@@ -19,7 +19,7 @@ import struct
 import tempfile
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Mapping
+from typing import BinaryIO, Iterable, Mapping
 
 import numpy as np
 
@@ -47,29 +47,6 @@ def _reject_duplicate_names(pairs: list[tuple[str, object]]) -> dict:
             raise ArchiveError(f"duplicate tensor name in header: {key!r}")
         seen.add(key)
     return dict(pairs)
-
-
-def _parse_header(blob: bytes) -> tuple[dict, int]:
-    """Split an archive blob into its validated JSON header and payload start."""
-    if len(blob) < 8:
-        raise ArchiveError("malformed header: file shorter than the 8-byte length field")
-    (header_len,) = struct.unpack("<Q", blob[:8])
-    if 8 + header_len > len(blob):
-        raise ArchiveError(
-            f"malformed header: header length {header_len} exceeds file size {len(blob)}"
-        )
-    try:
-        header = json.loads(
-            blob[8 : 8 + header_len].decode("utf-8"),
-            object_pairs_hook=_reject_duplicate_names,
-        )
-    except ArchiveError:
-        raise
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise ArchiveError(f"malformed header: {exc}") from exc
-    if not isinstance(header, dict):
-        raise ArchiveError("malformed header: top level is not a JSON object")
-    return header, 8 + header_len
 
 
 def _validate_entry(name: str, entry: object, payload_size: int) -> tuple[str, tuple[int, ...], int, int]:
@@ -111,9 +88,9 @@ def _validate_metadata(meta: object) -> None:
         raise ArchiveError("malformed header: __metadata__ must map strings to strings")
 
 
-def _check_contiguous(spans: list[tuple[str, int, int]], payload_size: int) -> None:
+def _check_contiguous(entries: list[tuple], payload_size: int) -> None:
     cursor = 0
-    for name, begin, end in sorted(spans, key=lambda s: (s[1], s[2])):
+    for name, _, _, begin, end in sorted(entries, key=lambda e: (e[3], e[4])):
         if begin != cursor:
             raise ArchiveError(
                 f"malformed header: payload for {name!r} is not contiguous at byte {begin}"
@@ -125,6 +102,45 @@ def _check_contiguous(spans: list[tuple[str, int, int]], payload_size: int) -> N
         )
 
 
+def _read_header(f: BinaryIO) -> tuple[list[tuple], dict[str, str]]:
+    """Read and validate the header of ``f``, leaving ``f`` at the first payload byte.
+
+    Returns ``(name, dtype, shape, begin, end)`` per tensor in header order and
+    the ``__metadata__`` mapping. The payload size comes from the file size.
+    """
+    file_size = os.fstat(f.fileno()).st_size
+    if file_size < 8:
+        raise ArchiveError("malformed header: file shorter than the 8-byte length field")
+    (header_len,) = struct.unpack("<Q", f.read(8))
+    if 8 + header_len > file_size:
+        raise ArchiveError(
+            f"malformed header: header length {header_len} exceeds file size {file_size}"
+        )
+    try:
+        header = json.loads(
+            f.read(header_len).decode("utf-8"),
+            object_pairs_hook=_reject_duplicate_names,
+        )
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise ArchiveError(f"malformed header: {exc}") from exc
+    if not isinstance(header, dict):
+        raise ArchiveError("malformed header: top level is not a JSON object")
+
+    payload_size = file_size - 8 - header_len
+    entries = []
+    metadata: dict[str, str] = {}
+    for name, entry in header.items():
+        if name == "__metadata__":
+            _validate_metadata(entry)
+            metadata = dict(entry)
+            continue
+        entries.append((name, *_validate_entry(name, entry, payload_size)))
+    _check_contiguous(entries, payload_size)
+    if not entries:
+        raise ArchiveError("archive holds no tensors")
+    return entries, metadata
+
+
 def read_archive(path: str | Path) -> TensorMap:
     """Read a tensor archive into a name -> float32 ndarray mapping.
 
@@ -132,57 +148,34 @@ def read_archive(path: str | Path) -> TensorMap:
     malformed header, truncated payload, unsupported dtype, duplicate name,
     or any non-finite value.
     """
-    blob = Path(path).read_bytes()
-    header, payload_start = _parse_header(blob)
-    payload_size = len(blob) - payload_start
+    # unbuffered: a buffered read would copy the whole payload once more
+    with open(path, "rb", buffering=0) as f:
+        entries, _ = _read_header(f)
+        payload = f.readall()
 
-    spans: list[tuple[str, int, int]] = []
     tensors: TensorMap = {}
-    for name, entry in header.items():
-        if name == "__metadata__":
-            _validate_metadata(entry)
-            continue
-        dtype, shape, begin, end = _validate_entry(name, entry, payload_size)
-        spans.append((name, begin, end))
-        raw = blob[payload_start + begin : payload_start + end]
-        arr = np.frombuffer(raw, dtype=_DTYPES[dtype]).reshape(shape)
-        arr = arr.astype(np.float32)
+    for name, dtype, shape, begin, _ in entries:
+        arr = np.frombuffer(payload, _DTYPES[dtype], math.prod(shape), begin)
+        arr = arr.reshape(shape).astype(np.float32)
         if not np.all(np.isfinite(arr)):
             raise ArchiveError(f"non-finite value detected in tensor {name!r}")
         tensors[name] = arr
-    _check_contiguous(spans, payload_size)
-    if not tensors:
-        raise ArchiveError("archive holds no tensors")
     return tensors
 
 
 def archive_info(path: str | Path) -> tuple[list[TensorInfo], dict[str, str]]:
-    """Describe an archive's tensors and metadata without decoding payloads."""
-    blob = Path(path).read_bytes()
-    header, payload_start = _parse_header(blob)
-    payload_size = len(blob) - payload_start
+    """Describe an archive's tensors and metadata from its header alone.
 
-    infos: list[TensorInfo] = []
-    metadata: dict[str, str] = {}
-    for name, entry in header.items():
-        if name == "__metadata__":
-            _validate_metadata(entry)
-            metadata = dict(entry)
-            continue
-        dtype, shape, begin, end = _validate_entry(name, entry, payload_size)
-        infos.append(TensorInfo(name=name, dtype=dtype, shape=shape, n_bytes=end - begin))
+    Applies every header check :func:`read_archive` applies; the payload is
+    not read, so its values are not checked.
+    """
+    with open(path, "rb") as f:
+        entries, metadata = _read_header(f)
+    infos = [
+        TensorInfo(name=name, dtype=dtype, shape=shape, n_bytes=end - begin)
+        for name, dtype, shape, begin, end in entries
+    ]
     return sorted(infos, key=lambda t: t.name), metadata
-
-
-def validate_tensor_map(tensors: Mapping[str, np.ndarray]) -> None:
-    """Check the in-memory invariants: non-empty map, named finite tensors."""
-    if not tensors:
-        raise ArchiveError("tensor map must contain at least one tensor")
-    for name, arr in tensors.items():
-        if not isinstance(name, str) or not name:
-            raise ArchiveError(f"tensor name must be non-empty text, got {name!r}")
-        if not np.all(np.isfinite(arr)):
-            raise ArchiveError(f"non-finite value detected in tensor {name!r}")
 
 
 def write_archive(
@@ -195,7 +188,11 @@ def write_archive(
     Names are serialized in lexicographic order and the file is replaced
     atomically. ``metadata`` becomes the ``__metadata__`` header entry.
     """
-    validate_tensor_map(tensors)
+    if not tensors:
+        raise ArchiveError("tensor map must contain at least one tensor")
+    for name in tensors:
+        if not isinstance(name, str) or not name:
+            raise ArchiveError(f"tensor name must be non-empty text, got {name!r}")
 
     header: dict[str, object] = {}
     if metadata is not None:
@@ -212,7 +209,7 @@ def write_archive(
             raise ArchiveError(f"unencodable tensor name {name!r}: {exc}") from exc
         arr = np.asarray(tensors[name], dtype="<f4")
         if not np.all(np.isfinite(arr)):
-            raise ArchiveError(f"tensor {name!r} is not finite at 32-bit precision")
+            raise ArchiveError(f"non-finite value in tensor {name!r} at 32-bit precision")
         raw = arr.tobytes(order="C")
         header[name] = {
             "dtype": "F32",

@@ -32,7 +32,7 @@ _CONFIG_KEYS = {
     "base_path", "tuned_paths", "method", "lambda", "sign_election",
     "alpha", "beta", "s_min", "s_max", "s_target", "epsilon",
     "max_iterations", "grouping_pattern", "output_path", "report_path",
-    "report_format", "seed",
+    "report_format",
 }
 
 
@@ -55,7 +55,6 @@ class RunConfig:
     merge_config: MergeConfig
     report_path: str | None = None
     report_format: str = "json"
-    seed: int | None = None
 
 
 def _expect(value: object, types: type | tuple, key: str) -> object:
@@ -106,9 +105,15 @@ def load_run_config(path: str | Path) -> RunConfig:
     base_path = _expect(raw["base_path"], str, "base_path")
     tuned_paths = _parse_tuned_paths(raw["tuned_paths"])
     output_path = _expect(raw["output_path"], str, "output_path")
-    for path in [base_path] + [p for p, _ in tuned_paths]:
-        if Path(path) == Path(output_path):
-            raise ValidationError(f"output_path {output_path!r} collides with input {path!r}")
+    report_path = raw.get("report_path")
+    if report_path is not None:
+        _expect(report_path, str, "report_path")
+    taken = [base_path] + [p for p, _ in tuned_paths]
+    for key, target in (("output_path", output_path), ("report_path", report_path)):
+        for path in taken:
+            if target is not None and Path(path).resolve() == Path(target).resolve():
+                raise ValidationError(f"{key} {target!r} collides with {path!r}")
+        taken.append(target)
 
     method = _expect(raw.get("method", "mals"), str, "method")
     allocation = AllocationConfig(
@@ -130,17 +135,9 @@ def load_run_config(path: str | Path) -> RunConfig:
         ),
     )
 
-    report_path = raw.get("report_path")
-    if report_path is not None:
-        _expect(report_path, str, "report_path")
     report_format = _expect(raw.get("report_format", "json"), str, "report_format")
     if report_format not in REPORT_FORMATS:
         raise ValidationError(f"report_format must be one of {REPORT_FORMATS}")
-    seed = raw.get("seed")
-    if seed is not None:
-        _expect(seed, int, "seed")
-        if seed < 0:
-            raise ValidationError("seed must be a non-negative integer")
     return RunConfig(
         base_path=base_path,
         tuned_paths=tuned_paths,
@@ -148,7 +145,6 @@ def load_run_config(path: str | Path) -> RunConfig:
         merge_config=merge_config,
         report_path=report_path,
         report_format=report_format,
-        seed=seed,
     )
 
 

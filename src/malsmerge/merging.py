@@ -21,7 +21,7 @@ from .allocation import AllocationConfig, AllocationResult, allocate
 from .conflict import ConflictReport, layer_conflict
 from .errors import ConvergenceError, ValidationError
 from .grouping import DEFAULT_GROUPING_PATTERN, flatten_group, group_layers, unflatten_group
-from .task_vectors import TaskVector, compute_task_vector, validate_compatibility
+from .task_vectors import TaskVector, compute_task_vector, require_compatible
 
 TensorMap = Mapping[str, np.ndarray]
 
@@ -117,12 +117,7 @@ def disjoint_merge(sparsified: Sequence[np.ndarray], signs: np.ndarray | None = 
 
 def compose_merged(base: TensorMap, tau: TaskVector, lam: float) -> dict[str, np.ndarray]:
     """Add the scaled merged task vector back onto the base checkpoint."""
-    report = validate_compatibility(base, [tau.deltas], [tau.label])
-    if not report.all_ok:
-        entry = report.entries[0]
-        raise ValidationError(
-            f"task vector {tau.label!r} incompatible at {entry.first_mismatch!r}: {entry.reason}"
-        )
+    require_compatible(base, tau.deltas, f"task vector {tau.label!r}")
     return {
         key: (base[key].astype(np.float64) + lam * tau.deltas[key].astype(np.float64)).astype(
             np.float32
@@ -137,12 +132,7 @@ def simple_average(task_vectors: Sequence[TaskVector]) -> TaskVector:
         raise ValidationError("need at least one task vector")
     first = task_vectors[0]
     for tv in task_vectors[1:]:
-        rep = validate_compatibility(first.deltas, [tv.deltas], [tv.label])
-        if not rep.all_ok:
-            entry = rep.entries[0]
-            raise ValidationError(
-                f"task vector {tv.label!r} incompatible at {entry.first_mismatch!r}: {entry.reason}"
-            )
+        require_compatible(first.deltas, tv.deltas, f"task vector {tv.label!r}")
     deltas = {}
     for key in first.deltas:
         total = np.zeros(first.deltas[key].shape, dtype=np.float64)
@@ -182,12 +172,6 @@ def merge(
         labels = [f"task-{i}" for i in range(len(tuned))]
     elif len(labels) != len(tuned):
         raise ValidationError(f"{len(labels)} labels provided for {len(tuned)} checkpoints")
-    report = validate_compatibility(base, tuned, labels)
-    if not report.all_ok:
-        bad = next(entry for entry in report.entries if not entry.ok)
-        raise ValidationError(
-            f"checkpoint {bad.label!r} incompatible at {bad.first_mismatch!r}: {bad.reason}"
-        )
     task_vectors = [
         compute_task_vector(base, t, label) for t, label in zip(tuned, labels)
     ]

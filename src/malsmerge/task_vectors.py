@@ -55,6 +55,17 @@ def _first_mismatch(base: TensorMap, tuned: TensorMap) -> tuple[str, str] | None
     return None
 
 
+def require_compatible(reference: TensorMap, other: TensorMap, what: str) -> None:
+    """Raise :class:`ValidationError` unless ``other`` has ``reference``'s keys and shapes.
+
+    The message names ``what`` and the first offending key in sorted order.
+    """
+    mismatch = _first_mismatch(reference, other)
+    if mismatch is not None:
+        key, reason = mismatch
+        raise ValidationError(f"{what} incompatible at {key!r}: {reason}")
+
+
 def compute_task_vector(base: TensorMap, tuned: TensorMap, label: str) -> TaskVector:
     """Subtract the base from a fine-tuned checkpoint, tensor by tensor.
 
@@ -62,10 +73,7 @@ def compute_task_vector(base: TensorMap, tuned: TensorMap, label: str) -> TaskVe
     stored at 32-bit, so cancellation noise does not feed the conflict
     statistics downstream.
     """
-    mismatch = _first_mismatch(base, tuned)
-    if mismatch is not None:
-        key, reason = mismatch
-        raise ValidationError(f"checkpoint {label!r} incompatible at {key!r}: {reason}")
+    require_compatible(base, tuned, f"checkpoint {label!r}")
     deltas = {
         key: (tuned[key].astype(np.float64) - base[key].astype(np.float64)).astype(np.float32)
         for key in base

@@ -137,6 +137,37 @@ def test_overlapping_offsets_rejected(tmp_path):
         read_archive(path)
 
 
+def _archive(header: bytes, payload: bytes) -> bytes:
+    return struct.pack("<Q", len(header)) + header + payload
+
+
+@pytest.mark.parametrize(
+    "blob",
+    [
+        _archive(
+            b'{"a":{"dtype":"F32","shape":[1],"data_offsets":[0,4]},'
+            b'"b":{"dtype":"F32","shape":[1],"data_offsets":[8,12]}}',
+            b"\x00" * 12,
+        ),
+        _archive(b"{}", b""),
+        _archive(
+            b'{"a":{"dtype":"F32","shape":[2],"data_offsets":[0,8]},'
+            b'"b":{"dtype":"F32","shape":[2],"data_offsets":[4,12]}}',
+            b"\x00" * 12,
+        ),
+        golden_blob()[:-4],
+    ],
+    ids=["gap", "no-tensors", "overlap", "truncated"],
+)
+def test_info_and_read_reject_the_same_archives(tmp_path, blob):
+    path = tmp_path / "bad.st"
+    path.write_bytes(blob)
+    with pytest.raises(ArchiveError):
+        archive_info(path)
+    with pytest.raises(ArchiveError):
+        read_archive(path)
+
+
 def test_wrong_span_for_shape_rejected(tmp_path):
     header = b'{"t":{"dtype":"F32","shape":[3],"data_offsets":[0,8]}}'
     path = tmp_path / "bad.st"
@@ -153,6 +184,13 @@ def test_empty_map_rejected_on_write(tmp_path):
 def test_non_finite_tensor_rejected_on_write(tmp_path):
     with pytest.raises(ArchiveError, match="non-finite"):
         write_archive({"a": np.array([np.inf], dtype=np.float32)}, tmp_path / "x.st")
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered in cast:RuntimeWarning")
+def test_overflow_at_32_bits_rejected_on_write(tmp_path):
+    # finite as float64, infinite once cast to the stored F32
+    with pytest.raises(ArchiveError, match="non-finite"):
+        write_archive({"a": np.array([1e39], dtype=np.float64)}, tmp_path / "x.st")
 
 
 def test_empty_name_rejected_on_write(tmp_path):

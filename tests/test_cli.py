@@ -2,12 +2,14 @@ from __future__ import annotations
 
 import csv
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from malsmerge import read_archive, write_archive, write_synthetic_set
-from malsmerge.cli import run
+from malsmerge.cli import _CONFIG_KEYS, load_run_config, run
 
 
 @pytest.fixture()
@@ -63,10 +65,13 @@ def test_missing_required_flag_is_usage_error():
     assert run(["merge"]) == 1
 
 
-def test_unknown_config_key_is_validation_error(tmp_path, synth_dir, capsys):
-    code = run(["merge", "--config", str(_config(tmp_path, synth_dir, lambda_scale=2.0))])
+@pytest.mark.parametrize(
+    "key, value", [("lambda_scale", 2.0), ("seed", 0)], ids=["lambda_scale", "seed"]
+)
+def test_unknown_config_key_is_validation_error(tmp_path, synth_dir, capsys, key, value):
+    code = run(["merge", "--config", str(_config(tmp_path, synth_dir, **{key: value}))])
     assert code == 2
-    assert "lambda_scale" in capsys.readouterr().err
+    assert key in capsys.readouterr().err
 
 
 def test_shape_mismatch_names_tensor_and_exits_2(tmp_path, synth_dir, capsys):
@@ -78,9 +83,28 @@ def test_shape_mismatch_names_tensor_and_exits_2(tmp_path, synth_dir, capsys):
     assert "model.layers.0.attn.weight" in capsys.readouterr().err
 
 
-def test_output_colliding_with_input_rejected(tmp_path, synth_dir):
-    cfg = _config(tmp_path, synth_dir, output_path=str(synth_dir / "base.safetensors"))
+@pytest.mark.parametrize(
+    "key, target",
+    [
+        ("output_path", "base.safetensors"),
+        ("output_path", "task_01.safetensors"),
+        ("output_path", "elsewhere/../base.safetensors"),
+        ("report_path", "base.safetensors"),
+        ("report_path", "task_02.safetensors"),
+        ("report_path", "merged.safetensors"),
+    ],
+    ids=["output_path-base", "output_path-task", "output_path-base-respelled",
+         "report_path-base", "report_path-task", "report_path-output"],
+)
+def test_output_colliding_with_input_rejected(tmp_path, synth_dir, key, target):
+    (synth_dir / "elsewhere").mkdir()
+    paths = {"output_path": str(synth_dir / "merged.safetensors"), key: str(synth_dir / target)}
+    cfg = _config(tmp_path, synth_dir, **paths)
+    inputs = sorted(synth_dir.glob("*.safetensors"))
+    before = [path.read_bytes() for path in inputs]
     assert run(["merge", "--config", str(cfg)]) == 2
+    assert [path.read_bytes() for path in inputs] == before
+    assert not (synth_dir / "merged.safetensors").exists()
 
 
 def test_nonconvergence_exits_3(tmp_path, synth_dir, capsys):
@@ -203,10 +227,20 @@ def test_synth_profile_length_mismatch_exits_2(tmp_path):
 
 
 def test_cli_outputs_deterministic_across_runs(tmp_path, synth_dir):
-    cfg = _config(tmp_path, synth_dir, seed=42)
+    cfg = _config(tmp_path, synth_dir)
     assert run(["merge", "--config", str(cfg)]) == 0
     first = (tmp_path / "merged.safetensors").read_bytes()
     first_report = (tmp_path / "report.json").read_bytes()
     assert run(["merge", "--config", str(cfg)]) == 0
     assert (tmp_path / "merged.safetensors").read_bytes() == first
     assert (tmp_path / "report.json").read_bytes() == first_report
+
+
+def test_readme_config_example_lists_every_key(tmp_path):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    intro = readme.index("`merge.json` holds exactly these keys")
+    block = re.search(r"```json\n(.*?)```", readme[intro:], re.DOTALL).group(1)
+    path = tmp_path / "merge.json"
+    path.write_text(block, encoding="utf-8")
+    load_run_config(path)
+    assert set(json.loads(block)) == _CONFIG_KEYS

@@ -253,7 +253,8 @@ class TestMerge:
     def test_incompatible_checkpoint_rejected(self):
         base, tuned = _checkpoints(seed=7)
         del tuned[1]["embed.w"]
-        with pytest.raises(ValidationError, match="embed.w"):
+        bad_label = r"checkpoint 'task-1' incompatible at 'embed\.w'"
+        with pytest.raises(ValidationError, match=bad_label):
             merge(base, tuned, MergeConfig())
 
     def test_empty_tuned_rejected(self):
