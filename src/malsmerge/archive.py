@@ -200,35 +200,37 @@ def write_archive(
             raise ArchiveError("metadata must map strings to strings")
         header["__metadata__"] = {k: metadata[k] for k in sorted(metadata)}
 
-    blobs: list[bytes] = []
+    # each cast array's own buffer is written: no second copy of the model
+    payloads: list[np.ndarray] = []
     cursor = 0
     for name in sorted(tensors):
         try:
             name.encode("utf-8")
         except UnicodeEncodeError as exc:
             raise ArchiveError(f"unencodable tensor name {name!r}: {exc}") from exc
-        arr = np.asarray(tensors[name], dtype="<f4")
+        with np.errstate(over="ignore"):  # an overflow is reported just below
+            arr = np.asarray(tensors[name], dtype="<f4", order="C")
         if not np.all(np.isfinite(arr)):
             raise ArchiveError(f"non-finite value in tensor {name!r} at 32-bit precision")
-        raw = arr.tobytes(order="C")
         header[name] = {
             "dtype": "F32",
             "shape": [int(d) for d in arr.shape],
-            "data_offsets": [cursor, cursor + len(raw)],
+            "data_offsets": [cursor, cursor + arr.nbytes],
         }
-        blobs.append(raw)
-        cursor += len(raw)
+        payloads.append(arr)
+        cursor += arr.nbytes
 
     header_bytes = json.dumps(header, separators=(",", ":"), ensure_ascii=True).encode("utf-8")
 
-    write_atomic(path, [struct.pack("<Q", len(header_bytes)), header_bytes, *blobs])
+    write_atomic(path, [struct.pack("<Q", len(header_bytes)), header_bytes, *payloads])
 
 
-def write_atomic(path: str | Path, chunks: Iterable[bytes]) -> None:
+def write_atomic(path: str | Path, chunks: Iterable[bytes | np.ndarray]) -> None:
     """Write ``chunks`` to a temp file beside ``path``, then rename it into place.
 
     Readers see either the old file or the complete new one; on any failure
-    the temp file is removed and ``path`` is left untouched.
+    the temp file is removed and ``path`` is left untouched. An array chunk
+    must be C-contiguous; its buffer is written as is.
     """
     target = Path(path)
     fd, tmp_name = tempfile.mkstemp(dir=target.parent, prefix=target.name + ".", suffix=".tmp")

@@ -15,13 +15,13 @@ from pathlib import Path
 
 from .allocation import AllocationConfig, allocate
 from .archive import archive_info, read_archive, write_archive
-from .conflict import layer_conflict
+from .conflict import checkpoint_conflict
 from .diagnostics import REPORT_FORMATS, LayerDiagnostics
 from .errors import ArchiveError, ConvergenceError, ValidationError
 from .grouping import DEFAULT_GROUPING_PATTERN, group_layers
 from .merging import MergeConfig, config_metadata, merge
 from .synthetic import write_synthetic_set
-from .task_vectors import compute_task_vector
+from .task_vectors import compute_task_vector, require_compatible
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -87,6 +87,11 @@ def _parse_tuned_paths(raw: object) -> tuple[tuple[str, str], ...]:
     return tuple(parsed)
 
 
+def _present(raw: dict, keys: tuple[str, ...], types: type | tuple) -> dict:
+    """The type-checked values of those of ``keys`` that ``raw`` holds."""
+    return {key: _expect(raw[key], types, key) for key in keys if key in raw}
+
+
 def load_run_config(path: str | Path) -> RunConfig:
     """Parse and validate a merge config file; unknown keys are errors."""
     try:
@@ -115,25 +120,17 @@ def load_run_config(path: str | Path) -> RunConfig:
                 raise ValidationError(f"{key} {target!r} collides with {path!r}")
         taken.append(target)
 
-    method = _expect(raw.get("method", "mals"), str, "method")
+    # absent keys are left out, so their defaults come from the dataclasses
+    levels = _present(raw, ("alpha", "beta", "s_min", "s_max", "s_target", "epsilon"), (int, float))
     allocation = AllocationConfig(
-        alpha=float(_expect(raw.get("alpha", 1.0), (int, float), "alpha")),
-        beta=float(_expect(raw.get("beta", 1.0), (int, float), "beta")),
-        s_min=float(_expect(raw.get("s_min", 0.1), (int, float), "s_min")),
-        s_max=float(_expect(raw.get("s_max", 0.9), (int, float), "s_max")),
-        s_target=float(_expect(raw.get("s_target", 0.5), (int, float), "s_target")),
-        epsilon=float(_expect(raw.get("epsilon", 1e-6), (int, float), "epsilon")),
-        max_iterations=int(_expect(raw.get("max_iterations", 100), int, "max_iterations")),
+        **{key: float(value) for key, value in levels.items()},
+        **_present(raw, ("max_iterations",), int),
     )
-    merge_config = MergeConfig(
-        method=method,
-        lam=float(_expect(raw.get("lambda", 1.0), (int, float), "lambda")),
-        sign_election=bool(_expect(raw.get("sign_election", False), bool, "sign_election")),
-        allocation=allocation,
-        grouping_pattern=_expect(
-            raw.get("grouping_pattern", DEFAULT_GROUPING_PATTERN), str, "grouping_pattern"
-        ),
-    )
+    fields = _present(raw, ("method", "grouping_pattern"), str)
+    fields.update(_present(raw, ("sign_election",), bool))
+    if "lambda" in raw:
+        fields["lam"] = float(_expect(raw["lambda"], (int, float), "lambda"))
+    merge_config = MergeConfig(allocation=allocation, **fields)
 
     report_format = _expect(raw.get("report_format", "json"), str, "report_format")
     if report_format not in REPORT_FORMATS:
@@ -172,14 +169,15 @@ def _cmd_merge(args: argparse.Namespace) -> int:
 def _cmd_analyze(args: argparse.Namespace) -> int:
     base = read_archive(args.base)
     grouping = group_layers(base, args.pattern)
-    task_vectors = [
-        compute_task_vector(base, read_archive(path), Path(path).stem) for path in args.tuned
-    ]
-    conflict = layer_conflict(task_vectors, grouping)
+    tuned = []
+    for path in args.tuned:
+        tuned.append(read_archive(path))
+        require_compatible(base, tuned[-1], f"checkpoint {Path(path).stem!r}")
+    conflict = checkpoint_conflict(base, tuned, grouping)
     allocation = allocate(conflict, AllocationConfig())
     diag = LayerDiagnostics.from_results(conflict, allocation, "analyze")
     diag.write(args.out, args.format)
-    print(f"analyzed {len(task_vectors)} checkpoints over {len(grouping)} layers -> {args.out}")
+    print(f"analyzed {len(tuned)} checkpoints over {len(grouping)} layers -> {args.out}")
     return EXIT_OK
 
 

@@ -11,13 +11,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from .errors import ValidationError
 from .grouping import LayerGrouping, flatten_group
-from .task_vectors import TaskVector
+from .task_vectors import TaskVector, TensorMap, layer_deltas
 
 
 @dataclass(frozen=True)
@@ -37,11 +37,13 @@ class ConflictReport:
     pairs: tuple[PairConflict, ...]
 
 
-def _check_pair(x: np.ndarray, y: np.ndarray) -> None:
+def _check_pair(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    x, y = np.asarray(x), np.asarray(y)
     if x.ndim != 1 or y.ndim != 1:
         raise ValueError("inputs must be flat vectors")
     if len(x) != len(y):
         raise ValueError(f"length mismatch: {len(x)} vs {len(y)}")
+    return x, y
 
 
 def _center(x: np.ndarray) -> tuple[np.ndarray, float]:
@@ -87,9 +89,7 @@ def pearson_abs(x: np.ndarray, y: np.ndarray) -> float:
     Returns 0 when either vector has zero variance: a constant update
     carries no directional conflict signal.
     """
-    x = np.asarray(x)
-    y = np.asarray(y)
-    _check_pair(x, y)
+    x, y = _check_pair(x, y)
     if len(x) == 0:
         raise ValueError("vectors must hold at least one element")
     return _pearson_centered(*_center(x), *_center(y))
@@ -101,9 +101,7 @@ def sign_disagreement(x: np.ndarray, y: np.ndarray) -> float:
     Twice the count of opposite-sign positions over the total nonzero counts
     of both vectors; 0 when neither vector has a nonzero entry.
     """
-    x = np.asarray(x)
-    y = np.asarray(y)
-    _check_pair(x, y)
+    x, y = _check_pair(x, y)
     return _disagreement(_signs(x), _signs(y))
 
 
@@ -138,46 +136,40 @@ def layer_importance(task_vectors: Sequence[TaskVector], grouping: LayerGrouping
 
 
 def _score_layer(
-    task_vectors: Sequence[TaskVector],
-    members: Sequence[str],
-    task_pairs: Sequence[tuple[int, int]],
+    flats: Sequence[np.ndarray], task_pairs: Sequence[tuple[int, int]]
 ) -> tuple[float, list[float], list[float]]:
     """Importance, then |rho| and sign disagreement per task pair, of one layer group.
 
-    Each task is flattened, centred and sign-masked once; every pair is scored
-    from those values, which are freed on return.
+    Each task's flat update is centred and sign-masked once; every pair is
+    scored from those values.
     """
-    flats = [flatten_group(tv.deltas, members) for tv in task_vectors]
     importance = _importance(flats)
     if not task_pairs or not len(flats[0]):
         return importance, [0.0] * len(task_pairs), [0.0] * len(task_pairs)
     centered = [_center(flat) for flat in flats]
     signs = [_signs(flat) for flat in flats]
-    del flats
     rho = [_pearson_centered(*centered[i], *centered[j]) for i, j in task_pairs]
     dis = [_disagreement(signs[i], signs[j]) for i, j in task_pairs]
     return importance, rho, dis
 
 
-def layer_conflict(task_vectors: Sequence[TaskVector], grouping: LayerGrouping) -> ConflictReport:
-    """Score every layer's inter-task conflict and importance.
+def _score_layers(
+    layer_ids: Sequence[str], n_tasks: int, layer_flats: Iterable[Sequence[np.ndarray]]
+) -> ConflictReport:
+    """Score each layer's flat per-task updates, in ``layer_ids`` order.
 
-    Streams layer by layer: each task's layer is flattened, centred and
-    sign-masked once, every task pair is scored from those cached values,
-    and they are freed before the next layer, so memory grows with the
-    largest layer rather than the model. With a single task there are no
-    pairs and conflict is zero everywhere, deferring the allocation entirely
-    to importance. A layer group with no elements scores 0 conflict and 0
-    importance.
+    ``layer_flats`` yields one layer at a time; each is dropped before the
+    next is built, so memory grows with the largest layer, not the model.
     """
-    _check_names(task_vectors, grouping)
-    n_layers = len(grouping)
-    task_pairs = list(combinations(range(len(task_vectors)), 2))
+    n_layers = len(layer_ids)
+    task_pairs = list(combinations(range(n_tasks), 2))
     rho = np.zeros((len(task_pairs), n_layers), dtype=np.float64)
     dis = np.zeros((len(task_pairs), n_layers), dtype=np.float64)
     importance = np.zeros(n_layers, dtype=np.float64)
-    for l, (_, members) in enumerate(grouping.groups):
-        importance[l], rho[:, l], dis[:, l] = _score_layer(task_vectors, members, task_pairs)
+    layer_flats = iter(layer_flats)
+    for l in range(n_layers):
+        # next() inside the call: no loop variable holds the previous layer
+        importance[l], rho[:, l], dis[:, l] = _score_layer(next(layer_flats), task_pairs)
 
     pairs = tuple(
         PairConflict(task_pair=pair, per_layer_rho_abs=rho[k], per_layer_sign_disagreement=dis[k])
@@ -189,9 +181,26 @@ def layer_conflict(task_vectors: Sequence[TaskVector], grouping: LayerGrouping) 
             conflict += 0.5 * pair.per_layer_rho_abs + 0.5 * pair.per_layer_sign_disagreement
         conflict /= len(pairs)
 
-    return ConflictReport(
-        layer_ids=tuple(grouping.layer_ids),
-        conflict=conflict,
-        importance=importance,
-        pairs=pairs,
+    return ConflictReport(tuple(layer_ids), conflict=conflict, importance=importance, pairs=pairs)
+
+
+def layer_conflict(task_vectors: Sequence[TaskVector], grouping: LayerGrouping) -> ConflictReport:
+    """Score every layer's inter-task conflict and importance, one layer at a time.
+
+    With a single task there are no pairs and conflict is zero everywhere,
+    deferring the allocation entirely to importance. A layer group with no
+    elements scores 0 conflict and 0 importance.
+    """
+    _check_names(task_vectors, grouping)
+    layer_flats = (
+        [flatten_group(tv.deltas, members) for tv in task_vectors] for _, members in grouping.groups
     )
+    return _score_layers(grouping.layer_ids, len(task_vectors), layer_flats)
+
+
+def checkpoint_conflict(
+    base: TensorMap, tuned: Sequence[TensorMap], grouping: LayerGrouping
+) -> ConflictReport:
+    """:func:`layer_conflict` of ``tuned - base``, built per layer; keys and shapes must match."""
+    layer_flats = (layer_deltas(base, tuned, members) for _, members in grouping.groups)
+    return _score_layers(grouping.layer_ids, len(tuned), layer_flats)

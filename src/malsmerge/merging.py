@@ -12,18 +12,16 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field, replace
-from typing import Mapping, Sequence
+from dataclasses import asdict, dataclass, field, replace
+from typing import Sequence
 
 import numpy as np
 
 from .allocation import AllocationConfig, AllocationResult, allocate
-from .conflict import ConflictReport, layer_conflict
+from .conflict import ConflictReport, checkpoint_conflict
 from .errors import ConvergenceError, ValidationError
-from .grouping import DEFAULT_GROUPING_PATTERN, flatten_group, group_layers, unflatten_group
-from .task_vectors import TaskVector, compute_task_vector, require_compatible
-
-TensorMap = Mapping[str, np.ndarray]
+from .grouping import DEFAULT_GROUPING_PATTERN, group_layers, unflatten_group
+from .task_vectors import TaskVector, TensorMap, layer_deltas, require_compatible
 
 METHODS = ("mals", "simple_average", "uniform_sparsity", "ties")
 
@@ -126,6 +124,14 @@ def compose_merged(base: TensorMap, tau: TaskVector, lam: float) -> dict[str, np
     }
 
 
+def _average(arrays: Sequence[np.ndarray]) -> np.ndarray:
+    """Elementwise mean, summed at 64-bit and stored in the first array's dtype."""
+    total = np.zeros(arrays[0].shape, dtype=np.float64)
+    for arr in arrays:
+        total += arr
+    return (total / len(arrays)).astype(arrays[0].dtype)
+
+
 def simple_average(task_vectors: Sequence[TaskVector]) -> TaskVector:
     """Uniform average of the task vectors, with no trimming or election."""
     if not task_vectors:
@@ -133,30 +139,8 @@ def simple_average(task_vectors: Sequence[TaskVector]) -> TaskVector:
     first = task_vectors[0]
     for tv in task_vectors[1:]:
         require_compatible(first.deltas, tv.deltas, f"task vector {tv.label!r}")
-    deltas = {}
-    for key in first.deltas:
-        total = np.zeros(first.deltas[key].shape, dtype=np.float64)
-        for tv in task_vectors:
-            total += tv.deltas[key]
-        deltas[key] = (total / len(task_vectors)).astype(first.deltas[key].dtype)
+    deltas = {key: _average([tv.deltas[key] for tv in task_vectors]) for key in first.deltas}
     return TaskVector(label="simple_average", deltas=deltas)
-
-
-def _merge_sparsified(
-    task_vectors: Sequence[TaskVector],
-    grouping,
-    s_final: np.ndarray,
-    election: bool,
-    shapes: Mapping[str, tuple[int, ...]],
-) -> dict[str, np.ndarray]:
-    deltas: dict[str, np.ndarray] = {}
-    for level, (_, members) in zip(s_final, grouping.groups):
-        flats = [flatten_group(tv.deltas, members) for tv in task_vectors]
-        trimmed = [sparsify_top_fraction(flat, float(level)) for flat in flats]
-        signs = elect_signs(trimmed) if election else None
-        merged_flat = disjoint_merge(trimmed, signs)
-        deltas.update(unflatten_group(merged_flat, shapes, members))
-    return deltas
 
 
 def merge(
@@ -165,44 +149,51 @@ def merge(
     config: MergeConfig,
     labels: Sequence[str] | None = None,
 ) -> MergeOutput:
-    """Merge fine-tuned checkpoints into one model via the configured method."""
+    """Merge fine-tuned checkpoints into one model via the configured method.
+
+    Two passes over the layer groups, each holding one layer's ``tuned - base``
+    updates at a time: the first scores conflict (not for ``simple_average``),
+    the second averages the updates or trims, elects and merges them.
+    """
     if not tuned:
         raise ValidationError("need at least one tuned checkpoint")
     if labels is None:
         labels = [f"task-{i}" for i in range(len(tuned))]
     elif len(labels) != len(tuned):
         raise ValidationError(f"{len(labels)} labels provided for {len(tuned)} checkpoints")
-    task_vectors = [
-        compute_task_vector(base, t, label) for t, label in zip(tuned, labels)
-    ]
-
-    if config.method == "simple_average":
-        tau = simple_average(task_vectors)
-        return MergeOutput(
-            merged=compose_merged(base, tau, config.lam),
-            tau_merged=tau,
-            method=config.method,
-        )
-
+    for checkpoint, label in zip(tuned, labels):
+        require_compatible(base, checkpoint, f"checkpoint {label!r}")
     grouping = group_layers(base, config.grouping_pattern)
-    conflict = layer_conflict(task_vectors, grouping)
 
-    alloc_config = config.allocation
-    if config.method in ("uniform_sparsity", "ties"):
-        # identical trim level everywhere: collapse the box onto the target
-        alloc_config = replace(
-            alloc_config, s_min=alloc_config.s_target, s_max=alloc_config.s_target
-        )
-    allocation = allocate(conflict, alloc_config)
-    if not allocation.converged:
-        raise ConvergenceError(
-            f"budget projection did not converge within {alloc_config.max_iterations} iterations "
-            f"(mean sparsity {allocation.mean_sparsity}, target {alloc_config.s_target})"
-        )
+    allocation = conflict = None
+    if config.method != "simple_average":
+        conflict = checkpoint_conflict(base, tuned, grouping)
+        alloc_config = config.allocation
+        if config.method in ("uniform_sparsity", "ties"):
+            # identical trim level everywhere: collapse the box onto the target
+            alloc_config = replace(
+                alloc_config, s_min=alloc_config.s_target, s_max=alloc_config.s_target
+            )
+        allocation = allocate(conflict, alloc_config)
+        if not allocation.converged:
+            raise ConvergenceError(
+                f"budget projection did not converge within {alloc_config.max_iterations} "
+                f"iterations (mean sparsity {allocation.mean_sparsity}, "
+                f"target {alloc_config.s_target})"
+            )
 
     election = config.sign_election or config.method == "ties"
     shapes = {key: base[key].shape for key in base}
-    deltas = _merge_sparsified(task_vectors, grouping, allocation.s_final, election, shapes)
+    deltas: dict[str, np.ndarray] = {}
+    for l, (_, members) in enumerate(grouping.groups):
+        flats = layer_deltas(base, tuned, members)
+        if allocation is None:
+            merged_flat = _average(flats)
+        else:
+            flats = [sparsify_top_fraction(flat, float(allocation.s_final[l])) for flat in flats]
+            merged_flat = disjoint_merge(flats, elect_signs(flats) if election else None)
+        del flats  # freed before the next layer's updates are built
+        deltas.update(unflatten_group(merged_flat, shapes, members))
     tau = TaskVector(label=config.method, deltas=deltas)
     return MergeOutput(
         merged=compose_merged(base, tau, config.lam),
@@ -219,14 +210,8 @@ def config_metadata(config: MergeConfig) -> dict[str, str]:
         "method": config.method,
         "lambda": config.lam,
         "sign_election": config.sign_election,
-        "alpha": config.allocation.alpha,
-        "beta": config.allocation.beta,
-        "s_min": config.allocation.s_min,
-        "s_max": config.allocation.s_max,
-        "s_target": config.allocation.s_target,
-        "epsilon": config.allocation.epsilon,
-        "max_iterations": config.allocation.max_iterations,
         "grouping_pattern": config.grouping_pattern,
+        **asdict(config.allocation),
     }
     digest = hashlib.sha256(json.dumps(fields, sort_keys=True).encode("utf-8")).hexdigest()
     return {

@@ -17,6 +17,7 @@ import numpy as np
 
 from .archive import write_archive
 from .errors import ValidationError
+from .grouping import unflatten_group
 
 _GRID = 4096.0  # 2**12
 _DELTA_SCALE = 0.02
@@ -26,14 +27,11 @@ def _snap(values: np.ndarray) -> np.ndarray:
     return (np.round(values * _GRID) / _GRID).astype(np.float32)
 
 
-def _layer_tensor_names(layer: int, elems: int) -> list[tuple[str, int]]:
+def _layer_shapes(layer: int, elems: int) -> dict[str, tuple[int]]:
+    attn, mlp = f"model.layers.{layer}.attn.weight", f"model.layers.{layer}.mlp.weight"
     if elems < 2:
-        return [(f"model.layers.{layer}.attn.weight", elems)]
-    half = elems // 2
-    return [
-        (f"model.layers.{layer}.attn.weight", elems - half),
-        (f"model.layers.{layer}.mlp.weight", half),
-    ]
+        return {attn: (elems,)}
+    return {attn: (elems - elems // 2,), mlp: (elems // 2,)}
 
 
 def synthesize_checkpoints(
@@ -65,6 +63,7 @@ def synthesize_checkpoints(
     base: dict[str, np.ndarray] = {}
     tuned: list[dict[str, np.ndarray]] = [{} for _ in range(num_tasks)]
     for layer, mix in enumerate(profile):
+        shapes = _layer_shapes(layer, elems_per_layer)
         base_flat = _snap(rng.normal(0.0, 1.0, elems_per_layer))
         shared = rng.normal(0.0, 1.0, elems_per_layer)
         for task in range(num_tasks):
@@ -75,14 +74,8 @@ def synthesize_checkpoints(
             )
             # grid values stay exact under float32 addition
             tuned_flat = (base_flat.astype(np.float64) + delta).astype(np.float32)
-            offset = 0
-            for name, size in _layer_tensor_names(layer, elems_per_layer):
-                tuned[task][name] = tuned_flat[offset : offset + size].copy()
-                offset += size
-        offset = 0
-        for name, size in _layer_tensor_names(layer, elems_per_layer):
-            base[name] = base_flat[offset : offset + size].copy()
-            offset += size
+            tuned[task].update(unflatten_group(tuned_flat, shapes, shapes))
+        base.update(unflatten_group(base_flat, shapes, shapes))
     return base, tuned
 
 

@@ -8,6 +8,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import ValidationError
+from .grouping import flatten_group
 
 TensorMap = Mapping[str, np.ndarray]
 
@@ -66,19 +67,29 @@ def require_compatible(reference: TensorMap, other: TensorMap, what: str) -> Non
         raise ValidationError(f"{what} incompatible at {key!r}: {reason}")
 
 
-def compute_task_vector(base: TensorMap, tuned: TensorMap, label: str) -> TaskVector:
-    """Subtract the base from a fine-tuned checkpoint, tensor by tensor.
+def _delta(base: np.ndarray, tuned: np.ndarray) -> np.ndarray:
+    """``tuned - base``, subtracted at 64-bit to keep cancellation noise out, stored at 32-bit."""
+    return (tuned.astype(np.float64) - base.astype(np.float64)).astype(np.float32)
 
-    Operands are widened to 64-bit before subtracting and the result is
-    stored at 32-bit, so cancellation noise does not feed the conflict
-    statistics downstream.
-    """
+
+def compute_task_vector(base: TensorMap, tuned: TensorMap, label: str) -> TaskVector:
+    """Subtract the base from a fine-tuned checkpoint, tensor by tensor."""
     require_compatible(base, tuned, f"checkpoint {label!r}")
-    deltas = {
-        key: (tuned[key].astype(np.float64) - base[key].astype(np.float64)).astype(np.float32)
-        for key in base
-    }
-    return TaskVector(label=label, deltas=deltas)
+    return TaskVector(label=label, deltas={key: _delta(base[key], tuned[key]) for key in base})
+
+
+def layer_deltas(
+    base: TensorMap, tuned: Sequence[TensorMap], members: Sequence[str]
+) -> list[np.ndarray]:
+    """Each checkpoint's update on one layer group, flattened as :func:`flatten_group` does.
+
+    Equals flattening :func:`compute_task_vector`'s deltas, without building
+    them for the rest of the model. Callers check compatibility first.
+    """
+    return [
+        flatten_group({name: _delta(base[name], t[name]) for name in members}, members)
+        for t in tuned
+    ]
 
 
 def validate_compatibility(base: TensorMap, tuned_list: Sequence[TensorMap],

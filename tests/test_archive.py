@@ -186,7 +186,6 @@ def test_non_finite_tensor_rejected_on_write(tmp_path):
         write_archive({"a": np.array([np.inf], dtype=np.float32)}, tmp_path / "x.st")
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered in cast:RuntimeWarning")
 def test_overflow_at_32_bits_rejected_on_write(tmp_path):
     # finite as float64, infinite once cast to the stored F32
     with pytest.raises(ArchiveError, match="non-finite"):

@@ -8,7 +8,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from malsmerge import read_archive, write_archive, write_synthetic_set
+from malsmerge import (
+    AllocationConfig,
+    MergeConfig,
+    read_archive,
+    write_archive,
+    write_synthetic_set,
+)
 from malsmerge.cli import _CONFIG_KEYS, load_run_config, run
 
 
@@ -81,6 +87,34 @@ def test_shape_mismatch_names_tensor_and_exits_2(tmp_path, synth_dir, capsys):
     code = run(["merge", "--config", str(_config(tmp_path, synth_dir))])
     assert code == 2
     assert "model.layers.0.attn.weight" in capsys.readouterr().err
+
+
+def test_analyze_shape_mismatch_names_checkpoint_and_exits_2(tmp_path, synth_dir, capsys):
+    bad = read_archive(synth_dir / "task_01.safetensors")
+    bad["model.layers.0.attn.weight"] = np.zeros((2, 2), dtype=np.float32)
+    write_archive(bad, synth_dir / "task_01.safetensors")
+    base = str(synth_dir / "base.safetensors")
+    tuned = [str(synth_dir / f"task_{i:02d}.safetensors") for i in range(3)]
+    out = tmp_path / "a.json"
+    assert run(["analyze", "--base", base, "--tuned", *tuned, "--out", str(out)]) == 2
+    assert "checkpoint 'task_01' incompatible at 'model.layers.0.attn.weight'" in (
+        capsys.readouterr().err
+    )
+    assert not out.exists()
+
+
+def test_absent_config_keys_take_the_dataclass_defaults(tmp_path, synth_dir):
+    cfg = json.loads(_config(tmp_path, synth_dir).read_text())
+    del cfg["method"]
+    path = tmp_path / "minimal.json"
+    path.write_text(json.dumps(cfg))
+    assert load_run_config(path).merge_config == MergeConfig()
+    cfg.update({"alpha": 2, "max_iterations": 7, "lambda": 1, "sign_election": True})
+    path.write_text(json.dumps(cfg))
+    merge_config = load_run_config(path).merge_config
+    assert merge_config.allocation == AllocationConfig(alpha=2.0, max_iterations=7)
+    assert type(merge_config.allocation.alpha) is float and type(merge_config.lam) is float
+    assert merge_config.sign_election is True
 
 
 @pytest.mark.parametrize(

@@ -6,14 +6,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from malsmerge import (
+    METHODS,
     AllocationConfig,
     MergeConfig,
     TaskVector,
     ValidationError,
     compose_merged,
+    compute_task_vector,
     disjoint_merge,
     elect_signs,
     group_layers,
+    layer_conflict,
     merge,
     simple_average,
     sparsify_top_fraction,
@@ -204,14 +207,57 @@ class TestMerge:
         for key in base:
             np.testing.assert_array_equal(out.merged[key], tuned[0][key])
 
-    def test_simple_average_of_one_task_equals_compose(self):
-        base, tuned = _checkpoints(seed=3, tasks=1)
+    @pytest.mark.parametrize("tasks", [1, 3])
+    def test_simple_average_of_one_task_equals_compose(self, tasks):
+        base, tuned = _checkpoints(seed=3, tasks=tasks)
+        rng = np.random.default_rng(3)
+        # an empty tensor inside a layer group, and a second ungrouped tensor
+        for name, shape in (("m.layers.1.empty", (0, 4)), ("head.b", (2, 3))):
+            base[name] = rng.normal(size=shape).astype(np.float32)
+            for t in tuned:
+                t[name] = (base[name] + rng.normal(size=shape)).astype(np.float32)
         out = merge(base, tuned, MergeConfig(method="simple_average", lam=0.7))
-        tau = out.tau_merged
+        task_vectors = [compute_task_vector(base, t, f"t{i}") for i, t in enumerate(tuned)]
+        tau = simple_average(task_vectors)
         expected = compose_merged(base, tau, 0.7)
+        assert set(out.merged) == set(out.tau_merged.deltas) == set(base)
         for key in base:
-            np.testing.assert_array_equal(out.merged[key], expected[key])
+            assert out.tau_merged.deltas[key].tobytes() == tau.deltas[key].tobytes()
+            assert out.merged[key].shape == expected[key].shape
+            assert out.merged[key].tobytes() == expected[key].tobytes()
         assert out.allocation is None and out.conflict is None
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_invalid_grouping_pattern_rejected_for_every_method(self, method):
+        base, tuned = _checkpoints(seed=3)
+        config = MergeConfig(method=method, grouping_pattern=r"layers\.\d+")
+        with pytest.raises(ValidationError, match="exactly one capture group"):
+            merge(base, tuned, config)
+
+    def test_conflict_equals_layer_conflict_of_task_vectors(self):
+        base, tuned = _checkpoints(seed=9, tasks=4)
+        rng = np.random.default_rng(9)
+        # an all-empty layer group, and a second ungrouped tensor
+        for name, shape in (("m.layers.7.w", (3, 0)), ("head.b", (5,))):
+            base[name] = rng.normal(size=shape).astype(np.float32)
+            for t in tuned:
+                t[name] = (base[name] + rng.normal(size=shape)).astype(np.float32)
+        grouping = group_layers(base)
+        assert grouping.layer_ids[-2:] == ["layer.7", "ungrouped"]
+        task_vectors = [compute_task_vector(base, t, f"t{i}") for i, t in enumerate(tuned)]
+        expected = layer_conflict(task_vectors, grouping)
+        got = merge(base, tuned, MergeConfig(method="ties")).conflict
+        assert got.layer_ids == expected.layer_ids
+        assert got.conflict.tobytes() == expected.conflict.tobytes()
+        assert got.importance.tobytes() == expected.importance.tobytes()
+        assert len(got.pairs) == len(expected.pairs) == 6
+        for pair, want in zip(got.pairs, expected.pairs):
+            assert pair.task_pair == want.task_pair
+            assert pair.per_layer_rho_abs.tobytes() == want.per_layer_rho_abs.tobytes()
+            assert (
+                pair.per_layer_sign_disagreement.tobytes()
+                == want.per_layer_sign_disagreement.tobytes()
+            )
 
     def test_merged_preserves_keys_and_shapes(self):
         base, tuned = _checkpoints(seed=4)
