@@ -207,8 +207,14 @@ class TestMerge:
         for key in base:
             np.testing.assert_array_equal(out.merged[key], tuned[0][key])
 
-    @pytest.mark.parametrize("tasks", [1, 3])
-    def test_simple_average_of_one_task_equals_compose(self, tasks):
+    def test_simple_average_of_one_task_equals_compose(self):
+        self._check_simple_average_equals_compose(tasks=1)
+
+    def test_simple_average_of_three_tasks_equals_compose(self):
+        self._check_simple_average_equals_compose(tasks=3)
+
+    @staticmethod
+    def _check_simple_average_equals_compose(tasks):
         base, tuned = _checkpoints(seed=3, tasks=tasks)
         rng = np.random.default_rng(3)
         # an empty tensor inside a layer group, and a second ungrouped tensor
