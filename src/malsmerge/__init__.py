@@ -15,7 +15,6 @@ from .conflict import (
     ConflictReport,
     PairConflict,
     layer_conflict,
-    layer_importance,
     pearson_abs,
     sign_disagreement,
 )
@@ -80,7 +79,6 @@ __all__ = [
     "group_layers",
     "initial_sparsity",
     "layer_conflict",
-    "layer_importance",
     "merge",
     "min_max_normalize",
     "pearson_abs",

@@ -150,9 +150,10 @@ def _cmd_merge(args: argparse.Namespace) -> int:
     base = read_archive(cfg.base_path)
     tuned = [read_archive(path) for path, _ in cfg.tuned_paths]
     labels = [label for _, label in cfg.tuned_paths]
+    method = cfg.merge_config.method
     output = merge(base, tuned, cfg.merge_config, labels=labels)
     write_archive(output.merged, cfg.output_path, metadata=config_metadata(cfg.merge_config))
-    print(f"merged {len(tuned)} checkpoints via {output.method} -> {cfg.output_path}")
+    print(f"merged {len(tuned)} checkpoints via {method} -> {cfg.output_path}")
     if cfg.report_path is not None:
         if output.allocation is None or output.conflict is None:
             print(
@@ -160,7 +161,7 @@ def _cmd_merge(args: argparse.Namespace) -> int:
                 file=sys.stderr,
             )
         else:
-            diag = LayerDiagnostics.from_results(output.conflict, output.allocation, output.method)
+            diag = LayerDiagnostics.from_results(output.conflict, output.allocation, method)
             diag.write(cfg.report_path, cfg.report_format)
             print(f"report written to {cfg.report_path}")
     return EXIT_OK

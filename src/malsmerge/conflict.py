@@ -123,18 +123,6 @@ def _importance(flats: Sequence[np.ndarray]) -> float:
     return total / len(flats)
 
 
-def layer_importance(task_vectors: Sequence[TaskVector], grouping: LayerGrouping) -> np.ndarray:
-    """Mean absolute task-vector magnitude per layer, averaged over tasks."""
-    _check_names(task_vectors, grouping)
-    return np.array(
-        [
-            _importance([flatten_group(tv.deltas, members) for tv in task_vectors])
-            for _, members in grouping.groups
-        ],
-        dtype=np.float64,
-    )
-
-
 def _score_layer(
     flats: Sequence[np.ndarray], task_pairs: Sequence[tuple[int, int]]
 ) -> tuple[float, list[float], list[float]]:

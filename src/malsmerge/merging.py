@@ -44,8 +44,6 @@ class MergeConfig:
 @dataclass
 class MergeOutput:
     merged: dict[str, np.ndarray]
-    tau_merged: TaskVector
-    method: str
     allocation: AllocationResult | None = None
     conflict: ConflictReport | None = None
 
@@ -113,15 +111,15 @@ def disjoint_merge(sparsified: Sequence[np.ndarray], signs: np.ndarray | None = 
     return merged.astype(stack.dtype)
 
 
+def _compose(base: np.ndarray, delta: np.ndarray, lam: float) -> np.ndarray:
+    """``base + lam * delta``, added at 64-bit and stored at 32-bit."""
+    return (base.astype(np.float64) + lam * delta.astype(np.float64)).astype(np.float32)
+
+
 def compose_merged(base: TensorMap, tau: TaskVector, lam: float) -> dict[str, np.ndarray]:
     """Add the scaled merged task vector back onto the base checkpoint."""
     require_compatible(base, tau.deltas, f"task vector {tau.label!r}")
-    return {
-        key: (base[key].astype(np.float64) + lam * tau.deltas[key].astype(np.float64)).astype(
-            np.float32
-        )
-        for key in base
-    }
+    return {key: _compose(base[key], tau.deltas[key], lam) for key in base}
 
 
 def _average(arrays: Sequence[np.ndarray]) -> np.ndarray:
@@ -153,7 +151,8 @@ def merge(
 
     Two passes over the layer groups, each holding one layer's ``tuned - base``
     updates at a time: the first scores conflict (not for ``simple_average``),
-    the second averages the updates or trims, elects and merges them.
+    the second averages the updates or trims, elects and merges them, and adds
+    ``lam`` times the result onto the base.
     """
     if not tuned:
         raise ValidationError("need at least one tuned checkpoint")
@@ -184,7 +183,7 @@ def merge(
 
     election = config.sign_election or config.method == "ties"
     shapes = {key: base[key].shape for key in base}
-    deltas: dict[str, np.ndarray] = {}
+    merged: dict[str, np.ndarray] = {}
     for l, (_, members) in enumerate(grouping.groups):
         flats = layer_deltas(base, tuned, members)
         if allocation is None:
@@ -193,15 +192,12 @@ def merge(
             flats = [sparsify_top_fraction(flat, float(allocation.s_final[l])) for flat in flats]
             merged_flat = disjoint_merge(flats, elect_signs(flats) if election else None)
         del flats  # freed before the next layer's updates are built
-        deltas.update(unflatten_group(merged_flat, shapes, members))
-    tau = TaskVector(label=config.method, deltas=deltas)
-    return MergeOutput(
-        merged=compose_merged(base, tau, config.lam),
-        tau_merged=tau,
-        method=config.method,
-        allocation=allocation,
-        conflict=conflict,
-    )
+        for name, delta in unflatten_group(merged_flat, shapes, members).items():
+            # into the merged update's own buffer: one array per layer, no second
+            # allocation per tensor, so the pages the layer freed are reused
+            delta[...] = _compose(base[name], delta, config.lam)
+            merged[name] = delta
+    return MergeOutput(merged=merged, allocation=allocation, conflict=conflict)
 
 
 def config_metadata(config: MergeConfig) -> dict[str, str]:

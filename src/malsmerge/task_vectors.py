@@ -67,15 +67,23 @@ def require_compatible(reference: TensorMap, other: TensorMap, what: str) -> Non
         raise ValidationError(f"{what} incompatible at {key!r}: {reason}")
 
 
-def _delta(base: np.ndarray, tuned: np.ndarray) -> np.ndarray:
-    """``tuned - base``, subtracted at 64-bit to keep cancellation noise out, stored at 32-bit."""
-    return (tuned.astype(np.float64) - base.astype(np.float64)).astype(np.float32)
+def _delta(name: str, base: np.ndarray, tuned: np.ndarray) -> np.ndarray:
+    """``tuned - base``, subtracted at 64-bit to keep cancellation noise out, stored at 32-bit.
+
+    An update beyond the 32-bit range raises :class:`ValidationError` naming the tensor.
+    """
+    try:
+        with np.errstate(over="raise"):
+            return (tuned.astype(np.float64) - base.astype(np.float64)).astype(np.float32)
+    except FloatingPointError:
+        raise ValidationError(f"update of tensor {name!r} overflows 32-bit precision") from None
 
 
 def compute_task_vector(base: TensorMap, tuned: TensorMap, label: str) -> TaskVector:
     """Subtract the base from a fine-tuned checkpoint, tensor by tensor."""
     require_compatible(base, tuned, f"checkpoint {label!r}")
-    return TaskVector(label=label, deltas={key: _delta(base[key], tuned[key]) for key in base})
+    deltas = {key: _delta(key, base[key], tuned[key]) for key in base}
+    return TaskVector(label=label, deltas=deltas)
 
 
 def layer_deltas(
@@ -87,7 +95,7 @@ def layer_deltas(
     them for the rest of the model. Callers check compatibility first.
     """
     return [
-        flatten_group({name: _delta(base[name], t[name]) for name in members}, members)
+        flatten_group({name: _delta(name, base[name], t[name]) for name in members}, members)
         for t in tuned
     ]
 

@@ -12,6 +12,7 @@ from malsmerge import (
     AllocationConfig,
     MergeConfig,
     read_archive,
+    synthesize_checkpoints,
     write_archive,
     write_synthetic_set,
 )
@@ -101,6 +102,27 @@ def test_analyze_shape_mismatch_names_checkpoint_and_exits_2(tmp_path, synth_dir
         capsys.readouterr().err
     )
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["merge", "analyze", "diff"])
+def test_update_overflowing_32_bits_names_tensor_and_exits_2(tmp_path, synth_dir, capsys, command):
+    name = "model.layers.1.mlp.weight"
+    base_path, tuned_path = synth_dir / "base.safetensors", synth_dir / "task_00.safetensors"
+    for path, value in ((base_path, -3e38), (tuned_path, 3e38)):
+        tensors = read_archive(path)
+        tensors[name] = tensors[name].copy()
+        tensors[name][0] = value
+        write_archive(tensors, path)
+    out = str(tmp_path / "out")
+    argv = {
+        "merge": ["merge", "--config", str(_config(tmp_path, synth_dir))],
+        "analyze": ["analyze", "--base", str(base_path), "--tuned", str(tuned_path), "--out", out],
+        "diff": ["diff", "--base", str(base_path), "--tuned", str(tuned_path), "--out", out],
+    }[command]
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert f"tensor {name!r} overflows 32-bit precision" in err
+    assert "RuntimeWarning" not in err
 
 
 def test_absent_config_keys_take_the_dataclass_defaults(tmp_path, synth_dir):
@@ -270,11 +292,26 @@ def test_cli_outputs_deterministic_across_runs(tmp_path, synth_dir):
     assert (tmp_path / "report.json").read_bytes() == first_report
 
 
-def test_readme_config_example_lists_every_key(tmp_path):
+def _readme_block(intro: str, language: str) -> str:
+    """The first ``language`` code block in README.md after the text ``intro``."""
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
-    intro = readme.index("`merge.json` holds exactly these keys")
-    block = re.search(r"```json\n(.*?)```", readme[intro:], re.DOTALL).group(1)
+    start = readme.index(intro)
+    return re.search(rf"```{language}\n(.*?)```", readme[start:], re.DOTALL).group(1)
+
+
+def test_readme_config_example_lists_every_key(tmp_path):
+    block = _readme_block("`merge.json` holds exactly these keys", "json")
     path = tmp_path / "merge.json"
     path.write_text(block, encoding="utf-8")
     load_run_config(path)
     assert set(json.loads(block)) == _CONFIG_KEYS
+
+
+def test_readme_library_example_runs(tmp_path, monkeypatch, capsys):
+    base, tuned = synthesize_checkpoints(5, 3, 64, 2, [0.8, 0.5, 0.2])
+    for stem, tensors in zip(("base", "math", "chat"), [base, *tuned]):
+        write_archive(tensors, tmp_path / f"{stem}.safetensors")
+    monkeypatch.chdir(tmp_path)
+    exec(_readme_block("## Library", "python"), {"__name__": "readme_library"})
+    assert set(read_archive(tmp_path / "merged.safetensors")) == set(base)
+    assert capsys.readouterr().out  # the example prints the allocation and conflict

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -173,6 +175,28 @@ def _checkpoints(seed=0, tasks=3, layers=3, per_layer=24):
     return base, tuned
 
 
+def _edge_checkpoints(seed, tasks=3):
+    """:func:`_checkpoints` plus an empty tensor inside a layer group and a second ungrouped one."""
+    base, tuned = _checkpoints(seed=seed, tasks=tasks)
+    rng = np.random.default_rng(seed)
+    for name, shape in (("m.layers.1.empty", (0, 4)), ("head.b", (2, 3))):
+        base[name] = rng.normal(size=shape).astype(np.float32)
+        for t in tuned:
+            t[name] = (base[name] + rng.normal(size=shape)).astype(np.float32)
+    return base, tuned
+
+
+def _merged_delta(base, tuned, config):
+    """The merged update ``merge`` scales by lambda and adds onto ``base``.
+
+    Merging the ``tuned - base`` deltas onto an all-zero base at lambda 1
+    scores, trims, elects and merges the same updates, and adds them to 0.
+    """
+    zero = {key: np.zeros_like(arr) for key, arr in base.items()}
+    deltas = [compute_task_vector(base, t, f"t{i}").deltas for i, t in enumerate(tuned)]
+    return merge(zero, deltas, replace(config, lam=1.0)).merged
+
+
 class TestMerge:
     def test_collapsed_bounds_match_uniform_bitwise(self):
         base, tuned = _checkpoints()
@@ -215,23 +239,38 @@ class TestMerge:
 
     @staticmethod
     def _check_simple_average_equals_compose(tasks):
-        base, tuned = _checkpoints(seed=3, tasks=tasks)
-        rng = np.random.default_rng(3)
-        # an empty tensor inside a layer group, and a second ungrouped tensor
-        for name, shape in (("m.layers.1.empty", (0, 4)), ("head.b", (2, 3))):
-            base[name] = rng.normal(size=shape).astype(np.float32)
-            for t in tuned:
-                t[name] = (base[name] + rng.normal(size=shape)).astype(np.float32)
-        out = merge(base, tuned, MergeConfig(method="simple_average", lam=0.7))
+        base, tuned = _edge_checkpoints(seed=3, tasks=tasks)
+        config = MergeConfig(method="simple_average", lam=0.7)
+        out = merge(base, tuned, config)
         task_vectors = [compute_task_vector(base, t, f"t{i}") for i, t in enumerate(tuned)]
         tau = simple_average(task_vectors)
         expected = compose_merged(base, tau, 0.7)
-        assert set(out.merged) == set(out.tau_merged.deltas) == set(base)
+        delta = _merged_delta(base, tuned, config)
+        assert set(out.merged) == set(delta) == set(base)
         for key in base:
-            assert out.tau_merged.deltas[key].tobytes() == tau.deltas[key].tobytes()
+            assert delta[key].tobytes() == tau.deltas[key].tobytes()
             assert out.merged[key].shape == expected[key].shape
             assert out.merged[key].tobytes() == expected[key].tobytes()
         assert out.allocation is None and out.conflict is None
+
+    @pytest.mark.parametrize("lam", [1.0, 0.7])
+    @pytest.mark.parametrize("method", METHODS)
+    def test_merged_is_base_plus_scaled_merged_delta(self, method, lam):
+        base, tuned = _edge_checkpoints(seed=8)
+        config = MergeConfig(method=method, lam=lam)
+        out = merge(base, tuned, config)
+        expected = compose_merged(base, TaskVector(method, _merged_delta(base, tuned, config)), lam)
+        assert set(out.merged) == set(base)
+        for key in base:
+            assert out.merged[key].shape == expected[key].shape
+            assert out.merged[key].tobytes() == expected[key].tobytes()
+
+    @pytest.mark.parametrize("method", ["mals", "simple_average"])
+    def test_update_overflowing_32_bits_names_tensor(self, method):
+        base, tuned = _checkpoints(seed=10)
+        base["m.layers.1.mlp.w"][3], tuned[1]["m.layers.1.mlp.w"][3] = -3e38, 3e38
+        with pytest.raises(ValidationError, match=r"'m\.layers\.1\.mlp\.w' overflows"):
+            merge(base, tuned, MergeConfig(method=method))
 
     @pytest.mark.parametrize("method", METHODS)
     def test_invalid_grouping_pattern_rejected_for_every_method(self, method):
@@ -276,19 +315,21 @@ class TestMerge:
 
     def test_sparsity_accounting(self):
         base, tuned = _checkpoints(seed=5)
-        out = merge(base, tuned, MergeConfig(method="uniform_sparsity"))
+        config = MergeConfig(method="uniform_sparsity")
+        out = merge(base, tuned, config)
+        delta = _merged_delta(base, tuned, config)
         grouping = group_layers(base)
         for level, (_, members) in zip(out.allocation.s_final, grouping.groups):
             n = sum(base[name].size for name in members)
             cap = len(tuned) * np.ceil((1.0 - level) * n)
-            merged_nonzero = sum(
-                np.count_nonzero(out.tau_merged.deltas[name]) for name in members
-            )
+            merged_nonzero = sum(np.count_nonzero(delta[name]) for name in members)
             assert merged_nonzero <= cap
 
     def test_election_consistency(self):
         base, tuned = _checkpoints(seed=6)
-        out = merge(base, tuned, MergeConfig(method="ties"))
+        config = MergeConfig(method="ties")
+        out = merge(base, tuned, config)
+        delta = _merged_delta(base, tuned, config)
         grouping = group_layers(base)
         # re-derive the elected signs with the brute-force trim oracle
         for level, (_, members) in zip(out.allocation.s_final, grouping.groups):
@@ -298,7 +339,7 @@ class TestMerge:
                 flat = np.concatenate([(t[n].astype(np.float64) - base[n]).ravel() for n in ordered])
                 trimmed.append(sparsify_oracle(flat, float(level)))
             elected = np.sign(np.sum(trimmed, axis=0))
-            merged = np.concatenate([out.tau_merged.deltas[n].ravel() for n in ordered])
+            merged = np.concatenate([delta[n].ravel() for n in ordered])
             nonzero = merged != 0
             assert np.all(np.sign(merged[nonzero]) == elected[nonzero])
 

@@ -42,6 +42,13 @@ def test_key_mismatch_reports_both_sides():
     assert "extra" in str(err.value) and "other" in str(err.value)
 
 
+def test_update_overflowing_32_bits_names_tensor():
+    base = _map(w=[1.0], b=[2.0, -3e38])
+    tuned = _map(w=[1.0], b=[2.0, 3e38])
+    with pytest.raises(ValidationError, match="'b' overflows 32-bit"):
+        compute_task_vector(base, tuned, "t")
+
+
 def test_deltas_stored_at_32_bit():
     base = _map(w=[1.0])
     tuned = _map(w=[1.5])
