@@ -144,33 +144,40 @@ def _read_header(f: BinaryIO) -> tuple[list[tuple], dict[str, str]]:
 def read_archive(path: str | Path) -> TensorMap:
     """Read a tensor archive into a name -> float32 ndarray mapping.
 
-    F16 tensors are widened to F32. Raises :class:`ArchiveError` on a
-    malformed header, truncated payload, unsupported dtype, duplicate name,
-    or any non-finite value.
+    F16 tensors are widened to F32. Raises :class:`ArchiveError`, its message
+    starting with ``path``, on a malformed header, truncated payload,
+    unsupported dtype, duplicate name, or any non-finite value.
     """
-    # unbuffered: a buffered read would copy the whole payload once more
-    with open(path, "rb", buffering=0) as f:
-        entries, _ = _read_header(f)
-        payload = f.readall()
+    try:
+        # unbuffered: a buffered read would copy the whole payload once more
+        with open(path, "rb", buffering=0) as f:
+            entries, _ = _read_header(f)
+            payload = f.readall()
 
-    tensors: TensorMap = {}
-    for name, dtype, shape, begin, _ in entries:
-        arr = np.frombuffer(payload, _DTYPES[dtype], math.prod(shape), begin)
-        arr = arr.reshape(shape).astype(np.float32)
-        if not np.all(np.isfinite(arr)):
-            raise ArchiveError(f"non-finite value detected in tensor {name!r}")
-        tensors[name] = arr
-    return tensors
+        tensors: TensorMap = {}
+        for name, dtype, shape, begin, _ in entries:
+            arr = np.frombuffer(payload, _DTYPES[dtype], math.prod(shape), begin)
+            arr = arr.reshape(shape).astype(np.float32)
+            if not np.all(np.isfinite(arr)):
+                raise ArchiveError(f"non-finite value detected in tensor {name!r}")
+            tensors[name] = arr
+        return tensors
+    except ArchiveError as exc:
+        raise ArchiveError(f"{path}: {exc}") from exc
 
 
 def archive_info(path: str | Path) -> tuple[list[TensorInfo], dict[str, str]]:
     """Describe an archive's tensors and metadata from its header alone.
 
-    Applies every header check :func:`read_archive` applies; the payload is
-    not read, so its values are not checked.
+    Applies every header check :func:`read_archive` applies, and names ``path``
+    in its errors the same way; the payload is not read, so its values are not
+    checked.
     """
-    with open(path, "rb") as f:
-        entries, metadata = _read_header(f)
+    try:
+        with open(path, "rb") as f:
+            entries, metadata = _read_header(f)
+    except ArchiveError as exc:
+        raise ArchiveError(f"{path}: {exc}") from exc
     infos = [
         TensorInfo(name=name, dtype=dtype, shape=shape, n_bytes=end - begin)
         for name, dtype, shape, begin, end in entries

@@ -13,15 +13,14 @@ import sys
 from dataclasses import dataclass
 from pathlib import Path
 
-from .allocation import AllocationConfig, allocate
+from .allocation import AllocationConfig
 from .archive import archive_info, read_archive, write_archive
-from .conflict import checkpoint_conflict
 from .diagnostics import REPORT_FORMATS, LayerDiagnostics
 from .errors import ArchiveError, ConvergenceError, ValidationError
-from .grouping import DEFAULT_GROUPING_PATTERN, group_layers
-from .merging import MergeConfig, config_metadata, merge
+from .grouping import DEFAULT_GROUPING_PATTERN
+from .merging import MergeConfig, config_metadata, merge, plan
 from .synthetic import write_synthetic_set
-from .task_vectors import compute_task_vector, require_compatible
+from .task_vectors import compute_task_vector
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -92,6 +91,16 @@ def _present(raw: dict, keys: tuple[str, ...], types: type | tuple) -> dict:
     return {key: _expect(raw[key], types, key) for key in keys if key in raw}
 
 
+def _refuse_overwriting_inputs(inputs: list[str], outputs: dict[str, str | None]) -> None:
+    """Reject an output path that resolves to an input or an earlier output."""
+    taken = list(inputs)
+    for key, target in outputs.items():
+        for path in taken:
+            if target is not None and Path(path).resolve() == Path(target).resolve():
+                raise ValidationError(f"{key} {target!r} collides with {path!r}")
+        taken.append(target)
+
+
 def load_run_config(path: str | Path) -> RunConfig:
     """Parse and validate a merge config file; unknown keys are errors."""
     try:
@@ -113,12 +122,10 @@ def load_run_config(path: str | Path) -> RunConfig:
     report_path = raw.get("report_path")
     if report_path is not None:
         _expect(report_path, str, "report_path")
-    taken = [base_path] + [p for p, _ in tuned_paths]
-    for key, target in (("output_path", output_path), ("report_path", report_path)):
-        for path in taken:
-            if target is not None and Path(path).resolve() == Path(target).resolve():
-                raise ValidationError(f"{key} {target!r} collides with {path!r}")
-        taken.append(target)
+    _refuse_overwriting_inputs(
+        [base_path, *(p for p, _ in tuned_paths)],
+        {"output_path": output_path, "report_path": report_path},
+    )
 
     # absent keys are left out, so their defaults come from the dataclasses
     levels = _present(raw, ("alpha", "beta", "s_min", "s_max", "s_target", "epsilon"), (int, float))
@@ -168,14 +175,14 @@ def _cmd_merge(args: argparse.Namespace) -> int:
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
+    _refuse_overwriting_inputs([args.base, *args.tuned], {"--out": args.out})
     base = read_archive(args.base)
-    grouping = group_layers(base, args.pattern)
-    tuned = []
-    for path in args.tuned:
-        tuned.append(read_archive(path))
-        require_compatible(base, tuned[-1], f"checkpoint {Path(path).stem!r}")
-    conflict = checkpoint_conflict(base, tuned, grouping)
-    allocation = allocate(conflict, AllocationConfig())
+    tuned = [read_archive(path) for path in args.tuned]
+    labels = [Path(path).stem for path in args.tuned]
+    # merge's own pass 1 and allocation, as a default mals merge would run them
+    grouping, conflict, allocation = plan(
+        base, tuned, MergeConfig(grouping_pattern=args.pattern), labels=labels
+    )
     diag = LayerDiagnostics.from_results(conflict, allocation, "analyze")
     diag.write(args.out, args.format)
     print(f"analyzed {len(tuned)} checkpoints over {len(grouping)} layers -> {args.out}")
@@ -183,6 +190,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def _cmd_diff(args: argparse.Namespace) -> int:
+    _refuse_overwriting_inputs([args.base, args.tuned], {"--out": args.out})
     base = read_archive(args.base)
     tuned = read_archive(args.tuned)
     tau = compute_task_vector(base, tuned, Path(args.tuned).stem)

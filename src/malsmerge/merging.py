@@ -20,7 +20,7 @@ import numpy as np
 from .allocation import AllocationConfig, AllocationResult, allocate
 from .conflict import ConflictReport, checkpoint_conflict
 from .errors import ConvergenceError, ValidationError
-from .grouping import DEFAULT_GROUPING_PATTERN, group_layers, unflatten_group
+from .grouping import DEFAULT_GROUPING_PATTERN, LayerGrouping, group_layers, unflatten_group
 from .task_vectors import TaskVector, TensorMap, layer_deltas, require_compatible
 
 METHODS = ("mals", "simple_average", "uniform_sparsity", "ties")
@@ -111,15 +111,22 @@ def disjoint_merge(sparsified: Sequence[np.ndarray], signs: np.ndarray | None = 
     return merged.astype(stack.dtype)
 
 
-def _compose(base: np.ndarray, delta: np.ndarray, lam: float) -> np.ndarray:
-    """``base + lam * delta``, added at 64-bit and stored at 32-bit."""
-    return (base.astype(np.float64) + lam * delta.astype(np.float64)).astype(np.float32)
+def _compose(name: str, base: np.ndarray, delta: np.ndarray, lam: float) -> np.ndarray:
+    """``base + lam * delta``, added at 64-bit and stored at 32-bit.
+
+    A result beyond the 32-bit range raises :class:`ValidationError` naming the tensor.
+    """
+    try:
+        with np.errstate(over="raise"):
+            return (base.astype(np.float64) + lam * delta.astype(np.float64)).astype(np.float32)
+    except FloatingPointError:
+        raise ValidationError(f"merged tensor {name!r} overflows 32-bit precision") from None
 
 
 def compose_merged(base: TensorMap, tau: TaskVector, lam: float) -> dict[str, np.ndarray]:
     """Add the scaled merged task vector back onto the base checkpoint."""
     require_compatible(base, tau.deltas, f"task vector {tau.label!r}")
-    return {key: _compose(base[key], tau.deltas[key], lam) for key in base}
+    return {key: _compose(key, base[key], tau.deltas[key], lam) for key in base}
 
 
 def _average(arrays: Sequence[np.ndarray]) -> np.ndarray:
@@ -141,6 +148,38 @@ def simple_average(task_vectors: Sequence[TaskVector]) -> TaskVector:
     return TaskVector(label="simple_average", deltas=deltas)
 
 
+def plan(
+    base: TensorMap,
+    tuned: Sequence[TensorMap],
+    config: MergeConfig,
+    labels: Sequence[str] | None = None,
+) -> tuple[LayerGrouping, ConflictReport | None, AllocationResult | None]:
+    """The first half of :func:`merge`: check compatibility, group layers and,
+    unless ``simple_average``, score conflict (pass 1) and allocate sparsity.
+
+    A non-converged allocation is returned as is; :func:`merge` refuses it.
+    """
+    if not tuned:
+        raise ValidationError("need at least one tuned checkpoint")
+    if labels is None:
+        labels = [f"task-{i}" for i in range(len(tuned))]
+    elif len(labels) != len(tuned):
+        raise ValidationError(f"{len(labels)} labels provided for {len(tuned)} checkpoints")
+    for checkpoint, label in zip(tuned, labels):
+        require_compatible(base, checkpoint, f"checkpoint {label!r}")
+    grouping = group_layers(base, config.grouping_pattern)
+    if config.method == "simple_average":
+        return grouping, None, None
+    conflict = checkpoint_conflict(base, tuned, grouping)
+    alloc_config = config.allocation
+    if config.method in ("uniform_sparsity", "ties"):
+        # identical trim level everywhere: collapse the box onto the target
+        alloc_config = replace(
+            alloc_config, s_min=alloc_config.s_target, s_max=alloc_config.s_target
+        )
+    return grouping, conflict, allocate(conflict, alloc_config)
+
+
 def merge(
     base: TensorMap,
     tuned: Sequence[TensorMap],
@@ -154,32 +193,13 @@ def merge(
     the second averages the updates or trims, elects and merges them, and adds
     ``lam`` times the result onto the base.
     """
-    if not tuned:
-        raise ValidationError("need at least one tuned checkpoint")
-    if labels is None:
-        labels = [f"task-{i}" for i in range(len(tuned))]
-    elif len(labels) != len(tuned):
-        raise ValidationError(f"{len(labels)} labels provided for {len(tuned)} checkpoints")
-    for checkpoint, label in zip(tuned, labels):
-        require_compatible(base, checkpoint, f"checkpoint {label!r}")
-    grouping = group_layers(base, config.grouping_pattern)
-
-    allocation = conflict = None
-    if config.method != "simple_average":
-        conflict = checkpoint_conflict(base, tuned, grouping)
-        alloc_config = config.allocation
-        if config.method in ("uniform_sparsity", "ties"):
-            # identical trim level everywhere: collapse the box onto the target
-            alloc_config = replace(
-                alloc_config, s_min=alloc_config.s_target, s_max=alloc_config.s_target
-            )
-        allocation = allocate(conflict, alloc_config)
-        if not allocation.converged:
-            raise ConvergenceError(
-                f"budget projection did not converge within {alloc_config.max_iterations} "
-                f"iterations (mean sparsity {allocation.mean_sparsity}, "
-                f"target {alloc_config.s_target})"
-            )
+    grouping, conflict, allocation = plan(base, tuned, config, labels)
+    if allocation is not None and not allocation.converged:
+        raise ConvergenceError(
+            f"budget projection did not converge within {config.allocation.max_iterations} "
+            f"iterations (mean sparsity {allocation.mean_sparsity}, "
+            f"target {config.allocation.s_target})"
+        )
 
     election = config.sign_election or config.method == "ties"
     shapes = {key: base[key].shape for key in base}
@@ -195,7 +215,7 @@ def merge(
         for name, delta in unflatten_group(merged_flat, shapes, members).items():
             # into the merged update's own buffer: one array per layer, no second
             # allocation per tensor, so the pages the layer freed are reused
-            delta[...] = _compose(base[name], delta, config.lam)
+            delta[...] = _compose(name, base[name], delta, config.lam)
             merged[name] = delta
     return MergeOutput(merged=merged, allocation=allocation, conflict=conflict)
 

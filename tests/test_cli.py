@@ -3,12 +3,14 @@ from __future__ import annotations
 import csv
 import json
 import re
+import shlex
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from malsmerge import (
+    DEFAULT_GROUPING_PATTERN,
     AllocationConfig,
     MergeConfig,
     read_archive,
@@ -104,11 +106,16 @@ def test_analyze_shape_mismatch_names_checkpoint_and_exits_2(tmp_path, synth_dir
     assert not out.exists()
 
 
-@pytest.mark.parametrize("command", ["merge", "analyze", "diff"])
+@pytest.mark.parametrize("command", ["merge", "analyze", "diff", "merge-compose"])
 def test_update_overflowing_32_bits_names_tensor_and_exits_2(tmp_path, synth_dir, capsys, command):
     name = "model.layers.1.mlp.weight"
     base_path, tuned_path = synth_dir / "base.safetensors", synth_dir / "task_00.safetensors"
-    for path, value in ((base_path, -3e38), (tuned_path, 3e38)):
+    values, what = {base_path: -3e38, tuned_path: 3e38}, "update of"
+    if command == "merge-compose":
+        # every update is 3e37 and fits; the base plus lambda times it does not
+        values = {path: 3.3e38 for path in synth_dir.glob("task_*.safetensors")}
+        values[base_path], what = 3e38, "merged"
+    for path, value in values.items():
         tensors = read_archive(path)
         tensors[name] = tensors[name].copy()
         tensors[name][0] = value
@@ -118,10 +125,11 @@ def test_update_overflowing_32_bits_names_tensor_and_exits_2(tmp_path, synth_dir
         "merge": ["merge", "--config", str(_config(tmp_path, synth_dir))],
         "analyze": ["analyze", "--base", str(base_path), "--tuned", str(tuned_path), "--out", out],
         "diff": ["diff", "--base", str(base_path), "--tuned", str(tuned_path), "--out", out],
+        "merge-compose": ["merge", "--config", str(_config(tmp_path, synth_dir, **{"lambda": 3.0}))],
     }[command]
     assert run(argv) == 2
     err = capsys.readouterr().err
-    assert f"tensor {name!r} overflows 32-bit precision" in err
+    assert f"{what} tensor {name!r} overflows 32-bit precision" in err
     assert "RuntimeWarning" not in err
 
 
@@ -163,6 +171,30 @@ def test_output_colliding_with_input_rejected(tmp_path, synth_dir, key, target):
     assert not (synth_dir / "merged.safetensors").exists()
 
 
+@pytest.mark.parametrize(
+    "command, out",
+    [
+        ("diff", "base.safetensors"),
+        ("diff", "task_00.safetensors"),
+        ("analyze", "base.safetensors"),
+        ("analyze", "task_01.safetensors"),
+        ("analyze", "elsewhere/../base.safetensors"),
+    ],
+    ids=["diff-base", "diff-tuned", "analyze-base", "analyze-tuned", "analyze-base-respelled"],
+)
+def test_command_output_colliding_with_input_rejected(synth_dir, capsys, command, out):
+    (synth_dir / "elsewhere").mkdir()
+    base = str(synth_dir / "base.safetensors")
+    tuned = [str(synth_dir / f"task_{i:02d}.safetensors") for i in range(3)]
+    argv = [command, "--base", base, "--tuned", *(tuned[:1] if command == "diff" else tuned)]
+    files = sorted(synth_dir.rglob("*"))
+    before = [path.read_bytes() for path in files if path.is_file()]
+    assert run([*argv, "--out", str(synth_dir / out)]) == 2
+    assert "collides with" in capsys.readouterr().err
+    assert sorted(synth_dir.rglob("*")) == files
+    assert [path.read_bytes() for path in files if path.is_file()] == before
+
+
 def test_nonconvergence_exits_3(tmp_path, synth_dir, capsys):
     cfg = _config(
         tmp_path, synth_dir,
@@ -201,11 +233,15 @@ def test_analyze_rows_match_merge_report(tmp_path, synth_dir):
     base = str(synth_dir / "base.safetensors")
     tuned = [str(synth_dir / f"task_{i:02d}.safetensors") for i in range(3)]
     analyze_out = tmp_path / "analyze.json"
-    assert run(["analyze", "--base", base, "--tuned", *tuned, "--out", str(analyze_out)]) == 0
-    assert run(["merge", "--config", str(_config(tmp_path, synth_dir))]) == 0
-    analyze_rows = json.loads(analyze_out.read_text())["layers"]
-    merge_rows = json.loads((tmp_path / "report.json").read_text())["layers"]
-    assert analyze_rows == merge_rows
+    for pattern, n_layers in ((DEFAULT_GROUPING_PATTERN, 3), (r"\.(attn|mlp)\.", 2)):
+        argv = ["analyze", "--base", base, "--tuned", *tuned, "--pattern", pattern]
+        assert run([*argv, "--out", str(analyze_out)]) == 0
+        cfg = _config(tmp_path, synth_dir, grouping_pattern=pattern)
+        assert run(["merge", "--config", str(cfg)]) == 0
+        analyze_rows = json.loads(analyze_out.read_text())["layers"]
+        merge_rows = json.loads((tmp_path / "report.json").read_text())["layers"]
+        assert len(analyze_rows) == n_layers
+        assert analyze_rows == merge_rows
 
 
 def test_analyze_identical_checkpoints_score_half(tmp_path, synth_dir):
@@ -250,6 +286,19 @@ def test_info_lists_tensors(synth_dir, capsys):
     assert "model.layers.0.attn.weight" in out
     assert "F32" in out
     assert "6 tensors" in out
+
+
+def test_archive_error_names_the_file(tmp_path, synth_dir, capsys):
+    bad = synth_dir / "task_01.safetensors"
+    bad.write_bytes(bad.read_bytes()[:-4])
+    base = str(synth_dir / "base.safetensors")
+    tuned = [str(synth_dir / f"task_{i:02d}.safetensors") for i in range(3)]
+    out = tmp_path / "a.json"
+    assert run(["analyze", "--base", base, "--tuned", *tuned, "--out", str(out)]) == 2
+    assert f"error: {bad}: truncated payload" in capsys.readouterr().err
+    assert run(["info", "--archive", str(bad)]) == 2
+    assert f"error: {bad}: truncated payload" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_info_missing_file_exits_2(tmp_path, capsys):
@@ -305,6 +354,19 @@ def test_readme_config_example_lists_every_key(tmp_path):
     path.write_text(block, encoding="utf-8")
     load_run_config(path)
     assert set(json.loads(block)) == _CONFIG_KEYS
+
+
+def test_readme_cli_example_runs(tmp_path, monkeypatch):
+    (tmp_path / "merge.json").write_text(
+        _readme_block("`merge.json` holds exactly these keys", "json"), encoding="utf-8"
+    )
+    monkeypatch.chdir(tmp_path)
+    script = _readme_block("## CLI", "bash").replace("\\\n", " ")
+    commands = [line for line in script.splitlines() if line.strip() and not line.startswith("#")]
+    assert commands and all(line.startswith("malsmerge ") for line in commands)
+    for line in commands:
+        assert run(shlex.split(line)[1:]) == 0, line
+    assert (tmp_path / "merged.safetensors").exists() and (tmp_path / "report.csv").exists()
 
 
 def test_readme_library_example_runs(tmp_path, monkeypatch, capsys):

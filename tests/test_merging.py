@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -265,12 +266,29 @@ class TestMerge:
             assert out.merged[key].shape == expected[key].shape
             assert out.merged[key].tobytes() == expected[key].tobytes()
 
-    @pytest.mark.parametrize("method", ["mals", "simple_average"])
-    def test_update_overflowing_32_bits_names_tensor(self, method):
+    @pytest.mark.parametrize(
+        "method, compose",
+        [("mals", False), ("simple_average", False)]
+        + [(method, True) for method in (*METHODS, "compose_merged")],
+        ids=["mals", "simple_average"]
+        + [f"compose-{method}" for method in (*METHODS, "compose_merged")],
+    )
+    def test_update_overflowing_32_bits_names_tensor(self, method, compose):
         base, tuned = _checkpoints(seed=10)
-        base["m.layers.1.mlp.w"][3], tuned[1]["m.layers.1.mlp.w"][3] = -3e38, 3e38
-        with pytest.raises(ValidationError, match=r"'m\.layers\.1\.mlp\.w' overflows"):
-            merge(base, tuned, MergeConfig(method=method))
+        name = "m.layers.1.mlp.w"
+        if not compose:  # the update itself leaves the 32-bit range
+            base[name][3], tuned[1][name][3] = -3e38, 3e38
+            what, lam = "update of", 1.0
+        else:  # every update is 3e37; the base plus three times that is not
+            base[name][3] = 3e38
+            for t in tuned:
+                t[name][3] = 3.3e38
+            what, lam = "merged", 3.0
+        with pytest.raises(ValidationError, match=rf"{what} tensor '{re.escape(name)}' overflows"):
+            if method == "compose_merged":
+                compose_merged(base, compute_task_vector(base, tuned[0], "t0"), lam)
+            else:
+                merge(base, tuned, MergeConfig(method=method, lam=lam))
 
     @pytest.mark.parametrize("method", METHODS)
     def test_invalid_grouping_pattern_rejected_for_every_method(self, method):
