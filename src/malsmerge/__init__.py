@@ -11,13 +11,7 @@ from .allocation import (
     softmax_weights,
 )
 from .archive import TensorInfo, archive_info, read_archive, write_archive
-from .conflict import (
-    ConflictReport,
-    PairConflict,
-    layer_conflict,
-    pearson_abs,
-    sign_disagreement,
-)
+from .conflict import ConflictReport, layer_conflict, pearson_abs, sign_disagreement
 from .diagnostics import LayerDiagnostics
 from .errors import ArchiveError, ConvergenceError, MergeToolError, ValidationError
 from .grouping import (
@@ -63,7 +57,6 @@ __all__ = [
     "MergeConfig",
     "MergeOutput",
     "MergeToolError",
-    "PairConflict",
     "TaskVector",
     "TensorInfo",
     "ValidationError",

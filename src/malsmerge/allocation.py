@@ -39,6 +39,9 @@ class AllocationConfig:
                 f"bounds must satisfy 0 <= s_min <= s_target <= s_max <= 1, "
                 f"got s_min={self.s_min}, s_target={self.s_target}, s_max={self.s_max}"
             )
+        for name in ("alpha", "beta", "epsilon"):
+            if not np.isfinite(getattr(self, name)):
+                raise ValidationError(f"{name} must be finite, got {getattr(self, name)}")
         if not (self.alpha >= 0.0 and self.beta >= 0.0):
             raise ValidationError("alpha and beta must be non-negative")
         if not self.epsilon > 0.0:

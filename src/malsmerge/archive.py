@@ -15,8 +15,8 @@ from __future__ import annotations
 import json
 import math
 import os
+import secrets
 import struct
-import tempfile
 from dataclasses import dataclass
 from pathlib import Path
 from typing import BinaryIO, Iterable, Mapping
@@ -240,7 +240,9 @@ def write_atomic(path: str | Path, chunks: Iterable[bytes | np.ndarray]) -> None
     must be C-contiguous; its buffer is written as is.
     """
     target = Path(path)
-    fd, tmp_name = tempfile.mkstemp(dir=target.parent, prefix=target.name + ".", suffix=".tmp")
+    tmp_name = target.with_name(f"{target.name}.{secrets.token_hex(8)}.tmp")
+    # mode 0666 less the umask, as open(path, "wb") gives; mkstemp would force 0600
+    fd = os.open(tmp_name, os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o666)
     try:
         with os.fdopen(fd, "wb") as f:
             for chunk in chunks:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -86,6 +87,15 @@ def _parse_tuned_paths(raw: object) -> tuple[tuple[str, str], ...]:
     return tuple(parsed)
 
 
+def _as_float(value: int | float) -> float:
+    """``value`` as a float; an int beyond float range becomes an infinity, which
+    the config dataclasses reject by name."""
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
+
+
 def _present(raw: dict, keys: tuple[str, ...], types: type | tuple) -> dict:
     """The type-checked values of those of ``keys`` that ``raw`` holds."""
     return {key: _expect(raw[key], types, key) for key in keys if key in raw}
@@ -108,7 +118,7 @@ def load_run_config(path: str | Path) -> RunConfig:
     except (OSError, json.JSONDecodeError) as exc:
         raise ValidationError(f"cannot read config {path}: {exc}") from exc
     if not isinstance(raw, dict):
-        raise ValidationError("config must be a JSON object")
+        raise ValidationError(f"config {path} must be a JSON object")
     unknown = set(raw) - _CONFIG_KEYS
     if unknown:
         raise ValidationError(f"unknown config keys: {sorted(unknown)}")
@@ -123,20 +133,20 @@ def load_run_config(path: str | Path) -> RunConfig:
     if report_path is not None:
         _expect(report_path, str, "report_path")
     _refuse_overwriting_inputs(
-        [base_path, *(p for p, _ in tuned_paths)],
+        [str(path), base_path, *(p for p, _ in tuned_paths)],
         {"output_path": output_path, "report_path": report_path},
     )
 
     # absent keys are left out, so their defaults come from the dataclasses
     levels = _present(raw, ("alpha", "beta", "s_min", "s_max", "s_target", "epsilon"), (int, float))
     allocation = AllocationConfig(
-        **{key: float(value) for key, value in levels.items()},
+        **{key: _as_float(value) for key, value in levels.items()},
         **_present(raw, ("max_iterations",), int),
     )
     fields = _present(raw, ("method", "grouping_pattern"), str)
     fields.update(_present(raw, ("sign_election",), bool))
     if "lambda" in raw:
-        fields["lam"] = float(_expect(raw["lambda"], (int, float), "lambda"))
+        fields["lam"] = _as_float(_expect(raw["lambda"], (int, float), "lambda"))
     merge_config = MergeConfig(allocation=allocation, **fields)
 
     report_format = _expect(raw.get("report_format", "json"), str, "report_format")

@@ -21,20 +21,16 @@ from .task_vectors import TaskVector, TensorMap, layer_deltas
 
 
 @dataclass(frozen=True)
-class PairConflict:
-    """Per-layer conflict detail for one (i, j) task pair, i < j."""
-
-    task_pair: tuple[int, int]
-    per_layer_rho_abs: np.ndarray
-    per_layer_sign_disagreement: np.ndarray
-
-
-@dataclass(frozen=True)
 class ConflictReport:
+    """Per-layer scores; ``rho_abs`` and ``sign_disagreement`` are ``(P, L)``
+    arrays, row ``k`` for the task pair ``task_pairs[k]`` (i < j)."""
+
     layer_ids: tuple[str, ...]
     conflict: np.ndarray
     importance: np.ndarray
-    pairs: tuple[PairConflict, ...]
+    task_pairs: tuple[tuple[int, int], ...]
+    rho_abs: np.ndarray
+    sign_disagreement: np.ndarray
 
 
 def _check_pair(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -150,7 +146,7 @@ def _score_layers(
     next is built, so memory grows with the largest layer, not the model.
     """
     n_layers = len(layer_ids)
-    task_pairs = list(combinations(range(n_tasks), 2))
+    task_pairs = tuple(combinations(range(n_tasks), 2))
     rho = np.zeros((len(task_pairs), n_layers), dtype=np.float64)
     dis = np.zeros((len(task_pairs), n_layers), dtype=np.float64)
     importance = np.zeros(n_layers, dtype=np.float64)
@@ -159,17 +155,15 @@ def _score_layers(
         # next() inside the call: no loop variable holds the previous layer
         importance[l], rho[:, l], dis[:, l] = _score_layer(next(layer_flats), task_pairs)
 
-    pairs = tuple(
-        PairConflict(task_pair=pair, per_layer_rho_abs=rho[k], per_layer_sign_disagreement=dis[k])
-        for k, pair in enumerate(task_pairs)
-    )
     conflict = np.zeros(n_layers, dtype=np.float64)
-    if pairs:
-        for pair in pairs:  # fixed pair order keeps the reduction bit-stable
-            conflict += 0.5 * pair.per_layer_rho_abs + 0.5 * pair.per_layer_sign_disagreement
-        conflict /= len(pairs)
+    for row in 0.5 * rho + 0.5 * dis:  # pair by pair: np.sum(axis=0) may reorder the adds
+        conflict += row
+    if task_pairs:
+        conflict /= len(task_pairs)
 
-    return ConflictReport(tuple(layer_ids), conflict=conflict, importance=importance, pairs=pairs)
+    return ConflictReport(
+        tuple(layer_ids), conflict, importance, task_pairs, rho_abs=rho, sign_disagreement=dis
+    )
 
 
 def layer_conflict(task_vectors: Sequence[TaskVector], grouping: LayerGrouping) -> ConflictReport:

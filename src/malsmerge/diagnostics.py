@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import csv
 import io
 import json
-from csv import DictWriter
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass, fields
+from operator import attrgetter
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -17,10 +19,19 @@ from .errors import ValidationError
 
 REPORT_FORMATS = ("json", "csv")
 
-_CSV_FIELDS = (
-    "layer_id", "c", "m", "c_hat", "m_hat", "r", "w", "s_initial", "s_final",
-    "method", "iterations", "converged", "mean_sparsity",
-)
+# Per-layer columns after layer_id, in report order, each with the array it
+# reads from the conflict report or the allocation
+_COLUMNS = {
+    "c": attrgetter("conflict.conflict"),
+    "m": attrgetter("conflict.importance"),
+    "c_hat": attrgetter("allocation.c_hat"),
+    "m_hat": attrgetter("allocation.m_hat"),
+    "r": attrgetter("allocation.r"),
+    "w": attrgetter("allocation.w"),
+    "s_initial": attrgetter("allocation.s_initial"),
+    "s_final": attrgetter("allocation.s_final"),
+}
+_HEADER = ("layer_id", *_COLUMNS)
 
 
 def _round12(x: float) -> float:
@@ -29,28 +40,25 @@ def _round12(x: float) -> float:
     return float(f"{float(x):.12g}")
 
 
-@dataclass(frozen=True)
-class LayerRow:
-    layer_id: str
-    c: float
-    m: float
-    c_hat: float
-    m_hat: float
-    r: float
-    w: float
-    s_initial: float
-    s_final: float
+def _csv_cell(value: object) -> object:
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return f"{value:.12g}" if isinstance(value, float) else value
 
 
 @dataclass(frozen=True)
 class LayerDiagnostics:
-    """Reporting view of one allocation run: one row per layer plus globals."""
+    """Reporting view of one allocation run: its globals, then one row per layer.
 
-    rows: tuple[LayerRow, ...]
+    Every field but ``rows`` is a global. A row holds the layer id and the
+    ``_COLUMNS`` values, in ``_HEADER`` order.
+    """
+
     method: str
     iterations: int
     converged: bool
     mean_sparsity: float
+    rows: tuple[tuple[str | float, ...], ...]
 
     @classmethod
     def from_results(
@@ -58,54 +66,33 @@ class LayerDiagnostics:
     ) -> LayerDiagnostics:
         if tuple(conflict.layer_ids) != tuple(allocation.layer_ids):
             raise ValidationError("conflict report and allocation cover different layers")
+        sources = SimpleNamespace(conflict=conflict, allocation=allocation)
+        columns = [read(sources) for read in _COLUMNS.values()]
         rows = tuple(
-            LayerRow(
-                layer_id=layer_id,
-                c=_round12(conflict.conflict[i]),
-                m=_round12(conflict.importance[i]),
-                c_hat=_round12(allocation.c_hat[i]),
-                m_hat=_round12(allocation.m_hat[i]),
-                r=_round12(allocation.r[i]),
-                w=_round12(allocation.w[i]),
-                s_initial=_round12(allocation.s_initial[i]),
-                s_final=_round12(allocation.s_final[i]),
-            )
+            (layer_id, *(_round12(column[i]) for column in columns))
             for i, layer_id in enumerate(conflict.layer_ids)
         )
         return cls(
-            rows=rows,
             method=method,
             iterations=allocation.iterations,
             converged=allocation.converged,
             mean_sparsity=_round12(np.mean(allocation.s_final)),
+            rows=rows,
         )
 
+    def _globals(self) -> dict[str, object]:
+        return {f.name: getattr(self, f.name) for f in fields(self) if f.name != "rows"}
+
     def to_json(self) -> str:
-        payload = {
-            "method": self.method,
-            "iterations": self.iterations,
-            "converged": self.converged,
-            "mean_sparsity": self.mean_sparsity,
-            "layers": [asdict(row) for row in self.rows],
-        }
-        return json.dumps(payload, indent=2) + "\n"
+        layers = [dict(zip(_HEADER, row)) for row in self.rows]
+        return json.dumps({**self._globals(), "layers": layers}, indent=2) + "\n"
 
     def to_csv(self) -> str:
+        run = self._globals()
         buf = io.StringIO()
-        writer = DictWriter(buf, fieldnames=_CSV_FIELDS, lineterminator="\n")
-        writer.writeheader()
-        for row in self.rows:
-            record = {
-                key: f"{value:.12g}" if isinstance(value, float) else value
-                for key, value in asdict(row).items()
-            }
-            record.update(
-                method=self.method,
-                iterations=self.iterations,
-                converged="true" if self.converged else "false",
-                mean_sparsity=f"{self.mean_sparsity:.12g}",
-            )
-            writer.writerow(record)
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow([*_HEADER, *run])
+        writer.writerows([_csv_cell(v) for v in (*row, *run.values())] for row in self.rows)
         return buf.getvalue()
 
     def write(self, path: str | Path, fmt: str) -> None:

@@ -62,7 +62,9 @@ def test_convergence_claim():
             layer_ids=tuple(f"layer.{i}" for i in range(n_layers)),
             conflict=rng.random(n_layers),
             importance=rng.random(n_layers),
-            pairs=(),
+            task_pairs=(),
+            rho_abs=np.zeros((0, n_layers)),
+            sign_disagreement=np.zeros((0, n_layers)),
         )
         config = AllocationConfig(s_target=float(rng.uniform(0.1, 0.9)))
         start = time.perf_counter()

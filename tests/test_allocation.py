@@ -27,7 +27,9 @@ def _report(c, m):
         layer_ids=tuple(f"layer.{i}" for i in range(len(c))),
         conflict=c,
         importance=np.asarray(m, dtype=np.float64),
-        pairs=(),
+        task_pairs=(),
+        rho_abs=np.zeros((0, len(c))),
+        sign_disagreement=np.zeros((0, len(c))),
     )
 
 
@@ -216,6 +218,12 @@ class TestAllocate:
             AllocationConfig(max_iterations=0)
         with pytest.raises(ValidationError, match="non-negative"):
             AllocationConfig(alpha=-1.0)
+
+    @pytest.mark.parametrize("field", ["alpha", "beta", "epsilon"])
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_non_finite_config_rejected_by_name(self, field, value):
+        with pytest.raises(ValidationError, match=f"{field} must be finite"):
+            AllocationConfig(**{field: value})
 
 
 @st.composite

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from malsmerge import ArchiveError, archive_info, read_archive, write_archive
+from malsmerge.archive import write_atomic
 
 
 def golden_blob() -> bytes:
@@ -226,3 +227,17 @@ def test_round_trip_property(tmp_path_factory, tensors):
     for name in tensors:
         assert loaded[name].shape == tensors[name].shape
         assert loaded[name].tobytes() == tensors[name].tobytes()
+
+
+def test_failed_write_leaves_target_and_no_temp_file(tmp_path):
+    target = tmp_path / "out.bin"
+    target.write_bytes(b"old")
+
+    def chunks():
+        yield b"new"
+        raise RuntimeError("interrupted")
+
+    with pytest.raises(RuntimeError, match="interrupted"):
+        write_atomic(target, chunks())
+    assert target.read_bytes() == b"old"
+    assert sorted(tmp_path.iterdir()) == [target]

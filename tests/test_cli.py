@@ -4,6 +4,7 @@ import csv
 import json
 import re
 import shlex
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -83,6 +84,60 @@ def test_unknown_config_key_is_validation_error(tmp_path, synth_dir, capsys, key
     assert key in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "key, raw",
+    [
+        ("epsilon", "Infinity"),
+        ("alpha", "Infinity"),
+        ("beta", "1e309"),
+        ("alpha", "NaN"),
+        ("beta", "1" + "0" * 400),
+        ("lambda", "-" + "9" * 400),
+    ],
+    ids=["epsilon-inf", "alpha-inf", "beta-1e309", "alpha-nan", "beta-huge-int", "lambda-huge-int"],
+)
+def test_non_finite_config_value_names_key(tmp_path, synth_dir, capsys, key, raw):
+    cfg = _config(tmp_path, synth_dir)
+    cfg.write_text(cfg.read_text().replace('"method": "mals"', f'"method": "mals", "{key}": {raw}'))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run(["merge", "--config", str(cfg)]) == 2
+    assert caught == []
+    assert f"{key} must be finite" in capsys.readouterr().err
+    assert not (tmp_path / "merged.safetensors").exists()
+
+
+@pytest.mark.parametrize(
+    "edit, named",
+    [
+        (lambda c: {**c, "alpha": "1"}, "'alpha'"),
+        (lambda c: {**c, "alpha": True}, "'alpha'"),
+        (lambda c: {**c, "max_iterations": 1.5}, "'max_iterations'"),
+        (lambda c: {**c, "sign_election": 1}, "'sign_election'"),
+        (lambda c: {**c, "lambda": None}, "'lambda'"),
+        (lambda c: {**c, "tuned_paths": []}, "tuned_paths must not be empty"),
+        (lambda c: {**c, "tuned_paths": ["a.safetensors"]}, "tuned_paths[0] must be an object"),
+        (lambda c: {**c, "tuned_paths": [{"path": "a.safetensors", "weight": 1}]}, "'weight'"),
+        (lambda c: {**c, "tuned_paths": [{"label": "a"}]}, "tuned_paths[0] is missing 'path'"),
+        (lambda c: {**c, "report_format": "xml"}, "report_format"),
+        (lambda c: {k: v for k, v in c.items() if k != "output_path"}, "'output_path'"),
+        (lambda c: [c], "cfg.json"),
+        (lambda c: json.dumps(c)[:-1], "cfg.json"),
+    ],
+    ids=["alpha-str", "alpha-bool", "max_iterations-float", "sign_election-int",
+         "lambda-null", "tuned_paths-empty", "tuned_paths-str-entry", "tuned_paths-unknown-key",
+         "tuned_paths-no-path", "report_format-xml", "output_path-missing", "top-level-list",
+         "unparsable"],
+)
+def test_config_type_and_shape_errors_name_the_key(tmp_path, synth_dir, capsys, edit, named):
+    cfg = _config(tmp_path, synth_dir)
+    edited = edit(json.loads(cfg.read_text()))
+    cfg.write_text(edited if isinstance(edited, str) else json.dumps(edited))
+    assert run(["merge", "--config", str(cfg)]) == 2
+    assert named in capsys.readouterr().err
+    assert not (tmp_path / "merged.safetensors").exists()
+
+
 def test_shape_mismatch_names_tensor_and_exits_2(tmp_path, synth_dir, capsys):
     bad = read_archive(synth_dir / "task_00.safetensors")
     bad["model.layers.0.attn.weight"] = np.zeros((2, 2), dtype=np.float32)
@@ -156,15 +211,20 @@ def test_absent_config_keys_take_the_dataclass_defaults(tmp_path, synth_dir):
         ("report_path", "base.safetensors"),
         ("report_path", "task_02.safetensors"),
         ("report_path", "merged.safetensors"),
+        ("output_path", "cfg.json"),
+        ("report_path", "cfg.json"),
+        ("output_path", "elsewhere/../cfg.json"),
     ],
     ids=["output_path-base", "output_path-task", "output_path-base-respelled",
-         "report_path-base", "report_path-task", "report_path-output"],
+         "report_path-base", "report_path-task", "report_path-output",
+         "output_path-config", "report_path-config", "output_path-config-respelled"],
 )
 def test_output_colliding_with_input_rejected(tmp_path, synth_dir, key, target):
     (synth_dir / "elsewhere").mkdir()
     paths = {"output_path": str(synth_dir / "merged.safetensors"), key: str(synth_dir / target)}
     cfg = _config(tmp_path, synth_dir, **paths)
-    inputs = sorted(synth_dir.glob("*.safetensors"))
+    assert cfg == synth_dir / "cfg.json"
+    inputs = [*sorted(synth_dir.glob("*.safetensors")), cfg]
     before = [path.read_bytes() for path in inputs]
     assert run(["merge", "--config", str(cfg)]) == 2
     assert [path.read_bytes() for path in inputs] == before

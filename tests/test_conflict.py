@@ -153,7 +153,8 @@ class TestLayerConflict:
         tvs, grouping = _two_layer_vectors(([1.0, 2.0], [3.0, 4.0]))
         report = layer_conflict(tvs, grouping)
         np.testing.assert_array_equal(report.conflict, [0.0, 0.0])
-        assert report.pairs == ()
+        assert report.task_pairs == ()
+        assert report.rho_abs.shape == report.sign_disagreement.shape == (0, 2)
 
     def test_pair_metrics_within_range(self):
         rng = np.random.default_rng(7)
@@ -161,11 +162,11 @@ class TestLayerConflict:
             *(tuple(rng.normal(size=5) for _ in range(2)) for _ in range(4))
         )
         report = layer_conflict(tvs, grouping)
-        assert len(report.pairs) == 6
-        for pair in report.pairs:
-            assert np.all(pair.per_layer_rho_abs >= 0) and np.all(pair.per_layer_rho_abs <= 1)
-            assert np.all(pair.per_layer_sign_disagreement >= 0)
-            assert np.all(pair.per_layer_sign_disagreement <= 1)
+        assert len(report.task_pairs) == 6
+        assert report.rho_abs.shape == report.sign_disagreement.shape == (6, 2)
+        assert np.all(report.rho_abs >= 0) and np.all(report.rho_abs <= 1)
+        assert np.all(report.sign_disagreement >= 0)
+        assert np.all(report.sign_disagreement <= 1)
         assert np.all(report.conflict >= 0) and np.all(report.conflict <= 1)
 
     def test_task_order_invariance(self):
@@ -184,16 +185,14 @@ class TestLayerConflict:
         tvs = [compute_task_vector(base, t, f"t{i}") for i, t in enumerate(tuned)]
         grouping = group_layers(base)
         report = layer_conflict(tvs, grouping)
-        assert [pair.task_pair for pair in report.pairs] == [
-            (0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)
-        ]
-        for pair in report.pairs:
-            i, j = pair.task_pair
+        assert report.task_pairs == ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
+        assert report.rho_abs.shape == report.sign_disagreement.shape == (6, 5)
+        for k, (i, j) in enumerate(report.task_pairs):
             for l, (_, members) in enumerate(grouping.groups):
                 x = flatten_group(tvs[i].deltas, members)
                 y = flatten_group(tvs[j].deltas, members)
-                assert pair.per_layer_rho_abs[l] == pearson_abs(x, y)
-                assert pair.per_layer_sign_disagreement[l] == sign_disagreement(x, y)
+                assert report.rho_abs[k, l] == pearson_abs(x, y)
+                assert report.sign_disagreement[k, l] == sign_disagreement(x, y)
 
     def test_name_set_mismatch_rejected(self):
         tvs, grouping = _two_layer_vectors(([1.0], [2.0]))

@@ -2,10 +2,25 @@ from __future__ import annotations
 
 import csv
 import json
+import os
+import stat
+from pathlib import Path
 
 import numpy as np
+import pytest
 
-from malsmerge import AllocationConfig, ConflictReport, LayerDiagnostics, allocate
+from malsmerge import (
+    AllocationConfig,
+    ConflictReport,
+    LayerDiagnostics,
+    MergeConfig,
+    allocate,
+    synthesize_checkpoints,
+    write_archive,
+)
+from malsmerge.merging import plan
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def _diag(seed=0, layers=5, method="mals"):
@@ -14,7 +29,9 @@ def _diag(seed=0, layers=5, method="mals"):
         layer_ids=tuple(f"layer.{i}" for i in range(layers)),
         conflict=rng.random(layers),
         importance=rng.random(layers),
-        pairs=(),
+        task_pairs=(),
+        rho_abs=np.zeros((0, layers)),
+        sign_disagreement=np.zeros((0, layers)),
     )
     allocation = allocate(report, AllocationConfig())
     return LayerDiagnostics.from_results(report, allocation, method), allocation
@@ -60,6 +77,12 @@ def test_csv_uses_fixed_header_and_dot_decimals():
         assert ";" not in line
 
 
+def test_readme_documents_the_csv_header():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    diag, _ = _diag()
+    assert f"`{diag.to_csv().splitlines()[0]}`" in readme
+
+
 def test_write_json_and_csv(tmp_path):
     diag, _ = _diag()
     json_path = tmp_path / "report.json"
@@ -68,3 +91,35 @@ def test_write_json_and_csv(tmp_path):
     diag.write(csv_path, "csv")
     assert json.loads(json_path.read_text())["layers"]
     assert csv_path.read_text().startswith("layer_id,")
+
+
+@pytest.mark.parametrize(
+    "name, seed, layers, tasks, profile",
+    [
+        ("three_tasks", 3, 3, 3, [0.8, 0.2, 0.5]),
+        ("one_layer", 5, 1, 3, [0.6]),
+        ("one_task", 7, 3, 1, [0.8, 0.2, 0.5]),  # no task pairs
+    ],
+    ids=["three_tasks", "one_layer", "one_task"],
+)
+def test_report_text_matches_pinned(name, seed, layers, tasks, profile):
+    base, tuned = synthesize_checkpoints(seed, layers, 64, tasks, profile)
+    _, conflict, allocation = plan(base, tuned, MergeConfig())
+    diag = LayerDiagnostics.from_results(conflict, allocation, "mals")
+    assert diag.to_json() == (GOLDEN / f"report_{name}.json").read_text(encoding="utf-8")
+    assert diag.to_csv() == (GOLDEN / f"report_{name}.csv").read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize(
+    "umask, mode", [(0o022, 0o644), (0o077, 0o600)], ids=["umask-022", "umask-077"]
+)
+def test_written_files_take_the_umask_mode(tmp_path, umask, mode):
+    diag, _ = _diag()
+    previous = os.umask(umask)
+    try:
+        write_archive({"w": np.ones(3, dtype=np.float32)}, tmp_path / "m.st")
+        diag.write(tmp_path / "report.json", "json")
+    finally:
+        os.umask(previous)
+    for name in ("m.st", "report.json"):
+        assert stat.S_IMODE((tmp_path / name).stat().st_mode) == mode

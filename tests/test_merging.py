@@ -313,14 +313,12 @@ class TestMerge:
         assert got.layer_ids == expected.layer_ids
         assert got.conflict.tobytes() == expected.conflict.tobytes()
         assert got.importance.tobytes() == expected.importance.tobytes()
-        assert len(got.pairs) == len(expected.pairs) == 6
-        for pair, want in zip(got.pairs, expected.pairs):
-            assert pair.task_pair == want.task_pair
-            assert pair.per_layer_rho_abs.tobytes() == want.per_layer_rho_abs.tobytes()
-            assert (
-                pair.per_layer_sign_disagreement.tobytes()
-                == want.per_layer_sign_disagreement.tobytes()
-            )
+        assert got.task_pairs == expected.task_pairs
+        assert len(got.task_pairs) == 6
+        for field in ("rho_abs", "sign_disagreement"):
+            got_array, want_array = getattr(got, field), getattr(expected, field)
+            assert got_array.shape == want_array.shape == (6, len(grouping))
+            assert got_array.tobytes() == want_array.tobytes()
 
     def test_merged_preserves_keys_and_shapes(self):
         base, tuned = _checkpoints(seed=4)
@@ -397,9 +395,9 @@ class TestMerge:
         assert out.merged["m.layers.1.w"].shape == (0, 3)
         assert out.conflict.conflict[1] == 0.0
         assert out.conflict.importance[1] == 0.0
-        for pair in out.conflict.pairs:
-            assert pair.per_layer_rho_abs[1] == 0.0
-            assert pair.per_layer_sign_disagreement[1] == 0.0
+        assert out.conflict.rho_abs.shape == out.conflict.sign_disagreement.shape == (3, 3)
+        assert not out.conflict.rho_abs[:, 1].any()
+        assert not out.conflict.sign_disagreement[:, 1].any()
         if method != "mals":
             # one trim level everywhere, so the empty group leaves the rest untouched
             def drop(m):
