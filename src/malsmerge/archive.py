@@ -55,16 +55,17 @@ def _validate_entry(name: str, entry: object, payload_size: int) -> tuple[str, t
     if not isinstance(entry, dict) or set(entry) != {"dtype", "shape", "data_offsets"}:
         raise ArchiveError(f"malformed header: bad entry for {name!r}")
     dtype = entry["dtype"]
-    if dtype not in _DTYPES:
+    if not isinstance(dtype, str) or dtype not in _DTYPES:  # a list or object is unhashable
         raise ArchiveError(f"unsupported dtype {dtype!r} for tensor {name!r}")
     shape = entry["shape"]
-    if not isinstance(shape, list) or any(not isinstance(d, int) or d < 0 for d in shape):
+    # type() rather than isinstance(): a JSON true is a bool, which isinstance counts as an int
+    if not isinstance(shape, list) or any(type(d) is not int or d < 0 for d in shape):
         raise ArchiveError(f"malformed header: bad shape for {name!r}")
     offsets = entry["data_offsets"]
     if (
         not isinstance(offsets, list)
         or len(offsets) != 2
-        or any(not isinstance(o, int) or o < 0 for o in offsets)
+        or any(type(o) is not int or o < 0 for o in offsets)
         or offsets[1] < offsets[0]
     ):
         raise ArchiveError(f"malformed header: bad data_offsets for {name!r}")
@@ -200,6 +201,8 @@ def write_archive(
     for name in tensors:
         if not isinstance(name, str) or not name:
             raise ArchiveError(f"tensor name must be non-empty text, got {name!r}")
+        if name == "__metadata__":
+            raise ArchiveError("tensor name '__metadata__' is reserved for archive metadata")
 
     header: dict[str, object] = {}
     if metadata is not None:
@@ -241,16 +244,22 @@ def write_atomic(path: str | Path, chunks: Iterable[bytes | np.ndarray]) -> None
     """
     target = Path(path)
     tmp_name = target.with_name(f"{target.name}.{secrets.token_hex(8)}.tmp")
-    # mode 0666 less the umask, as open(path, "wb") gives; mkstemp would force 0600
-    fd = os.open(tmp_name, os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o666)
     try:
-        with os.fdopen(fd, "wb") as f:
-            for chunk in chunks:
-                f.write(chunk)
-        os.replace(tmp_name, target)
-    except BaseException:
+        # mode 0666 less the umask, as open(path, "wb") gives; mkstemp would force 0600
+        fd = os.open(tmp_name, os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o666)
         try:
-            os.unlink(tmp_name)
-        except OSError:
-            pass
-        raise
+            with os.fdopen(fd, "wb") as f:
+                for chunk in chunks:
+                    f.write(chunk)
+            os.replace(tmp_name, target)
+        except BaseException:
+            try:
+                os.unlink(tmp_name)
+            except OSError:
+                pass
+            raise
+    except OSError as exc:
+        if exc.filename is None:
+            raise
+        # the temp file is an implementation detail: name the file the caller asked for
+        raise type(exc)(exc.errno, exc.strerror, str(path)) from exc

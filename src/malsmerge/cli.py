@@ -102,11 +102,19 @@ def _present(raw: dict, keys: tuple[str, ...], types: type | tuple) -> dict:
 
 
 def _refuse_overwriting_inputs(inputs: list[str], outputs: dict[str, str | None]) -> None:
-    """Reject an output path that resolves to an input or an earlier output."""
+    """Reject an output path that is a directory or lies in a missing one, or
+    that resolves to an input or an earlier output."""
     taken = list(inputs)
     for key, target in outputs.items():
+        if target is None:
+            continue
+        parent = Path(target).parent
+        if not parent.is_dir():
+            raise ValidationError(f"{key} {target!r}: directory {str(parent)!r} does not exist")
+        if Path(target).is_dir():
+            raise ValidationError(f"{key} {target!r} is a directory")
         for path in taken:
-            if target is not None and Path(path).resolve() == Path(target).resolve():
+            if Path(path).resolve() == Path(target).resolve():
                 raise ValidationError(f"{key} {target!r} collides with {path!r}")
         taken.append(target)
 

@@ -112,11 +112,13 @@ def _check_names(task_vectors: Sequence[TaskVector], grouping: LayerGrouping) ->
             )
 
 
-def _importance(flats: Sequence[np.ndarray]) -> float:
-    total = 0.0
-    for flat in flats:
-        total += float(np.sum(np.abs(flat), dtype=np.float64) / len(flat)) if len(flat) else 0.0
-    return total / len(flats)
+def task_order_sum(rows: Iterable, shape: int | tuple[int, ...]) -> np.ndarray:
+    """Float64 sum of ``rows``, added in the order given. Every sum over tasks or
+    pairs goes through here: ``np.sum(axis=0)`` adds one-element rows pairwise."""
+    total = np.zeros(shape, dtype=np.float64)
+    for row in rows:
+        total += row
+    return total
 
 
 def _score_layer(
@@ -127,7 +129,8 @@ def _score_layer(
     Each task's flat update is centred and sign-masked once; every pair is
     scored from those values.
     """
-    importance = _importance(flats)
+    means = (np.sum(np.abs(f), dtype=np.float64) / len(f) if len(f) else 0.0 for f in flats)
+    importance = float(task_order_sum(means, ())) / len(flats)
     if not task_pairs or not len(flats[0]):
         return importance, [0.0] * len(task_pairs), [0.0] * len(task_pairs)
     centered = [_center(flat) for flat in flats]
@@ -155,11 +158,7 @@ def _score_layers(
         # next() inside the call: no loop variable holds the previous layer
         importance[l], rho[:, l], dis[:, l] = _score_layer(next(layer_flats), task_pairs)
 
-    conflict = np.zeros(n_layers, dtype=np.float64)
-    for row in 0.5 * rho + 0.5 * dis:  # pair by pair: np.sum(axis=0) may reorder the adds
-        conflict += row
-    if task_pairs:
-        conflict /= len(task_pairs)
+    conflict = task_order_sum(0.5 * rho + 0.5 * dis, n_layers) / max(len(task_pairs), 1)
 
     return ConflictReport(
         tuple(layer_ids), conflict, importance, task_pairs, rho_abs=rho, sign_disagreement=dis

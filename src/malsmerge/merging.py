@@ -18,7 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from .allocation import AllocationConfig, AllocationResult, allocate
-from .conflict import ConflictReport, checkpoint_conflict
+from .conflict import ConflictReport, checkpoint_conflict, task_order_sum
 from .errors import ConvergenceError, ValidationError
 from .grouping import DEFAULT_GROUPING_PATTERN, LayerGrouping, group_layers, unflatten_group
 from .task_vectors import TaskVector, TensorMap, layer_deltas, require_compatible
@@ -75,19 +75,27 @@ def sparsify_top_fraction(v: np.ndarray, s: float) -> np.ndarray:
     return np.where(keep, v, v.dtype.type(0))
 
 
-def _stack(sparsified: Sequence[np.ndarray]) -> np.ndarray:
+def _rows(sparsified: Sequence[np.ndarray]) -> list[np.ndarray]:
     if not sparsified:
         raise ValueError("need at least one vector")
-    lengths = {len(v) for v in sparsified}
+    rows = [np.asarray(v) for v in sparsified]
+    lengths = {len(row) for row in rows}
     if len(lengths) > 1:
         raise ValueError(f"length mismatch across vectors: {sorted(lengths)}")
-    return np.stack([np.asarray(v) for v in sparsified])
+    return rows
 
 
 def elect_signs(sparsified: Sequence[np.ndarray]) -> np.ndarray:
     """Per-position sign of the cross-task sum; an exact zero sum elects 0."""
-    stack = _stack(sparsified)
-    return np.sign(np.sum(stack, axis=0, dtype=np.float64)).astype(np.int8)
+    rows = _rows(sparsified)
+    return np.sign(task_order_sum(rows, rows[0].shape)).astype(np.int8)
+
+
+def _contributes(row: np.ndarray, signs: np.ndarray | None) -> np.ndarray:
+    """Nonzero entries of ``row``, or those matching a nonzero elected sign (never a ±0)."""
+    if signs is None:
+        return row != 0
+    return ((signs > 0) & (row > 0)) | ((signs < 0) & (row < 0))
 
 
 def disjoint_merge(sparsified: Sequence[np.ndarray], signs: np.ndarray | None = None) -> np.ndarray:
@@ -97,18 +105,14 @@ def disjoint_merge(sparsified: Sequence[np.ndarray], signs: np.ndarray | None = 
     contribute, and positions with sign 0 merge to 0. Without, all nonzero
     entries contribute. Empty contributor sets merge to 0.
     """
-    stack = _stack(sparsified)
+    rows = _rows(sparsified)
     if signs is not None:
         signs = np.asarray(signs)
-        if len(signs) != stack.shape[1]:
-            raise ValueError(f"signs length {len(signs)} does not match vectors {stack.shape[1]}")
-        contributes = ((signs > 0) & (stack > 0)) | ((signs < 0) & (stack < 0))
-    else:
-        contributes = stack != 0
-    total = np.sum(np.where(contributes, stack, 0.0), axis=0, dtype=np.float64)
-    count = np.count_nonzero(contributes, axis=0)
-    merged = total / np.maximum(count, 1)
-    return merged.astype(stack.dtype)
+        if len(signs) != len(rows[0]):
+            raise ValueError(f"signs length {len(signs)} does not match vectors {len(rows[0])}")
+    total = task_order_sum((np.where(_contributes(r, signs), r, 0.0) for r in rows), rows[0].shape)
+    count = task_order_sum((_contributes(r, signs) for r in rows), rows[0].shape)
+    return (total / np.maximum(count, 1)).astype(np.result_type(*rows))
 
 
 def _compose(name: str, base: np.ndarray, delta: np.ndarray, lam: float) -> np.ndarray:
@@ -131,10 +135,7 @@ def compose_merged(base: TensorMap, tau: TaskVector, lam: float) -> dict[str, np
 
 def _average(arrays: Sequence[np.ndarray]) -> np.ndarray:
     """Elementwise mean, summed at 64-bit and stored in the first array's dtype."""
-    total = np.zeros(arrays[0].shape, dtype=np.float64)
-    for arr in arrays:
-        total += arr
-    return (total / len(arrays)).astype(arrays[0].dtype)
+    return (task_order_sum(arrays, arrays[0].shape) / len(arrays)).astype(arrays[0].dtype)
 
 
 def simple_average(task_vectors: Sequence[TaskVector]) -> TaskVector:

@@ -61,3 +61,40 @@ def min_max_oracle(values) -> list[float]:
     if hi == lo:
         return [0.0 for _ in values]
     return [(float(v) - lo) / (hi - lo) for v in values]
+
+
+def _task_order_total(values) -> float:
+    # left-to-right +=, never sum(): Python >= 3.12 compensates sum() of floats
+    total = 0.0
+    for value in values:
+        total += value
+    return total
+
+
+def elect_signs_oracle(rows) -> list[int]:
+    """Sign of each position's sum over tasks, added in task order."""
+    n = len(rows[0])
+    out = []
+    for i in range(n):
+        total = _task_order_total(float(row[i]) for row in rows)
+        out.append((total > 0) - (total < 0))
+    return out
+
+
+def disjoint_merge_oracle(rows, signs=None) -> list[float]:
+    """Mean of each position's contributing entries, added in task order.
+
+    A nonzero entry contributes when no signs are given, or when it has the
+    position's nonzero elected sign; no contributor merges to 0.
+    """
+    n = len(rows[0])
+    out = []
+    for i in range(n):
+        values = [float(row[i]) for row in rows]
+        if signs is None:
+            kept = [v for v in values if v != 0]
+        else:
+            s = int(signs[i])
+            kept = [v for v in values if (s > 0 and v > 0) or (s < 0 and v < 0)]
+        out.append(_task_order_total(kept) / max(len(kept), 1))
+    return out

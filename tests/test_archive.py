@@ -157,8 +157,11 @@ def _archive(header: bytes, payload: bytes) -> bytes:
             b"\x00" * 12,
         ),
         golden_blob()[:-4],
+        _archive(b'{"a":{"dtype":"F32","shape":[true,1],"data_offsets":[0,4]}}', b"\x00" * 4),
+        _archive(b'{"a":{"dtype":"F32","shape":[1],"data_offsets":[false,4]}}', b"\x00" * 4),
+        _archive(b'{"a":{"dtype":["F32"],"shape":[1],"data_offsets":[0,4]}}', b"\x00" * 4),
     ],
-    ids=["gap", "no-tensors", "overlap", "truncated"],
+    ids=["gap", "no-tensors", "overlap", "truncated", "bool-shape", "bool-offsets", "list-dtype"],
 )
 def test_info_and_read_reject_the_same_archives(tmp_path, blob):
     path = tmp_path / "bad.st"
@@ -180,6 +183,23 @@ def test_wrong_span_for_shape_rejected(tmp_path):
 def test_empty_map_rejected_on_write(tmp_path):
     with pytest.raises(ArchiveError, match="at least one"):
         write_archive({}, tmp_path / "x.st")
+
+
+@pytest.mark.parametrize("metadata", [None, {"k": "v"}], ids=["bare", "with-metadata"])
+def test_reserved_metadata_name_rejected_on_write(tmp_path, metadata):
+    tensors = {"__metadata__": np.ones(2, dtype=np.float32)}
+    with pytest.raises(ArchiveError, match="reserved"):
+        write_archive(tensors, tmp_path / "x.st", metadata=metadata)
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_write_into_missing_directory_names_the_path(tmp_path):
+    target = tmp_path / "nodir" / "x.safetensors"
+    with pytest.raises(FileNotFoundError) as info:
+        write_archive({"a": np.ones(2, dtype=np.float32)}, target)
+    assert str(target) in str(info.value)
+    assert ".tmp" not in str(info.value)
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_non_finite_tensor_rejected_on_write(tmp_path):

@@ -4,6 +4,7 @@ import csv
 import json
 import re
 import shlex
+import struct
 import warnings
 from pathlib import Path
 
@@ -253,6 +254,49 @@ def test_command_output_colliding_with_input_rejected(synth_dir, capsys, command
     assert "collides with" in capsys.readouterr().err
     assert sorted(synth_dir.rglob("*")) == files
     assert [path.read_bytes() for path in files if path.is_file()] == before
+
+
+@pytest.mark.parametrize(
+    "command, key",
+    [("merge", "output_path"), ("merge", "report_path"), ("analyze", "--out"), ("diff", "--out")],
+    ids=["merge-output_path", "merge-report_path", "analyze", "diff"],
+)
+def test_output_in_missing_directory_rejected(tmp_path, synth_dir, capsys, command, key):
+    target = str(tmp_path / "nodir" / "out.json")
+    if command == "merge":
+        argv = ["merge", "--config", str(_config(tmp_path, synth_dir, **{key: target}))]
+    else:
+        base = str(synth_dir / "base.safetensors")
+        tuned = [str(synth_dir / f"task_{i:02d}.safetensors") for i in range(3)]
+        argv = [command, "--base", base, "--tuned", *(tuned[:1] if command == "diff" else tuned)]
+        argv += ["--out", target]
+    files = sorted(tmp_path.rglob("*"))
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert f"error: {key} {target!r}: directory" in err and "does not exist" in err
+    assert ".tmp" not in err
+    assert sorted(tmp_path.rglob("*")) == files
+
+
+@pytest.mark.parametrize("key", ["output_path", "report_path"])
+def test_output_naming_a_directory_rejected(tmp_path, synth_dir, capsys, key):
+    target = tmp_path / "outdir"
+    target.mkdir()
+    assert run(["merge", "--config", str(_config(tmp_path, synth_dir, **{key: str(target)}))]) == 2
+    assert f"error: {key} {str(target)!r} is a directory" in capsys.readouterr().err
+    assert not (tmp_path / "merged.safetensors").exists()
+    assert list(target.iterdir()) == []
+
+
+def test_boolean_shape_in_base_names_the_archive(tmp_path, synth_dir, capsys):
+    header = b'{"w":{"dtype":"F32","shape":[true,2],"data_offsets":[0,8]}}'
+    bad = tmp_path / "bool.safetensors"
+    bad.write_bytes(struct.pack("<Q", len(header)) + header + b"\x00" * 8)
+    tuned = [str(synth_dir / f"task_{i:02d}.safetensors") for i in range(3)]
+    out = tmp_path / "a.json"
+    assert run(["analyze", "--base", str(bad), "--tuned", *tuned, "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {bad}: malformed header: bad shape")
+    assert not out.exists()
 
 
 def test_nonconvergence_exits_3(tmp_path, synth_dir, capsys):

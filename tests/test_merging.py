@@ -24,7 +24,7 @@ from malsmerge import (
     simple_average,
     sparsify_top_fraction,
 )
-from oracles import sparsify_oracle
+from oracles import disjoint_merge_oracle, elect_signs_oracle, sparsify_oracle
 
 
 class TestSparsifyTopFraction:
@@ -120,6 +120,43 @@ class TestDisjointMerge:
     def test_signs_length_checked(self):
         with pytest.raises(ValueError, match="signs length"):
             disjoint_merge([np.ones(2)], np.array([1]))
+
+
+def _sweep_rows(rng, n_tasks, n):
+    """Float32 rows of signed zeros, equal magnitudes and magnitudes 2^-60 to 2^60."""
+    exponents = rng.choice([-60, 0, 0, 60], size=(n_tasks, n))
+    magnitudes = rng.choice([1.0, 1.0, 1.5, 4.5], size=(n_tasks, n)) * 2.0**exponents
+    values = rng.choice([-1.0, 1.0], size=(n_tasks, n)) * magnitudes
+    values[rng.random((n_tasks, n)) < 0.2] *= 0.0  # keeps the sign: ±0.0
+    return list(values.astype(np.float32))
+
+
+class TestTaskOrderSums:
+    @pytest.mark.parametrize("n", [0, 1, 2, 17])
+    @pytest.mark.parametrize("n_tasks", range(1, 11))
+    def test_kernels_equal_oracles_bytewise(self, n_tasks, n):
+        rng = np.random.default_rng(1000 * n_tasks + n)
+        for _ in range(25):
+            rows = _sweep_rows(rng, n_tasks, n)
+            signs = elect_signs(rows)
+            assert signs.tobytes() == np.array(elect_signs_oracle(rows), dtype=np.int8).tobytes()
+            for given in (signs, None):
+                expected = np.array(disjoint_merge_oracle(rows, given), dtype=np.float32)
+                assert disjoint_merge(rows, given).tobytes() == expected.tobytes()
+
+    def test_nine_one_element_tasks_add_in_task_order(self):
+        # 2^60 + 1 rounds to 2^60, so the sum in task order is +0.5
+        values = [2.0**60, 1, -(2.0**60), 1, 1, 1, 1, 1, -4.5]
+        rows = [np.array([v], dtype=np.float32) for v in values]
+        signs = elect_signs(rows)
+        np.testing.assert_array_equal(signs, [1])
+        assert disjoint_merge(rows, signs).tobytes() == np.float32(2**60 / 7).tobytes()
+        assert disjoint_merge(rows, None).tobytes() == np.float32(0.5 / 9).tobytes()
+
+    def test_output_dtype_is_the_rows_result_type(self):
+        rows = [np.ones(3, dtype=np.float32), np.ones(3, dtype=np.float64)]
+        assert disjoint_merge(rows).dtype == np.float64
+        assert disjoint_merge(rows[:1], elect_signs(rows[:1])).dtype == np.float32
 
 
 class TestComposeMerged:

@@ -5,7 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from malsmerge import ValidationError, compute_task_vector, validate_compatibility
+from malsmerge import (
+    MergeConfig,
+    ValidationError,
+    compute_task_vector,
+    merge,
+    validate_compatibility,
+)
 
 
 def _map(**kwargs):
@@ -74,6 +80,22 @@ def test_compatibility_missing_key_cited():
 def test_compatibility_empty_list_rejected():
     with pytest.raises(ValidationError, match="at least one"):
         validate_compatibility(_map(w=[1.0]), [])
+
+
+@pytest.mark.parametrize(
+    "check",
+    [
+        lambda base, tuned, labels: merge(base, tuned, MergeConfig(), labels=labels),
+        lambda base, tuned, labels: validate_compatibility(base, tuned, labels=labels),
+    ],
+    ids=["merge", "validate_compatibility"],
+)
+@pytest.mark.parametrize("n_labels", [1, 3])
+def test_label_count_mismatch_rejected(check, n_labels):
+    base = _map(w=[1.0, 2.0])
+    labels = [f"t{i}" for i in range(n_labels)]
+    with pytest.raises(ValidationError, match=f"^{n_labels} labels provided for 2 checkpoints$"):
+        check(base, [base, base], labels)
 
 
 # values on a dyadic grid: float32 addition and subtraction are exact there,
