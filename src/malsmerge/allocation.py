@@ -8,12 +8,37 @@ mean-sparsity budget while respecting the box bounds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import numbers
+from dataclasses import Field, dataclass, fields
 
 import numpy as np
 
 from .conflict import ConflictReport
 from .errors import ValidationError
+
+_ACCEPTS = {float: numbers.Real, int: numbers.Integral, bool: bool, str: str}
+
+
+def config_key(f: Field) -> str:
+    """A config field's key in the config file: its name unless renamed."""
+    return f.metadata.get("key", f.name)
+
+
+def coerce_field_types(config: object) -> None:
+    """Store each field of a frozen config dataclass that has a float, int, bool or str
+    default as that type, or raise naming its key. A float field takes any real and an int
+    field any integer, neither a bool; an int beyond float range becomes ±inf."""
+    for f in (f for f in fields(config) if type(f.default) in _ACCEPTS):
+        kind, value = type(f.default), getattr(config, f.name)
+        if not isinstance(value, _ACCEPTS[kind]) or (isinstance(value, bool) and kind is not bool):
+            raise ValidationError(
+                f"config key {config_key(f)!r} has wrong type: "
+                f"expected {kind.__name__}, got {type(value).__name__}"
+            )
+        try:
+            object.__setattr__(config, f.name, kind(value))
+        except OverflowError:
+            object.__setattr__(config, f.name, np.inf if value > 0 else -np.inf)
 
 
 @dataclass(frozen=True)
@@ -34,6 +59,7 @@ class AllocationConfig:
     max_iterations: int = 100
 
     def __post_init__(self) -> None:
+        coerce_field_types(self)
         if not (0.0 <= self.s_min <= self.s_target <= self.s_max <= 1.0):
             raise ValidationError(
                 f"bounds must satisfy 0 <= s_min <= s_target <= s_max <= 1, "
@@ -90,13 +116,14 @@ def allocation_scores(c_hat: np.ndarray, m_hat: np.ndarray, alpha: float, beta: 
 
 
 def softmax_weights(r: np.ndarray) -> np.ndarray:
-    """Max-shifted softmax over layers; strictly positive, sums to one."""
+    """Max-shifted softmax over layers; non-negative, sums to one."""
     r = np.asarray(r, dtype=np.float64)
     if r.size == 0:
         raise ValueError("cannot take softmax of an empty vector")
     if not np.all(np.isfinite(r)):
         raise ValueError("scores must be finite")
-    e = np.exp(r - np.max(r))
+    with np.errstate(over="ignore"):  # a shift below -max float is -inf, and exp(-inf) = 0
+        e = np.exp(r - np.max(r))
     return e / np.sum(e)
 
 

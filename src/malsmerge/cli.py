@@ -9,17 +9,16 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
-from .allocation import AllocationConfig
+from .allocation import AllocationConfig, config_key
 from .archive import archive_info, read_archive, write_archive
 from .diagnostics import REPORT_FORMATS, LayerDiagnostics
 from .errors import ArchiveError, ConvergenceError, ValidationError
 from .grouping import DEFAULT_GROUPING_PATTERN
-from .merging import MergeConfig, config_metadata, merge, plan
+from .merging import MergeConfig, config_fields, config_metadata, merge, plan
 from .synthetic import write_synthetic_set
 from .task_vectors import compute_task_vector
 
@@ -28,12 +27,8 @@ EXIT_USAGE = 1
 EXIT_VALIDATION = 2
 EXIT_NUMERICAL = 3
 
-_CONFIG_KEYS = {
-    "base_path", "tuned_paths", "method", "lambda", "sign_election",
-    "alpha", "beta", "s_min", "s_max", "s_target", "epsilon",
-    "max_iterations", "grouping_pattern", "output_path", "report_path",
-    "report_format",
-}
+_RUN_KEYS = ("base_path", "tuned_paths", "output_path", "report_path", "report_format")
+_CONFIG_KEYS = {*_RUN_KEYS, *config_fields(MergeConfig())}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -57,12 +52,11 @@ class RunConfig:
     report_format: str = "json"
 
 
-def _expect(value: object, types: type | tuple, key: str) -> object:
-    if isinstance(value, bool) and bool not in (types if isinstance(types, tuple) else (types,)):
-        raise ValidationError(f"config key {key!r} has wrong type: expected {types}, got bool")
-    if not isinstance(value, types):
+def _expect(value: object, kind: type, key: str) -> object:
+    if not isinstance(value, kind):
         raise ValidationError(
-            f"config key {key!r} has wrong type: expected {types}, got {type(value).__name__}"
+            f"config key {key!r} has wrong type: expected {kind.__name__}, "
+            f"got {type(value).__name__}"
         )
     return value
 
@@ -87,18 +81,9 @@ def _parse_tuned_paths(raw: object) -> tuple[tuple[str, str], ...]:
     return tuple(parsed)
 
 
-def _as_float(value: int | float) -> float:
-    """``value`` as a float; an int beyond float range becomes an infinity, which
-    the config dataclasses reject by name."""
-    try:
-        return float(value)
-    except OverflowError:
-        return math.inf if value > 0 else -math.inf
-
-
-def _present(raw: dict, keys: tuple[str, ...], types: type | tuple) -> dict:
-    """The type-checked values of those of ``keys`` that ``raw`` holds."""
-    return {key: _expect(raw[key], types, key) for key in keys if key in raw}
+def _fields_in(raw: dict, config_class: type) -> dict:
+    """The fields of a config dataclass that ``raw`` holds, by field name."""
+    return {f.name: raw[config_key(f)] for f in fields(config_class) if config_key(f) in raw}
 
 
 def _refuse_overwriting_inputs(inputs: list[str], outputs: dict[str, str | None]) -> None:
@@ -145,17 +130,9 @@ def load_run_config(path: str | Path) -> RunConfig:
         {"output_path": output_path, "report_path": report_path},
     )
 
-    # absent keys are left out, so their defaults come from the dataclasses
-    levels = _present(raw, ("alpha", "beta", "s_min", "s_max", "s_target", "epsilon"), (int, float))
-    allocation = AllocationConfig(
-        **{key: _as_float(value) for key, value in levels.items()},
-        **_present(raw, ("max_iterations",), int),
-    )
-    fields = _present(raw, ("method", "grouping_pattern"), str)
-    fields.update(_present(raw, ("sign_election",), bool))
-    if "lambda" in raw:
-        fields["lam"] = _as_float(_expect(raw["lambda"], (int, float), "lambda"))
-    merge_config = MergeConfig(allocation=allocation, **fields)
+    # absent keys take the dataclass defaults; the dataclasses check each key's type
+    allocation = AllocationConfig(**_fields_in(raw, AllocationConfig))
+    merge_config = MergeConfig(**_fields_in(raw, MergeConfig), allocation=allocation)
 
     report_format = _expect(raw.get("report_format", "json"), str, "report_format")
     if report_format not in REPORT_FORMATS:

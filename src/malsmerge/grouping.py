@@ -21,8 +21,9 @@ UNGROUPED = "ungrouped"
 class LayerGrouping:
     """Ordered partition of tensor names into layer groups.
 
-    Group ids are ``layer.<capture>`` ordered numerically when the captured
-    text is numeric (lexicographically otherwise), with ``ungrouped`` last.
+    Group ids are ``layer.<capture>``: all-decimal captures first, by number
+    and then by text (``03`` before ``3``), then the other captures by text,
+    and ``ungrouped`` last.
     Member lists are lexicographically sorted.
     """
 
@@ -37,8 +38,8 @@ class LayerGrouping:
 
 
 def _group_sort_key(capture: str) -> tuple[int, int, str]:
-    if capture.isdigit():
-        return (0, int(capture), "")
+    if capture.isdecimal():  # isdigit() also passes "²", which int() refuses
+        return (0, int(capture), capture)
     return (1, 0, capture)
 
 

@@ -12,12 +12,12 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Sequence
 
 import numpy as np
 
-from .allocation import AllocationConfig, AllocationResult, allocate
+from .allocation import AllocationConfig, AllocationResult, allocate, coerce_field_types, config_key
 from .conflict import ConflictReport, checkpoint_conflict, task_order_sum
 from .errors import ConvergenceError, ValidationError
 from .grouping import DEFAULT_GROUPING_PATTERN, LayerGrouping, group_layers, unflatten_group
@@ -29,12 +29,13 @@ METHODS = ("mals", "simple_average", "uniform_sparsity", "ties")
 @dataclass(frozen=True)
 class MergeConfig:
     method: str = "mals"
-    lam: float = 1.0
+    lam: float = field(default=1.0, metadata={"key": "lambda"})
     sign_election: bool = False
     allocation: AllocationConfig = field(default_factory=AllocationConfig)
     grouping_pattern: str = DEFAULT_GROUPING_PATTERN
 
     def __post_init__(self) -> None:
+        coerce_field_types(self)
         if self.method not in METHODS:
             raise ValidationError(f"method must be one of {METHODS}, got {self.method!r}")
         if not (math.isfinite(self.lam) and self.lam > 0):
@@ -221,18 +222,14 @@ def merge(
     return MergeOutput(merged=merged, allocation=allocation, conflict=conflict)
 
 
+def config_fields(config: MergeConfig) -> dict[str, object]:
+    """``config`` under its config-file keys: ``lambda`` for ``lam``, the allocation keys inline."""
+    keyed = {config_key(f): getattr(config, f.name) for f in fields(config)}
+    allocation = keyed.pop("allocation")
+    return {**keyed, **{config_key(f): getattr(allocation, f.name) for f in fields(allocation)}}
+
+
 def config_metadata(config: MergeConfig) -> dict[str, str]:
     """Archive metadata identifying the merge: method, lambda, config digest."""
-    fields = {
-        "method": config.method,
-        "lambda": config.lam,
-        "sign_election": config.sign_election,
-        "grouping_pattern": config.grouping_pattern,
-        **asdict(config.allocation),
-    }
-    digest = hashlib.sha256(json.dumps(fields, sort_keys=True).encode("utf-8")).hexdigest()
-    return {
-        "method": config.method,
-        "lambda": repr(config.lam),
-        "config_digest": digest[:16],
-    }
+    digest = hashlib.sha256(json.dumps(config_fields(config), sort_keys=True).encode()).hexdigest()
+    return {"method": config.method, "lambda": repr(config.lam), "config_digest": digest[:16]}

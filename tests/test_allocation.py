@@ -84,6 +84,12 @@ class TestSoftmaxWeights:
         assert np.all(w > 0)
         assert np.sum(w) == pytest.approx(1.0, abs=1e-12)
 
+    def test_shift_overflow_gives_zero_weight_without_warning(self):
+        # r - max(r) overflows to -inf for the two lower scores; exp(-inf) = 0
+        np.testing.assert_array_equal(softmax_weights([1.5e308, -1.5e308, 0.0]), [1.0, 0.0, 0.0])
+        w = allocate(_report([1.0, 0.0], [0.0, 1.0]), AllocationConfig(alpha=1.5e308, beta=1.5e308)).w
+        np.testing.assert_array_equal(w, [1.0, 0.0])
+
     def test_empty_rejected(self):
         with pytest.raises(ValueError, match="empty"):
             softmax_weights([])

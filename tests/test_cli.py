@@ -6,6 +6,7 @@ import re
 import shlex
 import struct
 import warnings
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -187,6 +188,30 @@ def test_update_overflowing_32_bits_names_tensor_and_exits_2(tmp_path, synth_dir
     err = capsys.readouterr().err
     assert f"{what} tensor {name!r} overflows 32-bit precision" in err
     assert "RuntimeWarning" not in err
+
+
+def test_huge_alpha_and_beta_merge_without_overflow_warning(tmp_path, capsys):
+    assert run([
+        "synth", "--seed", "2", "--layers", "2", "--elems", "500", "--tasks", "2",
+        "--conflict", "0.9,0.1", "--out-dir", str(tmp_path / "synth"),
+    ]) == 0
+    cfg = {
+        "base_path": str(tmp_path / "synth" / "base.safetensors"),
+        "tuned_paths": [{"path": str(tmp_path / "synth" / f"task_{i:02d}.safetensors")} for i in range(2)],
+        "output_path": str(tmp_path / "merged.safetensors"),
+        "alpha": 1.5e308,
+        "beta": 1.5e308,
+    }
+    (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+    assert run(["merge", "--config", str(tmp_path / "cfg.json")]) == 0
+    assert "RuntimeWarning" not in capsys.readouterr().err
+
+
+def test_config_keys_are_the_run_keys_and_every_config_field():
+    run_keys = {"base_path", "tuned_paths", "output_path", "report_path", "report_format"}
+    names = {f.name for f in fields(MergeConfig)} | {f.name for f in fields(AllocationConfig)}
+    assert _CONFIG_KEYS == run_keys | (names - {"allocation", "lam"}) | {"lambda"}
+    assert len(_CONFIG_KEYS) == 16
 
 
 def test_absent_config_keys_take_the_dataclass_defaults(tmp_path, synth_dir):

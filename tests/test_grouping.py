@@ -28,6 +28,17 @@ def test_numeric_capture_sorts_numerically():
     assert grouping.layer_ids == ["layer.3", "layer.10"]
 
 
+@pytest.mark.parametrize("names", [["m.layers.3.w", "m.layers.03.w"], ["m.layers.03.w", "m.layers.3.w"]])
+def test_equal_numbers_in_different_text_sort_by_the_text(names):
+    assert group_layers(names).layer_ids == ["layer.03", "layer.3"]
+
+
+def test_non_decimal_digit_capture_sorts_lexicographically():
+    # "²".isdigit() holds, yet int("²") raises
+    grouping = group_layers(["m.layers.².w", "m.layers.1.w"], pattern=r"layers\.(\w+)\.")
+    assert grouping.layer_ids == ["layer.1", "layer.²"]
+
+
 def test_non_numeric_captures_sort_lexicographically():
     grouping = group_layers(["m.b.w", "m.a.w"], pattern=r"m\.([a-z])\.")
     assert grouping.layer_ids == ["layer.a", "layer.b"]
@@ -106,7 +117,7 @@ def test_grouping_is_a_partition(names):
 
 
 @settings(max_examples=50, deadline=None)
-@given(st.permutations(["m.layers.1.a", "m.layers.1.b", "x", "m.layers.20.c"]))
+@given(st.permutations(["m.layers.1.a", "m.layers.1.b", "x", "m.layers.20.c", "m.layers.01.d"]))
 def test_insertion_order_never_changes_output(names):
     tensors = {name: np.full(2, float(i)) for i, name in enumerate(sorted(names))}
     shuffled = {name: tensors[name] for name in names}
