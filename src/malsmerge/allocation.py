@@ -27,16 +27,22 @@ def config_key(f: Field) -> str:
 def coerce_field_types(config: object) -> None:
     """Store each field of a frozen config dataclass that has a float, int, bool or str
     default as that type, or raise naming its key. A float field takes any real and an int
-    field any integer, neither a bool; an int beyond float range becomes ±inf."""
-    for f in (f for f in fields(config) if type(f.default) in _ACCEPTS):
-        kind, value = type(f.default), getattr(config, f.name)
-        if not isinstance(value, _ACCEPTS[kind]) or (isinstance(value, bool) and kind is not bool):
+    field any integer, neither a bool; an int beyond float range becomes ±inf. A field whose
+    default factory is a class must hold an instance of that class."""
+    for f in fields(config):
+        kind = type(f.default) if type(f.default) in _ACCEPTS else f.default_factory
+        if not isinstance(kind, type):
+            continue
+        value = getattr(config, f.name)
+        if not isinstance(value, _ACCEPTS.get(kind, kind)) or (
+            isinstance(value, bool) and kind is not bool
+        ):
             raise ValidationError(
                 f"config key {config_key(f)!r} has wrong type: "
                 f"expected {kind.__name__}, got {type(value).__name__}"
             )
         try:
-            object.__setattr__(config, f.name, kind(value))
+            object.__setattr__(config, f.name, kind(value) if kind in _ACCEPTS else value)
         except OverflowError:
             object.__setattr__(config, f.name, np.inf if value > 0 else -np.inf)
 

@@ -122,7 +122,7 @@ def _read_header(f: BinaryIO) -> tuple[list[tuple], dict[str, str]]:
             f.read(header_len).decode("utf-8"),
             object_pairs_hook=_reject_duplicate_names,
         )
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (ValueError, RecursionError) as exc:  # bad UTF-8 or JSON, too deep, a huge int
         raise ArchiveError(f"malformed header: {exc}") from exc
     if not isinstance(header, dict):
         raise ArchiveError("malformed header: top level is not a JSON object")

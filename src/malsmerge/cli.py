@@ -31,15 +31,6 @@ _RUN_KEYS = ("base_path", "tuned_paths", "output_path", "report_path", "report_f
 _CONFIG_KEYS = {*_RUN_KEYS, *config_fields(MergeConfig())}
 
 
-class _Parser(argparse.ArgumentParser):
-    """argparse maps usage errors to exit code 1 instead of its default 2."""
-
-    def error(self, message: str) -> None:  # type: ignore[override]
-        self.print_usage(sys.stderr)
-        print(f"{self.prog}: error: {message}", file=sys.stderr)
-        raise SystemExit(EXIT_USAGE)
-
-
 @dataclass(frozen=True)
 class RunConfig:
     """Validated contents of a merge config file."""
@@ -108,7 +99,7 @@ def load_run_config(path: str | Path) -> RunConfig:
     """Parse and validate a merge config file; unknown keys are errors."""
     try:
         raw = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:  # unreadable, not JSON, too deep, huge int
         raise ValidationError(f"cannot read config {path}: {exc}") from exc
     if not isinstance(raw, dict):
         raise ValidationError(f"config {path} must be a JSON object")
@@ -220,7 +211,7 @@ def _cmd_synth(args: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="malsmerge", description=__doc__)
+    parser = argparse.ArgumentParser(prog="malsmerge", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_merge = sub.add_parser("merge", help="merge checkpoints per a JSON config")
@@ -261,8 +252,8 @@ def run(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
+    except SystemExit as exc:  # argparse exits 2 on a usage error, 0 after --help
+        return EXIT_USAGE if exc.code else EXIT_OK
     try:
         return args.func(args)
     except ConvergenceError as exc:

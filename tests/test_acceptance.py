@@ -19,11 +19,8 @@ from malsmerge import (
     AllocationConfig,
     ConflictReport,
     MergeConfig,
-    TaskVector,
     allocate,
-    compute_task_vector,
     group_layers,
-    layer_conflict,
     merge,
     min_max_normalize,
     pearson_abs,
@@ -34,6 +31,8 @@ from malsmerge import (
     write_archive,
     write_synthetic_set,
 )
+from malsmerge.conflict import layer_conflict
+from malsmerge.task_vectors import TaskVector, compute_task_vector
 from oracles import (
     min_max_oracle,
     pearson_abs_oracle,

@@ -160,8 +160,12 @@ def _archive(header: bytes, payload: bytes) -> bytes:
         _archive(b'{"a":{"dtype":"F32","shape":[true,1],"data_offsets":[0,4]}}', b"\x00" * 4),
         _archive(b'{"a":{"dtype":"F32","shape":[1],"data_offsets":[false,4]}}', b"\x00" * 4),
         _archive(b'{"a":{"dtype":["F32"],"shape":[1],"data_offsets":[0,4]}}', b"\x00" * 4),
+        _archive(b"[" * 100_000 + b"]" * 100_000, b""),
+        _archive(b'{"a":{"dtype":"F32","shape":[1' + b"0" * 5000 + b'],"data_offsets":[0,4]}}',
+                 b"\x00" * 4),
     ],
-    ids=["gap", "no-tensors", "overlap", "truncated", "bool-shape", "bool-offsets", "list-dtype"],
+    ids=["gap", "no-tensors", "overlap", "truncated", "bool-shape", "bool-offsets", "list-dtype",
+         "deep-nesting", "huge-int"],
 )
 def test_info_and_read_reject_the_same_archives(tmp_path, blob):
     path = tmp_path / "bad.st"

@@ -77,6 +77,15 @@ def test_missing_required_flag_is_usage_error():
     assert run(["merge"]) == 1
 
 
+def test_usage_error_prints_usage_and_the_subcommand_error(tmp_path, capsys):
+    argv = ["synth", "--seed", "x", "--layers", "1", "--elems", "1", "--tasks", "1",
+            "--conflict", "0", "--out-dir", str(tmp_path)]
+    assert run(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage: malsmerge synth")
+    assert "malsmerge synth: error: argument --seed: invalid int value: 'x'" in err
+
+
 @pytest.mark.parametrize(
     "key, value", [("lambda_scale", 2.0), ("seed", 0)], ids=["lambda_scale", "seed"]
 )
@@ -125,11 +134,14 @@ def test_non_finite_config_value_names_key(tmp_path, synth_dir, capsys, key, raw
         (lambda c: {k: v for k, v in c.items() if k != "output_path"}, "'output_path'"),
         (lambda c: [c], "cfg.json"),
         (lambda c: json.dumps(c)[:-1], "cfg.json"),
+        (lambda c: json.dumps(c)[:-1] + ', "alpha": ' + "[" * 100_000 + "]" * 100_000 + "}",
+         "cfg.json"),
+        (lambda c: json.dumps(c)[:-1] + ', "alpha": 1' + "0" * 5000 + "}", "cfg.json"),
     ],
     ids=["alpha-str", "alpha-bool", "max_iterations-float", "sign_election-int",
          "lambda-null", "tuned_paths-empty", "tuned_paths-str-entry", "tuned_paths-unknown-key",
          "tuned_paths-no-path", "report_format-xml", "output_path-missing", "top-level-list",
-         "unparsable"],
+         "unparsable", "deep-nesting", "huge-int"],
 )
 def test_config_type_and_shape_errors_name_the_key(tmp_path, synth_dir, capsys, edit, named):
     cfg = _config(tmp_path, synth_dir)
@@ -322,6 +334,27 @@ def test_boolean_shape_in_base_names_the_archive(tmp_path, synth_dir, capsys):
     assert run(["analyze", "--base", str(bad), "--tuned", *tuned, "--out", str(out)]) == 2
     assert capsys.readouterr().err.startswith(f"error: {bad}: malformed header: bad shape")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["info", "merge", "analyze", "diff"])
+@pytest.mark.parametrize(
+    "header",
+    [b"[" * 100_000 + b"]" * 100_000, b'{"w":{"dtype":"F32","shape":[1' + b"0" * 5000 + b"]}}"],
+    ids=["deep-nesting", "huge-int"],
+)
+def test_unparsable_header_names_the_archive(tmp_path, synth_dir, capsys, command, header):
+    bad = synth_dir / "base.safetensors"
+    bad.write_bytes(struct.pack("<Q", len(header)) + header)
+    task = str(synth_dir / "task_00.safetensors")
+    out = str(tmp_path / "out.st")
+    argv = {
+        "info": ["info", "--archive", str(bad)],
+        "merge": ["merge", "--config", str(_config(tmp_path, synth_dir))],
+        "analyze": ["analyze", "--base", str(bad), "--tuned", task, "--out", out],
+        "diff": ["diff", "--base", str(bad), "--tuned", task, "--out", out],
+    }[command]
+    assert run(argv) == 2
+    assert capsys.readouterr().err.startswith(f"error: {bad}: malformed header: ")
 
 
 def test_nonconvergence_exits_3(tmp_path, synth_dir, capsys):

@@ -20,10 +20,12 @@ from malsmerge.merging import config_fields
         (lambda: AllocationConfig(max_iterations=True), "max_iterations"),
         (lambda: AllocationConfig(alpha=True), "alpha"),
         (lambda: AllocationConfig(s_min=None), "s_min"),
+        (lambda: MergeConfig(allocation=None), "allocation"),
+        (lambda: MergeConfig(allocation={"alpha": 1.0}), "allocation"),
     ],
     ids=["sign_election-str", "sign_election-numpy-bool", "grouping_pattern-none", "method-int",
          "lambda-bool", "lambda-str", "max_iterations-float", "max_iterations-bool",
-         "alpha-bool", "s_min-none"],
+         "alpha-bool", "s_min-none", "allocation-none", "allocation-dict"],
 )
 def test_wrongly_typed_field_names_its_config_key(build, key):
     with pytest.raises(ValidationError, match=f"config key '{key}' has wrong type"):

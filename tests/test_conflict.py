@@ -6,16 +6,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from malsmerge import (
-    TaskVector,
     ValidationError,
-    compute_task_vector,
     flatten_group,
     group_layers,
-    layer_conflict,
     pearson_abs,
     sign_disagreement,
     synthesize_checkpoints,
 )
+from malsmerge.conflict import checkpoint_conflict, layer_conflict
+from malsmerge.task_vectors import TaskVector, compute_task_vector
 from oracles import pearson_abs_oracle, sign_disagreement_oracle
 
 
@@ -134,24 +133,32 @@ def _two_layer_vectors(*flat_pairs):
     return out, group_layers(out[0].deltas)
 
 
-class TestLayerConflict:
+def _checkpoint_conflict(tvs, grouping):
+    """merge()'s pass 1 on tuned = deltas over an all-zero base: for F32, ``x - 0.0`` is ``x``
+    and ``-0.0 - 0.0`` is ``-0.0``, so it scores the same bytes as :func:`layer_conflict`."""
+    base = {name: np.zeros_like(delta) for name, delta in tvs[0].deltas.items()}
+    return checkpoint_conflict(base, [tv.deltas for tv in tvs], grouping)
+
+
+# each property runs on the whole-model scorer and on merge()'s per-layer pass 1
+class _ConflictCases:
     def test_two_identical_tasks_score_half(self):
         tvs, grouping = _two_layer_vectors(
             ([1.0, -2.0], [3.0, 4.0]), ([1.0, -2.0], [3.0, 4.0])
         )
-        report = layer_conflict(tvs, grouping)
+        report = self.score(tvs, grouping)
         np.testing.assert_allclose(report.conflict, [0.5, 0.5], atol=1e-15)
 
     def test_opposite_tasks_score_one(self):
         tvs, grouping = _two_layer_vectors(
             ([1.0, -2.0], [3.0, 4.0]), ([-1.0, 2.0], [-3.0, -4.0])
         )
-        report = layer_conflict(tvs, grouping)
+        report = self.score(tvs, grouping)
         np.testing.assert_allclose(report.conflict, [1.0, 1.0], atol=1e-15)
 
     def test_single_task_scores_zero(self):
         tvs, grouping = _two_layer_vectors(([1.0, 2.0], [3.0, 4.0]))
-        report = layer_conflict(tvs, grouping)
+        report = self.score(tvs, grouping)
         np.testing.assert_array_equal(report.conflict, [0.0, 0.0])
         assert report.task_pairs == ()
         assert report.rho_abs.shape == report.sign_disagreement.shape == (0, 2)
@@ -161,7 +168,7 @@ class TestLayerConflict:
         tvs, grouping = _two_layer_vectors(
             *(tuple(rng.normal(size=5) for _ in range(2)) for _ in range(4))
         )
-        report = layer_conflict(tvs, grouping)
+        report = self.score(tvs, grouping)
         assert len(report.task_pairs) == 6
         assert report.rho_abs.shape == report.sign_disagreement.shape == (6, 2)
         assert np.all(report.rho_abs >= 0) and np.all(report.rho_abs <= 1)
@@ -175,8 +182,8 @@ class TestLayerConflict:
         tvs, grouping = _two_layer_vectors(*pairs)
         reversed_tvs = list(reversed(tvs))
         np.testing.assert_allclose(
-            layer_conflict(tvs, grouping).conflict,
-            layer_conflict(reversed_tvs, grouping).conflict,
+            self.score(tvs, grouping).conflict,
+            self.score(reversed_tvs, grouping).conflict,
             atol=1e-15,
         )
 
@@ -184,7 +191,7 @@ class TestLayerConflict:
         base, tuned = synthesize_checkpoints(17, 5, 3000, 4, [0.9, 0.7, 0.5, 0.3, 0.1])
         tvs = [compute_task_vector(base, t, f"t{i}") for i, t in enumerate(tuned)]
         grouping = group_layers(base)
-        report = layer_conflict(tvs, grouping)
+        report = self.score(tvs, grouping)
         assert report.task_pairs == ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
         assert report.rho_abs.shape == report.sign_disagreement.shape == (6, 5)
         for k, (i, j) in enumerate(report.task_pairs):
@@ -194,6 +201,10 @@ class TestLayerConflict:
                 assert report.rho_abs[k, l] == pearson_abs(x, y)
                 assert report.sign_disagreement[k, l] == sign_disagreement(x, y)
 
+
+class TestLayerConflict(_ConflictCases):
+    score = staticmethod(layer_conflict)
+
     def test_name_set_mismatch_rejected(self):
         tvs, grouping = _two_layer_vectors(([1.0], [2.0]))
         bad = TaskVector(label="bad", deltas={"other": np.ones(1, np.float32)})
@@ -201,14 +212,18 @@ class TestLayerConflict:
             layer_conflict([bad], grouping)
 
 
-class TestLayerImportance:
+class TestCheckpointConflict(_ConflictCases):
+    score = staticmethod(_checkpoint_conflict)
+
+
+class _ImportanceCases:
     def test_all_zero_vectors(self):
         tvs, grouping = _two_layer_vectors(([0.0, 0.0], [0.0]))
-        np.testing.assert_array_equal(layer_conflict(tvs, grouping).importance, [0.0, 0.0])
+        np.testing.assert_array_equal(self.score(tvs, grouping).importance, [0.0, 0.0])
 
     def test_single_task_mean_abs(self):
         tvs, grouping = _two_layer_vectors(([1.0, -1.0, 2.0, 0.0], [3.0]))
-        m = layer_conflict(tvs, grouping).importance
+        m = self.score(tvs, grouping).importance
         assert m[0] == pytest.approx(1.0, abs=1e-15)
         assert m[1] == pytest.approx(3.0, abs=1e-15)
 
@@ -221,12 +236,20 @@ class TestLayerImportance:
             for tv in tvs
         ]
         np.testing.assert_allclose(
-            layer_conflict(scaled, grouping).importance,
-            4.0 * layer_conflict(tvs, grouping).importance,
+            self.score(scaled, grouping).importance,
+            4.0 * self.score(tvs, grouping).importance,
             rtol=1e-15,
         )
 
     def test_averaged_over_tasks(self):
         tvs, grouping = _two_layer_vectors(([2.0], [0.0]), ([4.0], [0.0]))
-        importance = layer_conflict(tvs, grouping).importance
+        importance = self.score(tvs, grouping).importance
         np.testing.assert_allclose(importance, [3.0, 0.0], atol=1e-15)
+
+
+class TestLayerImportance(_ImportanceCases):
+    score = staticmethod(layer_conflict)
+
+
+class TestCheckpointImportance(_ImportanceCases):
+    score = staticmethod(_checkpoint_conflict)

@@ -12,18 +12,16 @@ from malsmerge import (
     METHODS,
     AllocationConfig,
     MergeConfig,
-    TaskVector,
     ValidationError,
-    compose_merged,
-    compute_task_vector,
     disjoint_merge,
     elect_signs,
     group_layers,
-    layer_conflict,
     merge,
-    simple_average,
     sparsify_top_fraction,
 )
+from malsmerge.conflict import layer_conflict
+from malsmerge.merging import compose_merged, simple_average
+from malsmerge.task_vectors import TaskVector, compute_task_vector
 from oracles import disjoint_merge_oracle, elect_signs_oracle, sparsify_oracle
 
 

@@ -6,13 +6,13 @@ import pytest
 from malsmerge import (
     MergeConfig,
     ValidationError,
-    compute_task_vector,
     group_layers,
-    layer_conflict,
     merge,
     synthesize_checkpoints,
     write_synthetic_set,
 )
+from malsmerge.conflict import layer_conflict
+from malsmerge.task_vectors import compute_task_vector
 
 
 def test_same_seed_same_checkpoints():

@@ -5,13 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from malsmerge import (
-    MergeConfig,
-    ValidationError,
-    compute_task_vector,
-    merge,
-    validate_compatibility,
-)
+from malsmerge import MergeConfig, ValidationError, merge
+from malsmerge.task_vectors import compute_task_vector, validate_compatibility
 
 
 def _map(**kwargs):
