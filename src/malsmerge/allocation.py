@@ -53,7 +53,7 @@ class AllocationConfig:
 
     ``alpha`` weights conflict, ``beta`` weights importance; neither has a
     canonical value, so both are exposed. The projection stops once the mean
-    sparsity is within ``epsilon`` of ``s_target``.
+    sparsity is within ``epsilon`` (at least 1e-15) of ``s_target``.
     """
 
     alpha: float = 1.0
@@ -76,8 +76,9 @@ class AllocationConfig:
                 raise ValidationError(f"{name} must be finite, got {getattr(self, name)}")
         if not (self.alpha >= 0.0 and self.beta >= 0.0):
             raise ValidationError("alpha and beta must be non-negative")
-        if not self.epsilon > 0.0:
-            raise ValidationError("epsilon must be positive")
+        # below about one ulp of s_target the float64 mean cannot land within epsilon
+        if not self.epsilon >= 1e-15:
+            raise ValidationError(f"epsilon must be at least 1e-15, got {self.epsilon}")
         if self.max_iterations < 1:
             raise ValidationError("max_iterations must be a positive integer")
 

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .grouping import LayerGrouping, flatten_group
-from .task_vectors import TaskVector, TensorMap, layer_deltas
+from .task_vectors import TaskVector
 
 
 @dataclass(frozen=True)
@@ -140,7 +140,7 @@ def _score_layer(
     return importance, rho, dis
 
 
-def _score_layers(
+def score_layers(
     layer_ids: Sequence[str], n_tasks: int, layer_flats: Iterable[Sequence[np.ndarray]]
 ) -> ConflictReport:
     """Score each layer's flat per-task updates, in ``layer_ids`` order.
@@ -176,12 +176,4 @@ def layer_conflict(task_vectors: Sequence[TaskVector], grouping: LayerGrouping) 
     layer_flats = (
         [flatten_group(tv.deltas, members) for tv in task_vectors] for _, members in grouping.groups
     )
-    return _score_layers(grouping.layer_ids, len(task_vectors), layer_flats)
-
-
-def checkpoint_conflict(
-    base: TensorMap, tuned: Sequence[TensorMap], grouping: LayerGrouping
-) -> ConflictReport:
-    """:func:`layer_conflict` of ``tuned - base``, built per layer; keys and shapes must match."""
-    layer_flats = (layer_deltas(base, tuned, members) for _, members in grouping.groups)
-    return _score_layers(grouping.layer_ids, len(tuned), layer_flats)
+    return score_layers(grouping.layer_ids, len(task_vectors), layer_flats)

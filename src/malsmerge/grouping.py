@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import re
+import unicodedata
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -37,10 +38,12 @@ class LayerGrouping:
         return len(self.groups)
 
 
-def _group_sort_key(capture: str) -> tuple[int, int, str]:
-    if capture.isdecimal():  # isdigit() also passes "²", which int() refuses
-        return (0, int(capture), capture)
-    return (1, 0, capture)
+def _group_sort_key(capture: str) -> tuple[int, int, str, str]:
+    if capture.isdecimal():  # isdigit() also passes "²", which has no decimal value
+        # the number's order without int(), which refuses more than 4,300 digits
+        digits = "".join(str(unicodedata.decimal(c)) for c in capture).lstrip("0")
+        return (0, len(digits), digits, capture)
+    return (1, 0, "", capture)
 
 
 def group_layers(

@@ -18,10 +18,10 @@ from typing import Sequence
 import numpy as np
 
 from .allocation import AllocationConfig, AllocationResult, allocate, coerce_field_types, config_key
-from .conflict import ConflictReport, checkpoint_conflict, task_order_sum
+from .conflict import ConflictReport, score_layers, task_order_sum
 from .errors import ConvergenceError, ValidationError
 from .grouping import DEFAULT_GROUPING_PATTERN, LayerGrouping, group_layers, unflatten_group
-from .task_vectors import TaskVector, TensorMap, layer_deltas, require_compatible
+from .task_vectors import TaskVector, TensorMap, layer_deltas, require_compatible, stored_at_32_bits
 
 METHODS = ("mals", "simple_average", "uniform_sparsity", "ties")
 
@@ -117,15 +117,9 @@ def disjoint_merge(sparsified: Sequence[np.ndarray], signs: np.ndarray | None = 
 
 
 def _compose(name: str, base: np.ndarray, delta: np.ndarray, lam: float) -> np.ndarray:
-    """``base + lam * delta``, added at 64-bit and stored at 32-bit.
-
-    A result beyond the 32-bit range raises :class:`ValidationError` naming the tensor.
-    """
-    try:
-        with np.errstate(over="raise"):
-            return (base.astype(np.float64) + lam * delta.astype(np.float64)).astype(np.float32)
-    except FloatingPointError:
-        raise ValidationError(f"merged tensor {name!r} overflows 32-bit precision") from None
+    """``base + lam * delta``, added at 64-bit and stored at 32-bit."""
+    with stored_at_32_bits(f"merged tensor {name!r}"):
+        return (base.astype(np.float64) + lam * delta.astype(np.float64)).astype(np.float32)
 
 
 def compose_merged(base: TensorMap, tau: TaskVector, lam: float) -> dict[str, np.ndarray]:
@@ -172,7 +166,8 @@ def plan(
     grouping = group_layers(base, config.grouping_pattern)
     if config.method == "simple_average":
         return grouping, None, None
-    conflict = checkpoint_conflict(base, tuned, grouping)
+    layer_flats = (layer_deltas(base, tuned, members) for _, members in grouping.groups)
+    conflict = score_layers(grouping.layer_ids, len(tuned), layer_flats)
     alloc_config = config.allocation
     if config.method in ("uniform_sparsity", "ties"):
         # identical trim level everywhere: collapse the box onto the target

@@ -2,8 +2,9 @@
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -67,16 +68,21 @@ def require_compatible(reference: TensorMap, other: TensorMap, what: str) -> Non
         raise ValidationError(f"{what} incompatible at {key!r}: {reason}")
 
 
-def _delta(name: str, base: np.ndarray, tuned: np.ndarray) -> np.ndarray:
-    """``tuned - base``, subtracted at 64-bit to keep cancellation noise out, stored at 32-bit.
-
-    An update beyond the 32-bit range raises :class:`ValidationError` naming the tensor.
-    """
+@contextmanager
+def stored_at_32_bits(what: str) -> Iterator[None]:
+    """Wrap 64-bit arithmetic and its cast to 32-bit: an overflow in either raises
+    :class:`ValidationError` naming ``what``, such as ``merged tensor 'x'``."""
     try:
         with np.errstate(over="raise"):
-            return (tuned.astype(np.float64) - base.astype(np.float64)).astype(np.float32)
+            yield
     except FloatingPointError:
-        raise ValidationError(f"update of tensor {name!r} overflows 32-bit precision") from None
+        raise ValidationError(f"{what} overflows 32-bit precision") from None
+
+
+def _delta(name: str, base: np.ndarray, tuned: np.ndarray) -> np.ndarray:
+    """``tuned - base``, subtracted at 64-bit to keep cancellation noise out, stored at 32-bit."""
+    with stored_at_32_bits(f"update of tensor {name!r}"):
+        return (tuned.astype(np.float64) - base.astype(np.float64)).astype(np.float32)
 
 
 def compute_task_vector(base: TensorMap, tuned: TensorMap, label: str) -> TaskVector:

@@ -220,6 +220,9 @@ class TestAllocate:
             AllocationConfig(s_min=0.6, s_target=0.5, s_max=0.9)
         with pytest.raises(ValidationError, match="epsilon"):
             AllocationConfig(epsilon=0.0)
+        with pytest.raises(ValidationError, match="epsilon must be at least 1e-15"):
+            AllocationConfig(epsilon=1e-16)
+        AllocationConfig(epsilon=1e-15)
         with pytest.raises(ValidationError, match="positive integer"):
             AllocationConfig(max_iterations=0)
         with pytest.raises(ValidationError, match="non-negative"):
@@ -254,3 +257,24 @@ def test_projection_budget_and_box_property(instance):
     if converged:
         assert abs(float(np.mean(s)) - target) < 1e-6
     assert converged
+
+
+@st.composite
+def wide_projection_instances(draw):
+    n = draw(st.integers(min_value=1, max_value=2000))
+    s_min = draw(st.floats(min_value=0.0, max_value=0.4))
+    s_max = draw(st.floats(min_value=0.5, max_value=1.0))
+    target = draw(st.floats(min_value=s_min, max_value=s_max))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    skew = draw(st.sampled_from([0.1, 1.0, 10.0]))  # levels bunched high, spread, bunched low
+    s0 = np.clip(s_min + (s_max - s_min) * rng.random(n) ** skew, s_min, s_max)
+    return s0, target, s_min, s_max
+
+
+@settings(max_examples=100, deadline=None)
+@given(wide_projection_instances())
+def test_projection_converges_at_the_epsilon_floor(instance):
+    s0, target, s_min, s_max = instance
+    s, _, converged = project_to_budget(s0, target, s_min, s_max, 1e-15, 100)
+    assert converged
+    assert abs(float(np.mean(s)) - target) < 1e-15

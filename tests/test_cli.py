@@ -357,6 +357,12 @@ def test_unparsable_header_names_the_archive(tmp_path, synth_dir, capsys, comman
     assert capsys.readouterr().err.startswith(f"error: {bad}: malformed header: ")
 
 
+def test_epsilon_below_the_floor_exits_2(tmp_path, synth_dir, capsys):
+    assert run(["merge", "--config", str(_config(tmp_path, synth_dir, epsilon=1e-16))]) == 2
+    assert "epsilon must be at least 1e-15" in capsys.readouterr().err
+    assert not (tmp_path / "merged.safetensors").exists()
+
+
 def test_nonconvergence_exits_3(tmp_path, synth_dir, capsys):
     cfg = _config(
         tmp_path, synth_dir,
@@ -422,6 +428,18 @@ def test_analyze_single_task_zero_conflict(tmp_path, synth_dir):
     assert run(["analyze", "--base", base, "--tuned", tuned, "--out", str(out)]) == 0
     for row in json.loads(out.read_text())["layers"]:
         assert row["c"] == 0.0
+
+
+def test_analyze_groups_a_capture_beyond_the_int_digit_limit(tmp_path):
+    huge = "1" * 5000  # more digits than int() converts
+    tensors = {f"m.layers.{huge}.w": np.ones(4, np.float32), "m.layers.2.w": np.ones(4, np.float32)}
+    write_archive(tensors, tmp_path / "base.st")
+    write_archive({k: 2 * v for k, v in tensors.items()}, tmp_path / "t.st")
+    out = tmp_path / "a.json"
+    argv = ["analyze", "--base", str(tmp_path / "base.st"), "--tuned", str(tmp_path / "t.st")]
+    assert run([*argv, "--out", str(out)]) == 0
+    ids = [row["layer_id"] for row in json.loads(out.read_text())["layers"]]
+    assert ids == ["layer.2", f"layer.{huge}"]
 
 
 def test_diff_writes_task_vector(tmp_path, synth_dir):

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from malsmerge import (
+    MergeConfig,
     ValidationError,
     flatten_group,
     group_layers,
@@ -13,7 +14,8 @@ from malsmerge import (
     sign_disagreement,
     synthesize_checkpoints,
 )
-from malsmerge.conflict import checkpoint_conflict, layer_conflict
+from malsmerge.conflict import layer_conflict
+from malsmerge.merging import plan
 from malsmerge.task_vectors import TaskVector, compute_task_vector
 from oracles import pearson_abs_oracle, sign_disagreement_oracle
 
@@ -137,7 +139,9 @@ def _checkpoint_conflict(tvs, grouping):
     """merge()'s pass 1 on tuned = deltas over an all-zero base: for F32, ``x - 0.0`` is ``x``
     and ``-0.0 - 0.0`` is ``-0.0``, so it scores the same bytes as :func:`layer_conflict`."""
     base = {name: np.zeros_like(delta) for name, delta in tvs[0].deltas.items()}
-    return checkpoint_conflict(base, [tv.deltas for tv in tvs], grouping)
+    planned, conflict, _ = plan(base, [tv.deltas for tv in tvs], MergeConfig())
+    assert planned == grouping
+    return conflict
 
 
 # each property runs on the whole-model scorer and on merge()'s per-layer pass 1

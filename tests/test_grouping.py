@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from malsmerge import ValidationError, flatten_group, group_layers, unflatten_group
+from malsmerge.grouping import _group_sort_key
 
 
 def test_default_pattern_groups_layer_indices():
@@ -37,6 +38,21 @@ def test_non_decimal_digit_capture_sorts_lexicographically():
     # "²".isdigit() holds, yet int("²") raises
     grouping = group_layers(["m.layers.².w", "m.layers.1.w"], pattern=r"layers\.(\w+)\.")
     assert grouping.layer_ids == ["layer.1", "layer.²"]
+
+
+def test_capture_beyond_the_int_digit_limit_sorts_by_value():
+    # int() refuses strings of more than 4,300 digits
+    huge = "1" * 5000
+    grouping = group_layers([f"m.layers.{huge}.w", "m.layers.2.w"])
+    assert grouping.layer_ids == ["layer.2", f"layer.{huge}"]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.text(alphabet=st.sampled_from("0123456789٣٠۷१߀"), min_size=1, max_size=50),
+                min_size=1, max_size=8))
+def test_decimal_captures_sort_as_int_does(captures):
+    # leading zeros and non-ASCII decimal digits included
+    assert sorted(captures, key=_group_sort_key) == sorted(captures, key=lambda c: (int(c), c))
 
 
 def test_non_numeric_captures_sort_lexicographically():

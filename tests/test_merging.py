@@ -325,6 +325,22 @@ class TestMerge:
             else:
                 merge(base, tuned, MergeConfig(method=method, lam=lam))
 
+    @pytest.mark.parametrize(
+        "base_value, tuned_value, config, what",
+        [
+            (-1e308, 1e308, MergeConfig(), "update of"),
+            (0.0, 3e38, MergeConfig(method="simple_average", lam=1e300), "merged"),
+        ],
+        ids=["update", "compose"],
+    )
+    def test_64_bit_overflow_names_tensor(self, base_value, tuned_value, config, what):
+        # float64 inputs: the 64-bit subtract or compose overflows before any cast
+        name = "m.layers.0.w"
+        base = {name: np.full(3, base_value)}
+        tuned = [{name: np.full(3, tuned_value)}]
+        with pytest.raises(ValidationError, match=rf"{what} tensor '{re.escape(name)}' overflows"):
+            merge(base, tuned, config)
+
     @pytest.mark.parametrize("method", METHODS)
     def test_invalid_grouping_pattern_rejected_for_every_method(self, method):
         base, tuned = _checkpoints(seed=3)
