@@ -24,6 +24,13 @@ def config_key(f: Field) -> str:
     return f.metadata.get("key", f.name)
 
 
+def wrong_type(key: str, expected: type, value: object) -> ValidationError:
+    """The error for a config key that holds a value of the wrong type."""
+    return ValidationError(
+        f"config key {key!r} has wrong type: expected {expected.__name__}, got {type(value).__name__}"
+    )
+
+
 def coerce_field_types(config: object) -> None:
     """Store each field of a frozen config dataclass that has a float, int, bool or str
     default as that type, or raise naming its key. A float field takes any real and an int
@@ -37,10 +44,7 @@ def coerce_field_types(config: object) -> None:
         if not isinstance(value, _ACCEPTS.get(kind, kind)) or (
             isinstance(value, bool) and kind is not bool
         ):
-            raise ValidationError(
-                f"config key {config_key(f)!r} has wrong type: "
-                f"expected {kind.__name__}, got {type(value).__name__}"
-            )
+            raise wrong_type(config_key(f), kind, value)
         try:
             object.__setattr__(config, f.name, kind(value) if kind in _ACCEPTS else value)
         except OverflowError:
@@ -149,8 +153,8 @@ def project_to_budget(
     s_target: float,
     s_min: float,
     s_max: float,
-    epsilon: float = 1e-6,
-    max_iterations: int = 100,
+    epsilon: float = AllocationConfig.epsilon,
+    max_iterations: int = AllocationConfig.max_iterations,
 ) -> tuple[np.ndarray, int, bool]:
     """Project per-layer sparsities onto the mean budget within the box.
 

@@ -17,6 +17,7 @@ import math
 import os
 import secrets
 import struct
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 from typing import BinaryIO, Iterable, Mapping
@@ -28,6 +29,7 @@ from .errors import ArchiveError
 TensorMap = dict[str, np.ndarray]
 
 _DTYPES = {"F32": np.dtype("<f4"), "F16": np.dtype("<f2")}
+_MAX_DIMS = 32  # numpy 1.x's limit; numpy 2 allows 64
 
 
 @dataclass(frozen=True)
@@ -58,8 +60,11 @@ def _validate_entry(name: str, entry: object, payload_size: int) -> tuple[str, t
     if not isinstance(dtype, str) or dtype not in _DTYPES:  # a list or object is unhashable
         raise ArchiveError(f"unsupported dtype {dtype!r} for tensor {name!r}")
     shape = entry["shape"]
-    # type() rather than isinstance(): a JSON true is a bool, which isinstance counts as an int
-    if not isinstance(shape, list) or any(type(d) is not int or d < 0 for d in shape):
+    # type() rather than isinstance(): a JSON true is a bool, which isinstance counts as an int;
+    # numpy refuses more dims than its limit, or nonzero dims whose F32 bytes pass sys.maxsize
+    if not isinstance(shape, list) or any(type(d) is not int or d < 0 for d in shape) or (
+        len(shape) > _MAX_DIMS or math.prod(d for d in shape if d) * 4 > sys.maxsize
+    ):
         raise ArchiveError(f"malformed header: bad shape for {name!r}")
     offsets = entry["data_offsets"]
     if (
@@ -220,6 +225,8 @@ def write_archive(
             raise ArchiveError(f"unencodable tensor name {name!r}: {exc}") from exc
         with np.errstate(over="ignore"):  # an overflow is reported just below
             arr = np.asarray(tensors[name], dtype="<f4", order="C")
+        if arr.ndim > _MAX_DIMS:
+            raise ArchiveError(f"tensor {name!r} has {arr.ndim} dims, more than {_MAX_DIMS}")
         if not np.all(np.isfinite(arr)):
             raise ArchiveError(f"non-finite value in tensor {name!r} at 32-bit precision")
         header[name] = {

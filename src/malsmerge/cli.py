@@ -10,10 +10,10 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 
-from .allocation import AllocationConfig, config_key
+from .allocation import AllocationConfig, coerce_field_types, config_key, wrong_type
 from .archive import archive_info, read_archive, write_archive
 from .diagnostics import REPORT_FORMATS, LayerDiagnostics
 from .errors import ArchiveError, ConvergenceError, ValidationError
@@ -27,29 +27,36 @@ EXIT_USAGE = 1
 EXIT_VALIDATION = 2
 EXIT_NUMERICAL = 3
 
-_RUN_KEYS = ("base_path", "tuned_paths", "output_path", "report_path", "report_format")
-_CONFIG_KEYS = {*_RUN_KEYS, *config_fields(MergeConfig())}
+
+def _expect(value: object, kind: type, key: str) -> object:
+    if not isinstance(value, kind):
+        raise wrong_type(key, kind, value)
+    return value
 
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Validated contents of a merge config file."""
+    """Validated contents of a merge config file. Every field but ``merge_config``, whose
+    keys sit beside them in the file, is a config key, required if it has no default."""
 
     base_path: str
     tuned_paths: tuple[tuple[str, str], ...]
     output_path: str
-    merge_config: MergeConfig
+    merge_config: MergeConfig = field(default_factory=MergeConfig)
     report_path: str | None = None
     report_format: str = "json"
 
+    def __post_init__(self) -> None:
+        _expect(self.base_path, str, "base_path")
+        _expect(self.output_path, str, "output_path")
+        if self.report_path is not None:
+            _expect(self.report_path, str, "report_path")
+        coerce_field_types(self)
+        if self.report_format not in REPORT_FORMATS:
+            raise ValidationError(f"report_format must be one of {REPORT_FORMATS}")
 
-def _expect(value: object, kind: type, key: str) -> object:
-    if not isinstance(value, kind):
-        raise ValidationError(
-            f"config key {key!r} has wrong type: expected {kind.__name__}, "
-            f"got {type(value).__name__}"
-        )
-    return value
+
+_CONFIG_KEYS = {*(f.name for f in fields(RunConfig)), *config_fields(MergeConfig())} - {"merge_config"}
 
 
 def _parse_tuned_paths(raw: object) -> tuple[tuple[str, str], ...]:
@@ -77,9 +84,16 @@ def _fields_in(raw: dict, config_class: type) -> dict:
     return {f.name: raw[config_key(f)] for f in fields(config_class) if config_key(f) in raw}
 
 
+def _resolve(path: str) -> Path:
+    try:
+        return Path(path).resolve()
+    except (OSError, RuntimeError) as exc:  # Python 3.10-3.12 raise RuntimeError on a symlink loop
+        raise ValidationError(f"cannot resolve path {path!r}: {exc}") from exc
+
+
 def _refuse_overwriting_inputs(inputs: list[str], outputs: dict[str, str | None]) -> None:
-    """Reject an output path that is a directory or lies in a missing one, or
-    that resolves to an input or an earlier output."""
+    """Reject an output path that is a directory or lies in a missing one, that
+    resolves to an input or an earlier output, or any path that cannot be resolved."""
     taken = list(inputs)
     for key, target in outputs.items():
         if target is None:
@@ -89,8 +103,9 @@ def _refuse_overwriting_inputs(inputs: list[str], outputs: dict[str, str | None]
             raise ValidationError(f"{key} {target!r}: directory {str(parent)!r} does not exist")
         if Path(target).is_dir():
             raise ValidationError(f"{key} {target!r} is a directory")
+        resolved = _resolve(target)
         for path in taken:
-            if Path(path).resolve() == Path(target).resolve():
+            if _resolve(path) == resolved:
                 raise ValidationError(f"{key} {target!r} collides with {path!r}")
         taken.append(target)
 
@@ -106,36 +121,20 @@ def load_run_config(path: str | Path) -> RunConfig:
     unknown = set(raw) - _CONFIG_KEYS
     if unknown:
         raise ValidationError(f"unknown config keys: {sorted(unknown)}")
-    for key in ("base_path", "tuned_paths", "output_path"):
-        if key not in raw:
-            raise ValidationError(f"config is missing required key {key!r}")
-
-    base_path = _expect(raw["base_path"], str, "base_path")
-    tuned_paths = _parse_tuned_paths(raw["tuned_paths"])
-    output_path = _expect(raw["output_path"], str, "output_path")
-    report_path = raw.get("report_path")
-    if report_path is not None:
-        _expect(report_path, str, "report_path")
-    _refuse_overwriting_inputs(
-        [str(path), base_path, *(p for p, _ in tuned_paths)],
-        {"output_path": output_path, "report_path": report_path},
-    )
+    for f in fields(RunConfig):
+        if f.default is MISSING and f.default_factory is MISSING and f.name not in raw:
+            raise ValidationError(f"config is missing required key {f.name!r}")
 
     # absent keys take the dataclass defaults; the dataclasses check each key's type
     allocation = AllocationConfig(**_fields_in(raw, AllocationConfig))
     merge_config = MergeConfig(**_fields_in(raw, MergeConfig), allocation=allocation)
-
-    report_format = _expect(raw.get("report_format", "json"), str, "report_format")
-    if report_format not in REPORT_FORMATS:
-        raise ValidationError(f"report_format must be one of {REPORT_FORMATS}")
-    return RunConfig(
-        base_path=base_path,
-        tuned_paths=tuned_paths,
-        output_path=output_path,
-        merge_config=merge_config,
-        report_path=report_path,
-        report_format=report_format,
+    run_keys = {**_fields_in(raw, RunConfig), "tuned_paths": _parse_tuned_paths(raw["tuned_paths"])}
+    cfg = RunConfig(**run_keys, merge_config=merge_config)
+    _refuse_overwriting_inputs(
+        [str(path), cfg.base_path, *(p for p, _ in cfg.tuned_paths)],
+        {"output_path": cfg.output_path, "report_path": cfg.report_path},
     )
+    return cfg
 
 
 def _cmd_merge(args: argparse.Namespace) -> int:

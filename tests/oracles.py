@@ -98,3 +98,32 @@ def disjoint_merge_oracle(rows, signs=None) -> list[float]:
             kept = [v for v in values if (s > 0 and v > 0) or (s < 0 and v < 0)]
         out.append(_task_order_total(kept) / max(len(kept), 1))
     return out
+
+
+def project_to_budget_oracle(s0, s_target, s_min, s_max) -> list[float]:
+    """Euclidean projection of ``s0`` onto {mean = s_target, s_min <= s <= s_max}.
+
+    The projection is clip(s0 + t) for the shift t at which the mean is
+    s_target. The mean is nondecreasing in t and linear between consecutive
+    breakpoints s_min - x and s_max - x, so a bisection over the sorted
+    breakpoints finds the segment holding t, and one interpolation finds t.
+    """
+    s0 = [float(x) for x in s0]
+    n = len(s0)
+
+    def mean_at(t):
+        return math.fsum(min(max(x + t, s_min), s_max) for x in s0) / n
+
+    breaks = sorted({b for x in s0 for b in (s_min - x, s_max - x)})
+    lo, hi = 0, len(breaks) - 1  # every layer at s_min at breaks[0], at s_max at breaks[-1]
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if mean_at(breaks[mid]) <= s_target:
+            lo = mid
+        else:
+            hi = mid
+    m_lo, m_hi = mean_at(breaks[lo]), mean_at(breaks[hi])
+    t = breaks[lo]
+    if m_hi > m_lo:
+        t += (s_target - m_lo) * (breaks[hi] - breaks[lo]) / (m_hi - m_lo)
+    return [min(max(x + t, s_min), s_max) for x in s0]

@@ -18,7 +18,7 @@ from malsmerge import (
     project_to_budget,
     softmax_weights,
 )
-from oracles import min_max_oracle
+from oracles import min_max_oracle, project_to_budget_oracle
 
 
 def _report(c, m):
@@ -278,3 +278,54 @@ def test_projection_converges_at_the_epsilon_floor(instance):
     s, _, converged = project_to_budget(s0, target, s_min, s_max, 1e-15, 100)
     assert converged
     assert abs(float(np.mean(s)) - target) < 1e-15
+
+
+@st.composite
+def budgeted_projection_instances(draw):
+    s0, target, s_min, s_max = draw(st.one_of(projection_instances(), wide_projection_instances()))
+    epsilon = draw(st.sampled_from([1e-3, AllocationConfig.epsilon, 1e-9]))
+    return s0, target, s_min, s_max, epsilon
+
+
+def _shift_rounding(iterations: int) -> float:
+    """How far the shifts of two free layers can drift apart in float64: each
+    iteration shifts a free layer twice, each sum (below 2) rounds by at most
+    2**-53, and reading the shift back as s - s0 rounds once more."""
+    return 2 * (2 * iterations + 1) * 2**-53
+
+
+@settings(max_examples=200, deadline=None)
+@given(budgeted_projection_instances())
+def test_projection_is_one_clipped_shift(instance):
+    s0, target, s_min, s_max, epsilon = instance
+    s, iterations, converged = project_to_budget(s0, target, s_min, s_max, epsilon)
+    assert converged
+    shift = s - s0
+    inside = (s > s_min) & (s < s_max)
+    # s = clip(s0 + tau) for every tau with lowest <= tau <= highest
+    lowest = max([*shift[inside], *(s_max - s0[s == s_max])], default=-math.inf)
+    highest = min([*shift[inside], *(s_min - s0[s == s_min])], default=math.inf)
+    assert lowest <= highest + _shift_rounding(iterations)
+
+
+@settings(max_examples=200, deadline=None)
+@given(budgeted_projection_instances())
+def test_projection_is_within_the_derived_bound_of_the_oracle(instance):
+    s0, target, s_min, s_max, epsilon = instance
+    s, iterations, converged = project_to_budget(s0, target, s_min, s_max, epsilon)
+    exact = np.array(project_to_budget_oracle(s0, target, s_min, s_max))
+    n = len(s0)
+    assert converged
+    assert np.all(exact >= s_min) and np.all(exact <= s_max)
+    assert abs(math.fsum(exact) / n - target) <= 8 * 2**-52
+    # Both are clip(s0 + shift), and clip is 1-Lipschitz in the shift, so no layer is
+    # further from the oracle than the shifts are apart. Between the two shifts every
+    # layer strictly inside the box in both results is unclipped, so the mean rises with
+    # slope at least k / n there, and the two means differ by less than epsilon plus
+    # rounding: n values in [0, 1] sum with an error below n * 2**-53.
+    k = int(np.count_nonzero((s > s_min) & (s < s_max) & (exact > s_min) & (exact < s_max)))
+    rounding = _shift_rounding(iterations)
+    if k == 0:
+        return
+    mean_gap = epsilon + n * 2**-53 + 8 * 2**-52 + rounding
+    assert np.max(np.abs(s - exact)) <= n * mean_gap / k + 2 * rounding

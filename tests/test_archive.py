@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import math
 import struct
 
 import numpy as np
@@ -142,6 +143,11 @@ def _archive(header: bytes, payload: bytes) -> bytes:
     return struct.pack("<Q", len(header)) + header + payload
 
 
+def _shape_header(shape: list[int], n_bytes: int, dtype: str = "F32") -> bytes:
+    entry = {"dtype": dtype, "shape": shape, "data_offsets": [0, n_bytes]}
+    return json.dumps({"a": entry}).encode()
+
+
 @pytest.mark.parametrize(
     "blob",
     [
@@ -163,9 +169,12 @@ def _archive(header: bytes, payload: bytes) -> bytes:
         _archive(b"[" * 100_000 + b"]" * 100_000, b""),
         _archive(b'{"a":{"dtype":"F32","shape":[1' + b"0" * 5000 + b'],"data_offsets":[0,4]}}',
                  b"\x00" * 4),
+        _archive(_shape_header([0, 2**63], 0), b""),
+        _archive(_shape_header([0, 2**62, 2**62], 0), b""),
+        _archive(_shape_header([1] * 70, 4), b"\x00" * 4),
     ],
     ids=["gap", "no-tensors", "overlap", "truncated", "bool-shape", "bool-offsets", "list-dtype",
-         "deep-nesting", "huge-int"],
+         "deep-nesting", "huge-int", "dim-past-maxsize", "dims-product-past-maxsize", "70-dims"],
 )
 def test_info_and_read_reject_the_same_archives(tmp_path, blob):
     path = tmp_path / "bad.st"
@@ -174,6 +183,31 @@ def test_info_and_read_reject_the_same_archives(tmp_path, blob):
         archive_info(path)
     with pytest.raises(ArchiveError):
         read_archive(path)
+
+
+@pytest.mark.parametrize("dtype", ["F32", "F16"])
+@pytest.mark.parametrize(
+    "shape",
+    [[0, 2**61 - 1], [0, 2**30, 2**31 - 1], [1] * 32],
+    ids=["dim-at-the-limit", "product-at-the-limit", "32-dims"],
+)
+def test_shapes_at_the_limits_are_read(tmp_path, shape, dtype):
+    n_bytes = math.prod(shape) * {"F32": 4, "F16": 2}[dtype]
+    path = tmp_path / "edge.st"
+    path.write_bytes(_archive(_shape_header(shape, n_bytes, dtype), b"\x00" * n_bytes))
+    [info], _ = archive_info(path)
+    assert info.shape == tuple(shape)
+    assert read_archive(path)["a"].shape == tuple(shape)
+
+
+def test_more_than_32_dims_refused_on_write(tmp_path):
+    try:
+        arr = np.ones((1,) * 33, dtype=np.float32)
+    except ValueError:
+        pytest.skip("this numpy builds at most 32 dims")
+    with pytest.raises(ArchiveError, match="33 dims"):
+        write_archive({"a": arr}, tmp_path / "x.st")
+    assert not (tmp_path / "x.st").exists()
 
 
 def test_wrong_span_for_shape_rejected(tmp_path):

@@ -16,12 +16,13 @@ from malsmerge import (
     DEFAULT_GROUPING_PATTERN,
     AllocationConfig,
     MergeConfig,
+    ValidationError,
     read_archive,
     synthesize_checkpoints,
     write_archive,
     write_synthetic_set,
 )
-from malsmerge.cli import _CONFIG_KEYS, load_run_config, run
+from malsmerge.cli import _CONFIG_KEYS, RunConfig, load_run_config, run
 
 
 @pytest.fixture()
@@ -132,6 +133,20 @@ def test_non_finite_config_value_names_key(tmp_path, synth_dir, capsys, key, raw
         (lambda c: {**c, "tuned_paths": [{"label": "a"}]}, "tuned_paths[0] is missing 'path'"),
         (lambda c: {**c, "report_format": "xml"}, "report_format"),
         (lambda c: {k: v for k, v in c.items() if k != "output_path"}, "'output_path'"),
+        (lambda c: {k: v for k, v in c.items() if k != "base_path"},
+         "config is missing required key 'base_path'"),
+        (lambda c: {k: v for k, v in c.items() if k != "tuned_paths"},
+         "config is missing required key 'tuned_paths'"),
+        (lambda c: {**c, "base_path": 1},
+         "config key 'base_path' has wrong type: expected str, got int"),
+        (lambda c: {**c, "output_path": 1},
+         "config key 'output_path' has wrong type: expected str, got int"),
+        (lambda c: {**c, "report_path": 1},
+         "config key 'report_path' has wrong type: expected str, got int"),
+        (lambda c: {**c, "report_format": 1},
+         "config key 'report_format' has wrong type: expected str, got int"),
+        (lambda c: {**c, "tuned_paths": "a.safetensors"},
+         "config key 'tuned_paths' has wrong type: expected list, got str"),
         (lambda c: [c], "cfg.json"),
         (lambda c: json.dumps(c)[:-1], "cfg.json"),
         (lambda c: json.dumps(c)[:-1] + ', "alpha": ' + "[" * 100_000 + "]" * 100_000 + "}",
@@ -140,8 +155,10 @@ def test_non_finite_config_value_names_key(tmp_path, synth_dir, capsys, key, raw
     ],
     ids=["alpha-str", "alpha-bool", "max_iterations-float", "sign_election-int",
          "lambda-null", "tuned_paths-empty", "tuned_paths-str-entry", "tuned_paths-unknown-key",
-         "tuned_paths-no-path", "report_format-xml", "output_path-missing", "top-level-list",
-         "unparsable", "deep-nesting", "huge-int"],
+         "tuned_paths-no-path", "report_format-xml", "output_path-missing", "base_path-missing",
+         "tuned_paths-missing", "base_path-int", "output_path-int", "report_path-int",
+         "report_format-int", "tuned_paths-str", "top-level-list", "unparsable", "deep-nesting",
+         "huge-int"],
 )
 def test_config_type_and_shape_errors_name_the_key(tmp_path, synth_dir, capsys, edit, named):
     cfg = _config(tmp_path, synth_dir)
@@ -150,6 +167,38 @@ def test_config_type_and_shape_errors_name_the_key(tmp_path, synth_dir, capsys, 
     assert run(["merge", "--config", str(cfg)]) == 2
     assert named in capsys.readouterr().err
     assert not (tmp_path / "merged.safetensors").exists()
+
+
+def test_config_faults_are_reported_in_the_documented_order(tmp_path, synth_dir, capsys):
+    faults = {
+        "colour": ("red", "unknown config keys: ['colour']"),
+        "alpha": ("1", "config key 'alpha' has wrong type"),
+        "tuned_paths": ([], "tuned_paths must not be empty"),
+        "report_format": ("xml", "report_format must be one of"),
+        "report_path": (str(synth_dir / "base.safetensors"), "report_path '"),
+    }
+    while faults:
+        cfg = _config(tmp_path, synth_dir, **{key: value for key, (value, _) in faults.items()})
+        assert run(["merge", "--config", str(cfg)]) == 2
+        first = next(iter(faults))
+        assert faults.pop(first)[1] in capsys.readouterr().err
+    assert not (tmp_path / "merged.safetensors").exists()
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [("base_path", 1), ("output_path", None), ("report_path", 2.5), ("report_format", 1),
+     ("report_format", "xml")],
+    ids=["base_path-int", "output_path-null", "report_path-float", "report_format-int",
+         "report_format-xml"],
+)
+def test_run_config_checks_its_keys_as_the_file_loader_does(tmp_path, synth_dir, key, value):
+    with pytest.raises(ValidationError) as from_file:
+        load_run_config(_config(tmp_path, synth_dir, **{key: value}))
+    run_keys = {"base_path": "b", "tuned_paths": (("t", "t"),), "output_path": "o", key: value}
+    with pytest.raises(ValidationError) as direct:
+        RunConfig(**run_keys, merge_config=MergeConfig())
+    assert str(direct.value) == str(from_file.value)
 
 
 def test_shape_mismatch_names_tensor_and_exits_2(tmp_path, synth_dir, capsys):
@@ -334,6 +383,42 @@ def test_boolean_shape_in_base_names_the_archive(tmp_path, synth_dir, capsys):
     assert run(["analyze", "--base", str(bad), "--tuned", *tuned, "--out", str(out)]) == 2
     assert capsys.readouterr().err.startswith(f"error: {bad}: malformed header: bad shape")
     assert not out.exists()
+
+
+def _argv(tmp_path, synth_dir, command, base=None, out=None):
+    """``command`` over the synthetic set, with its base archive or output path replaced."""
+    base = base or str(synth_dir / "base.safetensors")
+    if command == "merge":
+        overrides = {"base_path": base} if out is None else {"base_path": base, "output_path": out}
+        return ["merge", "--config", str(_config(tmp_path, synth_dir, **overrides))]
+    tuned = [str(synth_dir / f"task_{i:02d}.safetensors") for i in range(3)]
+    tuned = tuned[:1] if command == "diff" else tuned
+    return [command, "--base", base, "--tuned", *tuned, "--out", out or str(tmp_path / "out")]
+
+
+@pytest.mark.parametrize("command", ["merge", "analyze", "diff"])
+def test_shape_numpy_cannot_build_names_the_archive(tmp_path, synth_dir, capsys, command):
+    header = json.dumps({"w": {"dtype": "F32", "shape": [0, 2**63], "data_offsets": [0, 0]}})
+    bad = tmp_path / "huge.safetensors"
+    bad.write_bytes(struct.pack("<Q", len(header)) + header.encode())
+    argv = _argv(tmp_path, synth_dir, command, base=str(bad))
+    files = sorted(tmp_path.rglob("*"))
+    assert run(argv) == 2
+    assert capsys.readouterr().err == f"error: {bad}: malformed header: bad shape for 'w'\n"
+    assert sorted(tmp_path.rglob("*")) == files
+
+
+@pytest.mark.parametrize("command, role", [("diff", "out"), ("analyze", "base"), ("merge", "base")])
+def test_symlink_loop_is_refused_naming_the_path(tmp_path, synth_dir, capsys, command, role):
+    loop = tmp_path / "loop"
+    loop.symlink_to(loop)
+    argv = _argv(tmp_path, synth_dir, command, **{role: str(loop)})
+    files = sorted(tmp_path.rglob("*"))
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot resolve path {str(loop)!r}: ")
+    assert "Traceback" not in err
+    assert sorted(tmp_path.rglob("*")) == files
 
 
 @pytest.mark.parametrize("command", ["info", "merge", "analyze", "diff"])
