@@ -17,6 +17,8 @@ from .conflict import ConflictReport
 from .errors import ValidationError
 
 _ACCEPTS = {float: numbers.Real, int: numbers.Integral, bool: bool, str: str}
+# a field's declared type, a string under postponed annotations, to the type it stores
+_KINDS = {"float": float, "int": int, "bool": bool, "str": str, "str | None": str}
 
 
 def config_key(f: Field) -> str:
@@ -32,23 +34,25 @@ def wrong_type(key: str, expected: type, value: object) -> ValidationError:
 
 
 def coerce_field_types(config: object) -> None:
-    """Store each field of a frozen config dataclass that has a float, int, bool or str
-    default as that type, or raise naming its key. A float field takes any real and an int
-    field any integer, neither a bool; an int beyond float range becomes ±inf. A field whose
-    default factory is a class must hold an instance of that class."""
+    """Store each field of a frozen config dataclass declared float, int, bool, str or
+    ``str | None`` (also ``None``) as that type, or raise naming its key. A float field takes
+    any real, an int field any integer, neither a bool; a float must be finite (an int beyond
+    float range reads as ±inf). A field whose default factory is a class holds an instance."""
     for f in fields(config):
-        kind = type(f.default) if type(f.default) in _ACCEPTS else f.default_factory
-        if not isinstance(kind, type):
+        kind, value = _KINDS.get(f.type, f.default_factory), getattr(config, f.name)
+        if not isinstance(kind, type) or (value is None and f.type == "str | None"):
             continue
-        value = getattr(config, f.name)
         if not isinstance(value, _ACCEPTS.get(kind, kind)) or (
             isinstance(value, bool) and kind is not bool
         ):
             raise wrong_type(config_key(f), kind, value)
         try:
-            object.__setattr__(config, f.name, kind(value) if kind in _ACCEPTS else value)
+            value = kind(value) if kind in _ACCEPTS else value
         except OverflowError:
-            object.__setattr__(config, f.name, np.inf if value > 0 else -np.inf)
+            value = np.inf if value > 0 else -np.inf
+        object.__setattr__(config, f.name, value)
+        if kind is float and not np.isfinite(value):
+            raise ValidationError(f"{config_key(f)} must be finite, got {value}")
 
 
 @dataclass(frozen=True)
@@ -75,9 +79,6 @@ class AllocationConfig:
                 f"bounds must satisfy 0 <= s_min <= s_target <= s_max <= 1, "
                 f"got s_min={self.s_min}, s_target={self.s_target}, s_max={self.s_max}"
             )
-        for name in ("alpha", "beta", "epsilon"):
-            if not np.isfinite(getattr(self, name)):
-                raise ValidationError(f"{name} must be finite, got {getattr(self, name)}")
         if not (self.alpha >= 0.0 and self.beta >= 0.0):
             raise ValidationError("alpha and beta must be non-negative")
         # below about one ulp of s_target the float64 mean cannot land within epsilon

@@ -47,11 +47,12 @@ class RunConfig:
     report_format: str = "json"
 
     def __post_init__(self) -> None:
-        _expect(self.base_path, str, "base_path")
-        _expect(self.output_path, str, "output_path")
-        if self.report_path is not None:
-            _expect(self.report_path, str, "report_path")
         coerce_field_types(self)
+        pairs = self.tuned_paths
+        if not (isinstance(pairs, tuple) and pairs and all(
+            isinstance(p, tuple) and len(p) == 2 and all(isinstance(s, str) for s in p) for p in pairs
+        )):
+            raise ValidationError("tuned_paths must be a non-empty tuple of (path, label) string pairs")
         if self.report_format not in REPORT_FORMATS:
             raise ValidationError(f"report_format must be one of {REPORT_FORMATS}")
 
@@ -160,14 +161,13 @@ def _cmd_merge(args: argparse.Namespace) -> int:
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
+    # merge's own pass 1 and allocation, as a default mals merge would run them
+    config = MergeConfig(grouping_pattern=args.pattern)
     _refuse_overwriting_inputs([args.base, *args.tuned], {"--out": args.out})
     base = read_archive(args.base)
     tuned = [read_archive(path) for path in args.tuned]
     labels = [Path(path).stem for path in args.tuned]
-    # merge's own pass 1 and allocation, as a default mals merge would run them
-    grouping, conflict, allocation = plan(
-        base, tuned, MergeConfig(grouping_pattern=args.pattern), labels=labels
-    )
+    grouping, conflict, allocation = plan(base, tuned, config, labels=labels)
     diag = LayerDiagnostics.from_results(conflict, allocation, "analyze")
     diag.write(args.out, args.format)
     print(f"analyzed {len(tuned)} checkpoints over {len(grouping)} layers -> {args.out}")

@@ -46,6 +46,19 @@ def _group_sort_key(capture: str) -> tuple[int, int, str, str]:
     return (1, 0, "", capture)
 
 
+def compile_grouping(pattern: str) -> re.Pattern[str]:
+    """Compile a grouping pattern, or raise unless it is valid with one capture group."""
+    try:
+        rx = re.compile(pattern)
+    except re.error as exc:
+        raise ValidationError(f"invalid grouping pattern: {exc}") from exc
+    if rx.groups != 1:
+        raise ValidationError(
+            f"grouping pattern must contain exactly one capture group, found {rx.groups}"
+        )
+    return rx
+
+
 def group_layers(
     tensors: Mapping[str, np.ndarray] | Sequence[str],
     pattern: str = DEFAULT_GROUPING_PATTERN,
@@ -55,15 +68,7 @@ def group_layers(
     A name whose match captures text ``X`` joins group ``layer.X``; all
     non-matching names join ``ungrouped``.
     """
-    try:
-        rx = re.compile(pattern)
-    except re.error as exc:
-        raise ValidationError(f"invalid grouping pattern: {exc}") from exc
-    if rx.groups != 1:
-        raise ValidationError(
-            f"grouping pattern must contain exactly one capture group, found {rx.groups}"
-        )
-
+    rx = compile_grouping(pattern)
     names = list(tensors.keys()) if isinstance(tensors, Mapping) else list(tensors)
     by_capture: dict[str, list[str]] = {}
     leftover: list[str] = []

@@ -20,7 +20,7 @@ import numpy as np
 from .allocation import AllocationConfig, AllocationResult, allocate, coerce_field_types, config_key
 from .conflict import ConflictReport, score_layers, task_order_sum
 from .errors import ConvergenceError, ValidationError
-from .grouping import DEFAULT_GROUPING_PATTERN, LayerGrouping, group_layers, unflatten_group
+from .grouping import DEFAULT_GROUPING_PATTERN, LayerGrouping, compile_grouping, group_layers, unflatten_group
 from .task_vectors import TaskVector, TensorMap, layer_deltas, require_compatible, stored_at_32_bits
 
 METHODS = ("mals", "simple_average", "uniform_sparsity", "ties")
@@ -38,8 +38,9 @@ class MergeConfig:
         coerce_field_types(self)
         if self.method not in METHODS:
             raise ValidationError(f"method must be one of {METHODS}, got {self.method!r}")
-        if not (math.isfinite(self.lam) and self.lam > 0):
-            raise ValidationError(f"lambda must be finite and positive, got {self.lam}")
+        if not self.lam > 0:
+            raise ValidationError(f"lambda must be positive, got {self.lam}")
+        compile_grouping(self.grouping_pattern)
 
 
 @dataclass

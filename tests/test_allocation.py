@@ -115,6 +115,11 @@ class TestInitialSparsity:
         with pytest.raises(ValidationError, match="exceeds"):
             initial_sparsity([0.5], 0.9, 0.1)
 
+    @pytest.mark.parametrize("w", [[-0.1, 1.1], [1.5]], ids=["negative", "above-one"])
+    def test_weights_outside_unit_interval_rejected(self, w):
+        with pytest.raises(ValidationError, match=r"weights must lie in \[0, 1\]"):
+            initial_sparsity(w, 0.1, 0.9)
+
 
 class TestProjectToBudget:
     def test_fixed_point_in_one_iteration(self):
@@ -151,8 +156,16 @@ class TestProjectToBudget:
         with pytest.raises(ValueError, match="finite"):
             project_to_budget(np.array([np.nan]), 0.5, 0.0, 1.0)
 
+    def test_empty_rejected(self):
+        with pytest.raises(ValueError, match="empty"):
+            project_to_budget(np.array([]), 0.5, 0.0, 1.0)
+
 
 class TestAllocate:
+    def test_no_layers_rejected(self):
+        with pytest.raises(ValidationError, match="at least one layer"):
+            allocate(_report([], []), AllocationConfig())
+
     def test_zero_weights_yield_target_everywhere(self):
         report = _report([0.9, 0.2, 0.4], [0.5, 0.1, 0.3])
         config = AllocationConfig(alpha=0.0, beta=0.0, s_target=0.45)

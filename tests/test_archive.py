@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import errno
 import json
 import math
 import struct
@@ -172,9 +173,18 @@ def _shape_header(shape: list[int], n_bytes: int, dtype: str = "F32") -> bytes:
         _archive(_shape_header([0, 2**63], 0), b""),
         _archive(_shape_header([0, 2**62, 2**62], 0), b""),
         _archive(_shape_header([1] * 70, 4), b"\x00" * 4),
+        _archive(b'{"":{"dtype":"F32","shape":[1],"data_offsets":[0,4]}}', b"\x00" * 4),
+        _archive(b'{"a":[0,4]}', b"\x00" * 4),
+        _archive(b'{"__metadata__":{"k":1},"a":{"dtype":"F32","shape":[1],"data_offsets":[0,4]}}',
+                 b"\x00" * 4),
+        golden_blob() + b"\x00" * 4,
+        b"\x00" * 2,
+        _archive(b"[]", b""),
     ],
     ids=["gap", "no-tensors", "overlap", "truncated", "bool-shape", "bool-offsets", "list-dtype",
-         "deep-nesting", "huge-int", "dim-past-maxsize", "dims-product-past-maxsize", "70-dims"],
+         "deep-nesting", "huge-int", "dim-past-maxsize", "dims-product-past-maxsize", "70-dims",
+         "empty-name", "entry-not-object", "non-string-metadata", "trailing-bytes",
+         "shorter-than-length-field", "top-level-array"],
 )
 def test_info_and_read_reject_the_same_archives(tmp_path, blob):
     path = tmp_path / "bad.st"
@@ -254,6 +264,29 @@ def test_overflow_at_32_bits_rejected_on_write(tmp_path):
 def test_empty_name_rejected_on_write(tmp_path):
     with pytest.raises(ArchiveError, match="non-empty"):
         write_archive({"": np.ones(1, np.float32)}, tmp_path / "x.st")
+
+
+@pytest.mark.parametrize(
+    "name, metadata, message",
+    [("a", {"k": 1}, "metadata must map strings to strings"),
+     ("\ud800", None, "unencodable tensor name")],
+    ids=["non-string-metadata", "lone-surrogate-name"],
+)
+def test_unwritable_header_rejected_on_write(tmp_path, name, metadata, message):
+    with pytest.raises(ArchiveError, match=message):
+        write_archive({name: np.ones(1, np.float32)}, tmp_path / "x.st", metadata=metadata)
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_write_error_without_a_filename_passes_through(tmp_path):
+    def chunks():
+        yield b"x"
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    with pytest.raises(OSError) as info:
+        write_atomic(tmp_path / "x.st", chunks())
+    assert info.value.errno == errno.ENOSPC and info.value.filename is None
+    assert list(tmp_path.iterdir()) == []
 
 
 names = st.text(

@@ -17,6 +17,7 @@ from malsmerge import (
     AllocationConfig,
     MergeConfig,
     ValidationError,
+    config_metadata,
     read_archive,
     synthesize_checkpoints,
     write_archive,
@@ -67,6 +68,15 @@ def test_merge_writes_method_metadata(tmp_path, synth_dir):
     _, metadata = archive_info(tmp_path / "merged.safetensors")
     assert metadata["method"] == "mals"
     assert "config_digest" in metadata
+
+
+def test_info_prints_the_metadata_of_a_merged_archive(tmp_path, synth_dir, capsys):
+    assert run(["merge", "--config", str(_config(tmp_path, synth_dir))]) == 0
+    capsys.readouterr()
+    assert run(["info", "--archive", str(tmp_path / "merged.safetensors")]) == 0
+    digest = config_metadata(MergeConfig())["config_digest"]
+    expected = f'metadata: {{"config_digest": "{digest}", "lambda": "1.0", "method": "mals"}}'
+    assert expected in capsys.readouterr().out.splitlines()
 
 
 def test_unknown_subcommand_is_usage_error(capsys):
@@ -199,6 +209,34 @@ def test_run_config_checks_its_keys_as_the_file_loader_does(tmp_path, synth_dir,
     with pytest.raises(ValidationError) as direct:
         RunConfig(**run_keys, merge_config=MergeConfig())
     assert str(direct.value) == str(from_file.value)
+
+
+@pytest.mark.parametrize(
+    "tuned_paths", ["x", (), (("a", 1),), (("a",),)], ids=["str", "empty", "int-label", "no-label"]
+)
+def test_run_config_built_in_code_checks_tuned_paths(tuned_paths):
+    with pytest.raises(ValidationError, match="tuned_paths must be a non-empty tuple"):
+        RunConfig(base_path="b", tuned_paths=tuned_paths, output_path="o")
+
+
+@pytest.mark.parametrize("command", ["merge", "analyze"])
+@pytest.mark.parametrize(
+    "pattern, message",
+    [("(", "invalid grouping pattern"), ("layers", "exactly one capture group, found 0")],
+    ids=["unparsable", "no-capture-group"],
+)
+def test_bad_grouping_pattern_is_named_before_any_archive_is_read(
+    tmp_path, synth_dir, capsys, command, pattern, message
+):
+    base = synth_dir / "base.safetensors"
+    base.write_bytes(base.read_bytes()[:2])
+    if command == "merge":
+        argv = ["merge", "--config", str(_config(tmp_path, synth_dir, grouping_pattern=pattern))]
+    else:
+        argv = [*_argv(tmp_path, synth_dir, command), "--pattern", pattern]
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert message in err and "8-byte length field" not in err
 
 
 def test_shape_mismatch_names_tensor_and_exits_2(tmp_path, synth_dir, capsys):

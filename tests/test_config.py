@@ -1,9 +1,13 @@
 from __future__ import annotations
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
 from malsmerge import AllocationConfig, MergeConfig, ValidationError, config_metadata
+from malsmerge.allocation import config_key
+from malsmerge.cli import RunConfig
 from malsmerge.merging import config_fields
 
 
@@ -30,6 +34,26 @@ from malsmerge.merging import config_fields
 def test_wrongly_typed_field_names_its_config_key(build, key):
     with pytest.raises(ValidationError, match=f"config key '{key}' has wrong type"):
         build()
+
+
+# tuned_paths holds pairs, which RunConfig checks on its own
+_TYPED_FIELDS = [
+    (config_class, f) for config_class in (AllocationConfig, MergeConfig, RunConfig)
+    for f in fields(config_class) if f.name != "tuned_paths"
+]
+
+
+@pytest.mark.parametrize(
+    "config_class, f", _TYPED_FIELDS, ids=[f"{c.__name__}.{f.name}" for c, f in _TYPED_FIELDS]
+)
+def test_type_rule_checks_every_field(config_class, f):
+    # a list is no value of any declared field type: a field the rule skips fails here
+    required = (
+        {"base_path": "b", "tuned_paths": (("t", "t"),), "output_path": "o"}
+        if config_class is RunConfig else {}
+    )
+    with pytest.raises(ValidationError, match=f"config key '{config_key(f)}' has wrong type"):
+        config_class(**{**required, f.name: []})
 
 
 @pytest.mark.parametrize(

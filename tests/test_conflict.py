@@ -47,6 +47,10 @@ class TestPearsonAbs:
         with pytest.raises(ValueError, match="at least one"):
             pearson_abs(np.array([]), np.array([]))
 
+    def test_non_flat_rejected(self):
+        with pytest.raises(ValueError, match="flat vectors"):
+            pearson_abs(np.ones((2, 2)), np.ones((2, 2)))
+
 
 class TestSignDisagreement:
     def test_total_disagreement(self):
@@ -214,6 +218,11 @@ class TestLayerConflict(_ConflictCases):
         bad = TaskVector(label="bad", deltas={"other": np.ones(1, np.float32)})
         with pytest.raises(ValidationError, match="name set"):
             layer_conflict([bad], grouping)
+
+    def test_no_task_vectors_rejected(self):
+        _, grouping = _two_layer_vectors(([1.0], [2.0]))
+        with pytest.raises(ValidationError, match="at least one task vector"):
+            layer_conflict([], grouping)
 
 
 class TestCheckpointConflict(_ConflictCases):

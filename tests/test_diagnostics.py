@@ -14,6 +14,7 @@ from malsmerge import (
     ConflictReport,
     LayerDiagnostics,
     MergeConfig,
+    ValidationError,
     allocate,
     synthesize_checkpoints,
     write_archive,
@@ -43,6 +44,23 @@ def test_row_count_and_globals():
     assert diag.method == "mals"
     assert diag.iterations == allocation.iterations
     assert diag.converged == allocation.converged
+
+
+def test_mismatched_layers_rejected():
+    _, four_layers = _diag(layers=4)
+    report = ConflictReport(
+        layer_ids=("layer.0",), conflict=np.zeros(1), importance=np.zeros(1),
+        task_pairs=(), rho_abs=np.zeros((0, 1)), sign_disagreement=np.zeros((0, 1)),
+    )
+    with pytest.raises(ValidationError, match="cover different layers"):
+        LayerDiagnostics.from_results(report, four_layers, "mals")
+
+
+def test_unknown_report_format_rejected(tmp_path):
+    diag, _ = _diag()
+    with pytest.raises(ValidationError, match="report format must be one of"):
+        diag.write(tmp_path / "r.xml", "xml")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_mean_sparsity_matches_allocator():

@@ -114,6 +114,11 @@ def test_unflatten_reverses_flatten():
         np.testing.assert_array_equal(out[name], tensors[name])
 
 
+def test_unflatten_length_mismatch_rejected():
+    with pytest.raises(ValidationError, match="holds 3 values, member shapes demand 2"):
+        unflatten_group(np.zeros(3), {"a": (2,)}, ["a"])
+
+
 name_lists = st.lists(
     st.text(alphabet=st.sampled_from("abclayers.0123456789"), min_size=1, max_size=16),
     min_size=1,

@@ -48,6 +48,10 @@ class TestSparsifyTopFraction:
         with pytest.raises(ValueError, match=r"\[0, 1\]"):
             sparsify_top_fraction(np.ones(2), 1.5)
 
+    def test_non_flat_rejected(self):
+        with pytest.raises(ValueError, match="flat vector"):
+            sparsify_top_fraction(np.ones((2, 2)), 0.5)
+
     def test_oracle_battery(self):
         rng = np.random.default_rng(42)
         for _ in range(200):
@@ -88,6 +92,10 @@ class TestElectSigns:
     def test_length_mismatch(self):
         with pytest.raises(ValueError, match="length"):
             elect_signs([np.ones(2), np.ones(3)])
+
+    def test_no_vectors_rejected(self):
+        with pytest.raises(ValueError, match="at least one vector"):
+            elect_signs([])
 
 
 class TestDisjointMerge:
@@ -190,6 +198,10 @@ class TestSimpleAverage:
         t1 = TaskVector("a", {"w": np.array([1.0, 3.0], dtype=np.float32)})
         t2 = TaskVector("b", {"w": np.array([3.0, 1.0], dtype=np.float32)})
         np.testing.assert_array_equal(simple_average([t1, t2]).deltas["w"], [2.0, 2.0])
+
+    def test_no_task_vectors_rejected(self):
+        with pytest.raises(ValidationError, match="at least one task vector"):
+            simple_average([])
 
 
 def _checkpoints(seed=0, tasks=3, layers=3, per_layer=24):
@@ -344,9 +356,8 @@ class TestMerge:
     @pytest.mark.parametrize("method", METHODS)
     def test_invalid_grouping_pattern_rejected_for_every_method(self, method):
         base, tuned = _checkpoints(seed=3)
-        config = MergeConfig(method=method, grouping_pattern=r"layers\.\d+")
         with pytest.raises(ValidationError, match="exactly one capture group"):
-            merge(base, tuned, config)
+            merge(base, tuned, MergeConfig(method=method, grouping_pattern=r"layers\.\d+"))
 
     def test_conflict_equals_layer_conflict_of_task_vectors(self):
         base, tuned = _checkpoints(seed=9, tasks=4)

@@ -73,6 +73,11 @@ def test_invalid_counts_rejected():
         synthesize_checkpoints(0, 0, 10, 2, [])
 
 
+def test_negative_seed_rejected():
+    with pytest.raises(ValidationError, match="seed must be a non-negative integer"):
+        synthesize_checkpoints(-1, 1, 10, 2, [0.5])
+
+
 def test_profile_length_mismatch_rejected():
     with pytest.raises(ValidationError, match="profile"):
         synthesize_checkpoints(0, 2, 10, 2, [0.5])
