@@ -115,6 +115,8 @@ def min_max_normalize(values: np.ndarray) -> np.ndarray:
     lo, hi = float(np.min(v)), float(np.max(v))
     if hi == lo:
         return np.zeros_like(v)
+    if hi - lo == np.inf:  # the span overflows: halve every value, exactly but for subnormals
+        v, lo, hi = v / 2, lo / 2, hi / 2
     return (v - lo) / (hi - lo)
 
 

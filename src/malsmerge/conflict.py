@@ -42,23 +42,31 @@ def _check_pair(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return x, y
 
 
-def _center(x: np.ndarray) -> tuple[np.ndarray, float]:
-    """Float64 deviations from the mean and their sum of squares."""
+def _deviations(x: np.ndarray) -> tuple[np.ndarray, float]:
     # np.sum keeps the reduction order fixed regardless of thread count,
     # unlike BLAS-backed dot products.
     dx = x.astype(np.float64) - np.sum(x, dtype=np.float64) / len(x)
     return dx, float(np.sum(dx * dx))
 
 
+def _center(x: np.ndarray) -> tuple[np.ndarray, float]:
+    """Float64 deviations from the mean and their sum of squares. A nonzero sum
+    outside [2**-500, 2**500], which no float32 input reaches, is taken again
+    from ``x`` scaled exactly by a power of two to a peak in [0.5, 1): the scale
+    cancels in a correlation, and a product of two such sums stays normal."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        dx, var = _deviations(x)
+    if not 2.0**-500 <= var <= 2.0**500 and dx.any():
+        x = x.astype(np.float64)
+        dx, var = _deviations(np.ldexp(x, -np.frexp(np.max(np.abs(x)))[1]))
+    return dx, var
+
+
 def _pearson_centered(dx: np.ndarray, var_x: float, dy: np.ndarray, var_y: float) -> float:
     if var_x == 0.0 or var_y == 0.0:
         return 0.0
-    prod = var_x * var_y
-    if 0.0 < prod < np.inf:
-        den = np.sqrt(prod)  # sqrt(v*v) == v, so x == y lands exactly on 1
-    else:
-        den = np.sqrt(var_x) * np.sqrt(var_y)  # product under/overflowed
-    rho = np.sum(dx * dy) / den
+    # sqrt(v*v) == v, so x == y lands exactly on 1
+    rho = np.sum(dx * dy) / np.sqrt(var_x * var_y)
     return min(abs(float(rho)), 1.0)
 
 

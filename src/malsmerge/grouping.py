@@ -69,10 +69,9 @@ def group_layers(
     non-matching names join ``ungrouped``.
     """
     rx = compile_grouping(pattern)
-    names = list(tensors.keys()) if isinstance(tensors, Mapping) else list(tensors)
     by_capture: dict[str, list[str]] = {}
     leftover: list[str] = []
-    for name in names:
+    for name in tensors:
         m = rx.search(name)
         if m is not None and m.group(1) is not None:
             by_capture.setdefault(m.group(1), []).append(name)
@@ -105,6 +104,9 @@ def unflatten_group(
     members: Sequence[str],
 ) -> dict[str, np.ndarray]:
     """Reverse :func:`flatten_group`, slicing ``flat`` back into named tensors."""
+    missing = [name for name in members if name not in shapes]
+    if missing:
+        raise ValidationError(f"names missing from shape map: {sorted(missing)}")
     out: dict[str, np.ndarray] = {}
     offset = 0
     for name in sorted(members):

@@ -73,7 +73,7 @@ def synthesize_checkpoints(
                 _DELTA_SCALE * (np.sqrt(1.0 - mix) * own + np.sqrt(mix) * flip * shared)
             )
             # grid values stay exact under float32 addition
-            tuned_flat = (base_flat.astype(np.float64) + delta).astype(np.float32)
+            tuned_flat = base_flat + delta
             tuned[task].update(unflatten_group(tuned_flat, shapes, shapes))
         base.update(unflatten_group(base_flat, shapes, shapes))
     return base, tuned

@@ -9,7 +9,6 @@ from typing import Iterator, Mapping, Sequence
 import numpy as np
 
 from .errors import ValidationError
-from .grouping import flatten_group
 
 TensorMap = Mapping[str, np.ndarray]
 
@@ -95,13 +94,10 @@ def compute_task_vector(base: TensorMap, tuned: TensorMap, label: str) -> TaskVe
 def layer_deltas(
     base: TensorMap, tuned: Sequence[TensorMap], members: Sequence[str]
 ) -> list[np.ndarray]:
-    """Each checkpoint's update on one layer group, flattened as :func:`flatten_group` does.
-
-    Equals flattening :func:`compute_task_vector`'s deltas, without building
-    them for the rest of the model. Callers check compatibility first.
-    """
+    """Each checkpoint's update on one layer group, its members' deltas raveled and
+    concatenated in ``members`` order. Callers check compatibility first."""
     return [
-        flatten_group({name: _delta(name, base[name], t[name]) for name in members}, members)
+        np.concatenate([np.ravel(_delta(name, base[name], t[name])) for name in members])
         for t in tuned
     ]
 

@@ -32,6 +32,7 @@ from malsmerge import (
     write_synthetic_set,
 )
 from malsmerge.conflict import layer_conflict
+from malsmerge.merging import plan
 from malsmerge.task_vectors import TaskVector, compute_task_vector
 from oracles import (
     min_max_oracle,
@@ -156,9 +157,7 @@ def test_identity_merge(tmp_path):
 def test_conflict_ranking_behavior():
     profile = [0.9, 0.5, 0.1]
     base, tuned = synthesize_checkpoints(55, 3, 6000, 3, profile)
-    task_vectors = [compute_task_vector(base, t, f"t{i}") for i, t in enumerate(tuned)]
-    grouping = group_layers(base)
-    report = layer_conflict(task_vectors, grouping)
+    _, report, _ = plan(base, tuned, MergeConfig())
     c = report.conflict
     assert c[0] > c[1] > c[2], f"measured conflict {c} does not follow the profile"
 

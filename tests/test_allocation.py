@@ -46,6 +46,9 @@ class TestMinMaxNormalize:
         )
         np.testing.assert_array_equal(min_max_normalize([-2.0, 0.0, 6.0]), [0.0, 0.25, 1.0])
 
+    def test_span_beyond_float64_range(self):
+        np.testing.assert_array_equal(min_max_normalize([0.0, 1e308, -1e308]), [0.5, 1.0, 0.0])
+
     def test_empty_rejected(self):
         with pytest.raises(ValueError, match="empty"):
             min_max_normalize([])

@@ -35,6 +35,17 @@ class TestPearsonAbs:
         y = np.array([1.0, 2.0, 3.0, -4.0])
         assert pearson_abs(x, y) == pytest.approx(0.5813183589761798, abs=1e-12)
 
+    @pytest.mark.parametrize("scale", [1e160, 1e200, 1e-170])
+    def test_identical_at_the_edges_of_float64(self, scale):
+        # the sum of squares overflows, or underflows to 0, unless rescaled
+        x = scale * np.array([1.0, -2.0, 0.5, 3.0])
+        assert pearson_abs(x, x) == 1.0
+
+    def test_far_apart_scales(self):
+        # 1e160 * 3 rounds, so the pair is one rounding short of proportional
+        x = np.array([1.0, -2.0, 0.5, 3.0])
+        assert pearson_abs(1e160 * x, x) == pytest.approx(1.0, abs=1e-15)
+
     def test_zero_variance_returns_zero(self):
         assert pearson_abs(np.array([2.0, 2.0]), np.array([1.0, 3.0])) == 0.0
         assert pearson_abs(np.array([1.0]), np.array([5.0])) == 0.0
@@ -121,6 +132,21 @@ def test_scale_invariance_under_exact_scaling(values, scale):
     y = np.array(values[::-1])
     assert pearson_abs(scale * x, y) == pearson_abs(x, y)
     assert sign_disagreement(scale * x, scale * y) == sign_disagreement(x, y)
+
+
+# dyadic values whose scaled copies stay normal floats for any scale 2**±900
+dyadic_pairs = st.lists(
+    st.tuples(st.integers(-(2**20), 2**20), st.integers(-(2**20), 2**20)),
+    min_size=1,
+    max_size=32,
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(dyadic_pairs, st.integers(-900, 900), st.integers(-900, 900))
+def test_scale_invariance_across_the_float64_range(pairs, k, j):
+    x, y = (np.ldexp(np.array(column, dtype=np.float64), -10) for column in zip(*pairs))
+    assert pearson_abs(np.ldexp(x, k), np.ldexp(y, j)) == pearson_abs(x, y)
 
 
 def _two_layer_vectors(*flat_pairs):

@@ -119,6 +119,11 @@ def test_unflatten_length_mismatch_rejected():
         unflatten_group(np.zeros(3), {"a": (2,)}, ["a"])
 
 
+def test_unflatten_missing_member_rejected():
+    with pytest.raises(ValidationError, match=r"names missing from shape map: \['b'\]"):
+        unflatten_group(np.zeros(2, dtype=np.float32), {"a": (2,)}, ["a", "b"])
+
+
 name_lists = st.lists(
     st.text(alphabet=st.sampled_from("abclayers.0123456789"), min_size=1, max_size=16),
     min_size=1,

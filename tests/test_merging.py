@@ -224,24 +224,30 @@ def _checkpoints(seed=0, tasks=3, layers=3, per_layer=24):
 
 
 def _edge_checkpoints(seed, tasks=3):
-    """:func:`_checkpoints` plus an empty tensor inside a layer group and a second ungrouped one."""
+    """:func:`_checkpoints` plus an empty and a 0-d tensor inside a layer group,
+    and a second ungrouped tensor and a 0-d one."""
     base, tuned = _checkpoints(seed=seed, tasks=tasks)
     rng = np.random.default_rng(seed)
-    for name, shape in (("m.layers.1.empty", (0, 4)), ("head.b", (2, 3))):
-        base[name] = rng.normal(size=shape).astype(np.float32)
+    edges = (("m.layers.1.empty", (0, 4)), ("head.b", (2, 3)))
+    for name, shape in edges + (("m.layers.1.scale", ()), ("head.scale", ())):
+        base[name] = np.asarray(rng.normal(size=shape), dtype=np.float32)
         for t in tuned:
-            t[name] = (base[name] + rng.normal(size=shape)).astype(np.float32)
+            t[name] = np.asarray(base[name] + rng.normal(size=shape), dtype=np.float32)
     return base, tuned
 
 
 def _merged_delta(base, tuned, config):
     """The merged update ``merge`` scales by lambda and adds onto ``base``.
 
-    Merging the ``tuned - base`` deltas onto an all-zero base at lambda 1
-    scores, trims, elects and merges the same updates, and adds them to 0.
+    Merging the ``tuned - base`` deltas, subtracted at 64-bit and stored at
+    32-bit, onto an all-zero base at lambda 1 scores, trims, elects and merges
+    the same updates, and adds them to 0.
     """
     zero = {key: np.zeros_like(arr) for key, arr in base.items()}
-    deltas = [compute_task_vector(base, t, f"t{i}").deltas for i, t in enumerate(tuned)]
+    deltas = [
+        {key: np.asarray(t[key].astype(np.float64) - base[key], dtype=np.float32) for key in base}
+        for t in tuned
+    ]
     return merge(zero, deltas, replace(config, lam=1.0)).merged
 
 
@@ -312,6 +318,22 @@ class TestMerge:
         for key in base:
             assert out.merged[key].shape == expected[key].shape
             assert out.merged[key].tobytes() == expected[key].tobytes()
+
+    @pytest.mark.parametrize("election", [False, True])
+    @pytest.mark.parametrize("method", METHODS)
+    def test_0d_tensor_merges_as_its_one_element_vector(self, method, election):
+        base, tuned = _edge_checkpoints(seed=12)
+        config = MergeConfig(method=method, sign_election=election)
+
+        def as_vectors(m):
+            return {k: v.reshape(1) if v.ndim == 0 else v for k, v in m.items()}
+
+        out = merge(base, tuned, config).merged
+        want = merge(as_vectors(base), [as_vectors(t) for t in tuned], config).merged
+        assert out["m.layers.1.empty"].shape == (0, 4)
+        for key in base:
+            assert out[key].shape == base[key].shape
+            assert out[key].tobytes() == want[key].tobytes()
 
     @pytest.mark.parametrize(
         "method, compose",

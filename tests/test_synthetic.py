@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -11,8 +13,7 @@ from malsmerge import (
     synthesize_checkpoints,
     write_synthetic_set,
 )
-from malsmerge.conflict import layer_conflict
-from malsmerge.task_vectors import compute_task_vector
+from malsmerge.merging import plan
 
 
 def test_same_seed_same_checkpoints():
@@ -39,11 +40,23 @@ def test_same_seed_byte_identical_files(tmp_path):
         assert p1.read_bytes() == p2.read_bytes()
 
 
+def test_small_set_bytes_match_the_pins(tmp_path):
+    # sha256 of each file, pinned so that a change to synthesis shows here
+    # rather than as a mismatch of every merge pin built on synthetic inputs
+    paths = write_synthetic_set(tmp_path, 7, 3, 33, 3, [1.0, 0.4, 0.0])
+    files = [paths["base"], *paths["tasks"]]
+    got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in files}
+    assert got == {
+        "base.safetensors": "046ffb9d24587cd7c573eb916efb6eb9e43a185ede71ae2e1babd5c8d2e5c2fa",
+        "task_00.safetensors": "26f0a4ea5953854490181a59f639aab5a93b0965ecff387798f15e19b0831c00",
+        "task_01.safetensors": "e0b9ed88fc05a80018d539453000d4a6bae7be757bb7e8e383cb843b3fd5750e",
+        "task_02.safetensors": "f31e8b583bd0e9898324267bd6b0159585cde4d4806bba4a8b967504392cd266",
+    }
+
+
 def test_conflict_profile_orders_measured_conflict():
     base, tuned = synthesize_checkpoints(5, 2, 4000, 3, [0.9, 0.1])
-    task_vectors = [compute_task_vector(base, t, f"t{i}") for i, t in enumerate(tuned)]
-    grouping = group_layers(base)
-    report = layer_conflict(task_vectors, grouping)
+    _, report, _ = plan(base, tuned, MergeConfig())
     assert report.conflict[0] > report.conflict[1]
 
 
