@@ -4,10 +4,13 @@ Layout: an unsigned 64-bit little-endian header length N, then N bytes of
 JSON mapping tensor names to ``{"dtype", "shape", "data_offsets"}`` entries
 (offsets relative to the first payload byte), then the raw little-endian
 tensor payloads, contiguous and non-overlapping. A top-level
-``"__metadata__"`` string-to-string object is permitted and ignored on read.
+``"__metadata__"`` string-to-string object is permitted; a reader keeps it
+apart from the tensors.
 
-Archives are always written as F32; F16 inputs are widened to F32 on read so
-every downstream computation works over a single precision.
+Archives are always written as F32; F16 tensors are widened to F32 when they
+are read, so every downstream computation works over a single precision. A
+reader checks the header when it opens an archive and reads each tensor only
+when it is looked up.
 """
 
 from __future__ import annotations
@@ -18,15 +21,14 @@ import os
 import secrets
 import struct
 import sys
+import weakref
 from dataclasses import dataclass
 from pathlib import Path
-from typing import BinaryIO, Iterable, Mapping
+from typing import Iterable, Iterator, Mapping
 
 import numpy as np
 
 from .errors import ArchiveError
-
-TensorMap = dict[str, np.ndarray]
 
 _DTYPES = {"F32": np.dtype("<f4"), "F16": np.dtype("<f2")}
 _MAX_DIMS = 32  # numpy 1.x's limit; numpy 2 allows 64
@@ -108,25 +110,43 @@ def _check_contiguous(entries: list[tuple], payload_size: int) -> None:
         )
 
 
-def _read_header(f: BinaryIO) -> tuple[list[tuple], dict[str, str]]:
-    """Read and validate the header of ``f``, leaving ``f`` at the first payload byte.
+def _read_at(fd: int, buf: np.ndarray | bytearray, offset: int) -> int:
+    """Fill the flat byte buffer ``buf`` from ``fd`` at ``offset``, in place.
 
-    Returns ``(name, dtype, shape, begin, end)`` per tensor in header order and
-    the ``__metadata__`` mapping. The payload size comes from the file size.
+    Returns the bytes read, fewer than ``len(buf)`` only at end of file. Loops,
+    since one read returns at most 0x7ffff000 bytes on Linux.
     """
-    file_size = os.fstat(f.fileno()).st_size
+    view = memoryview(buf)
+    done = 0
+    while done < len(view):
+        n = os.preadv(fd, [view[done:]], offset + done)
+        if n == 0:
+            break
+        done += n
+    return done
+
+
+def _read_header(fd: int) -> tuple[list[tuple], dict[str, str], int]:
+    """Read and validate the header of the file open at ``fd``.
+
+    Returns ``(name, dtype, shape, begin, end)`` per tensor in header order,
+    the ``__metadata__`` mapping and the file offset of the first payload
+    byte. The payload size comes from the file size.
+    """
+    file_size = os.fstat(fd).st_size
     if file_size < 8:
         raise ArchiveError("malformed header: file shorter than the 8-byte length field")
-    (header_len,) = struct.unpack("<Q", f.read(8))
+    length = bytearray(8)
+    _read_at(fd, length, 0)
+    (header_len,) = struct.unpack("<Q", length)
     if 8 + header_len > file_size:
         raise ArchiveError(
             f"malformed header: header length {header_len} exceeds file size {file_size}"
         )
+    raw = bytearray(header_len)
+    _read_at(fd, raw, 8)
     try:
-        header = json.loads(
-            f.read(header_len).decode("utf-8"),
-            object_pairs_hook=_reject_duplicate_names,
-        )
+        header = json.loads(raw.decode("utf-8"), object_pairs_hook=_reject_duplicate_names)
     except (ValueError, RecursionError) as exc:  # bad UTF-8 or JSON, too deep, a huge int
         raise ArchiveError(f"malformed header: {exc}") from exc
     if not isinstance(header, dict):
@@ -144,51 +164,77 @@ def _read_header(f: BinaryIO) -> tuple[list[tuple], dict[str, str]]:
     _check_contiguous(entries, payload_size)
     if not entries:
         raise ArchiveError("archive holds no tensors")
-    return entries, metadata
+    return entries, metadata, 8 + header_len
 
 
-def read_archive(path: str | Path) -> TensorMap:
-    """Read a tensor archive into a name -> float32 ndarray mapping.
+class Archive(Mapping[str, np.ndarray]):
+    """A read-only name -> float32 ndarray mapping over an archive's validated header.
 
-    F16 tensors are widened to F32. Raises :class:`ArchiveError`, its message
-    starting with ``path``, on a malformed header, truncated payload,
-    unsupported dtype, duplicate name, or any non-finite value.
+    Each lookup reads that one tensor from the file into a fresh array, so a
+    caller holds only the tensors it keeps. The file stays open until the
+    mapping is dropped: every lookup reads the file whose header was validated,
+    even after its path is replaced.
     """
-    try:
-        # unbuffered: a buffered read would copy the whole payload once more
-        with open(path, "rb", buffering=0) as f:
-            entries, _ = _read_header(f)
-            payload = f.readall()
 
-        tensors: TensorMap = {}
-        for name, dtype, shape, begin, _ in entries:
-            arr = np.frombuffer(payload, _DTYPES[dtype], math.prod(shape), begin)
-            arr = arr.reshape(shape).astype(np.float32)
-            if not np.all(np.isfinite(arr)):
-                raise ArchiveError(f"non-finite value detected in tensor {name!r}")
-            tensors[name] = arr
-        return tensors
-    except ArchiveError as exc:
-        raise ArchiveError(f"{path}: {exc}") from exc
+    def __init__(self, path: str | Path) -> None:
+        self.path = str(path)
+        with open(path, "rb", buffering=0) as f:  # open() refuses a directory, naming it
+            self._fd = os.dup(f.fileno())
+        self._close = weakref.finalize(self, os.close, self._fd)
+        try:
+            entries, self.metadata, start = _read_header(self._fd)
+        except ArchiveError as exc:
+            self._close()
+            raise ArchiveError(f"{path}: {exc}") from exc
+        self.infos = {
+            name: TensorInfo(name=name, dtype=dtype, shape=shape, n_bytes=end - begin)
+            for name, dtype, shape, begin, end in entries
+        }
+        self._offsets = {name: start + begin for name, _, _, begin, _ in entries}
+
+    def __getitem__(self, name: str) -> np.ndarray:
+        info = self.infos[name]
+        stored = np.empty(info.shape, _DTYPES[info.dtype])
+        read = _read_at(self._fd, stored.reshape(-1).view(np.uint8), self._offsets[name])
+        if read < info.n_bytes:
+            raise ArchiveError(
+                f"{self.path}: truncated payload: {name!r} lacks {info.n_bytes - read} bytes"
+            )
+        tensor = stored.astype(np.float32, copy=False)  # F32 is read in place, F16 widened
+        if not np.all(np.isfinite(tensor)):
+            raise ArchiveError(f"{self.path}: non-finite value detected in tensor {name!r}")
+        return tensor
+
+    def __contains__(self, name: object) -> bool:
+        return name in self.infos  # Mapping's default would read the tensor
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self.infos)
+
+    def __len__(self) -> int:
+        return len(self.infos)
+
+
+def read_archive(path: str | Path) -> Archive:
+    """Open a tensor archive as a read-only name -> float32 ndarray mapping.
+
+    The header is checked here: a malformed header, truncated payload,
+    unsupported dtype or duplicate name raises :class:`ArchiveError`, its
+    message starting with ``path``. Each lookup reads one tensor, F16 widened
+    to F32, and raises the same way on a non-finite value or on a payload
+    the file no longer holds.
+    """
+    return Archive(path)
 
 
 def archive_info(path: str | Path) -> tuple[list[TensorInfo], dict[str, str]]:
     """Describe an archive's tensors and metadata from its header alone.
 
-    Applies every header check :func:`read_archive` applies, and names ``path``
-    in its errors the same way; the payload is not read, so its values are not
-    checked.
+    Applies every check :func:`read_archive` applies at open, naming ``path``
+    the same way; no payload is read, so its values are not checked.
     """
-    try:
-        with open(path, "rb") as f:
-            entries, metadata = _read_header(f)
-    except ArchiveError as exc:
-        raise ArchiveError(f"{path}: {exc}") from exc
-    infos = [
-        TensorInfo(name=name, dtype=dtype, shape=shape, n_bytes=end - begin)
-        for name, dtype, shape, begin, end in entries
-    ]
-    return sorted(infos, key=lambda t: t.name), metadata
+    archive = read_archive(path)
+    return sorted(archive.infos.values(), key=lambda t: t.name), archive.metadata
 
 
 def write_archive(

@@ -8,6 +8,7 @@ non-convergence).
 from __future__ import annotations
 
 import argparse
+import ctypes
 import json
 import sys
 from dataclasses import MISSING, dataclass, field, fields
@@ -263,7 +264,25 @@ def run(argv: list[str] | None = None) -> int:
         return EXIT_VALIDATION
 
 
+def _reuse_freed_memory() -> None:
+    """Have glibc keep freed memory for the next layer instead of returning it.
+
+    Each layer frees arrays that the next one allocates again. By default glibc
+    returns freed heap past twice the largest array freed so far, so every
+    layer's arrays are faulted in anew: `analyze` over 64 layers × 100k
+    entries × 8 tasks took 181k page faults, against 3k with these settings,
+    and 1.3-1.5 times as long. Kept pages were touched before, so peak RSS
+    does not grow. Off Linux, a no-op.
+    """
+    if sys.platform == "linux":
+        mallopt = ctypes.CDLL(None).mallopt
+        mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+        mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD: keep up to 64 MiB of freed heap
+        mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD: arrays up to 32 MiB come from the heap
+
+
 def entrypoint() -> None:
+    _reuse_freed_memory()
     sys.exit(run(sys.argv[1:]))
 
 

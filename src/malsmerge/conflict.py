@@ -9,6 +9,7 @@ elements and 32-bit sums lose the signal.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Sequence
@@ -53,12 +54,21 @@ def _center(x: np.ndarray) -> tuple[np.ndarray, float]:
     """Float64 deviations from the mean and their sum of squares. A nonzero sum
     outside [2**-500, 2**500], which no float32 input reaches, is taken again
     from ``x`` scaled exactly by a power of two to a peak in [0.5, 1): the scale
-    cancels in a correlation, and a product of two such sums stays normal."""
+    cancels in a correlation, and a product of two such sums stays normal.
+
+    A vector whose entries are all equal has deviations of exactly 0: its
+    computed mean may be off by rounding, so a sum of squares small enough to
+    be that rounding is followed by an exact check."""
     with np.errstate(over="ignore", invalid="ignore"):
         dx, var = _deviations(x)
     if not 2.0**-500 <= var <= 2.0**500 and dx.any():
         x = x.astype(np.float64)
-        dx, var = _deviations(np.ldexp(x, -np.frexp(np.max(np.abs(x)))[1]))
+        x = np.ldexp(x, -np.frexp(np.max(np.abs(x)))[1])
+        dx, var = _deviations(x)
+    # a constant vector's deviations are rounding, far under 2**-30 of its entries: only
+    # a sum of squares that small is worth the exact check's pass
+    if math.sqrt(var / len(x)) <= 2.0**-30 * abs(float(x[0])) and np.all(x == x[0]):
+        return np.zeros_like(dx), 0.0
     return dx, var
 
 

@@ -21,7 +21,14 @@ from .allocation import AllocationConfig, AllocationResult, allocate, coerce_fie
 from .conflict import ConflictReport, score_layers, task_order_sum
 from .errors import ConvergenceError, ValidationError
 from .grouping import DEFAULT_GROUPING_PATTERN, LayerGrouping, compile_grouping, group_layers, unflatten_group
-from .task_vectors import TaskVector, TensorMap, layer_deltas, require_compatible, stored_at_32_bits
+from .task_vectors import (
+    TaskVector,
+    TensorMap,
+    layer_deltas,
+    require_compatible,
+    stored_at_32_bits,
+    tensor_shapes,
+)
 
 METHODS = ("mals", "simple_average", "uniform_sparsity", "ties")
 
@@ -186,10 +193,12 @@ def merge(
 ) -> MergeOutput:
     """Merge fine-tuned checkpoints into one model via the configured method.
 
-    Two passes over the layer groups, each holding one layer's ``tuned - base``
-    updates at a time: the first scores conflict (not for ``simple_average``),
-    the second averages the updates or trims, elects and merges them, and adds
-    ``lam`` times the result onto the base.
+    Two passes over the layer groups, each looking up one layer's tensors and
+    holding its ``tuned - base`` updates at a time: the first scores conflict
+    (not for ``simple_average``), the second averages the updates or trims,
+    elects and merges them, and adds ``lam`` times the result onto the base.
+    Given :class:`~malsmerge.archive.Archive` inputs, only the merged model and
+    one layer are resident.
     """
     grouping, conflict, allocation = plan(base, tuned, config, labels)
     if allocation is not None and not allocation.converged:
@@ -200,10 +209,11 @@ def merge(
         )
 
     election = config.sign_election or config.method == "ties"
-    shapes = {key: base[key].shape for key in base}
+    shapes = tensor_shapes(base)
     merged: dict[str, np.ndarray] = {}
     for l, (_, members) in enumerate(grouping.groups):
-        flats = layer_deltas(base, tuned, members)
+        layer_base = {name: base[name] for name in members}  # read once, for deltas and compose
+        flats = layer_deltas(layer_base, tuned, members)
         if allocation is None:
             merged_flat = _average(flats)
         else:
@@ -212,8 +222,9 @@ def merge(
         del flats  # freed before the next layer's updates are built
         for name, delta in unflatten_group(merged_flat, shapes, members).items():
             # into the merged update's own buffer: one array per layer, no second
-            # allocation per tensor, so the pages the layer freed are reused
-            delta[...] = _compose(name, base[name], delta, config.lam)
+            # allocation per tensor, so the pages the layer freed are reused; each
+            # base tensor is popped, so freed once composed
+            delta[...] = _compose(name, layer_base.pop(name), delta, config.lam)
             merged[name] = delta
     return MergeOutput(merged=merged, allocation=allocation, conflict=conflict)
 

@@ -8,6 +8,7 @@ from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
+from .archive import Archive
 from .errors import ValidationError
 
 TensorMap = Mapping[str, np.ndarray]
@@ -38,9 +39,17 @@ class CompatibilityReport:
         return all(entry.ok for entry in self.entries)
 
 
+def tensor_shapes(tensors: TensorMap) -> dict[str, tuple[int, ...]]:
+    """Each tensor's shape by name; an :class:`Archive` answers from its header, reading no payload."""
+    if isinstance(tensors, Archive):
+        return {name: info.shape for name, info in tensors.infos.items()}
+    return {name: tensor.shape for name, tensor in tensors.items()}
+
+
 def _first_mismatch(base: TensorMap, tuned: TensorMap) -> tuple[str, str] | None:
     """Return (key, reason) for the first incompatibility in sorted key order."""
-    base_keys, tuned_keys = set(base), set(tuned)
+    base_shapes, tuned_shapes = tensor_shapes(base), tensor_shapes(tuned)
+    base_keys, tuned_keys = set(base_shapes), set(tuned_shapes)
     if base_keys != tuned_keys:
         missing = sorted(base_keys - tuned_keys)
         extra = sorted(tuned_keys - base_keys)
@@ -51,8 +60,8 @@ def _first_mismatch(base: TensorMap, tuned: TensorMap) -> tuple[str, str] | None
             parts.append(f"base lacks {extra}")
         return min(missing + extra), "; ".join(parts)
     for key in sorted(base_keys):
-        if base[key].shape != tuned[key].shape:
-            return key, f"shape {tuned[key].shape} does not match base shape {base[key].shape}"
+        if base_shapes[key] != tuned_shapes[key]:
+            return key, f"shape {tuned_shapes[key]} does not match base shape {base_shapes[key]}"
     return None
 
 
@@ -95,9 +104,11 @@ def layer_deltas(
     base: TensorMap, tuned: Sequence[TensorMap], members: Sequence[str]
 ) -> list[np.ndarray]:
     """Each checkpoint's update on one layer group, its members' deltas raveled and
-    concatenated in ``members`` order. Callers check compatibility first."""
+    concatenated in ``members`` order. Each base member is looked up once. Callers
+    check compatibility first."""
+    bases = [base[name] for name in members]
     return [
-        np.concatenate([np.ravel(_delta(name, base[name], t[name])) for name in members])
+        np.concatenate([np.ravel(_delta(name, b, t[name])) for name, b in zip(members, bases)])
         for t in tuned
     ]
 

@@ -125,8 +125,49 @@ def test_non_finite_payload_rejected(tmp_path):
     payload = struct.pack("<2f", 1.0, float("nan"))
     path = tmp_path / "bad.st"
     path.write_bytes(struct.pack("<Q", len(header)) + header + payload)
-    with pytest.raises(ArchiveError, match="non-finite"):
-        read_archive(path)
+    archive = read_archive(path)  # the header is sound; the payload is checked on lookup
+    with pytest.raises(ArchiveError, match="non-finite") as info:
+        archive["t"]
+    assert str(info.value) == f"{path}: non-finite value detected in tensor 't'"
+
+
+def test_each_lookup_returns_a_fresh_writable_array(tmp_path):
+    path = tmp_path / "golden.st"
+    path.write_bytes(golden_blob())
+    archive = read_archive(path)
+    first = archive["t"]
+    first[...] = 0.0
+    np.testing.assert_array_equal(archive["t"], np.array([[1, 2], [3, 4]], dtype=np.float32))
+
+
+def test_archive_is_a_read_only_mapping(tmp_path):
+    path = tmp_path / "golden.st"
+    path.write_bytes(golden_blob())
+    archive = read_archive(path)
+    assert "t" in archive and "u" not in archive and len(archive) == 1
+    with pytest.raises(TypeError):
+        archive["t"] = np.zeros((2, 2), dtype=np.float32)
+    with pytest.raises(KeyError):
+        archive["u"]
+
+
+def test_payload_truncated_after_open_rejected_on_lookup(tmp_path):
+    path = tmp_path / "golden.st"
+    path.write_bytes(golden_blob())
+    archive = read_archive(path)
+    with open(path, "r+b") as f:
+        f.truncate(len(golden_blob()) - 4)
+    with pytest.raises(ArchiveError, match="truncated payload") as info:
+        archive["t"]
+    assert str(info.value).startswith(f"{path}: ") and "'t'" in str(info.value)
+
+
+def test_lookups_read_the_file_that_was_opened(tmp_path):
+    path = tmp_path / "golden.st"
+    path.write_bytes(golden_blob())
+    archive = read_archive(path)
+    write_archive({"t": np.zeros((2, 2), dtype=np.float32)}, path)  # renamed over the path
+    np.testing.assert_array_equal(archive["t"], np.array([[1, 2], [3, 4]], dtype=np.float32))
 
 
 def test_overlapping_offsets_rejected(tmp_path):

@@ -240,7 +240,7 @@ def test_bad_grouping_pattern_is_named_before_any_archive_is_read(
 
 
 def test_shape_mismatch_names_tensor_and_exits_2(tmp_path, synth_dir, capsys):
-    bad = read_archive(synth_dir / "task_00.safetensors")
+    bad = dict(read_archive(synth_dir / "task_00.safetensors"))
     bad["model.layers.0.attn.weight"] = np.zeros((2, 2), dtype=np.float32)
     write_archive(bad, synth_dir / "task_00.safetensors")
     code = run(["merge", "--config", str(_config(tmp_path, synth_dir))])
@@ -249,7 +249,7 @@ def test_shape_mismatch_names_tensor_and_exits_2(tmp_path, synth_dir, capsys):
 
 
 def test_analyze_shape_mismatch_names_checkpoint_and_exits_2(tmp_path, synth_dir, capsys):
-    bad = read_archive(synth_dir / "task_01.safetensors")
+    bad = dict(read_archive(synth_dir / "task_01.safetensors"))
     bad["model.layers.0.attn.weight"] = np.zeros((2, 2), dtype=np.float32)
     write_archive(bad, synth_dir / "task_01.safetensors")
     base = str(synth_dir / "base.safetensors")
@@ -272,8 +272,7 @@ def test_update_overflowing_32_bits_names_tensor_and_exits_2(tmp_path, synth_dir
         values = {path: 3.3e38 for path in synth_dir.glob("task_*.safetensors")}
         values[base_path], what = 3e38, "merged"
     for path, value in values.items():
-        tensors = read_archive(path)
-        tensors[name] = tensors[name].copy()
+        tensors = dict(read_archive(path))
         tensors[name][0] = value
         write_archive(tensors, path)
     out = str(tmp_path / "out")
@@ -602,6 +601,25 @@ def test_archive_error_names_the_file(tmp_path, synth_dir, capsys):
     assert run(["info", "--archive", str(bad)]) == 2
     assert f"error: {bad}: truncated payload" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["merge", "merge-average", "analyze", "diff"])
+def test_non_finite_input_read_last_exits_2_and_writes_nothing(tmp_path, synth_dir, capsys, command):
+    # payloads sit in name order, so the file's last 4 bytes are the last tensor's last
+    # value: tensors are read on lookup, and this one is the last any command reads
+    bad, name = synth_dir / "task_02.safetensors", "model.layers.2.mlp.weight"
+    bad.write_bytes(bad.read_bytes()[:-4] + struct.pack("<f", float("nan")))
+    if command.startswith("merge"):
+        method = "simple_average" if command == "merge-average" else "mals"
+        argv = ["merge", "--config", str(_config(tmp_path, synth_dir, method=method))]
+    else:
+        argv = _argv(tmp_path, synth_dir, command)  # analyze's tuned archives end with it
+        if command == "diff":
+            argv[argv.index("--tuned") + 1] = str(bad)
+    files = sorted(tmp_path.rglob("*"))
+    assert run(argv) == 2
+    assert capsys.readouterr().err == f"error: {bad}: non-finite value detected in tensor {name!r}\n"
+    assert sorted(tmp_path.rglob("*")) == files  # no output, report or temp file
 
 
 def test_info_missing_file_exits_2(tmp_path, capsys):

@@ -50,6 +50,21 @@ class TestPearsonAbs:
         assert pearson_abs(np.array([2.0, 2.0]), np.array([1.0, 3.0])) == 0.0
         assert pearson_abs(np.array([1.0]), np.array([5.0])) == 0.0
 
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("n", [2, 3, 7, 100, 1001, 12345])
+    @pytest.mark.parametrize("value", [0.1, 1 / 3, -7.3, 1e-30, 3e38])
+    def test_constant_vector_returns_exactly_zero(self, dtype, n, value):
+        # the computed mean of 0.1 repeated is not 0.1, which left rounding noise
+        # (8.7e-17 for n = 3) standing in for a correlation
+        y = np.arange(n, dtype=np.float64) ** 2
+        assert pearson_abs(np.full(n, value, dtype), y) == 0.0
+        assert pearson_abs(y, np.full(n, value, dtype)) == 0.0
+
+    def test_near_constant_vector_keeps_its_correlation(self):
+        # one ulp apart: small enough for the exact check, which finds it not constant
+        x = np.array([1.0, 1.0 + 2.0**-52])
+        assert pearson_abs(x, np.array([0.0, 1.0])) > 0.5
+
     def test_length_mismatch(self):
         with pytest.raises(ValueError, match="length"):
             pearson_abs(np.ones(2), np.ones(3))

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import re
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -17,10 +18,12 @@ from malsmerge import (
     elect_signs,
     group_layers,
     merge,
+    read_archive,
     sparsify_top_fraction,
+    write_synthetic_set,
 )
 from malsmerge.conflict import layer_conflict
-from malsmerge.merging import compose_merged, simple_average
+from malsmerge.merging import compose_merged, plan, simple_average
 from malsmerge.task_vectors import TaskVector, compute_task_vector
 from oracles import disjoint_merge_oracle, elect_signs_oracle, sparsify_oracle
 
@@ -590,3 +593,24 @@ def test_sparsify_count_property(values, s):
     dropped = np.abs(v[(out == 0) & (v != 0)])
     if kept_magnitudes.size and dropped.size:
         assert kept_magnitudes.min() >= dropped.max() - 1e-12
+
+
+def _planning_peak_bytes(out_dir, num_layers: int) -> int:
+    """Peak traced memory of opening a synthetic set and running pass 1 and allocation."""
+    paths = write_synthetic_set(out_dir, seed=3, num_layers=num_layers, elems_per_layer=50_000,
+                                num_tasks=3, conflict_profile=[0.5] * num_layers)
+    tracemalloc.start()
+    try:
+        base = read_archive(paths["base"])
+        plan(base, [read_archive(path) for path in paths["tasks"]], MergeConfig())
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_planning_memory_follows_the_layer_not_the_model(tmp_path):
+    # archives are read a tensor at a time, so four times the layers at the same
+    # layer size cost no more memory
+    small = _planning_peak_bytes(tmp_path / "small", 4)
+    large = _planning_peak_bytes(tmp_path / "large", 16)
+    assert large <= 1.1 * small
