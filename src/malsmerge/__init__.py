@@ -10,7 +10,7 @@ from .allocation import (
     project_to_budget,
     softmax_weights,
 )
-from .archive import TensorInfo, archive_info, read_archive, write_archive
+from .archive import TensorInfo, archive_info, read_archive, stream_archive, write_archive
 from .conflict import ConflictReport, pearson_abs, sign_disagreement
 from .diagnostics import LayerDiagnostics
 from .errors import ArchiveError, ConvergenceError, MergeToolError, ValidationError
@@ -30,6 +30,7 @@ from .merging import (
     elect_signs,
     merge,
     sparsify_top_fraction,
+    stream_merge,
 )
 from .synthetic import synthesize_checkpoints, write_synthetic_set
 
@@ -67,6 +68,8 @@ __all__ = [
     "sign_disagreement",
     "softmax_weights",
     "sparsify_top_fraction",
+    "stream_archive",
+    "stream_merge",
     "synthesize_checkpoints",
     "unflatten_group",
     "write_archive",

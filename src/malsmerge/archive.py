@@ -10,7 +10,8 @@ apart from the tensors.
 Archives are always written as F32; F16 tensors are widened to F32 when they
 are read, so every downstream computation works over a single precision. A
 reader checks the header when it opens an archive and reads each tensor only
-when it is looked up.
+when it is looked up. A writer lays the header out from names and shapes
+alone, then writes each tensor at its offset when it is given.
 """
 
 from __future__ import annotations
@@ -22,9 +23,10 @@ import secrets
 import struct
 import sys
 import weakref
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping
+from typing import BinaryIO, Iterable, Iterator, Mapping
 
 import numpy as np
 
@@ -227,6 +229,13 @@ def read_archive(path: str | Path) -> Archive:
     return Archive(path)
 
 
+def tensor_shapes(tensors: Mapping[str, np.ndarray]) -> dict[str, tuple[int, ...]]:
+    """Each tensor's shape by name; an :class:`Archive` answers from its header, reading no payload."""
+    if isinstance(tensors, Archive):
+        return {name: info.shape for name, info in tensors.infos.items()}
+    return {name: np.shape(tensor) for name, tensor in tensors.items()}
+
+
 def archive_info(path: str | Path) -> tuple[list[TensorInfo], dict[str, str]]:
     """Describe an archive's tensors and metadata from its header alone.
 
@@ -237,64 +246,91 @@ def archive_info(path: str | Path) -> tuple[list[TensorInfo], dict[str, str]]:
     return sorted(archive.infos.values(), key=lambda t: t.name), archive.metadata
 
 
-def write_archive(
-    tensors: Mapping[str, np.ndarray],
+def _write_at(fd: int, buf: bytes | np.ndarray, offset: int) -> None:
+    """Write all of the flat byte buffer ``buf`` to ``fd`` at ``offset``, looping as :func:`_read_at` does."""
+    view = memoryview(buf)
+    done = 0
+    while done < len(view):
+        done += os.pwritev(fd, [view[done:]], offset + done)
+
+
+def stream_archive(
+    shapes: Mapping[str, tuple[int, ...]],
+    tensors: Iterable[tuple[str, np.ndarray]],
     path: str | Path,
     metadata: Mapping[str, str] | None = None,
 ) -> None:
-    """Write tensors as an F32 archive, byte-deterministically.
+    """Write an F32 archive of ``shapes`` from ``(name, tensor)`` pairs, each at its
+    offset as it arrives, in any order, so that none need outlive its write.
 
-    Names are serialized in lexicographic order and the file is replaced
-    atomically. ``metadata`` becomes the ``__metadata__`` header entry.
+    The header follows from ``shapes``, names in lexicographic order, and ``metadata``
+    becomes its ``__metadata__`` entry. The file is renamed into place once every
+    tensor is written; a name not in ``shapes``, a shape unlike its entry, a tensor
+    given twice or never, or a non-finite value raises :class:`ArchiveError`.
     """
-    if not tensors:
+    if not shapes:
         raise ArchiveError("tensor map must contain at least one tensor")
-    for name in tensors:
+    for name in shapes:
         if not isinstance(name, str) or not name:
             raise ArchiveError(f"tensor name must be non-empty text, got {name!r}")
         if name == "__metadata__":
             raise ArchiveError("tensor name '__metadata__' is reserved for archive metadata")
+        try:
+            name.encode("utf-8")
+        except UnicodeEncodeError as exc:
+            raise ArchiveError(f"unencodable tensor name {name!r}: {exc}") from exc
 
     header: dict[str, object] = {}
     if metadata is not None:
         if any(not isinstance(k, str) or not isinstance(v, str) for k, v in metadata.items()):
             raise ArchiveError("metadata must map strings to strings")
         header["__metadata__"] = {k: metadata[k] for k in sorted(metadata)}
-
-    # each cast array's own buffer is written: no second copy of the model
-    payloads: list[np.ndarray] = []
+    pending: dict[str, tuple[tuple[int, ...], int]] = {}  # shape and payload offset by name
     cursor = 0
-    for name in sorted(tensors):
-        try:
-            name.encode("utf-8")
-        except UnicodeEncodeError as exc:
-            raise ArchiveError(f"unencodable tensor name {name!r}: {exc}") from exc
-        with np.errstate(over="ignore"):  # an overflow is reported just below
-            arr = np.asarray(tensors[name], dtype="<f4", order="C")
-        if arr.ndim > _MAX_DIMS:
-            raise ArchiveError(f"tensor {name!r} has {arr.ndim} dims, more than {_MAX_DIMS}")
-        if not np.all(np.isfinite(arr)):
-            raise ArchiveError(f"non-finite value in tensor {name!r} at 32-bit precision")
-        header[name] = {
-            "dtype": "F32",
-            "shape": [int(d) for d in arr.shape],
-            "data_offsets": [cursor, cursor + arr.nbytes],
-        }
-        payloads.append(arr)
-        cursor += arr.nbytes
+    for name in sorted(shapes):
+        shape = tuple(int(d) for d in shapes[name])
+        if len(shape) > _MAX_DIMS:
+            raise ArchiveError(f"tensor {name!r} has {len(shape)} dims, more than {_MAX_DIMS}")
+        end = cursor + 4 * math.prod(shape)
+        header[name] = {"dtype": "F32", "shape": list(shape), "data_offsets": [cursor, end]}
+        pending[name] = shape, cursor
+        cursor = end
+    raw = json.dumps(header, separators=(",", ":"), ensure_ascii=True).encode("utf-8")
 
-    header_bytes = json.dumps(header, separators=(",", ":"), ensure_ascii=True).encode("utf-8")
+    start = 8 + len(raw)
+    with _atomic_file(path) as f:
+        _write_at(f.fileno(), struct.pack("<Q", len(raw)) + raw, 0)
+        for name, tensor in tensors:
+            if name not in pending:
+                what = "written twice" if name in shapes else "not in the archive header"
+                raise ArchiveError(f"tensor {name!r} is {what}")
+            shape, offset = pending.pop(name)
+            with np.errstate(over="ignore"):  # an overflow is reported just below
+                arr = np.asarray(tensor, dtype="<f4", order="C")
+            if arr.shape != shape:
+                raise ArchiveError(f"tensor {name!r} has shape {arr.shape}, its header entry {shape}")
+            if not np.all(np.isfinite(arr)):
+                raise ArchiveError(f"non-finite value in tensor {name!r} at 32-bit precision")
+            _write_at(f.fileno(), arr.reshape(-1).view(np.uint8), start + offset)
+            del tensor, arr  # a tensor may hold its whole layer: free it before the next
+        if pending:  # its bytes would read as silent zeros
+            raise ArchiveError(f"tensor {min(pending)!r} was never written")
 
-    write_atomic(path, [struct.pack("<Q", len(header_bytes)), header_bytes, *payloads])
+
+def write_archive(
+    tensors: Mapping[str, np.ndarray],
+    path: str | Path,
+    metadata: Mapping[str, str] | None = None,
+) -> None:
+    """Write the in-memory ``tensors`` as an F32 archive, as :func:`stream_archive` does."""
+    stream_archive(tensor_shapes(tensors), tensors.items(), path, metadata)
 
 
-def write_atomic(path: str | Path, chunks: Iterable[bytes | np.ndarray]) -> None:
-    """Write ``chunks`` to a temp file beside ``path``, then rename it into place.
-
-    Readers see either the old file or the complete new one; on any failure
-    the temp file is removed and ``path`` is left untouched. An array chunk
-    must be C-contiguous; its buffer is written as is.
-    """
+@contextmanager
+def _atomic_file(path: str | Path) -> Iterator[BinaryIO]:
+    """A new temp file beside ``path``, renamed into place when the block ends. Readers
+    see the old file or the complete new one; on any failure the temp file is removed
+    and ``path`` is left untouched. An ``OSError`` on the temp file names ``path``."""
     target = Path(path)
     tmp_name = target.with_name(f"{target.name}.{secrets.token_hex(8)}.tmp")
     try:
@@ -302,8 +338,7 @@ def write_atomic(path: str | Path, chunks: Iterable[bytes | np.ndarray]) -> None
         fd = os.open(tmp_name, os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o666)
         try:
             with os.fdopen(fd, "wb") as f:
-                for chunk in chunks:
-                    f.write(chunk)
+                yield f
             os.replace(tmp_name, target)
         except BaseException:
             try:
@@ -312,7 +347,13 @@ def write_atomic(path: str | Path, chunks: Iterable[bytes | np.ndarray]) -> None
                 pass
             raise
     except OSError as exc:
-        if exc.filename is None:
+        if exc.filename != str(tmp_name):
             raise
         # the temp file is an implementation detail: name the file the caller asked for
         raise type(exc)(exc.errno, exc.strerror, str(path)) from exc
+
+
+def write_atomic(path: str | Path, chunks: Iterable[bytes]) -> None:
+    """Write ``chunks`` to ``path`` through the same temp file and rename as an archive."""
+    with _atomic_file(path) as f:
+        f.writelines(chunks)

@@ -15,13 +15,13 @@ from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 
 from .allocation import AllocationConfig, coerce_field_types, config_key, wrong_type
-from .archive import archive_info, read_archive, write_archive
+from .archive import archive_info, read_archive, stream_archive, tensor_shapes
 from .diagnostics import REPORT_FORMATS, LayerDiagnostics
 from .errors import ArchiveError, ConvergenceError, ValidationError
 from .grouping import DEFAULT_GROUPING_PATTERN
-from .merging import MergeConfig, config_fields, config_metadata, merge, plan
+from .merging import MergeConfig, config_fields, config_metadata, plan, stream_merge
 from .synthetic import write_synthetic_set
-from .task_vectors import compute_task_vector
+from .task_vectors import delta_tensors
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -145,17 +145,20 @@ def _cmd_merge(args: argparse.Namespace) -> int:
     tuned = [read_archive(path) for path, _ in cfg.tuned_paths]
     labels = [label for _, label in cfg.tuned_paths]
     method = cfg.merge_config.method
-    output = merge(base, tuned, cfg.merge_config, labels=labels)
-    write_archive(output.merged, cfg.output_path, metadata=config_metadata(cfg.merge_config))
+    merged, conflict, allocation = stream_merge(base, tuned, cfg.merge_config, labels=labels)
+    # each layer is written as soon as it is merged: one layer is resident, not the model
+    stream_archive(
+        tensor_shapes(base), merged, cfg.output_path, metadata=config_metadata(cfg.merge_config)
+    )
     print(f"merged {len(tuned)} checkpoints via {method} -> {cfg.output_path}")
     if cfg.report_path is not None:
-        if output.allocation is None or output.conflict is None:
+        if allocation is None or conflict is None:
             print(
                 "warning: simple_average produces no per-layer diagnostics; skipping report",
                 file=sys.stderr,
             )
         else:
-            diag = LayerDiagnostics.from_results(output.conflict, output.allocation, method)
+            diag = LayerDiagnostics.from_results(conflict, allocation, method)
             diag.write(cfg.report_path, cfg.report_format)
             print(f"report written to {cfg.report_path}")
     return EXIT_OK
@@ -179,9 +182,9 @@ def _cmd_diff(args: argparse.Namespace) -> int:
     _refuse_overwriting_inputs([args.base, args.tuned], {"--out": args.out})
     base = read_archive(args.base)
     tuned = read_archive(args.tuned)
-    tau = compute_task_vector(base, tuned, Path(args.tuned).stem)
-    write_archive(tau.deltas, args.out)
-    print(f"task vector for {tau.label} -> {args.out}")
+    label = Path(args.tuned).stem
+    stream_archive(tensor_shapes(base), delta_tensors(base, tuned, label), args.out)
+    print(f"task vector for {label} -> {args.out}")
     return EXIT_OK
 
 

@@ -13,7 +13,7 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass, field, fields, replace
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -27,7 +27,6 @@ from .task_vectors import (
     layer_deltas,
     require_compatible,
     stored_at_32_bits,
-    tensor_shapes,
 )
 
 METHODS = ("mals", "simple_average", "uniform_sparsity", "ties")
@@ -52,6 +51,8 @@ class MergeConfig:
 
 @dataclass
 class MergeOutput:
+    """:func:`merge`'s result; ``merged`` holds the whole model (the CLI holds one layer)."""
+
     merged: dict[str, np.ndarray]
     allocation: AllocationResult | None = None
     conflict: ConflictReport | None = None
@@ -185,6 +186,58 @@ def plan(
     return grouping, conflict, allocate(conflict, alloc_config)
 
 
+def _merge_layer(
+    base: TensorMap, tuned: Sequence[TensorMap], members: Sequence[str], level: float | None,
+    config: MergeConfig,
+) -> dict[str, np.ndarray]:
+    """Pass 2 on one layer group: average its updates (``level`` None) or trim them to
+    ``level``, elect and merge them, and add ``lam`` times that onto the base."""
+    layer_base = {name: base[name] for name in members}  # read once, for deltas and compose
+    flats = layer_deltas(layer_base, tuned, members)
+    if level is None:
+        merged_flat = _average(flats)
+    else:
+        flats = [sparsify_top_fraction(flat, level) for flat in flats]
+        election = config.sign_election or config.method == "ties"
+        merged_flat = disjoint_merge(flats, elect_signs(flats) if election else None)
+    del flats  # freed before the layer is composed
+    shapes = {name: tensor.shape for name, tensor in layer_base.items()}
+    composed = unflatten_group(merged_flat, shapes, members)
+    for name, delta in composed.items():
+        # into the merged update's own buffer: one array per layer, no second
+        # allocation per tensor, so the pages the layer freed are reused; each
+        # base tensor is popped, so freed once composed
+        delta[...] = _compose(name, layer_base.pop(name), delta, config.lam)
+    return composed
+
+
+def stream_merge(
+    base: TensorMap,
+    tuned: Sequence[TensorMap],
+    config: MergeConfig,
+    labels: Sequence[str] | None = None,
+) -> tuple[Iterator[tuple[str, np.ndarray]], ConflictReport | None, AllocationResult | None]:
+    """:func:`merge`, returning the merged ``(name, tensor)`` pairs as an iterator
+    that runs pass 2 on each layer group as it reaches it, with the conflict report
+    and the allocation. A non-converged allocation is refused here, before pass 2.
+    """
+    grouping, conflict, allocation = plan(base, tuned, config, labels)
+    if allocation is not None and not allocation.converged:
+        raise ConvergenceError(
+            f"budget projection did not converge within {config.allocation.max_iterations} "
+            f"iterations (mean sparsity {allocation.mean_sparsity}, "
+            f"target {config.allocation.s_target})"
+        )
+
+    def merged() -> Iterator[tuple[str, np.ndarray]]:
+        for l, (_, members) in enumerate(grouping.groups):
+            level = None if allocation is None else float(allocation.s_final[l])
+            # nothing here holds a layer once its last pair is taken
+            yield from _merge_layer(base, tuned, members, level, config).items()
+
+    return merged(), conflict, allocation
+
+
 def merge(
     base: TensorMap,
     tuned: Sequence[TensorMap],
@@ -197,36 +250,11 @@ def merge(
     holding its ``tuned - base`` updates at a time: the first scores conflict
     (not for ``simple_average``), the second averages the updates or trims,
     elects and merges them, and adds ``lam`` times the result onto the base.
-    Given :class:`~malsmerge.archive.Archive` inputs, only the merged model and
-    one layer are resident.
+    The merged model is returned whole; :func:`stream_merge` hands it over a
+    layer at a time, so that a writer holds one layer, not the model.
     """
-    grouping, conflict, allocation = plan(base, tuned, config, labels)
-    if allocation is not None and not allocation.converged:
-        raise ConvergenceError(
-            f"budget projection did not converge within {config.allocation.max_iterations} "
-            f"iterations (mean sparsity {allocation.mean_sparsity}, "
-            f"target {config.allocation.s_target})"
-        )
-
-    election = config.sign_election or config.method == "ties"
-    shapes = tensor_shapes(base)
-    merged: dict[str, np.ndarray] = {}
-    for l, (_, members) in enumerate(grouping.groups):
-        layer_base = {name: base[name] for name in members}  # read once, for deltas and compose
-        flats = layer_deltas(layer_base, tuned, members)
-        if allocation is None:
-            merged_flat = _average(flats)
-        else:
-            flats = [sparsify_top_fraction(flat, float(allocation.s_final[l])) for flat in flats]
-            merged_flat = disjoint_merge(flats, elect_signs(flats) if election else None)
-        del flats  # freed before the next layer's updates are built
-        for name, delta in unflatten_group(merged_flat, shapes, members).items():
-            # into the merged update's own buffer: one array per layer, no second
-            # allocation per tensor, so the pages the layer freed are reused; each
-            # base tensor is popped, so freed once composed
-            delta[...] = _compose(name, layer_base.pop(name), delta, config.lam)
-            merged[name] = delta
-    return MergeOutput(merged=merged, allocation=allocation, conflict=conflict)
+    merged, conflict, allocation = stream_merge(base, tuned, config, labels)
+    return MergeOutput(merged=dict(merged), allocation=allocation, conflict=conflict)
 
 
 def config_fields(config: MergeConfig) -> dict[str, object]:

@@ -8,7 +8,7 @@ from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .archive import Archive
+from .archive import tensor_shapes
 from .errors import ValidationError
 
 TensorMap = Mapping[str, np.ndarray]
@@ -37,13 +37,6 @@ class CompatibilityReport:
     @property
     def all_ok(self) -> bool:
         return all(entry.ok for entry in self.entries)
-
-
-def tensor_shapes(tensors: TensorMap) -> dict[str, tuple[int, ...]]:
-    """Each tensor's shape by name; an :class:`Archive` answers from its header, reading no payload."""
-    if isinstance(tensors, Archive):
-        return {name: info.shape for name, info in tensors.infos.items()}
-    return {name: tensor.shape for name, tensor in tensors.items()}
 
 
 def _first_mismatch(base: TensorMap, tuned: TensorMap) -> tuple[str, str] | None:
@@ -93,11 +86,16 @@ def _delta(name: str, base: np.ndarray, tuned: np.ndarray) -> np.ndarray:
         return (tuned.astype(np.float64) - base.astype(np.float64)).astype(np.float32)
 
 
+def delta_tensors(base: TensorMap, tuned: TensorMap, label: str) -> Iterator[tuple[str, np.ndarray]]:
+    """``(name, tuned - base)`` pairs in the base's order, each subtracted only when
+    reached. Compatibility is checked here, before any pair."""
+    require_compatible(base, tuned, f"checkpoint {label!r}")
+    return ((key, _delta(key, base[key], tuned[key])) for key in base)
+
+
 def compute_task_vector(base: TensorMap, tuned: TensorMap, label: str) -> TaskVector:
     """Subtract the base from a fine-tuned checkpoint, tensor by tensor."""
-    require_compatible(base, tuned, f"checkpoint {label!r}")
-    deltas = {key: _delta(key, base[key], tuned[key]) for key in base}
-    return TaskVector(label=label, deltas=deltas)
+    return TaskVector(label=label, deltas=dict(delta_tensors(base, tuned, label)))
 
 
 def layer_deltas(

@@ -276,6 +276,9 @@ def test_update_overflowing_32_bits_names_tensor_and_exits_2(tmp_path, synth_dir
         tensors[name][0] = value
         write_archive(tensors, path)
     out = str(tmp_path / "out")
+    # merge-compose fails in layer 1, once layer 0 is in the temp file
+    output = tmp_path / "merged.safetensors" if command.startswith("merge") else Path(out)
+    output.write_bytes(b"old output")
     argv = {
         "merge": ["merge", "--config", str(_config(tmp_path, synth_dir))],
         "analyze": ["analyze", "--base", str(base_path), "--tuned", str(tuned_path), "--out", out],
@@ -286,6 +289,8 @@ def test_update_overflowing_32_bits_names_tensor_and_exits_2(tmp_path, synth_dir
     err = capsys.readouterr().err
     assert f"{what} tensor {name!r} overflows 32-bit precision" in err
     assert "RuntimeWarning" not in err
+    assert output.read_bytes() == b"old output"
+    assert not list(tmp_path.rglob("*.tmp"))
 
 
 def test_huge_alpha_and_beta_merge_without_overflow_warning(tmp_path, capsys):
@@ -616,10 +621,13 @@ def test_non_finite_input_read_last_exits_2_and_writes_nothing(tmp_path, synth_d
         argv = _argv(tmp_path, synth_dir, command)  # analyze's tuned archives end with it
         if command == "diff":
             argv[argv.index("--tuned") + 1] = str(bad)
+    output = tmp_path / ("merged.safetensors" if command.startswith("merge") else "out")
+    output.write_bytes(b"old output")
     files = sorted(tmp_path.rglob("*"))
     assert run(argv) == 2
     assert capsys.readouterr().err == f"error: {bad}: non-finite value detected in tensor {name!r}\n"
-    assert sorted(tmp_path.rglob("*")) == files  # no output, report or temp file
+    assert sorted(tmp_path.rglob("*")) == files  # no new output, report or temp file
+    assert output.read_bytes() == b"old output"
 
 
 def test_info_missing_file_exits_2(tmp_path, capsys):
@@ -697,4 +705,6 @@ def test_readme_library_example_runs(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     exec(_readme_block("## Library", "python"), {"__name__": "readme_library"})
     assert set(read_archive(tmp_path / "merged.safetensors")) == set(base)
+    streamed = (tmp_path / "merged-streamed.safetensors").read_bytes()
+    assert streamed == (tmp_path / "merged.safetensors").read_bytes()
     assert capsys.readouterr().out  # the example prints the allocation and conflict

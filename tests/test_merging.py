@@ -1,8 +1,10 @@
 from __future__ import annotations
 
+import json
 import re
 import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,6 +24,7 @@ from malsmerge import (
     sparsify_top_fraction,
     write_synthetic_set,
 )
+from malsmerge import cli
 from malsmerge.conflict import layer_conflict
 from malsmerge.merging import compose_merged, plan, simple_average
 from malsmerge.task_vectors import TaskVector, compute_task_vector
@@ -595,22 +598,45 @@ def test_sparsify_count_property(values, s):
         assert kept_magnitudes.min() >= dropped.max() - 1e-12
 
 
-def _planning_peak_bytes(out_dir, num_layers: int) -> int:
-    """Peak traced memory of opening a synthetic set and running pass 1 and allocation."""
+def _peak_bytes(out_dir, num_layers: int, job) -> int:
+    """Peak traced memory of ``job(paths)`` over a synthetic set of ``num_layers``
+    layers of 50k entries and 3 tasks, the archives opened inside ``job``."""
     paths = write_synthetic_set(out_dir, seed=3, num_layers=num_layers, elems_per_layer=50_000,
                                 num_tasks=3, conflict_profile=[0.5] * num_layers)
     tracemalloc.start()
     try:
-        base = read_archive(paths["base"])
-        plan(base, [read_archive(path) for path in paths["tasks"]], MergeConfig())
+        job(paths)
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
 
 
+def _plan(paths) -> None:
+    plan(read_archive(paths["base"]), [read_archive(path) for path in paths["tasks"]], MergeConfig())
+
+
+def _cli_merge(paths) -> None:
+    config = Path(paths["base"]).with_name("merge.json")
+    config.write_text(json.dumps({
+        "base_path": str(paths["base"]),
+        "tuned_paths": [{"path": str(path)} for path in paths["tasks"]],
+        "output_path": str(config.with_name("merged.safetensors")),
+        "method": "mals",
+        "sign_election": True,
+    }))
+    assert cli.run(["merge", "--config", str(config)]) == 0
+
+
 def test_planning_memory_follows_the_layer_not_the_model(tmp_path):
     # archives are read a tensor at a time, so four times the layers at the same
     # layer size cost no more memory
-    small = _planning_peak_bytes(tmp_path / "small", 4)
-    large = _planning_peak_bytes(tmp_path / "large", 16)
+    small = _peak_bytes(tmp_path / "small", 4, _plan)
+    large = _peak_bytes(tmp_path / "large", 16, _plan)
+    assert large <= 1.1 * small
+
+
+def test_merge_memory_follows_the_layer_not_the_model(tmp_path):
+    # each merged layer is written at its offsets as soon as it is composed
+    small = _peak_bytes(tmp_path / "small", 4, _cli_merge)
+    large = _peak_bytes(tmp_path / "large", 16, _cli_merge)
     assert large <= 1.1 * small

@@ -16,7 +16,8 @@ PUBLIC_NAMES = [
     "allocate", "allocation_scores", "archive_info", "config_metadata", "disjoint_merge",
     "elect_signs", "flatten_group", "group_layers", "initial_sparsity", "merge",
     "min_max_normalize", "pearson_abs", "project_to_budget", "read_archive",
-    "sign_disagreement", "softmax_weights", "sparsify_top_fraction", "synthesize_checkpoints",
+    "sign_disagreement", "softmax_weights", "sparsify_top_fraction", "stream_archive",
+    "stream_merge", "synthesize_checkpoints",
     "unflatten_group", "write_archive", "write_synthetic_set",
 ]
 
