@@ -10,7 +10,7 @@ from .allocation import (
     project_to_budget,
     softmax_weights,
 )
-from .archive import TensorInfo, archive_info, read_archive, stream_archive, write_archive
+from .archive import TensorInfo, read_archive, stream_archive, write_archive
 from .conflict import ConflictReport, pearson_abs, sign_disagreement
 from .diagnostics import LayerDiagnostics
 from .errors import ArchiveError, ConvergenceError, MergeToolError, ValidationError
@@ -24,13 +24,11 @@ from .grouping import (
 from .merging import (
     METHODS,
     MergeConfig,
-    MergeOutput,
     config_metadata,
     disjoint_merge,
     elect_signs,
     merge,
     sparsify_top_fraction,
-    stream_merge,
 )
 from .synthetic import synthesize_checkpoints, write_synthetic_set
 
@@ -47,13 +45,11 @@ __all__ = [
     "LayerGrouping",
     "METHODS",
     "MergeConfig",
-    "MergeOutput",
     "MergeToolError",
     "TensorInfo",
     "ValidationError",
     "allocate",
     "allocation_scores",
-    "archive_info",
     "config_metadata",
     "disjoint_merge",
     "elect_signs",
@@ -69,7 +65,6 @@ __all__ = [
     "softmax_weights",
     "sparsify_top_fraction",
     "stream_archive",
-    "stream_merge",
     "synthesize_checkpoints",
     "unflatten_group",
     "write_archive",

@@ -188,6 +188,9 @@ class Archive(Mapping[str, np.ndarray]):
         except ArchiveError as exc:
             self._close()
             raise ArchiveError(f"{path}: {exc}") from exc
+        except OSError as exc:
+            self._close()
+            raise _naming(exc, path, "reading the header") from exc
         self.infos = {
             name: TensorInfo(name=name, dtype=dtype, shape=shape, n_bytes=end - begin)
             for name, dtype, shape, begin, end in entries
@@ -197,7 +200,10 @@ class Archive(Mapping[str, np.ndarray]):
     def __getitem__(self, name: str) -> np.ndarray:
         info = self.infos[name]
         stored = np.empty(info.shape, _DTYPES[info.dtype])
-        read = _read_at(self._fd, stored.reshape(-1).view(np.uint8), self._offsets[name])
+        try:
+            read = _read_at(self._fd, stored.reshape(-1).view(np.uint8), self._offsets[name])
+        except OSError as exc:
+            raise _naming(exc, self.path, f"reading tensor {name!r}") from exc
         if read < info.n_bytes:
             raise ArchiveError(
                 f"{self.path}: truncated payload: {name!r} lacks {info.n_bytes - read} bytes"
@@ -236,22 +242,21 @@ def tensor_shapes(tensors: Mapping[str, np.ndarray]) -> dict[str, tuple[int, ...
     return {name: np.shape(tensor) for name, tensor in tensors.items()}
 
 
-def archive_info(path: str | Path) -> tuple[list[TensorInfo], dict[str, str]]:
-    """Describe an archive's tensors and metadata from its header alone.
-
-    Applies every check :func:`read_archive` applies at open, naming ``path``
-    the same way; no payload is read, so its values are not checked.
-    """
-    archive = read_archive(path)
-    return sorted(archive.infos.values(), key=lambda t: t.name), archive.metadata
+def _naming(exc: OSError, path: str | Path, action: str = "") -> OSError:
+    """``exc`` again, naming ``path`` as its file and the ``action`` that failed there."""
+    strerror = f"{exc.strerror} {action}" if action else exc.strerror
+    return type(exc)(exc.errno, strerror, str(path))
 
 
-def _write_at(fd: int, buf: bytes | np.ndarray, offset: int) -> None:
-    """Write all of the flat byte buffer ``buf`` to ``fd`` at ``offset``, looping as :func:`_read_at` does."""
+def _write_at(fd: int, buf: bytes | np.ndarray, offset: int, path: str | Path, what: str) -> None:
+    """Write all of the flat bytes ``buf`` at ``offset``; an ``OSError`` names ``path`` and ``what``."""
     view = memoryview(buf)
     done = 0
-    while done < len(view):
-        done += os.pwritev(fd, [view[done:]], offset + done)
+    try:
+        while done < len(view):
+            done += os.pwritev(fd, [view[done:]], offset + done)
+    except OSError as exc:
+        raise _naming(exc, path, f"writing {what}") from exc
 
 
 def stream_archive(
@@ -298,8 +303,8 @@ def stream_archive(
     raw = json.dumps(header, separators=(",", ":"), ensure_ascii=True).encode("utf-8")
 
     start = 8 + len(raw)
-    with _atomic_file(path) as f:
-        _write_at(f.fileno(), struct.pack("<Q", len(raw)) + raw, 0)
+    with atomic_file(path) as f:
+        _write_at(f.fileno(), struct.pack("<Q", len(raw)) + raw, 0, path, "the header")
         for name, tensor in tensors:
             if name not in pending:
                 what = "written twice" if name in shapes else "not in the archive header"
@@ -311,7 +316,8 @@ def stream_archive(
                 raise ArchiveError(f"tensor {name!r} has shape {arr.shape}, its header entry {shape}")
             if not np.all(np.isfinite(arr)):
                 raise ArchiveError(f"non-finite value in tensor {name!r} at 32-bit precision")
-            _write_at(f.fileno(), arr.reshape(-1).view(np.uint8), start + offset)
+            _write_at(f.fileno(), arr.reshape(-1).view(np.uint8), start + offset,
+                      path, f"tensor {name!r}")
             del tensor, arr  # a tensor may hold its whole layer: free it before the next
         if pending:  # its bytes would read as silent zeros
             raise ArchiveError(f"tensor {min(pending)!r} was never written")
@@ -327,10 +333,10 @@ def write_archive(
 
 
 @contextmanager
-def _atomic_file(path: str | Path) -> Iterator[BinaryIO]:
-    """A new temp file beside ``path``, renamed into place when the block ends. Readers
-    see the old file or the complete new one; on any failure the temp file is removed
-    and ``path`` is left untouched. An ``OSError`` on the temp file names ``path``."""
+def atomic_file(path: str | Path) -> Iterator[BinaryIO]:
+    """The one way a file is written: a new temp file beside ``path``, renamed into place
+    when the block ends. Readers see the old file or the complete new one; on any failure
+    the temp file is removed and ``path`` is left untouched. An ``OSError`` on it names ``path``."""
     target = Path(path)
     tmp_name = target.with_name(f"{target.name}.{secrets.token_hex(8)}.tmp")
     try:
@@ -350,10 +356,4 @@ def _atomic_file(path: str | Path) -> Iterator[BinaryIO]:
         if exc.filename != str(tmp_name):
             raise
         # the temp file is an implementation detail: name the file the caller asked for
-        raise type(exc)(exc.errno, exc.strerror, str(path)) from exc
-
-
-def write_atomic(path: str | Path, chunks: Iterable[bytes]) -> None:
-    """Write ``chunks`` to ``path`` through the same temp file and rename as an archive."""
-    with _atomic_file(path) as f:
-        f.writelines(chunks)
+        raise _naming(exc, path) from exc

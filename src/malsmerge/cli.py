@@ -15,11 +15,11 @@ from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 
 from .allocation import AllocationConfig, coerce_field_types, config_key, wrong_type
-from .archive import archive_info, read_archive, stream_archive, tensor_shapes
+from .archive import read_archive, stream_archive, tensor_shapes
 from .diagnostics import REPORT_FORMATS, LayerDiagnostics
 from .errors import ArchiveError, ConvergenceError, ValidationError
 from .grouping import DEFAULT_GROUPING_PATTERN
-from .merging import MergeConfig, config_fields, config_metadata, plan, stream_merge
+from .merging import MergeConfig, config_fields, config_metadata, merge, plan
 from .synthetic import write_synthetic_set
 from .task_vectors import delta_tensors
 
@@ -145,7 +145,7 @@ def _cmd_merge(args: argparse.Namespace) -> int:
     tuned = [read_archive(path) for path, _ in cfg.tuned_paths]
     labels = [label for _, label in cfg.tuned_paths]
     method = cfg.merge_config.method
-    merged, conflict, allocation = stream_merge(base, tuned, cfg.merge_config, labels=labels)
+    merged, conflict, allocation = merge(base, tuned, cfg.merge_config, labels=labels)
     # each layer is written as soon as it is merged: one layer is resident, not the model
     stream_archive(
         tensor_shapes(base), merged, cfg.output_path, metadata=config_metadata(cfg.merge_config)
@@ -189,13 +189,13 @@ def _cmd_diff(args: argparse.Namespace) -> int:
 
 
 def _cmd_info(args: argparse.Namespace) -> int:
-    infos, metadata = archive_info(args.archive)
-    for info in infos:
+    archive = read_archive(args.archive)  # reads the header only
+    for name, info in sorted(archive.infos.items()):
         dims = "x".join(str(d) for d in info.shape) if info.shape else "scalar"
-        print(f"{info.name}  {info.dtype}  {dims}  ({info.n_bytes} bytes)")
-    if metadata:
-        print(f"metadata: {json.dumps(metadata, sort_keys=True)}")
-    print(f"{len(infos)} tensors")
+        print(f"{name}  {info.dtype}  {dims}  ({info.n_bytes} bytes)")
+    if archive.metadata:
+        print(f"metadata: {json.dumps(archive.metadata, sort_keys=True)}")
+    print(f"{len(archive)} tensors")
     return EXIT_OK
 
 

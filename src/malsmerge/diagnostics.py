@@ -13,7 +13,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from .allocation import AllocationResult
-from .archive import write_atomic
+from .archive import atomic_file
 from .conflict import ConflictReport
 from .errors import ValidationError
 
@@ -99,4 +99,5 @@ class LayerDiagnostics:
         if fmt not in REPORT_FORMATS:
             raise ValidationError(f"report format must be one of {REPORT_FORMATS}, got {fmt!r}")
         text = self.to_json() if fmt == "json" else self.to_csv()
-        write_atomic(path, [text.encode("utf-8")])
+        with atomic_file(path) as f:
+            f.write(text.encode("utf-8"))

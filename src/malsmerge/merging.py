@@ -49,15 +49,6 @@ class MergeConfig:
         compile_grouping(self.grouping_pattern)
 
 
-@dataclass
-class MergeOutput:
-    """:func:`merge`'s result; ``merged`` holds the whole model (the CLI holds one layer)."""
-
-    merged: dict[str, np.ndarray]
-    allocation: AllocationResult | None = None
-    conflict: ConflictReport | None = None
-
-
 def sparsify_top_fraction(v: np.ndarray, s: float) -> np.ndarray:
     """Zero all but the ceil((1 - s) * n) largest-magnitude entries.
 
@@ -211,15 +202,22 @@ def _merge_layer(
     return composed
 
 
-def stream_merge(
+def merge(
     base: TensorMap,
     tuned: Sequence[TensorMap],
     config: MergeConfig,
     labels: Sequence[str] | None = None,
 ) -> tuple[Iterator[tuple[str, np.ndarray]], ConflictReport | None, AllocationResult | None]:
-    """:func:`merge`, returning the merged ``(name, tensor)`` pairs as an iterator
-    that runs pass 2 on each layer group as it reaches it, with the conflict report
-    and the allocation. A non-converged allocation is refused here, before pass 2.
+    """Merge fine-tuned checkpoints into one model via the configured method.
+
+    Returns ``(merged, conflict, allocation)``. Pass 1 and allocation run here,
+    scoring conflict on one layer group's ``tuned - base`` updates at a time
+    (not for ``simple_average``); a non-converged allocation is refused here.
+    ``merged`` iterates the ``(name, tensor)`` pairs, running pass 2 on each
+    layer group as it reaches it: average the updates, or trim, elect and merge
+    them, and add ``lam`` times the result onto the base. Pass-2 errors, such as
+    an overflowing merged tensor, are raised during iteration. ``dict(merged)``
+    holds the whole model; ``stream_archive`` writes it holding one layer.
     """
     grouping, conflict, allocation = plan(base, tuned, config, labels)
     if allocation is not None and not allocation.converged:
@@ -236,25 +234,6 @@ def stream_merge(
             yield from _merge_layer(base, tuned, members, level, config).items()
 
     return merged(), conflict, allocation
-
-
-def merge(
-    base: TensorMap,
-    tuned: Sequence[TensorMap],
-    config: MergeConfig,
-    labels: Sequence[str] | None = None,
-) -> MergeOutput:
-    """Merge fine-tuned checkpoints into one model via the configured method.
-
-    Two passes over the layer groups, each looking up one layer's tensors and
-    holding its ``tuned - base`` updates at a time: the first scores conflict
-    (not for ``simple_average``), the second averages the updates or trims,
-    elects and merges them, and adds ``lam`` times the result onto the base.
-    The merged model is returned whole; :func:`stream_merge` hands it over a
-    layer at a time, so that a writer holds one layer, not the model.
-    """
-    merged, conflict, allocation = stream_merge(base, tuned, config, labels)
-    return MergeOutput(merged=dict(merged), allocation=allocation, conflict=conflict)
 
 
 def config_fields(config: MergeConfig) -> dict[str, object]:

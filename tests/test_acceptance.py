@@ -117,22 +117,23 @@ def test_method_equivalence_suite():
     base, tuned = synthesize_checkpoints(31, 4, 300, 3, [0.7, 0.5, 0.3, 0.1])
 
     collapsed = AllocationConfig(s_min=0.5, s_max=0.5, s_target=0.5)
-    mals_out = merge(base, tuned, MergeConfig(method="mals", allocation=collapsed))
-    uniform_out = merge(base, tuned, MergeConfig(method="uniform_sparsity", allocation=collapsed))
+    mals = dict(merge(base, tuned, MergeConfig(method="mals", allocation=collapsed))[0])
+    uniform = dict(merge(base, tuned, MergeConfig(method="uniform_sparsity", allocation=collapsed))[0])
     for key in base:
-        assert mals_out.merged[key].tobytes() == uniform_out.merged[key].tobytes()
+        assert mals[key].tobytes() == uniform[key].tobytes()
 
     spread = AllocationConfig(s_target=0.5)
-    uniform_elected = merge(
+    uniform_elected, _, _ = merge(
         base, tuned, MergeConfig(method="uniform_sparsity", sign_election=True, allocation=spread)
     )
-    ties_out = merge(base, tuned, MergeConfig(method="ties", allocation=spread))
+    ties, _, _ = merge(base, tuned, MergeConfig(method="ties", allocation=spread))
+    uniform_elected, ties = dict(uniform_elected), dict(ties)
     for key in base:
-        assert uniform_elected.merged[key].tobytes() == ties_out.merged[key].tobytes()
+        assert uniform_elected[key].tobytes() == ties[key].tobytes()
 
     zero_weights = AllocationConfig(alpha=0.0, beta=0.0, s_target=0.4)
-    out = merge(base, tuned, MergeConfig(method="mals", allocation=zero_weights))
-    np.testing.assert_allclose(out.allocation.s_final, np.full(4, 0.4), atol=1e-9)
+    _, _, allocation = merge(base, tuned, MergeConfig(method="mals", allocation=zero_weights))
+    np.testing.assert_allclose(allocation.s_final, np.full(4, 0.4), atol=1e-9)
     _report("method equivalences: collapsed-mals==uniform, uniform+election==ties, "
             "alpha=beta=0 -> s_target")
 
@@ -145,8 +146,8 @@ def test_identity_merge(tmp_path):
         sign_election=True,
         allocation=AllocationConfig(s_min=0.0, s_max=0.0, s_target=0.0),
     )
-    out = merge(base, [tuned[0]] * 3, config)
-    write_archive(out.merged, tmp_path / "merged.st")
+    merged, _, _ = merge(base, [tuned[0]] * 3, config)
+    write_archive(dict(merged), tmp_path / "merged.st")
     reread = read_archive(tmp_path / "merged.st")
     for key in base:
         np.testing.assert_array_equal(reread[key], tuned[0][key])

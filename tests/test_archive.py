@@ -11,8 +11,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from malsmerge import ArchiveError, archive_info, read_archive, stream_archive, write_archive
-from malsmerge.archive import write_atomic
+from malsmerge import ArchiveError, read_archive, stream_archive, write_archive
+from malsmerge.archive import atomic_file
+from malsmerge.cli import run
 
 
 def golden_blob() -> bytes:
@@ -81,10 +82,10 @@ def test_f16_widened_to_f32(tmp_path):
 def test_metadata_permitted_and_ignored(tmp_path):
     path = tmp_path / "m.st"
     write_archive({"a": np.ones(2, np.float32)}, path, metadata={"method": "mals"})
-    assert set(read_archive(path)) == {"a"}
-    infos, metadata = archive_info(path)
-    assert [i.name for i in infos] == ["a"]
-    assert metadata == {"method": "mals"}
+    archive = read_archive(path)
+    assert set(archive) == {"a"}
+    assert [i.name for i in archive.infos.values()] == ["a"]
+    assert archive.metadata == {"method": "mals"}
 
 
 def test_header_length_exceeding_file_is_malformed(tmp_path):
@@ -228,11 +229,11 @@ def _shape_header(shape: list[int], n_bytes: int, dtype: str = "F32") -> bytes:
          "empty-name", "entry-not-object", "non-string-metadata", "trailing-bytes",
          "shorter-than-length-field", "top-level-array"],
 )
-def test_info_and_read_reject_the_same_archives(tmp_path, blob):
+def test_info_and_read_reject_the_same_archives(tmp_path, capsys, blob):
     path = tmp_path / "bad.st"
     path.write_bytes(blob)
-    with pytest.raises(ArchiveError):
-        archive_info(path)
+    assert run(["info", "--archive", str(path)]) == 2
+    assert f"error: {path}: " in capsys.readouterr().err
     with pytest.raises(ArchiveError):
         read_archive(path)
 
@@ -247,9 +248,10 @@ def test_shapes_at_the_limits_are_read(tmp_path, shape, dtype):
     n_bytes = math.prod(shape) * {"F32": 4, "F16": 2}[dtype]
     path = tmp_path / "edge.st"
     path.write_bytes(_archive(_shape_header(shape, n_bytes, dtype), b"\x00" * n_bytes))
-    [info], _ = archive_info(path)
+    archive = read_archive(path)
+    [info] = archive.infos.values()
     assert info.shape == tuple(shape)
-    assert read_archive(path)["a"].shape == tuple(shape)
+    assert archive["a"].shape == tuple(shape)
 
 
 def test_more_than_32_dims_refused_on_write(tmp_path):
@@ -325,10 +327,24 @@ def test_write_error_without_a_filename_passes_through(tmp_path):
         yield b"x"
         raise OSError(errno.ENOSPC, "No space left on device")
 
-    with pytest.raises(OSError) as info:
-        write_atomic(tmp_path / "x.st", chunks())
+    with pytest.raises(OSError) as info, atomic_file(tmp_path / "x.st") as f:
+        f.writelines(chunks())
     assert info.value.errno == errno.ENOSPC and info.value.filename is None
     assert list(tmp_path.iterdir()) == []
+
+
+def test_read_error_at_open_names_the_file(tmp_path, monkeypatch):
+    path = tmp_path / "a.st"
+    write_archive({"a": np.ones(2, np.float32)}, path)
+
+    def failing(fd, buffers, offset):
+        raise OSError(errno.EIO, os.strerror(errno.EIO))
+
+    monkeypatch.setattr(os, "preadv", failing)
+    with pytest.raises(OSError) as info:
+        read_archive(path)
+    assert info.value.errno == errno.EIO and info.value.filename == str(path)
+    assert info.value.strerror == f"{os.strerror(errno.EIO)} reading the header"
 
 
 names = st.text(
@@ -370,8 +386,8 @@ def test_failed_write_leaves_target_and_no_temp_file(tmp_path):
         yield b"new"
         raise RuntimeError("interrupted")
 
-    with pytest.raises(RuntimeError, match="interrupted"):
-        write_atomic(target, chunks())
+    with pytest.raises(RuntimeError, match="interrupted"), atomic_file(target) as f:
+        f.writelines(chunks())
     assert target.read_bytes() == b"old"
     assert sorted(tmp_path.iterdir()) == [target]
 

@@ -1,7 +1,9 @@
 from __future__ import annotations
 
 import csv
+import errno
 import json
+import os
 import re
 import shlex
 import struct
@@ -63,9 +65,7 @@ def test_merge_happy_path(tmp_path, synth_dir, capsys):
 
 def test_merge_writes_method_metadata(tmp_path, synth_dir):
     run(["merge", "--config", str(_config(tmp_path, synth_dir))])
-    from malsmerge import archive_info
-
-    _, metadata = archive_info(tmp_path / "merged.safetensors")
+    metadata = read_archive(tmp_path / "merged.safetensors").metadata
     assert metadata["method"] == "mals"
     assert "config_digest" in metadata
 
@@ -630,6 +630,54 @@ def test_non_finite_input_read_last_exits_2_and_writes_nothing(tmp_path, synth_d
     assert output.read_bytes() == b"old output"
 
 
+def _payload_offset(path, name: str) -> int:
+    """The file offset of tensor ``name``'s payload, read from the archive's header."""
+    blob = Path(path).read_bytes()
+    (header_len,) = struct.unpack("<Q", blob[:8])
+    return 8 + header_len + json.loads(blob[8 : 8 + header_len])[name]["data_offsets"][0]
+
+
+def _check_io_error_named(tmp_path, capsys, cfg, code, message):
+    """A merge that meets the I/O error exits 2 with ``message``, and leaves the files as they were."""
+    files = {path: path.read_bytes() for path in sorted(tmp_path.rglob("*")) if path.is_file()}
+    assert run(["merge", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err == f"error: [Errno {code}] {os.strerror(code)} {message}\n"
+    # no temp file, and the earlier output and report untouched
+    assert {path: path.read_bytes() for path in sorted(tmp_path.rglob("*")) if path.is_file()} == files
+
+
+def test_read_error_names_the_input_and_tensor(tmp_path, synth_dir, capsys, monkeypatch):
+    cfg = _config(tmp_path, synth_dir)
+    assert run(["merge", "--config", str(cfg)]) == 0
+    bad, name = synth_dir / "task_01.safetensors", "model.layers.1.mlp.weight"
+    # every input has the same layout: the file, not the offset, singles the tensor out
+    offset, stat, preadv = _payload_offset(bad, name), os.stat(bad), os.preadv
+
+    def failing(fd, buffers, at):
+        if at == offset and os.path.samestat(os.fstat(fd), stat):
+            raise OSError(errno.EIO, os.strerror(errno.EIO))
+        return preadv(fd, buffers, at)
+
+    monkeypatch.setattr(os, "preadv", failing)
+    _check_io_error_named(tmp_path, capsys, cfg, errno.EIO, f"reading tensor {name!r}: {str(bad)!r}")
+
+
+def test_write_error_names_the_output_and_tensor(tmp_path, synth_dir, capsys, monkeypatch):
+    cfg = _config(tmp_path, synth_dir)
+    assert run(["merge", "--config", str(cfg)]) == 0
+    output, name = tmp_path / "merged.safetensors", "model.layers.1.mlp.weight"
+    offset, pwritev = _payload_offset(output, name), os.pwritev  # the rerun lays it out alike
+
+    def failing(fd, buffers, at):
+        if at == offset:
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        return pwritev(fd, buffers, at)
+
+    monkeypatch.setattr(os, "pwritev", failing)
+    message = f"writing tensor {name!r}: {str(output)!r}"
+    _check_io_error_named(tmp_path, capsys, cfg, errno.ENOSPC, message)
+
+
 def test_info_missing_file_exits_2(tmp_path, capsys):
     assert run(["info", "--archive", str(tmp_path / "nope.st")]) == 2
 
@@ -705,6 +753,6 @@ def test_readme_library_example_runs(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     exec(_readme_block("## Library", "python"), {"__name__": "readme_library"})
     assert set(read_archive(tmp_path / "merged.safetensors")) == set(base)
-    streamed = (tmp_path / "merged-streamed.safetensors").read_bytes()
-    assert streamed == (tmp_path / "merged.safetensors").read_bytes()
+    streamed = (tmp_path / "merged.safetensors").read_bytes()
+    assert streamed == (tmp_path / "merged-whole.safetensors").read_bytes()
     assert capsys.readouterr().out  # the example prints the allocation and conflict

@@ -22,9 +22,11 @@ from malsmerge import (
     merge,
     read_archive,
     sparsify_top_fraction,
+    stream_archive,
     write_synthetic_set,
 )
 from malsmerge import cli
+from malsmerge.archive import tensor_shapes
 from malsmerge.conflict import layer_conflict
 from malsmerge.merging import compose_merged, plan, simple_average
 from malsmerge.task_vectors import TaskVector, compute_task_vector
@@ -254,29 +256,32 @@ def _merged_delta(base, tuned, config):
         {key: np.asarray(t[key].astype(np.float64) - base[key], dtype=np.float32) for key in base}
         for t in tuned
     ]
-    return merge(zero, deltas, replace(config, lam=1.0)).merged
+    merged, _, _ = merge(zero, deltas, replace(config, lam=1.0))
+    return dict(merged)
 
 
 class TestMerge:
     def test_collapsed_bounds_match_uniform_bitwise(self):
         base, tuned = _checkpoints()
         alloc = AllocationConfig(s_min=0.6, s_max=0.6, s_target=0.6)
-        mals_out = merge(base, tuned, MergeConfig(method="mals", allocation=alloc))
-        uniform_out = merge(
+        mals, _, _ = merge(base, tuned, MergeConfig(method="mals", allocation=alloc))
+        uniform, _, _ = merge(
             base, tuned, MergeConfig(method="uniform_sparsity", allocation=alloc)
         )
+        mals, uniform = dict(mals), dict(uniform)
         for key in base:
-            assert mals_out.merged[key].tobytes() == uniform_out.merged[key].tobytes()
+            assert mals[key].tobytes() == uniform[key].tobytes()
 
     def test_uniform_with_election_matches_ties_bitwise(self):
         base, tuned = _checkpoints(seed=1)
         alloc = AllocationConfig(s_target=0.5)
-        uniform_out = merge(
+        uniform, _, _ = merge(
             base, tuned, MergeConfig(method="uniform_sparsity", sign_election=True, allocation=alloc)
         )
-        ties_out = merge(base, tuned, MergeConfig(method="ties", allocation=alloc))
+        ties, _, _ = merge(base, tuned, MergeConfig(method="ties", allocation=alloc))
+        uniform, ties = dict(uniform), dict(ties)
         for key in base:
-            assert uniform_out.merged[key].tobytes() == ties_out.merged[key].tobytes()
+            assert uniform[key].tobytes() == ties[key].tobytes()
 
     def test_identity_merge_of_identical_checkpoints(self):
         base, tuned = _checkpoints(seed=2, tasks=1)
@@ -287,9 +292,10 @@ class TestMerge:
             sign_election=True,
             allocation=AllocationConfig(s_min=0.0, s_max=0.0, s_target=0.0),
         )
-        out = merge(base, copies, config)
+        merged, _, _ = merge(base, copies, config)
+        merged = dict(merged)
         for key in base:
-            np.testing.assert_array_equal(out.merged[key], tuned[0][key])
+            np.testing.assert_array_equal(merged[key], tuned[0][key])
 
     def test_simple_average_of_one_task_equals_compose(self):
         self._check_simple_average_equals_compose(tasks=1)
@@ -301,29 +307,31 @@ class TestMerge:
     def _check_simple_average_equals_compose(tasks):
         base, tuned = _edge_checkpoints(seed=3, tasks=tasks)
         config = MergeConfig(method="simple_average", lam=0.7)
-        out = merge(base, tuned, config)
+        merged, conflict, allocation = merge(base, tuned, config)
+        merged = dict(merged)
         task_vectors = [compute_task_vector(base, t, f"t{i}") for i, t in enumerate(tuned)]
         tau = simple_average(task_vectors)
         expected = compose_merged(base, tau, 0.7)
         delta = _merged_delta(base, tuned, config)
-        assert set(out.merged) == set(delta) == set(base)
+        assert set(merged) == set(delta) == set(base)
         for key in base:
             assert delta[key].tobytes() == tau.deltas[key].tobytes()
-            assert out.merged[key].shape == expected[key].shape
-            assert out.merged[key].tobytes() == expected[key].tobytes()
-        assert out.allocation is None and out.conflict is None
+            assert merged[key].shape == expected[key].shape
+            assert merged[key].tobytes() == expected[key].tobytes()
+        assert allocation is None and conflict is None
 
     @pytest.mark.parametrize("lam", [1.0, 0.7])
     @pytest.mark.parametrize("method", METHODS)
     def test_merged_is_base_plus_scaled_merged_delta(self, method, lam):
         base, tuned = _edge_checkpoints(seed=8)
         config = MergeConfig(method=method, lam=lam)
-        out = merge(base, tuned, config)
+        merged, _, _ = merge(base, tuned, config)
+        merged = dict(merged)
         expected = compose_merged(base, TaskVector(method, _merged_delta(base, tuned, config)), lam)
-        assert set(out.merged) == set(base)
+        assert set(merged) == set(base)
         for key in base:
-            assert out.merged[key].shape == expected[key].shape
-            assert out.merged[key].tobytes() == expected[key].tobytes()
+            assert merged[key].shape == expected[key].shape
+            assert merged[key].tobytes() == expected[key].tobytes()
 
     @pytest.mark.parametrize("election", [False, True])
     @pytest.mark.parametrize("method", METHODS)
@@ -334,8 +342,8 @@ class TestMerge:
         def as_vectors(m):
             return {k: v.reshape(1) if v.ndim == 0 else v for k, v in m.items()}
 
-        out = merge(base, tuned, config).merged
-        want = merge(as_vectors(base), [as_vectors(t) for t in tuned], config).merged
+        out = dict(merge(base, tuned, config)[0])
+        want = dict(merge(as_vectors(base), [as_vectors(t) for t in tuned], config)[0])
         assert out["m.layers.1.empty"].shape == (0, 4)
         for key in base:
             assert out[key].shape == base[key].shape
@@ -362,8 +370,8 @@ class TestMerge:
         with pytest.raises(ValidationError, match=rf"{what} tensor '{re.escape(name)}' overflows"):
             if method == "compose_merged":
                 compose_merged(base, compute_task_vector(base, tuned[0], "t0"), lam)
-            else:
-                merge(base, tuned, MergeConfig(method=method, lam=lam))
+            else:  # pass 2's errors are raised as the merged pairs are taken
+                dict(merge(base, tuned, MergeConfig(method=method, lam=lam))[0])
 
     @pytest.mark.parametrize(
         "base_value, tuned_value, config, what",
@@ -379,7 +387,7 @@ class TestMerge:
         base = {name: np.full(3, base_value)}
         tuned = [{name: np.full(3, tuned_value)}]
         with pytest.raises(ValidationError, match=rf"{what} tensor '{re.escape(name)}' overflows"):
-            merge(base, tuned, config)
+            dict(merge(base, tuned, config)[0])
 
     @pytest.mark.parametrize("method", METHODS)
     def test_invalid_grouping_pattern_rejected_for_every_method(self, method):
@@ -399,7 +407,7 @@ class TestMerge:
         assert grouping.layer_ids[-2:] == ["layer.7", "ungrouped"]
         task_vectors = [compute_task_vector(base, t, f"t{i}") for i, t in enumerate(tuned)]
         expected = layer_conflict(task_vectors, grouping)
-        got = merge(base, tuned, MergeConfig(method="ties")).conflict
+        _, got, _ = merge(base, tuned, MergeConfig(method="ties"))
         assert got.layer_ids == expected.layer_ids
         assert got.conflict.tobytes() == expected.conflict.tobytes()
         assert got.importance.tobytes() == expected.importance.tobytes()
@@ -413,19 +421,20 @@ class TestMerge:
     def test_merged_preserves_keys_and_shapes(self):
         base, tuned = _checkpoints(seed=4)
         for method in ("mals", "uniform_sparsity", "ties", "simple_average"):
-            out = merge(base, tuned, MergeConfig(method=method))
-            assert set(out.merged) == set(base)
+            merged, _, _ = merge(base, tuned, MergeConfig(method=method))
+            merged = dict(merged)
+            assert set(merged) == set(base)
             for key in base:
-                assert out.merged[key].shape == base[key].shape
-                assert out.merged[key].dtype == np.float32
+                assert merged[key].shape == base[key].shape
+                assert merged[key].dtype == np.float32
 
     def test_sparsity_accounting(self):
         base, tuned = _checkpoints(seed=5)
         config = MergeConfig(method="uniform_sparsity")
-        out = merge(base, tuned, config)
+        _, _, allocation = merge(base, tuned, config)
         delta = _merged_delta(base, tuned, config)
         grouping = group_layers(base)
-        for level, (_, members) in zip(out.allocation.s_final, grouping.groups):
+        for level, (_, members) in zip(allocation.s_final, grouping.groups):
             n = sum(base[name].size for name in members)
             cap = len(tuned) * np.ceil((1.0 - level) * n)
             merged_nonzero = sum(np.count_nonzero(delta[name]) for name in members)
@@ -434,11 +443,11 @@ class TestMerge:
     def test_election_consistency(self):
         base, tuned = _checkpoints(seed=6)
         config = MergeConfig(method="ties")
-        out = merge(base, tuned, config)
+        _, _, allocation = merge(base, tuned, config)
         delta = _merged_delta(base, tuned, config)
         grouping = group_layers(base)
         # re-derive the elected signs with the brute-force trim oracle
-        for level, (_, members) in zip(out.allocation.s_final, grouping.groups):
+        for level, (_, members) in zip(allocation.s_final, grouping.groups):
             ordered = sorted(members)
             trimmed = []
             for t in tuned:
@@ -481,29 +490,30 @@ class TestMerge:
             {k: (v + rng.normal(size=v.shape)).astype(np.float32) for k, v in base.items()}
             for _ in range(3)
         ]
-        out = merge(base, tuned, MergeConfig(method=method))
-        assert out.merged["m.layers.1.w"].shape == (0, 3)
-        assert out.conflict.conflict[1] == 0.0
-        assert out.conflict.importance[1] == 0.0
-        assert out.conflict.rho_abs.shape == out.conflict.sign_disagreement.shape == (3, 3)
-        assert not out.conflict.rho_abs[:, 1].any()
-        assert not out.conflict.sign_disagreement[:, 1].any()
+        merged, conflict, _ = merge(base, tuned, MergeConfig(method=method))
+        merged = dict(merged)
+        assert merged["m.layers.1.w"].shape == (0, 3)
+        assert conflict.conflict[1] == 0.0
+        assert conflict.importance[1] == 0.0
+        assert conflict.rho_abs.shape == conflict.sign_disagreement.shape == (3, 3)
+        assert not conflict.rho_abs[:, 1].any()
+        assert not conflict.sign_disagreement[:, 1].any()
         if method != "mals":
             # one trim level everywhere, so the empty group leaves the rest untouched
             def drop(m):
                 return {k: v for k, v in m.items() if k != "m.layers.1.w"}
 
-            without = merge(drop(base), [drop(t) for t in tuned], MergeConfig(method=method))
-            for name, value in without.merged.items():
-                np.testing.assert_array_equal(out.merged[name], value)
+            without, _, _ = merge(drop(base), [drop(t) for t in tuned], MergeConfig(method=method))
+            for name, value in without:
+                np.testing.assert_array_equal(merged[name], value)
 
     def test_determinism_across_runs(self):
         base, tuned = _checkpoints(seed=8)
         config = MergeConfig(method="mals", sign_election=True)
-        first = merge(base, tuned, config)
-        second = merge(base, tuned, config)
+        first = dict(merge(base, tuned, config)[0])
+        second = dict(merge(base, tuned, config)[0])
         for key in base:
-            assert first.merged[key].tobytes() == second.merged[key].tobytes()
+            assert first[key].tobytes() == second[key].tobytes()
 
     def test_end_to_end_matches_composed_oracle_pipeline(self):
         from oracles import min_max_oracle, pearson_abs_oracle, sign_disagreement_oracle
@@ -512,7 +522,8 @@ class TestMerge:
         base, tuned = synthesize_checkpoints(64, 3, 400, 3, [0.9, 0.4, 0.05])
         alloc = AllocationConfig(alpha=1.0, beta=1.0, s_min=0.1, s_max=0.9, s_target=0.5)
         config = MergeConfig(method="mals", lam=1.3, sign_election=True, allocation=alloc)
-        out = merge(base, tuned, config)
+        merged, conflict, allocation = merge(base, tuned, config)
+        merged = dict(merged)
 
         grouping = group_layers(base)
         groups = [sorted(members) for _, members in grouping.groups]
@@ -537,8 +548,8 @@ class TestMerge:
                     )
             c.append(sum(scores) / len(scores))
             m.append(sum(float(np.mean(np.abs(f))) for f in per_task) / 3)
-        np.testing.assert_allclose(out.conflict.conflict, c, atol=1e-12)
-        np.testing.assert_allclose(out.conflict.importance, m, atol=1e-12)
+        np.testing.assert_allclose(conflict.conflict, c, atol=1e-12)
+        np.testing.assert_allclose(conflict.importance, m, atol=1e-12)
 
         # allocation chain per the stated update rules
         r = np.array(min_max_oracle(c)) - np.array(min_max_oracle(m))
@@ -555,8 +566,8 @@ class TestMerge:
                 free = (s > 0.1) & (s < 0.9)
                 if free.any():
                     s[free] = np.clip(s[free] + residual * len(s) / free.sum(), 0.1, 0.9)
-        np.testing.assert_allclose(out.allocation.s_final, s, atol=1e-12)
-        assert int(np.argmax(out.allocation.s_final)) == 0  # the designed high-conflict layer
+        np.testing.assert_allclose(allocation.s_final, s, atol=1e-12)
+        assert int(np.argmax(allocation.s_final)) == 0  # the designed high-conflict layer
 
         # trim, elect, disjoint-average, and compose by enumeration
         expected = {}
@@ -577,7 +588,7 @@ class TestMerge:
                 ).astype(np.float32).reshape(base[name].shape)
                 offset += size
         for name in base:
-            np.testing.assert_array_equal(out.merged[name], expected[name])
+            np.testing.assert_array_equal(merged[name], expected[name])
 
 
 @settings(max_examples=100, deadline=None)
@@ -627,16 +638,18 @@ def _cli_merge(paths) -> None:
     assert cli.run(["merge", "--config", str(config)]) == 0
 
 
-def test_planning_memory_follows_the_layer_not_the_model(tmp_path):
-    # archives are read a tensor at a time, so four times the layers at the same
-    # layer size cost no more memory
-    small = _peak_bytes(tmp_path / "small", 4, _plan)
-    large = _peak_bytes(tmp_path / "large", 16, _plan)
-    assert large <= 1.1 * small
+def _library_merge(paths) -> None:
+    base = read_archive(paths["base"])
+    tuned = [read_archive(path) for path in paths["tasks"]]
+    merged, _, _ = merge(base, tuned, MergeConfig(method="mals", sign_election=True))
+    stream_archive(tensor_shapes(base), merged, Path(paths["base"]).with_name("merged.safetensors"))
 
 
-def test_merge_memory_follows_the_layer_not_the_model(tmp_path):
-    # each merged layer is written at its offsets as soon as it is composed
-    small = _peak_bytes(tmp_path / "small", 4, _cli_merge)
-    large = _peak_bytes(tmp_path / "large", 16, _cli_merge)
+@pytest.mark.parametrize("job", [_plan, _cli_merge, _library_merge], ids=lambda job: job.__name__[1:])
+def test_memory_follows_the_layer_not_the_model(tmp_path, job):
+    # archives are read a tensor at a time, and each merged layer is written at its
+    # offsets as soon as it is composed, so four times the layers at the same layer
+    # size cost no more memory
+    small = _peak_bytes(tmp_path / "small", 4, job)
+    large = _peak_bytes(tmp_path / "large", 16, job)
     assert large <= 1.1 * small

@@ -12,12 +12,12 @@ import malsmerge
 PUBLIC_NAMES = [
     "AllocationConfig", "AllocationResult", "ArchiveError", "ConflictReport",
     "ConvergenceError", "DEFAULT_GROUPING_PATTERN", "LayerDiagnostics", "LayerGrouping",
-    "METHODS", "MergeConfig", "MergeOutput", "MergeToolError", "TensorInfo", "ValidationError",
-    "allocate", "allocation_scores", "archive_info", "config_metadata", "disjoint_merge",
+    "METHODS", "MergeConfig", "MergeToolError", "TensorInfo", "ValidationError",
+    "allocate", "allocation_scores", "config_metadata", "disjoint_merge",
     "elect_signs", "flatten_group", "group_layers", "initial_sparsity", "merge",
     "min_max_normalize", "pearson_abs", "project_to_budget", "read_archive",
     "sign_disagreement", "softmax_weights", "sparsify_top_fraction", "stream_archive",
-    "stream_merge", "synthesize_checkpoints",
+    "synthesize_checkpoints",
     "unflatten_group", "write_archive", "write_synthetic_set",
 ]
 

@@ -68,10 +68,10 @@ def test_layer_grouping_matches_profile_length():
 
 def test_single_task_set_still_merges(tmp_path):
     base, tuned = synthesize_checkpoints(11, 2, 20, 1, [0.5, 0.5])
-    out = merge(base, tuned, MergeConfig(method="mals"))
-    assert out.conflict is not None
-    np.testing.assert_array_equal(out.conflict.conflict, [0.0, 0.0])
-    assert set(out.merged) == set(base)
+    merged, conflict, _ = merge(base, tuned, MergeConfig(method="mals"))
+    assert conflict is not None
+    np.testing.assert_array_equal(conflict.conflict, [0.0, 0.0])
+    assert set(dict(merged)) == set(base)
 
 
 def test_single_element_layer():
