@@ -248,7 +248,7 @@ def _naming(exc: OSError, path: str | Path, action: str = "") -> OSError:
     return type(exc)(exc.errno, strerror, str(path))
 
 
-def _write_at(fd: int, buf: bytes | np.ndarray, offset: int, path: str | Path, what: str) -> None:
+def write_at(fd: int, buf: bytes | np.ndarray, offset: int, path: str | Path, what: str) -> None:
     """Write all of the flat bytes ``buf`` at ``offset``; an ``OSError`` names ``path`` and ``what``."""
     view = memoryview(buf)
     done = 0
@@ -304,7 +304,7 @@ def stream_archive(
 
     start = 8 + len(raw)
     with atomic_file(path) as f:
-        _write_at(f.fileno(), struct.pack("<Q", len(raw)) + raw, 0, path, "the header")
+        write_at(f.fileno(), struct.pack("<Q", len(raw)) + raw, 0, path, "the header")
         for name, tensor in tensors:
             if name not in pending:
                 what = "written twice" if name in shapes else "not in the archive header"
@@ -316,8 +316,8 @@ def stream_archive(
                 raise ArchiveError(f"tensor {name!r} has shape {arr.shape}, its header entry {shape}")
             if not np.all(np.isfinite(arr)):
                 raise ArchiveError(f"non-finite value in tensor {name!r} at 32-bit precision")
-            _write_at(f.fileno(), arr.reshape(-1).view(np.uint8), start + offset,
-                      path, f"tensor {name!r}")
+            write_at(f.fileno(), arr.reshape(-1).view(np.uint8), start + offset,
+                     path, f"tensor {name!r}")
             del tensor, arr  # a tensor may hold its whole layer: free it before the next
         if pending:  # its bytes would read as silent zeros
             raise ArchiveError(f"tensor {min(pending)!r} was never written")

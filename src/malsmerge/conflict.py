@@ -46,7 +46,7 @@ def _check_pair(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _deviations(x: np.ndarray) -> tuple[np.ndarray, float]:
     # np.sum keeps the reduction order fixed regardless of thread count,
     # unlike BLAS-backed dot products.
-    dx = x.astype(np.float64) - np.sum(x, dtype=np.float64) / len(x)
+    dx = np.subtract(x, np.sum(x, dtype=np.float64) / len(x), dtype=np.float64)
     return dx, float(np.sum(dx * dx))
 
 

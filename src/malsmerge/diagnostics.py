@@ -13,7 +13,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from .allocation import AllocationResult
-from .archive import atomic_file
+from .archive import atomic_file, write_at
 from .conflict import ConflictReport
 from .errors import ValidationError
 
@@ -100,4 +100,4 @@ class LayerDiagnostics:
             raise ValidationError(f"report format must be one of {REPORT_FORMATS}, got {fmt!r}")
         text = self.to_json() if fmt == "json" else self.to_csv()
         with atomic_file(path) as f:
-            f.write(text.encode("utf-8"))
+            write_at(f.fileno(), text.encode("utf-8"), 0, path, "the report")

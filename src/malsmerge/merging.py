@@ -49,16 +49,34 @@ class MergeConfig:
         compile_grouping(self.grouping_pattern)
 
 
+def masked_select(v: np.ndarray, keep: np.ndarray) -> np.ndarray:
+    """``v`` where ``keep`` holds and 0 elsewhere, as numpy's ``where(keep, v, 0)``
+    gives it bit for bit, without a branch per entry.
+
+    ``v``'s bits are ANDed with all ones where ``keep`` holds and with zeros
+    elsewhere, through an unsigned view of ``v``'s width: a kept entry keeps its
+    exact bits, ``-0.0`` included, and a dropped one becomes all-zero bits,
+    which is ``+0.0``. A half-true mask in random order, as a trim at ``s`` near
+    0.5 gives, costs a branching select a mispredicted branch on every other entry.
+    ``v``'s dtype is 1, 2, 4 or 8 bytes wide, as is every float up to float64.
+    """
+    bits = np.dtype(f"u{v.dtype.itemsize}")
+    mask = keep.astype(bits)
+    np.negative(mask, out=mask)  # 1 -> all ones, 0 -> 0
+    np.bitwise_and(mask, v.view(bits), out=mask)
+    return mask.view(v.dtype)
+
+
 def sparsify_top_fraction(v: np.ndarray, s: float) -> np.ndarray:
     """Zero all but the ceil((1 - s) * n) largest-magnitude entries.
 
     Magnitude ties keep the lower flat index, which pins the result across
     platforms and sort implementations. ``s = 1`` keeps nothing.
 
-    Runs in O(n): a partial selection finds the smallest kept magnitude,
-    every entry above it is kept, and the remaining slots go to the entries
-    equal to it in ascending index order. Kept entries are copied as they
-    are, so a kept ``-0.0`` stays ``-0.0``.
+    Runs in O(n): a partial selection finds the smallest kept magnitude and
+    every entry at or above it is kept; only if that keeps too many are the
+    surplus entries equal to it dropped, from the highest index down. Kept
+    entries are copied as they are, so a kept ``-0.0`` stays ``-0.0``.
     """
     if not 0.0 <= s <= 1.0:
         raise ValueError(f"sparsity level must lie in [0, 1], got {s}")
@@ -70,10 +88,11 @@ def sparsify_top_fraction(v: np.ndarray, s: float) -> np.ndarray:
         return np.zeros_like(v)
     magnitude = np.abs(v)
     threshold = np.partition(magnitude, v.size - n_keep)[v.size - n_keep]
-    keep = magnitude > threshold
-    n_ties = n_keep - int(np.count_nonzero(keep))
-    keep[np.flatnonzero(magnitude == threshold)[:n_ties]] = True
-    return np.where(keep, v, v.dtype.type(0))
+    keep = magnitude >= threshold
+    surplus = int(np.count_nonzero(keep)) - n_keep
+    if surplus > 0:
+        keep[np.flatnonzero(magnitude == threshold)[-surplus:]] = False
+    return masked_select(v, keep)
 
 
 def _rows(sparsified: Sequence[np.ndarray]) -> list[np.ndarray]:
@@ -111,8 +130,9 @@ def disjoint_merge(sparsified: Sequence[np.ndarray], signs: np.ndarray | None = 
         signs = np.asarray(signs)
         if len(signs) != len(rows[0]):
             raise ValueError(f"signs length {len(signs)} does not match vectors {len(rows[0])}")
-    total = task_order_sum((np.where(_contributes(r, signs), r, 0.0) for r in rows), rows[0].shape)
-    count = task_order_sum((_contributes(r, signs) for r in rows), rows[0].shape)
+    contributes = [_contributes(r, signs) for r in rows]
+    total = task_order_sum(map(masked_select, rows, contributes), rows[0].shape)
+    count = task_order_sum(contributes, rows[0].shape)
     return (total / np.maximum(count, 1)).astype(np.result_type(*rows))
 
 

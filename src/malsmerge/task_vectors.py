@@ -71,8 +71,8 @@ def require_compatible(reference: TensorMap, other: TensorMap, what: str) -> Non
 
 @contextmanager
 def stored_at_32_bits(what: str) -> Iterator[None]:
-    """Wrap 64-bit arithmetic and its cast to 32-bit: an overflow in either raises
-    :class:`ValidationError` naming ``what``, such as ``merged tensor 'x'``."""
+    """Wrap arithmetic stored at 32-bit and its cast there: an overflow in either
+    raises :class:`ValidationError` naming ``what``, such as ``merged tensor 'x'``."""
     try:
         with np.errstate(over="raise"):
             yield
@@ -80,10 +80,24 @@ def stored_at_32_bits(what: str) -> Iterator[None]:
         raise ValidationError(f"{what} overflows 32-bit precision") from None
 
 
-def _delta(name: str, base: np.ndarray, tuned: np.ndarray) -> np.ndarray:
-    """``tuned - base``, subtracted at 64-bit to keep cancellation noise out, stored at 32-bit."""
+def _delta(
+    name: str, base: np.ndarray, tuned: np.ndarray, out: np.ndarray | None = None
+) -> np.ndarray:
+    """``tuned - base`` stored at 32-bit, into ``out`` if given.
+
+    The difference is the 64-bit one rounded to 32-bit, which keeps cancellation
+    noise out. Float32 inputs are subtracted at 32-bit, which gives those bits:
+    a difference rounded to 53 bits and then to 24 is rounded once (53 >= 2 * 24 + 2).
+    Other dtypes, such as ``1 + 1e-9`` and ``1`` in float64, go through 64-bit.
+    """
     with stored_at_32_bits(f"update of tensor {name!r}"):
-        return (tuned.astype(np.float64) - base.astype(np.float64)).astype(np.float32)
+        if base.dtype == tuned.dtype == np.float32:
+            return np.subtract(tuned, base, dtype=np.float32, out=out)
+        delta = (tuned.astype(np.float64) - base.astype(np.float64)).astype(np.float32)
+    if out is None:
+        return delta
+    out[...] = delta
+    return out
 
 
 def delta_tensors(base: TensorMap, tuned: TensorMap, label: str) -> Iterator[tuple[str, np.ndarray]]:
@@ -101,14 +115,18 @@ def compute_task_vector(base: TensorMap, tuned: TensorMap, label: str) -> TaskVe
 def layer_deltas(
     base: TensorMap, tuned: Sequence[TensorMap], members: Sequence[str]
 ) -> list[np.ndarray]:
-    """Each checkpoint's update on one layer group, its members' deltas raveled and
-    concatenated in ``members`` order. Each base member is looked up once. Callers
-    check compatibility first."""
+    """Each checkpoint's update on one layer group: its members' deltas raveled and
+    laid end to end in ``members`` order, each written straight into the checkpoint's
+    flat. Each base member is looked up once. Callers check compatibility first."""
     bases = [base[name] for name in members]
-    return [
-        np.concatenate([np.ravel(_delta(name, b, t[name])) for name, b in zip(members, bases)])
-        for t in tuned
-    ]
+    offsets = np.cumsum([0, *(b.size for b in bases)]).tolist()
+    flats = []
+    for t in tuned:
+        flat = np.empty(offsets[-1], dtype=np.float32)
+        for name, b, start, end in zip(members, bases, offsets, offsets[1:]):
+            _delta(name, b, t[name], out=flat[start:end].reshape(b.shape))
+        flats.append(flat)
+    return flats
 
 
 def validate_compatibility(base: TensorMap, tuned_list: Sequence[TensorMap],

@@ -678,6 +678,22 @@ def test_write_error_names_the_output_and_tensor(tmp_path, synth_dir, capsys, mo
     _check_io_error_named(tmp_path, capsys, cfg, errno.ENOSPC, message)
 
 
+def test_report_write_error_names_the_report(tmp_path, synth_dir, capsys, monkeypatch):
+    out = tmp_path / "a.json"
+    out.write_bytes(b"old report")
+    files = sorted(tmp_path.rglob("*"))
+
+    def failing(fd, buffers, at):  # the report is analyze's only write
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    monkeypatch.setattr(os, "pwritev", failing)
+    assert run(_argv(tmp_path, synth_dir, "analyze", out=str(out))) == 2
+    message = f"[Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)} writing the report: {str(out)!r}"
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert sorted(tmp_path.rglob("*")) == files  # the temp file is removed
+    assert out.read_bytes() == b"old report"
+
+
 def test_info_missing_file_exits_2(tmp_path, capsys):
     assert run(["info", "--archive", str(tmp_path / "nope.st")]) == 2
 
@@ -751,7 +767,10 @@ def test_readme_library_example_runs(tmp_path, monkeypatch, capsys):
     for stem, tensors in zip(("base", "math", "chat"), [base, *tuned]):
         write_archive(tensors, tmp_path / f"{stem}.safetensors")
     monkeypatch.chdir(tmp_path)
-    exec(_readme_block("## Library", "python"), {"__name__": "readme_library"})
+    block = _readme_block("## Library", "python")
+    # the public API alone: every import is from the package's top level
+    assert re.findall(r"^(?:from|import) \S+", block, re.MULTILINE) == ["from malsmerge"]
+    exec(block, {"__name__": "readme_library"})
     assert set(read_archive(tmp_path / "merged.safetensors")) == set(base)
     streamed = (tmp_path / "merged.safetensors").read_bytes()
     assert streamed == (tmp_path / "merged-whole.safetensors").read_bytes()

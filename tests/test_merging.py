@@ -23,12 +23,12 @@ from malsmerge import (
     read_archive,
     sparsify_top_fraction,
     stream_archive,
+    tensor_shapes,
     write_synthetic_set,
 )
 from malsmerge import cli
-from malsmerge.archive import tensor_shapes
 from malsmerge.conflict import layer_conflict
-from malsmerge.merging import compose_merged, plan, simple_average
+from malsmerge.merging import compose_merged, masked_select, plan, simple_average
 from malsmerge.task_vectors import TaskVector, compute_task_vector
 from oracles import disjoint_merge_oracle, elect_signs_oracle, sparsify_oracle
 
@@ -82,6 +82,41 @@ class TestSparsifyTopFraction:
         kept = np.array([-0.0, 3.0, 0.0, 0.0], dtype=np.float32)
         assert sparsify_top_fraction(v, 0.5).tobytes() == kept.tobytes()
         assert sparsify_top_fraction(v, 0.0).tobytes() == v.tobytes()
+
+
+@pytest.mark.parametrize("dtype", [np.float16, np.float32, np.float64])
+def test_masked_select_equals_where_bytewise(dtype):
+    rng = np.random.default_rng(7)
+    info = np.finfo(dtype)
+    v = (rng.normal(size=1024) * rng.choice([1e-3, 1.0, 1e3], size=1024)).astype(dtype)
+    v[:6] = [-0.0, 0.0, info.max, -info.max, info.smallest_subnormal, -info.smallest_subnormal]
+    v[rng.random(v.size) < 0.2] *= dtype(0)  # keeps the sign: ±0.0
+    for keep in (rng.random(v.size) < 0.5, np.ones(v.size, bool), np.zeros(v.size, bool)):
+        for w in (v, v[::3]):  # contiguous and strided
+            expected = np.where(keep[: w.size], w, w.dtype.type(0))
+            selected = masked_select(w, keep[: w.size])
+            assert selected.dtype == w.dtype and selected.tobytes() == expected.tobytes()
+
+
+@st.composite
+def _tie_heavy_vectors(draw):
+    """Grid-snapped vectors with ±0.0: small integer grids tie most magnitudes, and a
+    permutation of distinct grid points ties none, so no threshold has surplus ties."""
+    dtype = draw(st.sampled_from([np.float16, np.float32, np.float64]))
+    n = draw(st.integers(min_value=1, max_value=48))
+    if draw(st.booleans()):
+        steps = draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n))
+    else:
+        steps = draw(st.permutations(range(1, n + 1)))
+    signs = draw(st.lists(st.sampled_from([-1.0, 1.0]), min_size=n, max_size=n))
+    return (np.array(steps, dtype=np.float64) * signs / 8).astype(dtype)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_tie_heavy_vectors(), st.floats(min_value=0.0, max_value=1.0))
+def test_sparsify_equals_oracle_on_ties_bytewise(v, s):
+    expected = np.array(sparsify_oracle(v, s), dtype=v.dtype)
+    assert sparsify_top_fraction(v, s).tobytes() == expected.tobytes()
 
 
 class TestElectSigns:
@@ -157,6 +192,20 @@ class TestTaskOrderSums:
             for given in (signs, None):
                 expected = np.array(disjoint_merge_oracle(rows, given), dtype=np.float32)
                 assert disjoint_merge(rows, given).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float16, np.float32, np.float64])
+    def test_signed_zeros_and_zero_signs_equal_oracle_bytewise(self, dtype):
+        rng = np.random.default_rng(11)
+        for _ in range(25):
+            # magnitudes 2^-6 to 2^6 by powers of two, every sign, a fifth of them ±0.0
+            values = rng.choice([-1.0, 1.0], size=(3, 64)) * 2.0 ** rng.integers(-6, 7, (3, 64))
+            values[rng.random((3, 64)) < 0.2] *= 0.0
+            rows = list(values.astype(dtype))
+            # given signs, not elected ones: a 0 where rows hold nonzeros of both signs
+            drawn = rng.choice(np.array([-1, 0, 1], dtype=np.int8), size=64)
+            for signs in (None, elect_signs(rows), drawn):
+                expected = np.array(disjoint_merge_oracle(rows, signs), dtype=dtype)
+                assert disjoint_merge(rows, signs).tobytes() == expected.tobytes()
 
     def test_nine_one_element_tasks_add_in_task_order(self):
         # 2^60 + 1 rounds to 2^60, so the sum in task order is +0.5

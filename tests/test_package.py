@@ -17,7 +17,7 @@ PUBLIC_NAMES = [
     "elect_signs", "flatten_group", "group_layers", "initial_sparsity", "merge",
     "min_max_normalize", "pearson_abs", "project_to_budget", "read_archive",
     "sign_disagreement", "softmax_weights", "sparsify_top_fraction", "stream_archive",
-    "synthesize_checkpoints",
+    "synthesize_checkpoints", "tensor_shapes",
     "unflatten_group", "write_archive", "write_synthetic_set",
 ]
 

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from malsmerge import MergeConfig, ValidationError, merge
-from malsmerge.task_vectors import compute_task_vector, validate_compatibility
+from malsmerge.task_vectors import _delta, compute_task_vector, layer_deltas, validate_compatibility
 
 
 def _map(**kwargs):
@@ -54,6 +54,73 @@ def test_deltas_stored_at_32_bit():
     base = _map(w=[1.0])
     tuned = _map(w=[1.5])
     assert compute_task_vector(base, tuned, "t").deltas["w"].dtype == np.float32
+
+
+def _delta_64(base, tuned):
+    """The 64-bit route: subtract at 64-bit, round once to 32-bit."""
+    return (tuned.astype(np.float64) - base.astype(np.float64)).astype(np.float32)
+
+
+_F32 = np.finfo(np.float32)
+# subnormals, the normal boundary, and the neighbours of ±F32 max; 2**102 is under half
+# an ulp of F32 max, so F32 max + 2**102 still rounds to F32 max
+_EDGES = np.array(
+    [0.0, _F32.smallest_subnormal, 2 * _F32.smallest_subnormal, _F32.tiny - _F32.smallest_subnormal,
+     _F32.tiny, np.nextafter(_F32.tiny, np.float32(1)), 1.0, np.nextafter(np.float32(1), np.float32(2)),
+     2.0**102, _F32.max, np.nextafter(_F32.max, np.float32(0)), _F32.max / 2],
+    dtype=np.float32,
+)
+
+
+def test_float32_delta_equals_the_64_bit_route_bytewise():
+    edges = np.concatenate([_EDGES, -_EDGES])
+    rng = np.random.default_rng(5)
+    bits = rng.integers(0, 2**32, size=(2, 200_000), dtype=np.uint64).astype(np.uint32)
+    random = bits.view(np.float32)
+    random = random[:, np.isfinite(random).all(axis=0)]
+    with np.errstate(over="ignore"):  # an infinite product is filtered out below
+        near = random[0] * np.float32(1 + 2.0**-20)  # cancellation: a few ulps apart
+    base = np.concatenate([np.repeat(edges, edges.size), random[0], random[0], near])
+    tuned = np.concatenate([np.tile(edges, edges.size), random[1], near, random[0]])
+    with np.errstate(over="ignore"):
+        fits = np.isfinite(_delta_64(base, tuned))
+    assert fits.sum() > 200_000 and not fits.all()  # overflowing pairs are left to the next test
+    delta = _delta("w", base[fits], tuned[fits])
+    assert delta.dtype == np.float32
+    assert delta.tobytes() == _delta_64(base[fits], tuned[fits]).tobytes()
+
+
+@pytest.mark.parametrize(
+    "base, tuned",
+    [(-_F32.max, _F32.max), (-(2.0**103), _F32.max), (_F32.max, -np.nextafter(_F32.max, np.float32(0)))],
+    ids=["max-minus-min", "half-ulp-over-max", "min-minus-max"],
+)
+def test_float32_delta_overflow_names_the_tensor(base, tuned):
+    base, tuned = np.array([0, base], np.float32), np.array([0, tuned], np.float32)
+    with pytest.raises(ValidationError, match="update of tensor 'w' overflows 32-bit"):
+        _delta("w", base, tuned)
+
+
+def test_other_dtypes_subtract_at_64_bits():
+    delta = _delta("w", np.array([1.0]), np.array([1 + 1e-9]))
+    assert delta.dtype == np.float32 and delta[0] == np.float32((1 + 1e-9) - 1.0) != 0
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_layer_deltas_equal_member_deltas_concatenated(dtype):
+    rng = np.random.default_rng(9)
+    shapes = {"b": (5,), "a": (3, 4), "c": (0, 2)}
+
+    def checkpoint():
+        return {name: rng.normal(size=shape).astype(dtype) for name, shape in shapes.items()}
+
+    base, tuned = checkpoint(), [checkpoint(), checkpoint()]
+    members = ["a", "b"]  # a two-member group, not in the map's order
+    flats = layer_deltas(base, tuned, members)
+    for t, flat in zip(tuned, flats):
+        expected = np.concatenate([np.ravel(_delta_64(base[n], t[n])) for n in members])
+        assert flat.dtype == np.float32 and flat.tobytes() == expected.tobytes()
+    assert layer_deltas(base, tuned, ["c"])[0].shape == (0,)
 
 
 def test_compatibility_all_pass():
