@@ -21,13 +21,7 @@ from .allocation import AllocationConfig, AllocationResult, allocate, coerce_fie
 from .conflict import ConflictReport, score_layers, task_order_sum
 from .errors import ConvergenceError, ValidationError
 from .grouping import DEFAULT_GROUPING_PATTERN, LayerGrouping, compile_grouping, group_layers, unflatten_group
-from .task_vectors import (
-    TaskVector,
-    TensorMap,
-    layer_deltas,
-    require_compatible,
-    stored_at_32_bits,
-)
+from .task_vectors import TaskVector, TensorMap, layer_deltas, require_compatible, stored_sum
 
 METHODS = ("mals", "simple_average", "uniform_sparsity", "ties")
 
@@ -58,8 +52,11 @@ def masked_select(v: np.ndarray, keep: np.ndarray) -> np.ndarray:
     exact bits, ``-0.0`` included, and a dropped one becomes all-zero bits,
     which is ``+0.0``. A half-true mask in random order, as a trim at ``s`` near
     0.5 gives, costs a branching select a mispredicted branch on every other entry.
-    ``v``'s dtype is 1, 2, 4 or 8 bytes wide, as is every float up to float64.
+    ``v``'s dtype must be 1, 2, 4 or 8 bytes wide, as is every float up to float64;
+    a wider one, such as complex128, raises ``ValueError`` naming it.
     """
+    if v.dtype.itemsize not in (1, 2, 4, 8):
+        raise ValueError(f"vector dtype {v.dtype} is {v.dtype.itemsize} bytes wide, not 1, 2, 4 or 8")
     bits = np.dtype(f"u{v.dtype.itemsize}")
     mask = keep.astype(bits)
     np.negative(mask, out=mask)  # 1 -> all ones, 0 -> 0
@@ -136,16 +133,10 @@ def disjoint_merge(sparsified: Sequence[np.ndarray], signs: np.ndarray | None = 
     return (total / np.maximum(count, 1)).astype(np.result_type(*rows))
 
 
-def _compose(name: str, base: np.ndarray, delta: np.ndarray, lam: float) -> np.ndarray:
-    """``base + lam * delta``, added at 64-bit and stored at 32-bit."""
-    with stored_at_32_bits(f"merged tensor {name!r}"):
-        return (base.astype(np.float64) + lam * delta.astype(np.float64)).astype(np.float32)
-
-
 def compose_merged(base: TensorMap, tau: TaskVector, lam: float) -> dict[str, np.ndarray]:
     """Add the scaled merged task vector back onto the base checkpoint."""
     require_compatible(base, tau.deltas, f"task vector {tau.label!r}")
-    return {key: _compose(key, base[key], tau.deltas[key], lam) for key in base}
+    return {key: stored_sum(f"merged tensor {key!r}", base[key], lam, tau.deltas[key]) for key in base}
 
 
 def _average(arrays: Sequence[np.ndarray]) -> np.ndarray:
@@ -218,7 +209,7 @@ def _merge_layer(
         # into the merged update's own buffer: one array per layer, no second
         # allocation per tensor, so the pages the layer freed are reused; each
         # base tensor is popped, so freed once composed
-        delta[...] = _compose(name, layer_base.pop(name), delta, config.lam)
+        stored_sum(f"merged tensor {name!r}", layer_base.pop(name), config.lam, delta, out=delta)
     return composed
 
 

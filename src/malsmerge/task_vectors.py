@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Iterator, Mapping, Sequence
 
@@ -69,42 +68,35 @@ def require_compatible(reference: TensorMap, other: TensorMap, what: str) -> Non
         raise ValidationError(f"{what} incompatible at {key!r}: {reason}")
 
 
-@contextmanager
-def stored_at_32_bits(what: str) -> Iterator[None]:
-    """Wrap arithmetic stored at 32-bit and its cast there: an overflow in either
-    raises :class:`ValidationError` naming ``what``, such as ``merged tensor 'x'``."""
+def stored_sum(
+    what: str, x: np.ndarray, scale: float, y: np.ndarray, out: np.ndarray | None = None
+) -> np.ndarray:
+    """``x + scale * y`` stored at 32-bit, into ``out`` if given, else a new array.
+
+    The sum is the 64-bit one rounded once to 32-bit, which keeps cancellation
+    noise out. Float32 ``x`` and ``y`` at ``scale`` 1 or -1 are added at 32-bit,
+    which gives those bits: a sum rounded to 53 bits and then to 24 is rounded
+    once (53 >= 2 * 24 + 2). Any other scale or dtype, such as ``1 + 1e-9`` and
+    ``1`` in float64, is added at 64-bit and stored by the ufunc's cast into
+    ``out``, with no 64-bit copy of ``x`` or of the sum. An overflow raises
+    :class:`ValidationError` naming ``what``, such as ``merged tensor 'x'``.
+    """
+    if out is None:
+        out = np.empty_like(x, dtype=np.float32)
     try:
         with np.errstate(over="raise"):
-            yield
+            if x.dtype == y.dtype == np.float32 and abs(scale) == 1:
+                return (np.add if scale > 0 else np.subtract)(x, y, out=out)
+            return np.add(x, np.multiply(y, scale, dtype=np.float64), out=out, dtype=np.float64)
     except FloatingPointError:
         raise ValidationError(f"{what} overflows 32-bit precision") from None
-
-
-def _delta(
-    name: str, base: np.ndarray, tuned: np.ndarray, out: np.ndarray | None = None
-) -> np.ndarray:
-    """``tuned - base`` stored at 32-bit, into ``out`` if given.
-
-    The difference is the 64-bit one rounded to 32-bit, which keeps cancellation
-    noise out. Float32 inputs are subtracted at 32-bit, which gives those bits:
-    a difference rounded to 53 bits and then to 24 is rounded once (53 >= 2 * 24 + 2).
-    Other dtypes, such as ``1 + 1e-9`` and ``1`` in float64, go through 64-bit.
-    """
-    with stored_at_32_bits(f"update of tensor {name!r}"):
-        if base.dtype == tuned.dtype == np.float32:
-            return np.subtract(tuned, base, dtype=np.float32, out=out)
-        delta = (tuned.astype(np.float64) - base.astype(np.float64)).astype(np.float32)
-    if out is None:
-        return delta
-    out[...] = delta
-    return out
 
 
 def delta_tensors(base: TensorMap, tuned: TensorMap, label: str) -> Iterator[tuple[str, np.ndarray]]:
     """``(name, tuned - base)`` pairs in the base's order, each subtracted only when
     reached. Compatibility is checked here, before any pair."""
     require_compatible(base, tuned, f"checkpoint {label!r}")
-    return ((key, _delta(key, base[key], tuned[key])) for key in base)
+    return ((key, stored_sum(f"update of tensor {key!r}", tuned[key], -1, base[key])) for key in base)
 
 
 def compute_task_vector(base: TensorMap, tuned: TensorMap, label: str) -> TaskVector:
@@ -124,7 +116,7 @@ def layer_deltas(
     for t in tuned:
         flat = np.empty(offsets[-1], dtype=np.float32)
         for name, b, start, end in zip(members, bases, offsets, offsets[1:]):
-            _delta(name, b, t[name], out=flat[start:end].reshape(b.shape))
+            stored_sum(f"update of tensor {name!r}", t[name], -1, b, out=flat[start:end].reshape(b.shape))
         flats.append(flat)
     return flats
 

@@ -98,6 +98,24 @@ def test_masked_select_equals_where_bytewise(dtype):
             assert selected.dtype == w.dtype and selected.tobytes() == expected.tobytes()
 
 
+# complex128, and long double where it is wider than float64 (16 bytes on x86-64)
+_WIDE_DTYPES = [np.dtype(t) for t in (np.complex128, np.longdouble) if np.dtype(t).itemsize > 8]
+
+
+@pytest.mark.parametrize("dtype", _WIDE_DTYPES, ids=str)
+@pytest.mark.parametrize(
+    "kernel",
+    [lambda v: sparsify_top_fraction(v, 0.5), lambda v: disjoint_merge([v, v]),
+     lambda v: disjoint_merge([v, v], np.ones(v.size, np.int8))],
+    ids=["sparsify", "disjoint_merge", "disjoint_merge-signs"],
+)
+def test_dtype_wider_than_8_bytes_rejected_naming_it(kernel, dtype):
+    v = np.array([1.0, -2.0, 3.0, 0.0], dtype=dtype)
+    message = f"^vector dtype {dtype} is {dtype.itemsize} bytes wide, not 1, 2, 4 or 8$"
+    with pytest.raises(ValueError, match=message):
+        kernel(v)
+
+
 @st.composite
 def _tie_heavy_vectors(draw):
     """Grid-snapped vectors with ±0.0: small integer grids tie most magnitudes, and a

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from malsmerge import MergeConfig, ValidationError, merge
-from malsmerge.task_vectors import _delta, compute_task_vector, layer_deltas, validate_compatibility
+from malsmerge.task_vectors import compute_task_vector, layer_deltas, stored_sum, validate_compatibility
 
 
 def _map(**kwargs):
@@ -56,9 +56,9 @@ def test_deltas_stored_at_32_bit():
     assert compute_task_vector(base, tuned, "t").deltas["w"].dtype == np.float32
 
 
-def _delta_64(base, tuned):
-    """The 64-bit route: subtract at 64-bit, round once to 32-bit."""
-    return (tuned.astype(np.float64) - base.astype(np.float64)).astype(np.float32)
+def _sum_64(x, scale, y):
+    """The 64-bit route: add at 64-bit, round once to 32-bit."""
+    return (x.astype(np.float64) + scale * y.astype(np.float64)).astype(np.float32)
 
 
 _F32 = np.finfo(np.float32)
@@ -72,7 +72,9 @@ _EDGES = np.array(
 )
 
 
-def test_float32_delta_equals_the_64_bit_route_bytewise():
+# scale -1 is the update ``tuned - base``; 1 and 0.7 are merged tensors at those lambdas
+@pytest.mark.parametrize("scale", [-1, 1, 0.7])
+def test_float32_stored_sum_equals_the_64_bit_route_bytewise(scale):
     edges = np.concatenate([_EDGES, -_EDGES])
     rng = np.random.default_rng(5)
     bits = rng.integers(0, 2**32, size=(2, 200_000), dtype=np.uint64).astype(np.uint32)
@@ -80,30 +82,37 @@ def test_float32_delta_equals_the_64_bit_route_bytewise():
     random = random[:, np.isfinite(random).all(axis=0)]
     with np.errstate(over="ignore"):  # an infinite product is filtered out below
         near = random[0] * np.float32(1 + 2.0**-20)  # cancellation: a few ulps apart
-    base = np.concatenate([np.repeat(edges, edges.size), random[0], random[0], near])
-    tuned = np.concatenate([np.tile(edges, edges.size), random[1], near, random[0]])
+    x = np.concatenate([np.tile(edges, edges.size), random[1], near, random[0]])
+    y = np.concatenate([np.repeat(edges, edges.size), random[0], -scale * random[0], -scale * near])
     with np.errstate(over="ignore"):
-        fits = np.isfinite(_delta_64(base, tuned))
+        fits = np.isfinite(_sum_64(x, scale, y))
     assert fits.sum() > 200_000 and not fits.all()  # overflowing pairs are left to the next test
-    delta = _delta("w", base[fits], tuned[fits])
-    assert delta.dtype == np.float32
-    assert delta.tobytes() == _delta_64(base[fits], tuned[fits]).tobytes()
+    x, y = x[fits], y[fits]
+    stored = stored_sum("w", x, scale, y)
+    assert stored.dtype == np.float32 and stored.tobytes() == _sum_64(x, scale, y).tobytes()
+    # stored into ``y`` itself, as a merged layer is composed into its update's buffer
+    assert stored_sum("w", x, scale, y, out=y) is y and y.tobytes() == stored.tobytes()
 
 
 @pytest.mark.parametrize(
-    "base, tuned",
-    [(-_F32.max, _F32.max), (-(2.0**103), _F32.max), (_F32.max, -np.nextafter(_F32.max, np.float32(0)))],
-    ids=["max-minus-min", "half-ulp-over-max", "min-minus-max"],
+    "x, scale, y",
+    [(_F32.max, -1, -_F32.max), (_F32.max, -1, -(2.0**103)),
+     (-np.nextafter(_F32.max, np.float32(0)), -1, _F32.max),
+     (_F32.max, 1, _F32.max), (_F32.max, 1, 2.0**103), (-_F32.max, 1, -_F32.max)],
+    ids=["max-minus-min", "half-ulp-over-max", "min-minus-max",
+         "max-plus-max", "max-plus-half-ulp", "min-plus-min"],
 )
-def test_float32_delta_overflow_names_the_tensor(base, tuned):
-    base, tuned = np.array([0, base], np.float32), np.array([0, tuned], np.float32)
-    with pytest.raises(ValidationError, match="update of tensor 'w' overflows 32-bit"):
-        _delta("w", base, tuned)
+def test_float32_delta_overflow_names_the_tensor(x, scale, y):
+    x, y = np.array([0, x], np.float32), np.array([0, y], np.float32)
+    what = "update of tensor 'w'" if scale < 0 else "merged tensor 'w'"
+    with pytest.raises(ValidationError, match=f"^{what} overflows 32-bit precision$"):
+        stored_sum(what, x, scale, y)
 
 
-def test_other_dtypes_subtract_at_64_bits():
-    delta = _delta("w", np.array([1.0]), np.array([1 + 1e-9]))
-    assert delta.dtype == np.float32 and delta[0] == np.float32((1 + 1e-9) - 1.0) != 0
+@pytest.mark.parametrize("scale", [-1, 1])
+def test_other_dtypes_add_at_64_bits(scale):
+    stored = stored_sum("w", np.array([1 + 1e-9]), scale, np.array([-scale * 1.0]))
+    assert stored.dtype == np.float32 and stored[0] == np.float32((1 + 1e-9) - 1.0) != 0
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -118,7 +127,7 @@ def test_layer_deltas_equal_member_deltas_concatenated(dtype):
     members = ["a", "b"]  # a two-member group, not in the map's order
     flats = layer_deltas(base, tuned, members)
     for t, flat in zip(tuned, flats):
-        expected = np.concatenate([np.ravel(_delta_64(base[n], t[n])) for n in members])
+        expected = np.concatenate([np.ravel(_sum_64(t[n], -1, base[n])) for n in members])
         assert flat.dtype == np.float32 and flat.tobytes() == expected.tobytes()
     assert layer_deltas(base, tuned, ["c"])[0].shape == (0,)
 
