@@ -84,13 +84,14 @@ _Signs = tuple[np.ndarray, np.ndarray, int]
 
 
 def _signs(x: np.ndarray) -> _Signs:
-    """Positive mask, negative mask and nonzero count of one vector."""
-    return x > 0, x < 0, int(np.count_nonzero(x))
+    """Positive and negative masks, packed with padding bits 0, and nonzero count of one vector."""
+    return np.packbits(x > 0), np.packbits(x < 0), int(np.count_nonzero(x))
 
 
 def _disagreement(sx: _Signs, sy: _Signs) -> float:
     (pos_x, neg_x, nonzero_x), (pos_y, neg_y, nonzero_y) = sx, sy
-    opposite = int(np.count_nonzero(pos_x & neg_y) + np.count_nonzero(neg_x & pos_y))
+    # the two sets are disjoint, as pos_x and neg_x are, so one count of their union is exact
+    opposite = int(np.count_nonzero(np.unpackbits((pos_x & neg_y) | (neg_x & pos_y))))
     nonzero = nonzero_x + nonzero_y
     if nonzero == 0:
         return 0.0
@@ -130,29 +131,34 @@ def _check_names(task_vectors: Sequence[TaskVector], grouping: LayerGrouping) ->
             )
 
 
-def task_order_sum(rows: Iterable, shape: int | tuple[int, ...]) -> np.ndarray:
-    """Float64 sum of ``rows``, added in the order given. Every sum over tasks or
-    pairs goes through here: ``np.sum(axis=0)`` adds one-element rows pairwise."""
-    total = np.zeros(shape, dtype=np.float64)
+def task_order_sum(rows: Iterable, shape: int | tuple[int, ...], dtype=np.float64) -> np.ndarray:
+    """Sum of ``rows`` in ``dtype``, added in the order given and holding none while the next
+    is built. Every sum over tasks or pairs goes through here: ``np.sum(axis=0)`` adds pairwise."""
+    total = np.zeros(shape, dtype=dtype)
     for row in rows:
         total += row
+        del row
     return total
 
 
 def _score_layer(
-    flats: Sequence[np.ndarray], task_pairs: Sequence[tuple[int, int]]
+    flats: Iterable[np.ndarray], task_pairs: Sequence[tuple[int, int]]
 ) -> tuple[float, list[float], list[float]]:
     """Importance, then |rho| and sign disagreement per task pair, of one layer group.
 
-    Each task's flat update is centred and sign-masked once; every pair is
-    scored from those values.
+    Each task's flat update gives its mean magnitude, its deviations and its packed
+    signs, and is dropped before the next is taken; every pair is scored from those.
     """
-    means = (np.sum(np.abs(f), dtype=np.float64) / len(f) if len(f) else 0.0 for f in flats)
-    importance = float(task_order_sum(means, ())) / len(flats)
-    if not task_pairs or not len(flats[0]):
+    means, centered, signs = [], [], []
+    for flat in flats:
+        means.append(np.sum(np.abs(flat), dtype=np.float64) / len(flat) if len(flat) else 0.0)
+        if task_pairs and len(flat):
+            centered.append(_center(flat))
+            signs.append(_signs(flat))
+        del flat
+    importance = float(task_order_sum(means, ())) / len(means)
+    if not centered:
         return importance, [0.0] * len(task_pairs), [0.0] * len(task_pairs)
-    centered = [_center(flat) for flat in flats]
-    signs = [_signs(flat) for flat in flats]
     rho = [_pearson_centered(*centered[i], *centered[j]) for i, j in task_pairs]
     dis = [_disagreement(signs[i], signs[j]) for i, j in task_pairs]
     return importance, rho, dis

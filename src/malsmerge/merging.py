@@ -43,6 +43,16 @@ class MergeConfig:
         compile_grouping(self.grouping_pattern)
 
 
+def _float_bits(dtype: np.dtype) -> np.dtype:
+    """The unsigned dtype as wide as ``dtype``, a real float of 1, 2, 4 or 8 bytes; any
+    other dtype raises ``ValueError`` naming it, one wider than 8 bytes by its width."""
+    if dtype.itemsize not in (1, 2, 4, 8):
+        raise ValueError(f"vector dtype {dtype} is {dtype.itemsize} bytes wide, not 1, 2, 4 or 8")
+    if dtype.kind != "f":
+        raise ValueError(f"vector dtype {dtype} is not a real float")
+    return np.dtype(f"u{dtype.itemsize}")
+
+
 def masked_select(v: np.ndarray, keep: np.ndarray) -> np.ndarray:
     """``v`` where ``keep`` holds and 0 elsewhere, as numpy's ``where(keep, v, 0)``
     gives it bit for bit, without a branch per entry.
@@ -52,12 +62,10 @@ def masked_select(v: np.ndarray, keep: np.ndarray) -> np.ndarray:
     exact bits, ``-0.0`` included, and a dropped one becomes all-zero bits,
     which is ``+0.0``. A half-true mask in random order, as a trim at ``s`` near
     0.5 gives, costs a branching select a mispredicted branch on every other entry.
-    ``v``'s dtype must be 1, 2, 4 or 8 bytes wide, as is every float up to float64;
-    a wider one, such as complex128, raises ``ValueError`` naming it.
+    ``v``'s dtype must be a real float 1, 2, 4 or 8 bytes wide, as is every float up
+    to float64; any other, such as complex128 or int32, raises ``ValueError`` naming it.
     """
-    if v.dtype.itemsize not in (1, 2, 4, 8):
-        raise ValueError(f"vector dtype {v.dtype} is {v.dtype.itemsize} bytes wide, not 1, 2, 4 or 8")
-    bits = np.dtype(f"u{v.dtype.itemsize}")
+    bits = _float_bits(v.dtype)
     mask = keep.astype(bits)
     np.negative(mask, out=mask)  # 1 -> all ones, 0 -> 0
     np.bitwise_and(mask, v.view(bits), out=mask)
@@ -80,6 +88,7 @@ def sparsify_top_fraction(v: np.ndarray, s: float) -> np.ndarray:
     v = np.asarray(v)
     if v.ndim != 1:
         raise ValueError("input must be a flat vector")
+    _float_bits(v.dtype)  # checked at every level, 1 included
     n_keep = 0 if s == 1.0 else math.ceil((1.0 - s) * v.size)
     if n_keep == 0:
         return np.zeros_like(v)
@@ -96,6 +105,8 @@ def _rows(sparsified: Sequence[np.ndarray]) -> list[np.ndarray]:
     if not sparsified:
         raise ValueError("need at least one vector")
     rows = [np.asarray(v) for v in sparsified]
+    for row in rows:
+        _float_bits(row.dtype)
     lengths = {len(row) for row in rows}
     if len(lengths) > 1:
         raise ValueError(f"length mismatch across vectors: {sorted(lengths)}")
@@ -129,8 +140,9 @@ def disjoint_merge(sparsified: Sequence[np.ndarray], signs: np.ndarray | None = 
             raise ValueError(f"signs length {len(signs)} does not match vectors {len(rows[0])}")
     contributes = [_contributes(r, signs) for r in rows]
     total = task_order_sum(map(masked_select, rows, contributes), rows[0].shape)
-    count = task_order_sum(contributes, rows[0].shape)
-    return (total / np.maximum(count, 1)).astype(np.result_type(*rows))
+    count = task_order_sum(contributes, rows[0].shape, np.min_scalar_type(len(rows)))
+    total /= np.maximum(count, 1, out=count)  # an integer count converts to float64 exactly
+    return total.astype(np.result_type(*rows))
 
 
 def compose_merged(base: TensorMap, tau: TaskVector, lam: float) -> dict[str, np.ndarray]:
@@ -195,14 +207,16 @@ def _merge_layer(
     """Pass 2 on one layer group: average its updates (``level`` None) or trim them to
     ``level``, elect and merge them, and add ``lam`` times that onto the base."""
     layer_base = {name: base[name] for name in members}  # read once, for deltas and compose
-    flats = layer_deltas(layer_base, tuned, members)
+    updates = layer_deltas(layer_base, tuned, members)  # one raw update alive at a time
     if level is None:
-        merged_flat = _average(flats)
+        total = task_order_sum(updates, sum(tensor.size for tensor in layer_base.values()))
+        merged_flat = np.divide(total, len(tuned), out=total).astype(np.float32)
     else:
-        flats = [sparsify_top_fraction(flat, level) for flat in flats]
+        # map, not a comprehension, whose loop variable would hold the last raw update
+        flats = list(map(sparsify_top_fraction, updates, [level] * len(tuned)))
         election = config.sign_election or config.method == "ties"
         merged_flat = disjoint_merge(flats, elect_signs(flats) if election else None)
-    del flats  # freed before the layer is composed
+        del flats  # freed before the layer is composed
     shapes = {name: tensor.shape for name, tensor in layer_base.items()}
     composed = unflatten_group(merged_flat, shapes, members)
     for name, delta in composed.items():

@@ -106,19 +106,19 @@ def compute_task_vector(base: TensorMap, tuned: TensorMap, label: str) -> TaskVe
 
 def layer_deltas(
     base: TensorMap, tuned: Sequence[TensorMap], members: Sequence[str]
-) -> list[np.ndarray]:
-    """Each checkpoint's update on one layer group: its members' deltas raveled and
-    laid end to end in ``members`` order, each written straight into the checkpoint's
-    flat. Each base member is looked up once. Callers check compatibility first."""
+) -> Iterator[np.ndarray]:
+    """Each checkpoint's update on one layer group, read only when asked for and let go
+    before the next is built: its members' deltas raveled and laid end to end in ``members``
+    order, each written straight into the checkpoint's flat. Each base member is looked up
+    once. Callers check compatibility first."""
     bases = [base[name] for name in members]
     offsets = np.cumsum([0, *(b.size for b in bases)]).tolist()
-    flats = []
     for t in tuned:
         flat = np.empty(offsets[-1], dtype=np.float32)
         for name, b, start, end in zip(members, bases, offsets, offsets[1:]):
             stored_sum(f"update of tensor {name!r}", t[name], -1, b, out=flat[start:end].reshape(b.shape))
-        flats.append(flat)
-    return flats
+        yield flat
+        del flat
 
 
 def validate_compatibility(base: TensorMap, tuned_list: Sequence[TensorMap],

@@ -14,7 +14,7 @@ from malsmerge import (
     sign_disagreement,
     synthesize_checkpoints,
 )
-from malsmerge.conflict import layer_conflict
+from malsmerge.conflict import layer_conflict, score_layers
 from malsmerge.merging import plan
 from malsmerge.task_vectors import TaskVector, compute_task_vector
 from oracles import pearson_abs_oracle, sign_disagreement_oracle
@@ -117,6 +117,18 @@ def test_oracle_equivalence_battery():
         assert sign_disagreement(x, y) == pytest.approx(
             sign_disagreement_oracle(x, y), abs=1e-12
         )
+
+
+@pytest.mark.parametrize("n", [*range(18), 8191, 8192, 8193])
+def test_packed_sign_disagreement_equals_oracle_exactly(n):
+    # lengths around a byte and a page of packed bits cover every padding of the last byte
+    rng = np.random.default_rng(n)
+    tiny = np.finfo(np.float64).smallest_subnormal
+    values = np.array([0.0, -0.0, tiny, -tiny, 1.5, -2.0, 3e-310, -3e-310])
+    for _ in range(3):
+        x, y = rng.choice(values, size=n), rng.choice(values, size=n)
+        assert sign_disagreement(x, y) == sign_disagreement_oracle(x, y)
+        assert sign_disagreement(x, -x) == sign_disagreement_oracle(x, -x)
 
 
 vectors = st.lists(
@@ -249,6 +261,17 @@ class _ConflictCases:
                 y = flatten_group(tvs[j].deltas, members)
                 assert report.rho_abs[k, l] == pearson_abs(x, y)
                 assert report.sign_disagreement[k, l] == sign_disagreement(x, y)
+
+
+def test_score_layers_takes_each_layer_as_a_one_shot_iterator():
+    base, tuned = synthesize_checkpoints(5, 3, 1000, 4, [0.9, 0.5, 0.1])
+    tvs = [compute_task_vector(base, t, f"t{i}") for i, t in enumerate(tuned)]
+    grouping = group_layers(base)
+    layers = [[flatten_group(tv.deltas, members) for tv in tvs] for _, members in grouping.groups]
+    as_lists = score_layers(grouping.layer_ids, len(tvs), layers)
+    as_iterators = score_layers(grouping.layer_ids, len(tvs), (iter(flats) for flats in layers))
+    for field in ("conflict", "importance", "rho_abs", "sign_disagreement"):
+        assert getattr(as_iterators, field).tobytes() == getattr(as_lists, field).tobytes()
 
 
 class TestLayerConflict(_ConflictCases):

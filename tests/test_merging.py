@@ -116,6 +116,24 @@ def test_dtype_wider_than_8_bytes_rejected_naming_it(kernel, dtype):
         kernel(v)
 
 
+@pytest.mark.parametrize("dtype", [np.complex64, np.complex128, np.int32], ids=str)
+@pytest.mark.parametrize(
+    "kernel",
+    [lambda v: sparsify_top_fraction(v, 0.0), lambda v: sparsify_top_fraction(v, 0.5),
+     lambda v: sparsify_top_fraction(v, 1.0), lambda v: elect_signs([v, v]),
+     lambda v: disjoint_merge([v, v]), lambda v: disjoint_merge([v, v], np.ones(v.size, np.int8))],
+    ids=["sparsify-0", "sparsify-0.5", "sparsify-1", "elect_signs", "disjoint_merge",
+         "disjoint_merge-signs"],
+)
+def test_dtype_other_than_a_real_float_rejected_naming_it(kernel, dtype):
+    # complex128 is too wide to select from and is named by its width; the others
+    # are named as not a real float, whatever the sparsity level
+    dtype = np.dtype(dtype)
+    reason = f"is {dtype.itemsize} bytes wide, not 1, 2, 4 or 8" if dtype.itemsize > 8 else "is not a real float"
+    with pytest.raises(ValueError, match=f"^vector dtype {dtype} {reason}$"):
+        kernel(np.array([1, -2, 3, 0], dtype=dtype))
+
+
 @st.composite
 def _tie_heavy_vectors(draw):
     """Grid-snapped vectors with ±0.0: small integer grids tie most magnitudes, and a
@@ -676,11 +694,11 @@ def test_sparsify_count_property(values, s):
         assert kept_magnitudes.min() >= dropped.max() - 1e-12
 
 
-def _peak_bytes(out_dir, num_layers: int, job) -> int:
+def _peak_bytes(out_dir, num_layers: int, job, num_tasks: int = 3) -> int:
     """Peak traced memory of ``job(paths)`` over a synthetic set of ``num_layers``
-    layers of 50k entries and 3 tasks, the archives opened inside ``job``."""
+    layers of 50k entries and ``num_tasks`` tasks, the archives opened inside ``job``."""
     paths = write_synthetic_set(out_dir, seed=3, num_layers=num_layers, elems_per_layer=50_000,
-                                num_tasks=3, conflict_profile=[0.5] * num_layers)
+                                num_tasks=num_tasks, conflict_profile=[0.5] * num_layers)
     tracemalloc.start()
     try:
         job(paths)
@@ -705,10 +723,10 @@ def _cli_merge(paths) -> None:
     assert cli.run(["merge", "--config", str(config)]) == 0
 
 
-def _library_merge(paths) -> None:
+def _library_merge(paths, config=MergeConfig(method="mals", sign_election=True)) -> None:
     base = read_archive(paths["base"])
     tuned = [read_archive(path) for path in paths["tasks"]]
-    merged, _, _ = merge(base, tuned, MergeConfig(method="mals", sign_election=True))
+    merged, _, _ = merge(base, tuned, config)
     stream_archive(tensor_shapes(base), merged, Path(paths["base"]).with_name("merged.safetensors"))
 
 
@@ -720,3 +738,22 @@ def test_memory_follows_the_layer_not_the_model(tmp_path, job):
     small = _peak_bytes(tmp_path / "small", 4, job)
     large = _peak_bytes(tmp_path / "large", 16, job)
     assert large <= 1.1 * small
+
+
+def test_simple_average_memory_follows_one_task_not_the_task_count(tmp_path):
+    # each raw update is added into the layer's float64 total and dropped before
+    # the next checkpoint is read, so eight tasks cost no more than two
+    def job(paths):
+        _library_merge(paths, MergeConfig(method="simple_average"))
+
+    small = _peak_bytes(tmp_path / "small", 4, job, num_tasks=2)
+    large = _peak_bytes(tmp_path / "large", 4, job, num_tasks=8)
+    assert large <= 1.1 * small
+
+
+def test_plan_memory_per_added_task_is_deviations_and_packed_signs(tmp_path):
+    # pass 1 keeps per task only its float64 deviations (8 bytes an entry) and two
+    # packed sign masks (0.25): no raw update outlives its own scoring
+    small = _peak_bytes(tmp_path / "small", 4, _plan, num_tasks=2)
+    large = _peak_bytes(tmp_path / "large", 4, _plan, num_tasks=8)
+    assert (large - small) / (6 * 50_000) <= 9.5

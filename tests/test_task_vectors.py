@@ -126,10 +126,25 @@ def test_layer_deltas_equal_member_deltas_concatenated(dtype):
     base, tuned = checkpoint(), [checkpoint(), checkpoint()]
     members = ["a", "b"]  # a two-member group, not in the map's order
     flats = layer_deltas(base, tuned, members)
-    for t, flat in zip(tuned, flats):
+    for t in tuned:
+        flat = next(flats)
         expected = np.concatenate([np.ravel(_sum_64(t[n], -1, base[n])) for n in members])
         assert flat.dtype == np.float32 and flat.tobytes() == expected.tobytes()
-    assert layer_deltas(base, tuned, ["c"])[0].shape == (0,)
+    assert next(flats, None) is None
+    assert next(layer_deltas(base, tuned, ["c"])).shape == (0,)
+
+
+class _Unread(dict):
+    def __getitem__(self, name):
+        raise AssertionError(f"tensor {name!r} read before it was asked for")
+
+
+def test_layer_deltas_reads_a_checkpoint_only_when_its_update_is_taken():
+    base = _map(w=[1.0, 2.0])
+    flats = layer_deltas(base, [_map(w=[2.0, 4.0]), _Unread(base)], ["w"])
+    np.testing.assert_array_equal(next(flats), [1.0, 2.0])
+    with pytest.raises(AssertionError, match="'w' read before"):
+        next(flats)
 
 
 def test_compatibility_all_pass():
