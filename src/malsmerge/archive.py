@@ -172,10 +172,10 @@ def _read_header(fd: int) -> tuple[list[tuple], dict[str, str], int]:
 class Archive(Mapping[str, np.ndarray]):
     """A read-only name -> float32 ndarray mapping over an archive's validated header.
 
-    Each lookup reads that one tensor from the file into a fresh array, so a
-    caller holds only the tensors it keeps. The file stays open until the
-    mapping is dropped: every lookup reads the file whose header was validated,
-    even after its path is replaced.
+    Each lookup reads that one tensor from the file into a fresh array, and
+    :meth:`read_range` a flat range of one, so a caller holds only what it
+    keeps. The file stays open until the mapping is dropped: every lookup reads
+    the file whose header was validated, even after its path is replaced.
     """
 
     def __init__(self, path: str | Path) -> None:
@@ -198,17 +198,27 @@ class Archive(Mapping[str, np.ndarray]):
         self._offsets = {name: start + begin for name, _, _, begin, _ in entries}
 
     def __getitem__(self, name: str) -> np.ndarray:
+        shape = self.infos[name].shape
+        return self.read_range(name, 0, math.prod(shape)).reshape(shape)
+
+    def read_range(self, name: str, start: int, stop: int) -> np.ndarray:
+        """Entries ``[start, stop)`` of tensor ``name`` in row-major order, as a fresh flat
+        float32 array: F32 is read in place, F16 widened. A non-finite value, or a payload
+        the file no longer holds, raises :class:`ArchiveError` as a whole-tensor lookup
+        that reached it first would, naming the file and the tensor."""
         info = self.infos[name]
-        stored = np.empty(info.shape, _DTYPES[info.dtype])
+        if not 0 <= start <= stop <= math.prod(info.shape):
+            raise IndexError(f"range [{start}, {stop}) outside tensor {name!r} of shape {info.shape}")
+        stored = np.empty(stop - start, _DTYPES[info.dtype])
+        skipped = start * stored.itemsize
         try:
-            read = _read_at(self._fd, stored.reshape(-1).view(np.uint8), self._offsets[name])
+            read = _read_at(self._fd, stored.view(np.uint8), self._offsets[name] + skipped)
         except OSError as exc:
             raise _naming(exc, self.path, f"reading tensor {name!r}") from exc
-        if read < info.n_bytes:
-            raise ArchiveError(
-                f"{self.path}: truncated payload: {name!r} lacks {info.n_bytes - read} bytes"
-            )
-        tensor = stored.astype(np.float32, copy=False)  # F32 is read in place, F16 widened
+        if read < stored.nbytes:  # counted from the file's end, as the whole tensor's read counts it
+            lacks = min(info.n_bytes, self._offsets[name] + info.n_bytes - os.fstat(self._fd).st_size)
+            raise ArchiveError(f"{self.path}: truncated payload: {name!r} lacks {lacks} bytes")
+        tensor = stored.astype(np.float32, copy=False)
         if not np.all(np.isfinite(tensor)):
             raise ArchiveError(f"{self.path}: non-finite value detected in tensor {name!r}")
         return tensor

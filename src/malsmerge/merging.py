@@ -12,18 +12,24 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import os
 from dataclasses import dataclass, field, fields, replace
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
 from .allocation import AllocationConfig, AllocationResult, allocate, coerce_field_types, config_key
+from .archive import Archive, tensor_shapes
 from .conflict import ConflictReport, score_layers, task_order_sum
 from .errors import ConvergenceError, ValidationError
 from .grouping import DEFAULT_GROUPING_PATTERN, LayerGrouping, compile_grouping, group_layers, unflatten_group
 from .task_vectors import TaskVector, TensorMap, layer_deltas, require_compatible, stored_sum
 
 METHODS = ("mals", "simple_average", "uniform_sparsity", "ties")
+
+# entries of one member tensor that simple_average reads, averages and composes as one
+# unit of work: a worker's temporaries are a few times this, whatever the layer's size
+_SLICE_ENTRIES = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -138,9 +144,13 @@ def disjoint_merge(sparsified: Sequence[np.ndarray], signs: np.ndarray | None = 
         signs = np.asarray(signs)
         if len(signs) != len(rows[0]):
             raise ValueError(f"signs length {len(signs)} does not match vectors {len(rows[0])}")
-    contributes = [_contributes(r, signs) for r in rows]
-    total = task_order_sum(map(masked_select, rows, contributes), rows[0].shape)
-    count = task_order_sum(contributes, rows[0].shape, np.min_scalar_type(len(rows)))
+    total = np.zeros(rows[0].shape)
+    count = np.zeros(rows[0].shape, np.min_scalar_type(len(rows)))
+    for row in rows:  # in task order, one contributor mask alive at a time
+        contributes = _contributes(row, signs)
+        total += masked_select(row, contributes)
+        count += contributes
+        del contributes
     total /= np.maximum(count, 1, out=count)  # an integer count converts to float64 exactly
     return total.astype(np.result_type(*rows))
 
@@ -201,22 +211,18 @@ def plan(
 
 
 def _merge_layer(
-    base: TensorMap, tuned: Sequence[TensorMap], members: Sequence[str], level: float | None,
+    base: TensorMap, tuned: Sequence[TensorMap], members: Sequence[str], level: float,
     config: MergeConfig,
 ) -> dict[str, np.ndarray]:
-    """Pass 2 on one layer group: average its updates (``level`` None) or trim them to
-    ``level``, elect and merge them, and add ``lam`` times that onto the base."""
+    """Pass 2 on one layer group: trim its updates to ``level``, elect and merge them,
+    and add ``lam`` times that onto the base."""
     layer_base = {name: base[name] for name in members}  # read once, for deltas and compose
     updates = layer_deltas(layer_base, tuned, members)  # one raw update alive at a time
-    if level is None:
-        total = task_order_sum(updates, sum(tensor.size for tensor in layer_base.values()))
-        merged_flat = np.divide(total, len(tuned), out=total).astype(np.float32)
-    else:
-        # map, not a comprehension, whose loop variable would hold the last raw update
-        flats = list(map(sparsify_top_fraction, updates, [level] * len(tuned)))
-        election = config.sign_election or config.method == "ties"
-        merged_flat = disjoint_merge(flats, elect_signs(flats) if election else None)
-        del flats  # freed before the layer is composed
+    # map, not a comprehension, whose loop variable would hold the last raw update
+    flats = list(map(sparsify_top_fraction, updates, [level] * len(tuned)))
+    election = config.sign_election or config.method == "ties"
+    merged_flat = disjoint_merge(flats, elect_signs(flats) if election else None)
+    del flats  # freed before the layer is composed
     shapes = {name: tensor.shape for name, tensor in layer_base.items()}
     composed = unflatten_group(merged_flat, shapes, members)
     for name, delta in composed.items():
@@ -225,6 +231,56 @@ def _merge_layer(
         # base tensor is popped, so freed once composed
         stored_sum(f"merged tensor {name!r}", layer_base.pop(name), config.lam, delta, out=delta)
     return composed
+
+
+def _flat_reads(tensors: TensorMap, members: Sequence[str]) -> Callable[[str, int, int], np.ndarray]:
+    """``read(name, start, stop)``: entries ``[start, stop)`` of member ``name``, flat. An
+    :class:`Archive` reads just that range; any other mapping's members are raveled once
+    here, each keeping its dtype, and sliced."""
+    if isinstance(tensors, Archive):
+        return tensors.read_range
+    flats = {name: np.ravel(tensors[name]) for name in members}
+    return lambda name, start, stop: flats[name][start:stop]
+
+
+def _average_layer(
+    base: TensorMap, tuned: Sequence[TensorMap], members: Sequence[str],
+    shapes: dict[str, tuple[int, ...]], lam: float, map_slices: Callable,
+) -> dict[str, np.ndarray]:
+    """Pass 2 of ``simple_average`` on one layer group, walked in fixed slices of its members.
+
+    Each slice reads the base's range once and each checkpoint's in task order, adds their
+    32-bit updates into a float64 total, divides it by T, rounds it to float32 and adds
+    ``lam`` times that onto the base straight into the member's output. Every step works
+    position by position, so the bytes do not depend on the slice size or on how the
+    slices are spread over workers. ``map_slices`` runs them and yields in walk order, so
+    the error raised is the first one a serial walk in (member, offset) order meets.
+    """
+    base_read, *tuned_reads = (_flat_reads(tensors, members) for tensors in (base, *tuned))
+    merged = {name: np.empty(shapes[name], np.float32) for name in members}
+
+    def average(job: tuple[str, int]) -> None:
+        name, start = job
+        stop = min(start + _SLICE_ENTRIES, merged[name].size)
+        b = base_read(name, start, stop)
+        total = np.zeros(stop - start)
+        update = np.empty(stop - start, np.float32)
+        for read in tuned_reads:
+            total += stored_sum(f"update of tensor {name!r}", read(name, start, stop), -1, b, out=update)
+        out = merged[name].reshape(-1)[start:stop]
+        out[...] = np.divide(total, len(tuned_reads), out=total)
+        stored_sum(f"merged tensor {name!r}", b, lam, out, out=out)
+
+    walk = [(name, start) for name in members for start in range(0, merged[name].size, _SLICE_ENTRIES)]
+    for _ in map_slices(average, walk):
+        pass
+    return merged
+
+
+def _workers() -> int:
+    """Threads for ``simple_average``'s slices: the CPUs this process may run on, the
+    machine's where that call is missing."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
 def merge(
@@ -243,6 +299,10 @@ def merge(
     them, and add ``lam`` times the result onto the base. Pass-2 errors, such as
     an overflowing merged tensor, are raised during iteration. ``dict(merged)``
     holds the whole model; ``stream_archive`` writes it holding one layer.
+
+    ``simple_average`` walks each layer in fixed slices on one thread per CPU this
+    process may use; the bytes do not depend on the count. The threads live until
+    ``merged`` is exhausted, closed or raises.
     """
     grouping, conflict, allocation = plan(base, tuned, config, labels)
     if allocation is not None and not allocation.converged:
@@ -253,10 +313,18 @@ def merge(
         )
 
     def merged() -> Iterator[tuple[str, np.ndarray]]:
-        for l, (_, members) in enumerate(grouping.groups):
-            level = None if allocation is None else float(allocation.s_final[l])
-            # nothing here holds a layer once its last pair is taken
-            yield from _merge_layer(base, tuned, members, level, config).items()
+        # nothing here holds a layer once its last pair is taken
+        if allocation is not None:
+            for l, (_, members) in enumerate(grouping.groups):
+                yield from _merge_layer(base, tuned, members, float(allocation.s_final[l]), config).items()
+            return
+        from concurrent.futures import ThreadPoolExecutor  # not at the top: it pulls in logging
+
+        shapes = tensor_shapes(base)
+        # shut down, once the slices in flight are done, however the walk ends
+        with ThreadPoolExecutor(_workers()) as pool:
+            for _, members in grouping.groups:
+                yield from _average_layer(base, tuned, members, shapes, config.lam, pool.map).items()
 
     return merged(), conflict, allocation
 

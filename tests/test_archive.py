@@ -164,6 +164,57 @@ def test_payload_truncated_after_open_rejected_on_lookup(tmp_path):
     assert str(info.value).startswith(f"{path}: ") and "'t'" in str(info.value)
 
 
+@pytest.mark.parametrize("dtype", ["F32", "F16"])
+def test_range_read_equals_the_lookup_flattened(tmp_path, dtype):
+    values = np.arange(-5, 7, dtype=np.float32).reshape(3, 4) / 4  # exact in F16 too
+    payload = values.astype({"F32": "<f4", "F16": "<f2"}[dtype]).tobytes()
+    path = tmp_path / "t.st"
+    path.write_bytes(_archive(_shape_header([3, 4], len(payload), dtype), payload))
+    archive = read_archive(path)
+    whole = archive["a"].reshape(-1)
+    for start, stop in [(0, 12), (0, 0), (5, 5), (3, 10), (11, 12)]:
+        part = archive.read_range("a", start, stop)
+        assert part.dtype == np.float32 and part.tobytes() == whole[start:stop].tobytes()
+    for start, stop in [(-1, 2), (4, 3), (0, 13)]:
+        with pytest.raises(IndexError, match="'a'"):
+            archive.read_range("a", start, stop)
+
+
+def test_range_read_reports_what_the_lookup_does(tmp_path):
+    # the range holding the cut, or the non-finite value, fails with the lookup's text
+    values = np.arange(12, dtype=np.float32)
+    path = tmp_path / "t.st"
+    path.write_bytes(_archive(_shape_header([12], 48), values.tobytes()))
+    archive = read_archive(path)
+    size = os.path.getsize(path)
+    with open(path, "r+b") as f:
+        f.truncate(size - 20)
+    with pytest.raises(ArchiveError) as whole:
+        archive["a"]
+    assert str(whole.value) == f"{path}: truncated payload: 'a' lacks 20 bytes"
+    for start, stop in [(4, 8), (8, 12)]:  # holding the cut, and wholly past it
+        with pytest.raises(ArchiveError) as part:
+            archive.read_range("a", start, stop)
+        assert str(part.value) == str(whole.value)
+    with open(path, "r+b") as f:
+        f.truncate(size - 48)  # the payload gone whole
+    with pytest.raises(ArchiveError) as whole:
+        archive["a"]
+    with pytest.raises(ArchiveError) as part:
+        archive.read_range("a", 8, 12)
+    assert str(part.value) == str(whole.value) == f"{path}: truncated payload: 'a' lacks 48 bytes"
+
+    values[9] = np.inf
+    path.write_bytes(_archive(_shape_header([12], 48), values.tobytes()))
+    archive = read_archive(path)
+    assert archive.read_range("a", 0, 9).tobytes() == values[:9].tobytes()
+    with pytest.raises(ArchiveError) as whole:
+        archive["a"]
+    with pytest.raises(ArchiveError) as part:
+        archive.read_range("a", 8, 12)
+    assert str(part.value) == str(whole.value) == f"{path}: non-finite value detected in tensor 'a'"
+
+
 def test_lookups_read_the_file_that_was_opened(tmp_path):
     path = tmp_path / "golden.st"
     path.write_bytes(golden_blob())

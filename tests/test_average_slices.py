@@ -1,0 +1,230 @@
+"""``simple_average`` walks each layer in fixed slices on a worker pool.
+
+Every step of the average works position by position, so the merged bytes must
+not depend on the slice size or on the worker count, and a failing slice must
+raise the error that a serial walk in (member, offset) order meets first.
+"""
+
+from __future__ import annotations
+
+import json
+import struct
+import subprocess
+import sys
+import threading
+import time
+from itertools import product
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from malsmerge import ArchiveError, MergeConfig, ValidationError, merge, read_archive
+from malsmerge import merging
+from malsmerge.archive import Archive
+
+SHAPES = {
+    "embed.weight": (7,),
+    "model.layers.0.attn.weight": (5, 6),
+    "model.layers.0.mlp.weight": (23,),
+    "model.layers.1.attn.weight": (4, 4, 3),
+    "model.layers.1.empty": (0, 3),
+    "scale": (),
+}
+LARGER_THAN_ANY_TENSOR = 1 + max(int(np.prod(shape)) for shape in SHAPES.values())
+
+
+def _write_raw(tensors: dict[str, np.ndarray], path: Path, dtype: str = "F32") -> None:
+    """An archive assembled by hand, in ``dtype``, whatever its values: ``write_archive``
+    writes only finite F32."""
+    header, payload = {}, b""
+    for name in sorted(tensors):
+        raw = np.asarray(tensors[name]).astype({"F32": "<f4", "F16": "<f2"}[dtype]).tobytes()
+        header[name] = {"dtype": dtype, "shape": list(np.shape(tensors[name])),
+                        "data_offsets": [len(payload), len(payload) + len(raw)]}
+        payload += raw
+    blob = json.dumps(header, separators=(",", ":")).encode()
+    path.write_bytes(struct.pack("<Q", len(blob)) + blob + payload)
+
+
+def _checkpoints(dtype, tasks: int = 3) -> tuple[dict, list[dict]]:
+    """Off-grid float inputs, so updates, means and composes all round."""
+    rng = np.random.RandomState(11)
+    base = {name: rng.standard_normal(shape).astype(dtype) for name, shape in SHAPES.items()}
+    tuned = [{name: (b + 1e-3 * rng.standard_normal(b.shape)).astype(dtype) for name, b in base.items()}
+             for _ in range(tasks)]
+    return base, tuned
+
+
+def _inputs(kind: str, tmp_path: Path) -> tuple:
+    if kind in ("float32-dict", "float64-dict"):
+        return _checkpoints(np.float32 if kind == "float32-dict" else np.float64)
+    base, tuned = _checkpoints(np.float32)
+    stored = kind.split("-")[0]
+    paths = []
+    for i, checkpoint in enumerate([base, *tuned]):
+        paths.append(tmp_path / f"{kind}-{i}.st")
+        _write_raw(checkpoint, paths[-1], stored)
+    return read_archive(paths[0]), [read_archive(path) for path in paths[1:]]
+
+
+def _reference(base, tuned, lam: float) -> dict[str, bytes]:
+    """The uniform average as one formula per tensor: each update rounded once to float32,
+    summed in float64 in task order, divided by T and rounded to float32, then added
+    ``lam`` times onto the base in float64 and rounded once to float32."""
+    out = {}
+    for name in SHAPES:
+        b = np.asarray(base[name], dtype=np.float64)
+        total = np.zeros(b.shape)
+        for t in tuned:
+            total += (np.asarray(t[name], dtype=np.float64) - b).astype(np.float32)
+        mean = (total / len(tuned)).astype(np.float32)
+        out[name] = (b + lam * mean.astype(np.float64)).astype(np.float32).tobytes()
+    return out
+
+
+def _use_workers(monkeypatch, workers: int) -> None:
+    monkeypatch.setattr(merging, "_workers", lambda: workers)
+
+
+def _merged(base, tuned, lam: float = 1.0) -> dict[str, np.ndarray]:
+    merged, conflict, allocation = merge(base, tuned, MergeConfig(method="simple_average", lam=lam))
+    assert conflict is None and allocation is None
+    return dict(merged)
+
+
+@pytest.mark.parametrize("lam", [1.0, 0.7])
+@pytest.mark.parametrize("kind", ["F32-archive", "F16-archive", "float32-dict", "float64-dict"])
+def test_bytes_do_not_depend_on_slice_size_or_worker_count(tmp_path, monkeypatch, kind, lam):
+    base, tuned = _inputs(kind, tmp_path)
+    expected = _reference(base, tuned, lam)
+    for slice_entries, workers in product([1, 7, LARGER_THAN_ANY_TENSOR, merging._SLICE_ENTRIES], [1, 2]):
+        monkeypatch.setattr(merging, "_SLICE_ENTRIES", slice_entries)
+        _use_workers(monkeypatch, workers)
+        merged = _merged(base, tuned, lam)
+        assert sorted(merged) == sorted(SHAPES)
+        for name, tensor in merged.items():
+            assert tensor.dtype == np.float32 and tensor.shape == SHAPES[name]
+            assert tensor.tobytes() == expected[name], (slice_entries, workers, name)
+
+
+def test_more_workers_than_cores_with_frequent_switches_give_the_same_bytes(tmp_path, monkeypatch):
+    # the workers share the archives' descriptors and write disjoint ranges of one output:
+    # a read at a wrong offset or a lost write would change some byte
+    monkeypatch.setattr(merging, "_SLICE_ENTRIES", 1)
+    _use_workers(monkeypatch, 6)
+    base, tuned = _inputs("F16-archive", tmp_path)
+    expected = _reference(base, tuned, 0.7)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(3):
+            merged = _merged(base, tuned, 0.7)
+            assert {name: tensor.tobytes() for name, tensor in merged.items()} == expected
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_non_finite_value_in_a_later_slice_names_the_file_and_tensor(tmp_path, monkeypatch):
+    monkeypatch.setattr(merging, "_SLICE_ENTRIES", 4)
+    base, tuned = _checkpoints(np.float32)
+    tuned[1]["model.layers.0.mlp.weight"][17] = np.nan
+    paths = [tmp_path / f"{i}.st" for i in range(4)]
+    for checkpoint, path in zip([base, *tuned], paths):
+        _write_raw(checkpoint, path)
+    with pytest.raises(ArchiveError) as lookup:
+        read_archive(paths[2])["model.layers.0.mlp.weight"]
+    assert str(lookup.value) == f"{paths[2]}: non-finite value detected in tensor 'model.layers.0.mlp.weight'"
+    for workers in (1, 2):
+        _use_workers(monkeypatch, workers)
+        with pytest.raises(ArchiveError) as walk:
+            _merged(read_archive(paths[0]), [read_archive(path) for path in paths[1:]])
+        assert str(walk.value) == str(lookup.value)
+
+
+def test_overflowing_compose_raises_naming_the_merged_tensor(monkeypatch):
+    monkeypatch.setattr(merging, "_SLICE_ENTRIES", 4)
+    base = {"x": np.full(10, 2e38, dtype=np.float32)}
+    tuned = [{"x": np.full(10, 2e38, dtype=np.float32)} for _ in range(2)]
+    tuned[0]["x"][9] = 3e38  # the mean update there is 5e37, and 3 times that overflows
+    for workers in (1, 2):
+        _use_workers(monkeypatch, workers)
+        with pytest.raises(ValidationError, match=r"^merged tensor 'x' overflows 32-bit precision$"):
+            _merged(base, tuned, lam=3.0)
+
+
+class _SlowAtTheEnd(Archive):
+    """An archive whose read of the last slice of ``layers.0.a`` takes a while."""
+
+    def read_range(self, name: str, start: int, stop: int) -> np.ndarray:
+        if name == "layers.0.a" and stop == 200:
+            time.sleep(0.2)
+        return super().read_range(name, start, stop)
+
+
+def test_the_first_error_in_walk_order_is_raised_whatever_the_worker_count(tmp_path, monkeypatch):
+    # the first member fails in its last slice, which is slow to read, the second in its
+    # first: two workers reach the second's failure first, a serial walk the first's
+    monkeypatch.setattr(merging, "_SLICE_ENTRIES", 2)
+    base = {"layers.0.a": np.zeros(200, np.float32), "layers.0.b": np.zeros(200, np.float32)}
+    tuned = [{name: np.ones(200, np.float32) for name in base} for _ in range(2)]
+    tuned[1]["layers.0.a"][199] = np.inf
+    base["layers.0.b"][0], tuned[0]["layers.0.b"][0] = -2e38, 2e38  # an update of 4e38
+    paths = [tmp_path / f"{i}.st" for i in range(3)]
+    for checkpoint, path in zip([base, *tuned], paths):
+        _write_raw(checkpoint, path)
+    raised = []
+    for workers in (1, 2):
+        _use_workers(monkeypatch, workers)
+        with pytest.raises((ArchiveError, ValidationError)) as info:
+            _merged(read_archive(paths[0]), [read_archive(paths[1]), _SlowAtTheEnd(paths[2])])
+        raised.append((type(info.value), str(info.value)))
+    assert raised[0] == raised[1] == (
+        ArchiveError, f"{paths[2]}: non-finite value detected in tensor 'layers.0.a'"
+    )
+
+
+def test_the_pool_ends_with_the_merge(monkeypatch):
+    monkeypatch.setattr(merging, "_SLICE_ENTRIES", 3)
+    _use_workers(monkeypatch, 2)
+    base, tuned = _checkpoints(np.float32)
+    before = threading.active_count()
+
+    merged, _, _ = merge(base, tuned, MergeConfig(method="simple_average"))
+    next(merged)
+    assert threading.active_count() > before  # the pool is running
+    merged.close()
+    assert threading.active_count() == before
+
+    dict(merge(base, tuned, MergeConfig(method="simple_average"))[0])
+    assert threading.active_count() == before
+
+    base["model.layers.1.attn.weight"][3, 2, 1] = -3e38
+    tuned[2]["model.layers.1.attn.weight"][3, 2, 1] = 3e38  # an update of 6e38
+    merged, _, _ = merge(base, tuned, MergeConfig(method="simple_average"))
+    with pytest.raises(ValidationError, match="update of tensor 'model.layers.1.attn.weight'"):
+        dict(merged)
+    assert threading.active_count() == before
+
+
+def test_other_methods_start_no_threads_and_import_no_pool():
+    # concurrent.futures pulls in logging, which only the pool needs: a fresh interpreter
+    # shows what these methods import, since pytest's own may already hold it
+    code = """if True:
+        import sys, threading
+        import numpy as np
+        from malsmerge import MergeConfig, merge
+        base = {"layers.0.w": np.zeros(8, np.float32)}
+        tuned = [{"layers.0.w": np.arange(8, dtype=np.float32)}] * 2
+        before = threading.active_count()
+        for method in ("mals", "ties", "uniform_sparsity"):
+            merged, _, _ = merge(base, tuned, MergeConfig(method=method, sign_election=True))
+            next(merged)
+            assert threading.active_count() == before, method
+            merged.close()
+        print(sorted(m for m in ("concurrent.futures", "logging") if m in sys.modules))
+    """
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[]\n"
+

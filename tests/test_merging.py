@@ -26,7 +26,7 @@ from malsmerge import (
     tensor_shapes,
     write_synthetic_set,
 )
-from malsmerge import cli
+from malsmerge import cli, merging
 from malsmerge.conflict import layer_conflict
 from malsmerge.merging import compose_merged, masked_select, plan, simple_average
 from malsmerge.task_vectors import TaskVector, compute_task_vector
@@ -694,10 +694,10 @@ def test_sparsify_count_property(values, s):
         assert kept_magnitudes.min() >= dropped.max() - 1e-12
 
 
-def _peak_bytes(out_dir, num_layers: int, job, num_tasks: int = 3) -> int:
+def _peak_bytes(out_dir, num_layers: int, job, num_tasks: int = 3, elems: int = 50_000) -> int:
     """Peak traced memory of ``job(paths)`` over a synthetic set of ``num_layers``
-    layers of 50k entries and ``num_tasks`` tasks, the archives opened inside ``job``."""
-    paths = write_synthetic_set(out_dir, seed=3, num_layers=num_layers, elems_per_layer=50_000,
+    layers of ``elems`` entries and ``num_tasks`` tasks, the archives opened inside ``job``."""
+    paths = write_synthetic_set(out_dir, seed=3, num_layers=num_layers, elems_per_layer=elems,
                                 num_tasks=num_tasks, conflict_profile=[0.5] * num_layers)
     tracemalloc.start()
     try:
@@ -749,6 +749,43 @@ def test_simple_average_memory_follows_one_task_not_the_task_count(tmp_path):
     small = _peak_bytes(tmp_path / "small", 4, job, num_tasks=2)
     large = _peak_bytes(tmp_path / "large", 4, job, num_tasks=8)
     assert large <= 1.1 * small
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_simple_average_memory_is_the_layer_output_plus_the_slices(tmp_path, monkeypatch, workers):
+    # each slice's reads, update and float64 total are slice-sized, so a layer four times
+    # as large adds only its float32 output (4 bytes an entry) and the writer's check of it
+    import concurrent.futures  # noqa: F401  merge() imports it on first use: not while traced
+
+    monkeypatch.setattr(merging, "_SLICE_ENTRIES", 4096)
+    monkeypatch.setattr(merging, "_workers", lambda: workers)
+
+    def job(paths):
+        _library_merge(paths, MergeConfig(method="simple_average"))
+
+    small = _peak_bytes(tmp_path / "small", 2, job, elems=50_000)
+    large = _peak_bytes(tmp_path / "large", 2, job, elems=200_000)
+    assert (large - small) / 150_000 <= 5
+
+
+@pytest.mark.parametrize("election", [False, True])
+def test_disjoint_merge_holds_one_contributor_mask_at_a_time(election):
+    # the total, the count and one task's mask and masked row are alive at once,
+    # whatever the number of tasks
+    rng = np.random.default_rng(5)
+    n = 100_000
+
+    def peak(num_tasks):
+        rows = [rng.standard_normal(n).astype(np.float32) for _ in range(num_tasks)]
+        signs = elect_signs(rows) if election else None
+        tracemalloc.start()
+        try:
+            disjoint_merge(rows, signs)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert (peak(8) - peak(2)) / (6 * n) < 0.5
 
 
 def test_plan_memory_per_added_task_is_deviations_and_packed_signs(tmp_path):
