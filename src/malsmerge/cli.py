@@ -268,20 +268,25 @@ def run(argv: list[str] | None = None) -> int:
 
 
 def _reuse_freed_memory() -> None:
-    """Have glibc keep freed memory for the next layer instead of returning it.
+    """Have glibc keep freed memory for the next layer instead of returning it, in one arena.
 
     Each layer frees arrays that the next one allocates again. By default glibc
     returns freed heap past twice the largest array freed so far, so every
     layer's arrays are faulted in anew: `analyze` over 64 layers × 100k
     entries × 8 tasks took 181k page faults, against 3k with these settings,
     and 1.3-1.5 times as long. Kept pages were touched before, so peak RSS
-    does not grow. Off Linux, a no-op.
+    does not grow. By default glibc also gives each worker thread an arena of
+    its own, which keeps the memory that thread freed apart from the heap the
+    main thread freed: with one arena a worker allocates from that heap, and a
+    `mals` merge over 24 layers × 400k entries × 4 tasks on two workers peaked
+    at 51 MiB, against 57-60 MiB with an arena per thread. Off Linux, a no-op.
     """
     if sys.platform == "linux":
         mallopt = ctypes.CDLL(None).mallopt
         mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
         mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD: keep up to 64 MiB of freed heap
         mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD: arrays up to 32 MiB come from the heap
+        mallopt(-8, 1)  # M_ARENA_MAX: worker threads allocate from the main heap too
 
 
 def entrypoint() -> None:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -43,31 +43,69 @@ def _check_pair(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return x, y
 
 
-def _deviations(x: np.ndarray) -> tuple[np.ndarray, float]:
-    # np.sum keeps the reduction order fixed regardless of thread count,
-    # unlike BLAS-backed dot products.
-    dx = np.subtract(x, np.sum(x, dtype=np.float64) / len(x), dtype=np.float64)
-    return dx, float(np.sum(dx * dx))
+# the parts of numpy's pairwise tree that _sum_of_products reduces one at a time
+_NODE_ENTRIES = 1 << 16
 
 
-def _center(x: np.ndarray) -> tuple[np.ndarray, float]:
-    """Float64 deviations from the mean and their sum of squares. A nonzero sum
-    outside [2**-500, 2**500], which no float32 input reaches, is taken again
-    from ``x`` scaled exactly by a power of two to a peak in [0.5, 1): the scale
-    cancels in a correlation, and a product of two such sums stays normal.
+def _sum_of_products(x: np.ndarray, y: np.ndarray) -> float:
+    """``np.sum(x * y)`` bit for bit, for flat float64 ``x`` and ``y``, without the ``x * y``
+    temporary. numpy hands a contiguous float64 vector of ``n`` entries to one pairwise sum:
+    the sum of its first ``n2 = n // 2 - n // 2 % 8`` entries plus that of the rest, each
+    split the same way down to 128 entries. This takes the same tree, stops it at parts of
+    at most ``_NODE_ENTRIES``, reduces each part with ``np.add.reduce`` (the same pairwise
+    sum, added to +0.0, which changes only a -0.0 that numpy's own +0.0 start turns to +0.0
+    too) from one reused buffer, and adds the parts as the tree does. BLAS-backed dot
+    products would not fix the order across thread counts."""
+    return _node_sum(x, y, np.empty(min(len(x), _NODE_ENTRIES)), 0, len(x))
+
+
+def _node_sum(x: np.ndarray, y: np.ndarray, buf: np.ndarray, start: int, n: int) -> float:
+    if n <= _NODE_ENTRIES:
+        return float(np.add.reduce(np.multiply(x[start:start + n], y[start:start + n], out=buf[:n])))
+    half = n // 2 - n // 2 % 8
+    return _node_sum(x, y, buf, start, half) + _node_sum(x, y, buf, start + half, n - half)
+
+
+def _deviations(x: np.ndarray, dx: np.ndarray) -> float:
+    """Write ``x``'s float64 deviations from its mean into ``dx`` and return their sum of
+    squares. From the last node down: where a float32 ``x`` lies in ``dx``'s first half, a
+    node's deviations overwrite only entries already read, and numpy copies the node's own
+    inputs first where they overlap its output."""
+    mean = np.sum(x, dtype=np.float64) / len(x)
+    for start in reversed(range(0, len(x), _NODE_ENTRIES)):
+        node = slice(start, start + _NODE_ENTRIES)
+        np.subtract(x[node], mean, out=dx[node], dtype=np.float64)
+    return _sum_of_products(dx, dx)
+
+
+def _center(x: np.ndarray, dx: np.ndarray | None = None) -> tuple[np.ndarray, float]:
+    """Float64 deviations from the mean, written into ``dx`` if given, and their sum of
+    squares. A float32 ``x`` may lie in the first half of a float64 ``dx``, which then
+    overwrites it. A nonzero sum outside [2**-500, 2**500] is taken again from ``x`` scaled
+    exactly by a power of two to a peak in [0.5, 1): the scale cancels in a correlation,
+    and a product of two such sums stays normal. Only an ``x`` wider than 4 bytes needs
+    that: the finite squares of a narrower one sum inside the range, and a non-finite
+    one would be scaled by 2**0.
 
     A vector whose entries are all equal has deviations of exactly 0: its
     computed mean may be off by rounding, so a sum of squares small enough to
     be that rounding is followed by an exact check."""
+    x0 = float(x[0])  # before dx may overwrite x
+    if dx is None:
+        dx = np.empty(len(x))
     with np.errstate(over="ignore", invalid="ignore"):
-        dx, var = _deviations(x)
-    if not 2.0**-500 <= var <= 2.0**500 and dx.any():
+        var = _deviations(x, dx)
+    if x.itemsize > 4 and not 2.0**-500 <= var <= 2.0**500 and dx.any():
         x = x.astype(np.float64)
         x = np.ldexp(x, -np.frexp(np.max(np.abs(x)))[1])
-        dx, var = _deviations(x)
+        x0 = float(x[0])
+        var = _deviations(x, dx)
     # a constant vector's deviations are rounding, far under 2**-30 of its entries: only
-    # a sum of squares that small is worth the exact check's pass
-    if math.sqrt(var / len(x)) <= 2.0**-30 * abs(float(x[0])) and np.all(x == x[0]):
+    # a sum of squares that small is worth the exact check's pass. Entries whose deviations
+    # all equal d agree to within 2**-52 |d|, so each lies within a factor of 2 of their
+    # computed mean m (or m is 0), where x - m is exact (Sterbenz): each is m + d, so equal
+    # deviations mean equal entries, and the check reads dx, not the overwritten x
+    if math.sqrt(var / len(dx)) <= 2.0**-30 * abs(x0) and np.all(dx == dx[0]):
         return np.zeros_like(dx), 0.0
     return dx, var
 
@@ -76,7 +114,7 @@ def _pearson_centered(dx: np.ndarray, var_x: float, dy: np.ndarray, var_y: float
     if var_x == 0.0 or var_y == 0.0:
         return 0.0
     # sqrt(v*v) == v, so x == y lands exactly on 1
-    rho = np.sum(dx * dy) / np.sqrt(var_x * var_y)
+    rho = _sum_of_products(dx, dy) / np.sqrt(var_x * var_y)
     return min(abs(float(rho)), 1.0)
 
 
@@ -85,7 +123,8 @@ _Signs = tuple[np.ndarray, np.ndarray, int]
 
 def _signs(x: np.ndarray) -> _Signs:
     """Positive and negative masks, packed with padding bits 0, and nonzero count of one vector."""
-    return np.packbits(x > 0), np.packbits(x < 0), int(np.count_nonzero(x))
+    # counting the zeros' bool mask is several times faster than counting a float vector
+    return np.packbits(x > 0), np.packbits(x < 0), x.size - int(np.count_nonzero(x == 0))
 
 
 def _disagreement(sx: _Signs, sy: _Signs) -> float:
@@ -141,46 +180,69 @@ def task_order_sum(rows: Iterable, shape: int | tuple[int, ...], dtype=np.float6
     return total
 
 
-def _score_layer(
-    flats: Iterable[np.ndarray], task_pairs: Sequence[tuple[int, int]]
-) -> tuple[float, list[float], list[float]]:
+_TaskScores = tuple[float, "tuple[np.ndarray, float] | None", "_Signs | None"]
+
+
+def _task_scores(update: Callable[[np.ndarray], np.ndarray], n: int, paired: bool) -> _TaskScores:
+    """One task's mean magnitude and, if it is ``paired`` with others, its deviations and
+    packed signs. ``update(dx)`` returns the task's flat update of ``n`` entries, and may
+    lay it, as float32, in the first half of ``dx``, the float64 array that becomes the
+    deviations. The magnitudes are taken into the bytes of ``dx`` that the update leaves
+    free, so a job holds ``dx`` and bool masks for the signs, not a raw update beside
+    its deviations."""
+    dx = np.empty(n)
+    x = update(dx)
+    if not n:
+        return 0.0, None, None
+    signs = _signs(x) if paired else None
+    magnitude = dx.view(np.uint8)[dx.nbytes - x.nbytes:].view(x.dtype)
+    importance = np.sum(np.abs(x, out=magnitude), dtype=np.float64) / n
+    return importance, _center(x, dx) if paired else None, signs
+
+
+def _pair_scores(x: _TaskScores, y: _TaskScores) -> tuple[float, float]:
+    return _pearson_centered(*x[1], *y[1]), _disagreement(x[2], y[2])
+
+
+_Layer = tuple[Callable, int, Sequence[Callable[[np.ndarray], np.ndarray]]]
+
+
+def _score_layer(layer: _Layer, task_pairs: Sequence[tuple[int, int]]) -> tuple[float, list[float], list[float]]:
     """Importance, then |rho| and sign disagreement per task pair, of one layer group.
 
-    Each task's flat update gives its mean magnitude, its deviations and its packed
-    signs, and is dropped before the next is taken; every pair is scored from those.
+    Each task's job builds its flat update and keeps its mean magnitude, deviations and
+    packed signs; each pair's job scores it from those.
     """
-    means, centered, signs = [], [], []
-    for flat in flats:
-        means.append(np.sum(np.abs(flat), dtype=np.float64) / len(flat) if len(flat) else 0.0)
-        if task_pairs and len(flat):
-            centered.append(_center(flat))
-            signs.append(_signs(flat))
-        del flat
-    importance = float(task_order_sum(means, ())) / len(means)
-    if not centered:
+    map_jobs, n, updates = layer
+    scores = list(map_jobs(lambda update: _task_scores(update, n, bool(task_pairs)), updates))
+    importance = float(task_order_sum((mean for mean, _, _ in scores), ())) / len(scores)
+    if not task_pairs or not n:
         return importance, [0.0] * len(task_pairs), [0.0] * len(task_pairs)
-    rho = [_pearson_centered(*centered[i], *centered[j]) for i, j in task_pairs]
-    dis = [_disagreement(signs[i], signs[j]) for i, j in task_pairs]
-    return importance, rho, dis
+    rho, dis = zip(*map_jobs(lambda pair: _pair_scores(scores[pair[0]], scores[pair[1]]), task_pairs))
+    return importance, list(rho), list(dis)
 
 
-def score_layers(
-    layer_ids: Sequence[str], n_tasks: int, layer_flats: Iterable[Sequence[np.ndarray]]
-) -> ConflictReport:
-    """Score each layer's flat per-task updates, in ``layer_ids`` order.
+def score_layers(layer_ids: Sequence[str], n_tasks: int, layers: Iterable[_Layer]) -> ConflictReport:
+    """Score each layer group's per-task updates, in ``layer_ids`` order.
 
-    ``layer_flats`` yields one layer at a time; each is dropped before the
-    next is built, so memory grows with the largest layer, not the model.
+    ``layers`` yields one ``(map_jobs, n, updates)`` per group of ``n`` entries.
+    ``updates`` holds one function per task, in task order: given a float64 array of
+    ``n`` entries, it returns the task's flat update, which it may lay as float32 in
+    that array's first half. ``map_jobs`` maps a function over a sequence as the builtin
+    ``map`` does, results in order; a thread pool's ``map`` runs the tasks, then the
+    pairs, side by side. Every sum a job takes is its own, so the scores do not depend
+    on ``map_jobs``. Each group is dropped before the next is taken, so memory grows
+    with the largest group, not the model.
     """
     n_layers = len(layer_ids)
     task_pairs = tuple(combinations(range(n_tasks), 2))
     rho = np.zeros((len(task_pairs), n_layers), dtype=np.float64)
     dis = np.zeros((len(task_pairs), n_layers), dtype=np.float64)
     importance = np.zeros(n_layers, dtype=np.float64)
-    layer_flats = iter(layer_flats)
+    layers = iter(layers)
     for l in range(n_layers):
         # next() inside the call: no loop variable holds the previous layer
-        importance[l], rho[:, l], dis[:, l] = _score_layer(next(layer_flats), task_pairs)
+        importance[l], rho[:, l], dis[:, l] = _score_layer(next(layers), task_pairs)
 
     conflict = task_order_sum(0.5 * rho + 0.5 * dis, n_layers) / max(len(task_pairs), 1)
 
@@ -197,7 +259,10 @@ def layer_conflict(task_vectors: Sequence[TaskVector], grouping: LayerGrouping) 
     elements scores 0 conflict and 0 importance.
     """
     _check_names(task_vectors, grouping)
-    layer_flats = (
-        [flatten_group(tv.deltas, members) for tv in task_vectors] for _, members in grouping.groups
-    )
-    return score_layers(grouping.layer_ids, len(task_vectors), layer_flats)
+
+    def layer(members: Sequence[str]) -> _Layer:
+        n = sum(np.size(task_vectors[0].deltas[name]) for name in members)
+        return map, n, [lambda _, tv=tv: flatten_group(tv.deltas, members) for tv in task_vectors]
+
+    layers = (layer(members) for _, members in grouping.groups)
+    return score_layers(grouping.layer_ids, len(task_vectors), layers)

@@ -13,6 +13,7 @@ import hashlib
 import json
 import math
 import os
+from contextlib import contextmanager
 from dataclasses import dataclass, field, fields, replace
 from typing import Callable, Iterator, Sequence
 
@@ -22,13 +23,13 @@ from .allocation import AllocationConfig, AllocationResult, allocate, coerce_fie
 from .archive import Archive, tensor_shapes
 from .conflict import ConflictReport, score_layers, task_order_sum
 from .errors import ConvergenceError, ValidationError
-from .grouping import DEFAULT_GROUPING_PATTERN, LayerGrouping, compile_grouping, group_layers, unflatten_group
-from .task_vectors import TaskVector, TensorMap, layer_deltas, require_compatible, stored_sum
+from .grouping import DEFAULT_GROUPING_PATTERN, LayerGrouping, compile_grouping, group_layers
+from .task_vectors import TaskVector, TensorMap, layer_updates, require_compatible, stored_sum
 
 METHODS = ("mals", "simple_average", "uniform_sparsity", "ties")
 
-# entries of one member tensor that simple_average reads, averages and composes as one
-# unit of work: a worker's temporaries are a few times this, whatever the layer's size
+# entries of one member tensor that pass 2 merges or averages, and composes, as one unit of
+# work: a worker's temporaries are a few times this, whatever the layer's size
 _SLICE_ENTRIES = 1 << 16
 
 
@@ -59,6 +60,13 @@ def _float_bits(dtype: np.dtype) -> np.dtype:
     return np.dtype(f"u{dtype.itemsize}")
 
 
+def _select_bits(mask: np.ndarray, v: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``v``'s bits where the unsigned ``mask`` of its width holds 1 and zero bits where it
+    holds 0, into ``out``; ``mask`` is overwritten."""
+    np.negative(mask, out=mask)  # 1 -> all ones, 0 -> 0
+    return np.bitwise_and(mask, v.view(mask.dtype), out=out)
+
+
 def masked_select(v: np.ndarray, keep: np.ndarray) -> np.ndarray:
     """``v`` where ``keep`` holds and 0 elsewhere, as numpy's ``where(keep, v, 0)``
     gives it bit for bit, without a branch per entry.
@@ -71,11 +79,38 @@ def masked_select(v: np.ndarray, keep: np.ndarray) -> np.ndarray:
     ``v``'s dtype must be a real float 1, 2, 4 or 8 bytes wide, as is every float up
     to float64; any other, such as complex128 or int32, raises ``ValueError`` naming it.
     """
-    bits = _float_bits(v.dtype)
-    mask = keep.astype(bits)
-    np.negative(mask, out=mask)  # 1 -> all ones, 0 -> 0
-    np.bitwise_and(mask, v.view(bits), out=mask)
-    return mask.view(v.dtype)
+    mask = keep.astype(_float_bits(v.dtype))
+    return _select_bits(mask, v, out=mask).view(v.dtype)
+
+
+def _trim(v: np.ndarray, s: float) -> np.ndarray:
+    """:func:`sparsify_top_fraction` of the flat real-float ``v``, written into ``v`` itself.
+
+    Beside ``v`` it holds one array, of its magnitudes; once the partition has found the
+    threshold, that array's buffer becomes the keep mask. The mask is filled, and surplus
+    ties are found, a slice at a time, so no other array as long as ``v`` is built.
+    """
+    n_keep = 0 if s == 1.0 else math.ceil((1.0 - s) * v.size)
+    if n_keep == 0:
+        v.fill(0)
+        return v
+    magnitude = np.abs(v)
+    magnitude.partition(v.size - n_keep)
+    threshold = magnitude[v.size - n_keep]
+    keep = magnitude.view(_float_bits(v.dtype))
+    for start in range(0, v.size, _SLICE_ENTRIES):
+        part = slice(start, start + _SLICE_ENTRIES)
+        keep[part] = np.abs(v[part]) >= threshold
+    surplus = int(np.count_nonzero(keep)) - n_keep
+    for start in reversed(range(0, v.size, _SLICE_ENTRIES)):  # surplus ties, last index first
+        if surplus <= 0:
+            break
+        part = slice(start, start + _SLICE_ENTRIES)
+        ties = np.flatnonzero(np.abs(v[part]) == threshold)[-surplus:]
+        keep[part][ties] = 0
+        surplus -= len(ties)
+    _select_bits(keep, v, out=v.view(keep.dtype))
+    return v
 
 
 def sparsify_top_fraction(v: np.ndarray, s: float) -> np.ndarray:
@@ -87,7 +122,8 @@ def sparsify_top_fraction(v: np.ndarray, s: float) -> np.ndarray:
     Runs in O(n): a partial selection finds the smallest kept magnitude and
     every entry at or above it is kept; only if that keeps too many are the
     surplus entries equal to it dropped, from the highest index down. Kept
-    entries are copied as they are, so a kept ``-0.0`` stays ``-0.0``.
+    entries are copied as they are, so a kept ``-0.0`` stays ``-0.0``. ``v``
+    itself is left as it is.
     """
     if not 0.0 <= s <= 1.0:
         raise ValueError(f"sparsity level must lie in [0, 1], got {s}")
@@ -95,16 +131,7 @@ def sparsify_top_fraction(v: np.ndarray, s: float) -> np.ndarray:
     if v.ndim != 1:
         raise ValueError("input must be a flat vector")
     _float_bits(v.dtype)  # checked at every level, 1 included
-    n_keep = 0 if s == 1.0 else math.ceil((1.0 - s) * v.size)
-    if n_keep == 0:
-        return np.zeros_like(v)
-    magnitude = np.abs(v)
-    threshold = np.partition(magnitude, v.size - n_keep)[v.size - n_keep]
-    keep = magnitude >= threshold
-    surplus = int(np.count_nonzero(keep)) - n_keep
-    if surplus > 0:
-        keep[np.flatnonzero(magnitude == threshold)[-surplus:]] = False
-    return masked_select(v, keep)
+    return _trim(v.copy(), s)
 
 
 def _rows(sparsified: Sequence[np.ndarray]) -> list[np.ndarray]:
@@ -177,6 +204,38 @@ def simple_average(task_vectors: Sequence[TaskVector]) -> TaskVector:
     return TaskVector(label="simple_average", deltas=deltas)
 
 
+@contextmanager
+def _job_maps() -> Iterator[Callable[[int], Callable]]:
+    """``map_for(entries)``: how to run the jobs of a layer group of ``entries`` entries,
+    a ``map`` that yields their results in order. A group under two slices runs them with
+    the builtin ``map``: a pool gains nothing there. A larger one runs them on one thread
+    per CPU this process may use, in a pool started for the first such group (only then is
+    ``concurrent.futures``, which pulls in ``logging``, imported) and shut down, once the
+    jobs in flight are done, however the block ends. numpy's ufuncs, its partition and
+    ``preadv`` release the GIL."""
+    pool = None
+
+    def map_for(entries: int) -> Callable:
+        nonlocal pool
+        if entries < 2 * _SLICE_ENTRIES:
+            return map
+        if pool is None:
+            from concurrent.futures import ThreadPoolExecutor
+
+            pool = ThreadPoolExecutor(_workers())
+        return pool.map
+
+    try:
+        yield map_for
+    finally:
+        if pool is not None:
+            pool.shutdown()
+
+
+def _entries(shapes: dict[str, tuple[int, ...]], members: Sequence[str]) -> int:
+    return sum(math.prod(shapes[name]) for name in members)
+
+
 def plan(
     base: TensorMap,
     tuned: Sequence[TensorMap],
@@ -199,8 +258,14 @@ def plan(
     grouping = group_layers(base, config.grouping_pattern)
     if config.method == "simple_average":
         return grouping, None, None
-    layer_flats = (layer_deltas(base, tuned, members) for _, members in grouping.groups)
-    conflict = score_layers(grouping.layer_ids, len(tuned), layer_flats)
+    shapes = tensor_shapes(base)
+    sizes = [_entries(shapes, members) for _, members in grouping.groups]
+    with _job_maps() as map_for:
+        layers = (
+            (map_for(n), n, layer_updates(base, tuned, members))
+            for n, (_, members) in zip(sizes, grouping.groups)
+        )
+        conflict = score_layers(grouping.layer_ids, len(tuned), layers)
     alloc_config = config.allocation
     if config.method in ("uniform_sparsity", "ties"):
         # identical trim level everywhere: collapse the box onto the target
@@ -208,29 +273,6 @@ def plan(
             alloc_config, s_min=alloc_config.s_target, s_max=alloc_config.s_target
         )
     return grouping, conflict, allocate(conflict, alloc_config)
-
-
-def _merge_layer(
-    base: TensorMap, tuned: Sequence[TensorMap], members: Sequence[str], level: float,
-    config: MergeConfig,
-) -> dict[str, np.ndarray]:
-    """Pass 2 on one layer group: trim its updates to ``level``, elect and merge them,
-    and add ``lam`` times that onto the base."""
-    layer_base = {name: base[name] for name in members}  # read once, for deltas and compose
-    updates = layer_deltas(layer_base, tuned, members)  # one raw update alive at a time
-    # map, not a comprehension, whose loop variable would hold the last raw update
-    flats = list(map(sparsify_top_fraction, updates, [level] * len(tuned)))
-    election = config.sign_election or config.method == "ties"
-    merged_flat = disjoint_merge(flats, elect_signs(flats) if election else None)
-    del flats  # freed before the layer is composed
-    shapes = {name: tensor.shape for name, tensor in layer_base.items()}
-    composed = unflatten_group(merged_flat, shapes, members)
-    for name, delta in composed.items():
-        # into the merged update's own buffer: one array per layer, no second
-        # allocation per tensor, so the pages the layer freed are reused; each
-        # base tensor is popped, so freed once composed
-        stored_sum(f"merged tensor {name!r}", layer_base.pop(name), config.lam, delta, out=delta)
-    return composed
 
 
 def _flat_reads(tensors: TensorMap, members: Sequence[str]) -> Callable[[str, int, int], np.ndarray]:
@@ -243,42 +285,74 @@ def _flat_reads(tensors: TensorMap, members: Sequence[str]) -> Callable[[str, in
     return lambda name, start, stop: flats[name][start:stop]
 
 
-def _average_layer(
-    base: TensorMap, tuned: Sequence[TensorMap], members: Sequence[str],
-    shapes: dict[str, tuple[int, ...]], lam: float, map_slices: Callable,
+def _slice_walk(
+    members: Sequence[str], shapes: dict[str, tuple[int, ...]], map_jobs: Callable,
+    fill: Callable[[str, int, int, np.ndarray], None],
 ) -> dict[str, np.ndarray]:
-    """Pass 2 of ``simple_average`` on one layer group, walked in fixed slices of its members.
-
-    Each slice reads the base's range once and each checkpoint's in task order, adds their
-    32-bit updates into a float64 total, divides it by T, rounds it to float32 and adds
-    ``lam`` times that onto the base straight into the member's output. Every step works
-    position by position, so the bytes do not depend on the slice size or on how the
-    slices are spread over workers. ``map_slices`` runs them and yields in walk order, so
-    the error raised is the first one a serial walk in (member, offset) order meets.
-    """
-    base_read, *tuned_reads = (_flat_reads(tensors, members) for tensors in (base, *tuned))
+    """Each member's float32 output, which ``fill(name, start, stop, out)`` writes in fixed
+    slices of ``_SLICE_ENTRIES`` entries, ``out`` being the slice ``[start, stop)`` of the
+    flat output. A fill works position by position, so the bytes do not depend on the
+    slice size or on how ``map_jobs`` spreads the slices over workers. ``map_jobs`` yields
+    in walk order, so the error raised is the first that a serial walk in (member, offset)
+    order meets."""
     merged = {name: np.empty(shapes[name], np.float32) for name in members}
 
-    def average(job: tuple[str, int]) -> None:
+    def run(job: tuple[str, int]) -> None:
         name, start = job
-        stop = min(start + _SLICE_ENTRIES, merged[name].size)
+        out = merged[name].reshape(-1)[start:start + _SLICE_ENTRIES]
+        fill(name, start, start + len(out), out)
+
+    walk = [(name, start) for name in members for start in range(0, merged[name].size, _SLICE_ENTRIES)]
+    for _ in map_jobs(run, walk):
+        pass
+    return merged
+
+
+def _merge_layer(
+    base: TensorMap, tuned: Sequence[TensorMap], members: Sequence[str],
+    shapes: dict[str, tuple[int, ...]], level: float, config: MergeConfig, map_jobs: Callable,
+) -> dict[str, np.ndarray]:
+    """Pass 2 on one layer group: one job per task builds its update and trims it to
+    ``level`` in place; then each slice is elected, merged and added ``lam`` times onto
+    the base."""
+    layer_base = {name: base[name] for name in members}  # read once, for updates and compose
+    trimmed = list(map_jobs(lambda update: _trim(update(), level), layer_updates(layer_base, tuned, members)))
+    base_read = _flat_reads(layer_base, members)
+    offsets = dict(zip(members, np.cumsum([0, *(math.prod(shapes[name]) for name in members)]).tolist()))
+    election = config.sign_election or config.method == "ties"
+
+    def merge_slice(name: str, start: int, stop: int, out: np.ndarray) -> None:
+        rows = [row[offsets[name] + start:offsets[name] + stop] for row in trimmed]
+        out[...] = disjoint_merge(rows, elect_signs(rows) if election else None)
+        stored_sum(f"merged tensor {name!r}", base_read(name, start, stop), config.lam, out, out=out)
+
+    return _slice_walk(members, shapes, map_jobs, merge_slice)
+
+
+def _average_layer(
+    base: TensorMap, tuned: Sequence[TensorMap], members: Sequence[str],
+    shapes: dict[str, tuple[int, ...]], lam: float, map_jobs: Callable,
+) -> dict[str, np.ndarray]:
+    """Pass 2 of ``simple_average`` on one layer group: each slice reads the base's range
+    once and each checkpoint's in task order, adds their 32-bit updates into a float64
+    total, divides it by T, rounds it to float32 and adds ``lam`` times that onto the base
+    straight into the member's output."""
+    base_read, *tuned_reads = (_flat_reads(tensors, members) for tensors in (base, *tuned))
+
+    def average(name: str, start: int, stop: int, out: np.ndarray) -> None:
         b = base_read(name, start, stop)
         total = np.zeros(stop - start)
         update = np.empty(stop - start, np.float32)
         for read in tuned_reads:
             total += stored_sum(f"update of tensor {name!r}", read(name, start, stop), -1, b, out=update)
-        out = merged[name].reshape(-1)[start:stop]
         out[...] = np.divide(total, len(tuned_reads), out=total)
         stored_sum(f"merged tensor {name!r}", b, lam, out, out=out)
 
-    walk = [(name, start) for name in members for start in range(0, merged[name].size, _SLICE_ENTRIES)]
-    for _ in map_slices(average, walk):
-        pass
-    return merged
+    return _slice_walk(members, shapes, map_jobs, average)
 
 
 def _workers() -> int:
-    """Threads for ``simple_average``'s slices: the CPUs this process may run on, the
+    """Threads for a large layer group's jobs: the CPUs this process may run on, the
     machine's where that call is missing."""
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
@@ -300,9 +374,11 @@ def merge(
     an overflowing merged tensor, are raised during iteration. ``dict(merged)``
     holds the whole model; ``stream_archive`` writes it holding one layer.
 
-    ``simple_average`` walks each layer in fixed slices on one thread per CPU this
-    process may use; the bytes do not depend on the count. The threads live until
-    ``merged`` is exhausted, closed or raises.
+    A layer group of at least two slices (131,072 entries) runs its jobs on one
+    thread per CPU this process may use: pass 1's per-task scores and per-pair
+    products, pass 2's per-task trims and its slices of averaging or of election,
+    merge and compose. The bytes do not depend on the count. Pass 1's threads end
+    with this call; pass 2's live until ``merged`` is exhausted, closed or raises.
     """
     grouping, conflict, allocation = plan(base, tuned, config, labels)
     if allocation is not None and not allocation.converged:
@@ -313,18 +389,16 @@ def merge(
         )
 
     def merged() -> Iterator[tuple[str, np.ndarray]]:
-        # nothing here holds a layer once its last pair is taken
-        if allocation is not None:
-            for l, (_, members) in enumerate(grouping.groups):
-                yield from _merge_layer(base, tuned, members, float(allocation.s_final[l]), config).items()
-            return
-        from concurrent.futures import ThreadPoolExecutor  # not at the top: it pulls in logging
-
         shapes = tensor_shapes(base)
-        # shut down, once the slices in flight are done, however the walk ends
-        with ThreadPoolExecutor(_workers()) as pool:
-            for _, members in grouping.groups:
-                yield from _average_layer(base, tuned, members, shapes, config.lam, pool.map).items()
+        with _job_maps() as map_for:
+            for l, (_, members) in enumerate(grouping.groups):
+                map_jobs = map_for(_entries(shapes, members))
+                # nothing here holds a layer once its last pair is taken
+                yield from (
+                    _average_layer(base, tuned, members, shapes, config.lam, map_jobs)
+                    if allocation is None else
+                    _merge_layer(base, tuned, members, shapes, float(allocation.s_final[l]), config, map_jobs)
+                ).items()
 
     return merged(), conflict, allocation
 

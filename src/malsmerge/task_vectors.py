@@ -3,7 +3,8 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, Mapping, Sequence
+from functools import partial
+from typing import Callable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -104,21 +105,26 @@ def compute_task_vector(base: TensorMap, tuned: TensorMap, label: str) -> TaskVe
     return TaskVector(label=label, deltas=dict(delta_tensors(base, tuned, label)))
 
 
-def layer_deltas(
+def layer_updates(
     base: TensorMap, tuned: Sequence[TensorMap], members: Sequence[str]
-) -> Iterator[np.ndarray]:
-    """Each checkpoint's update on one layer group, read only when asked for and let go
-    before the next is built: its members' deltas raveled and laid end to end in ``members``
-    order, each written straight into the checkpoint's flat. Each base member is looked up
-    once. Callers check compatibility first."""
+) -> list[Callable[..., np.ndarray]]:
+    """A function per checkpoint that builds its update on one layer group: its members'
+    deltas raveled and laid end to end in ``members`` order, each written straight into a
+    float32 flat that the caller owns. Called with no argument, it builds a fresh flat;
+    called with a float64 array of the group's length, it lays the flat in that array's
+    first half. Each base member is looked up once, here; a checkpoint is read only when
+    its function is called, so each update can be built on a worker of its own. Callers
+    check compatibility first."""
     bases = [base[name] for name in members]
     offsets = np.cumsum([0, *(b.size for b in bases)]).tolist()
-    for t in tuned:
-        flat = np.empty(offsets[-1], dtype=np.float32)
+
+    def update(t: TensorMap, room: np.ndarray | None = None) -> np.ndarray:
+        flat = np.empty(offsets[-1], np.float32) if room is None else room.view(np.float32)[:offsets[-1]]
         for name, b, start, end in zip(members, bases, offsets, offsets[1:]):
             stored_sum(f"update of tensor {name!r}", t[name], -1, b, out=flat[start:end].reshape(b.shape))
-        yield flat
-        del flat
+        return flat
+
+    return [partial(update, t) for t in tuned]
 
 
 def validate_compatibility(base: TensorMap, tuned_list: Sequence[TensorMap],

@@ -79,6 +79,32 @@ def test_f16_widened_to_f32(tmp_path):
     np.testing.assert_array_equal(loaded["h"], values.astype(np.float32))
 
 
+def test_every_f16_bit_pattern_widens_as_astype_does_or_is_rejected(tmp_path):
+    # F16 is widened by integer shifts and one float32 multiply: every finite pattern
+    # must give astype's bits, and every infinity and NaN the lookup's error, also
+    # when it sits between finite values in a range
+    patterns = np.arange(1 << 16, dtype=np.uint16).view("<f2")
+    header = json.dumps(
+        {"h": {"dtype": "F16", "shape": [patterns.size], "data_offsets": [0, patterns.nbytes]}},
+        separators=(",", ":"),
+    ).encode()
+    path = tmp_path / "h.st"
+    path.write_bytes(struct.pack("<Q", len(header)) + header + patterns.tobytes())
+    archive = read_archive(path)
+    finite = np.isfinite(patterns)
+    assert np.count_nonzero(finite) == 63_488
+    for start, stop in ((0, 0x7C00), (0x8000, 0xFC00)):  # the positive and negative finite runs
+        assert finite[start:stop].all()
+        widened = archive.read_range("h", start, stop)
+        assert widened.tobytes() == patterns[start:stop].astype(np.float32).tobytes()
+    message = f"{path}: non-finite value detected in tensor 'h'"
+    for i in np.flatnonzero(~finite):
+        for start, stop in ((i, i + 1), (i - 1, min(i + 2, patterns.size))):
+            with pytest.raises(ArchiveError) as info:
+                archive.read_range("h", int(start), int(stop))
+            assert str(info.value) == message
+
+
 def test_metadata_permitted_and_ignored(tmp_path):
     path = tmp_path / "m.st"
     write_archive({"a": np.ones(2, np.float32)}, path, metadata={"method": "mals"})

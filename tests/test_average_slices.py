@@ -1,8 +1,10 @@
-"""``simple_average`` walks each layer in fixed slices on a worker pool.
+"""Pass 2 walks each layer group in fixed slices, and a large group's jobs run on a pool.
 
-Every step of the average works position by position, so the merged bytes must
-not depend on the slice size or on the worker count, and a failing slice must
-raise the error that a serial walk in (member, offset) order meets first.
+Every step of the average, and of election, merge and compose, works position
+by position, and each task's trim and pass-1 scores are its own: so the merged
+bytes must not depend on the slice size or on the worker count, and a failure
+must raise the error that a serial walk in (task, member, offset) order meets
+first.
 """
 
 from __future__ import annotations
@@ -184,40 +186,98 @@ def test_the_first_error_in_walk_order_is_raised_whatever_the_worker_count(tmp_p
     )
 
 
-def test_the_pool_ends_with_the_merge(monkeypatch):
+@pytest.mark.parametrize("method", ["simple_average", "mals"])
+def test_the_pool_ends_with_the_merge(monkeypatch, method):
+    # pass 1's pool ends with merge() itself, pass 2's with the walk, however it ends
     monkeypatch.setattr(merging, "_SLICE_ENTRIES", 3)
     _use_workers(monkeypatch, 2)
+    config = MergeConfig(method=method, sign_election=True)
     base, tuned = _checkpoints(np.float32)
     before = threading.active_count()
 
-    merged, _, _ = merge(base, tuned, MergeConfig(method="simple_average"))
+    merged, _, _ = merge(base, tuned, config)
+    assert threading.active_count() == before
     next(merged)
     assert threading.active_count() > before  # the pool is running
     merged.close()
     assert threading.active_count() == before
 
-    dict(merge(base, tuned, MergeConfig(method="simple_average"))[0])
+    dict(merge(base, tuned, config)[0])
     assert threading.active_count() == before
 
     base["model.layers.1.attn.weight"][3, 2, 1] = -3e38
     tuned[2]["model.layers.1.attn.weight"][3, 2, 1] = 3e38  # an update of 6e38
-    merged, _, _ = merge(base, tuned, MergeConfig(method="simple_average"))
     with pytest.raises(ValidationError, match="update of tensor 'model.layers.1.attn.weight'"):
-        dict(merged)
+        dict(merge(base, tuned, config)[0])  # in pass 1 for mals, in the walk for simple_average
     assert threading.active_count() == before
 
 
-def test_other_methods_start_no_threads_and_import_no_pool():
+@pytest.mark.parametrize("config", [MergeConfig(method="mals", sign_election=True),
+                                    MergeConfig(method="ties", lam=0.7),
+                                    MergeConfig(method="uniform_sparsity")], ids=lambda c: c.method)
+def test_trimmed_merge_bytes_do_not_depend_on_slice_size_or_worker_count(tmp_path, monkeypatch, config):
+    # pass 1's task and pair jobs and pass 2's trims and slices, on 6 workers that switch
+    # often, give the serial walk's bytes and scores
+    base, tuned = _inputs("F32-archive", tmp_path)
+
+    def run():
+        merged, conflict, allocation = merge(base, tuned, config)
+        return ({name: tensor.tobytes() for name, tensor in merged},
+                conflict.rho_abs.tobytes(), conflict.importance.tobytes(), allocation.s_final.tobytes())
+
+    monkeypatch.setattr(merging, "_SLICE_ENTRIES", LARGER_THAN_ANY_TENSOR)
+    expected = run()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for slice_entries, workers in product([1, 7], [1, 2, 6]):
+            monkeypatch.setattr(merging, "_SLICE_ENTRIES", slice_entries)
+            _use_workers(monkeypatch, workers)
+            assert run() == expected, (slice_entries, workers)
+    finally:
+        sys.setswitchinterval(interval)
+
+
+class _SlowToRead(Archive):
+    """An archive whose every tensor takes a while to read."""
+
+    def read_range(self, name: str, start: int, stop: int) -> np.ndarray:
+        time.sleep(0.2)
+        return super().read_range(name, start, stop)
+
+
+def test_the_first_failing_task_is_raised_whatever_the_worker_count(tmp_path, monkeypatch):
+    # the first checkpoint fails slowly, the second at once: two workers meet the second's
+    # failure first, a serial pass 1 the first's
+    monkeypatch.setattr(merging, "_SLICE_ENTRIES", 2)
+    base = {"layers.0.a": np.zeros(200, np.float32)}
+    tuned = [{"layers.0.a": np.ones(200, np.float32)} for _ in range(2)]
+    tuned[0]["layers.0.a"][199] = np.inf
+    base["layers.0.a"][0], tuned[1]["layers.0.a"][0] = -2e38, 2e38  # an update of 4e38
+    paths = [tmp_path / f"{i}.st" for i in range(3)]
+    for checkpoint, path in zip([base, *tuned], paths):
+        _write_raw(checkpoint, path)
+    for workers in (1, 2):
+        _use_workers(monkeypatch, workers)
+        with pytest.raises((ArchiveError, ValidationError)) as info:
+            merge(read_archive(paths[0]), [_SlowToRead(paths[1]), read_archive(paths[2])], MergeConfig())
+        assert (type(info.value), str(info.value)) == (
+            ArchiveError, f"{paths[1]}: non-finite value detected in tensor 'layers.0.a'"
+        )
+
+
+def test_small_layer_groups_start_no_threads_and_import_no_pool():
     # concurrent.futures pulls in logging, which only the pool needs: a fresh interpreter
-    # shows what these methods import, since pytest's own may already hold it
+    # shows what a merge of groups under two slices imports, since pytest's own may
+    # already hold it
     code = """if True:
         import sys, threading
         import numpy as np
-        from malsmerge import MergeConfig, merge
+        from malsmerge import METHODS, MergeConfig, merge
         base = {"layers.0.w": np.zeros(8, np.float32)}
         tuned = [{"layers.0.w": np.arange(8, dtype=np.float32)}] * 2
         before = threading.active_count()
-        for method in ("mals", "ties", "uniform_sparsity"):
+        for method in METHODS:
             merged, _, _ = merge(base, tuned, MergeConfig(method=method, sign_election=True))
             next(merged)
             assert threading.active_count() == before, method
@@ -227,4 +287,3 @@ def test_other_methods_start_no_threads_and_import_no_pool():
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
     assert done.stdout == "[]\n"
-

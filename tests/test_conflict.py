@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import math
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,9 +17,9 @@ from malsmerge import (
     sign_disagreement,
     synthesize_checkpoints,
 )
-from malsmerge.conflict import layer_conflict, score_layers
+from malsmerge.conflict import _NODE_ENTRIES, _center, _sum_of_products, layer_conflict, score_layers
 from malsmerge.merging import plan
-from malsmerge.task_vectors import TaskVector, compute_task_vector
+from malsmerge.task_vectors import TaskVector, compute_task_vector, layer_updates
 from oracles import pearson_abs_oracle, sign_disagreement_oracle
 
 
@@ -263,15 +266,68 @@ class _ConflictCases:
                 assert report.sign_disagreement[k, l] == sign_disagreement(x, y)
 
 
+# lengths around numpy's split points: under, at and over 8 and 128, and one or many
+# product nodes either side of _NODE_ENTRIES
+SUM_LENGTHS = sorted({1, 7, 8, 9, 127, 128, 129, 8191, 8192, 8193, 16384, 16385, 20000, 65536,
+                      99999, 100000, 400000, 1000003, 2000000,
+                      _NODE_ENTRIES - 1, _NODE_ENTRIES, _NODE_ENTRIES + 1})
+
+
+@pytest.mark.parametrize("n", SUM_LENGTHS)
+def test_sum_of_products_equals_numpy_sum_bit_for_bit(n):
+    rng = np.random.default_rng(n)
+    x = rng.standard_normal(n) * rng.uniform(1e-3, 1e3, n)
+    y = rng.standard_normal(n)
+    assert _sum_of_products(x, y) == float(np.sum(x * y))
+    assert _sum_of_products(x, x) == float(np.sum(x * x))
+    assert _sum_of_products(x[::-1], y[::-1]) == float(np.sum(x[::-1] * y[::-1]))
+
+
+def _center_reference(x):
+    """Pass 1's centring as whole-layer formulas: the deviations from np.sum's float64 mean,
+    np.sum of their squares, and zeros for a vector whose entries all equal the first."""
+    dx = np.subtract(x, np.sum(x, dtype=np.float64) / len(x), dtype=np.float64)
+    var = float(np.sum(dx * dx))
+    if math.sqrt(var / len(x)) <= 2.0**-30 * abs(float(x[0])) and np.all(x == x[0]):
+        return np.zeros_like(dx), 0.0
+    return dx, var
+
+
+@pytest.mark.parametrize("n", SUM_LENGTHS)
+def test_center_equals_the_whole_layer_formulas_also_in_place(n):
+    # in place, the float32 update lies in the first half of the float64 buffer that its
+    # deviations overwrite; the constant check then reads the deviations, not the update
+    rng = np.random.default_rng(n + 1)
+    varied = (rng.standard_normal(n) * 0.02 + 0.001).astype(np.float32)
+    near_constant = np.full(n, 0.1, np.float32)
+    near_constant[rng.integers(n, size=3)] = np.nextafter(np.float32(0.1), np.float32(1))
+    tiny = np.full(n, np.float32(2.0**-149))
+    tiny[-1] = 0.0
+    for x in (varied, near_constant, np.full(n, np.float32(1 / 3)), tiny):
+        expected_dx, expected_var = _center_reference(x)
+        room = np.empty(n)
+        room.view(np.float32)[:n] = x
+        for dx, var in (_center(x), _center(room.view(np.float32)[:n], room)):
+            assert dx.tobytes() == expected_dx.tobytes() and var == expected_var
+
+
 def test_score_layers_takes_each_layer_as_a_one_shot_iterator():
+    # each layer is (map_jobs, entries, a function per task building its update). Updates
+    # laid in the deviations' own buffer, through a thread pool's map running tasks and
+    # pairs side by side, score as fresh flats through the builtin map do
     base, tuned = synthesize_checkpoints(5, 3, 1000, 4, [0.9, 0.5, 0.1])
     tvs = [compute_task_vector(base, t, f"t{i}") for i, t in enumerate(tuned)]
     grouping = group_layers(base)
-    layers = [[flatten_group(tv.deltas, members) for tv in tvs] for _, members in grouping.groups]
-    as_lists = score_layers(grouping.layer_ids, len(tvs), layers)
-    as_iterators = score_layers(grouping.layer_ids, len(tvs), (iter(flats) for flats in layers))
+
+    def layers(map_jobs):
+        for _, members in grouping.groups:
+            yield map_jobs, sum(base[name].size for name in members), layer_updates(base, tuned, members)
+
+    fresh = layer_conflict(tvs, grouping)
+    with ThreadPoolExecutor(3) as pool:
+        in_place = score_layers(grouping.layer_ids, len(tvs), layers(pool.map))
     for field in ("conflict", "importance", "rho_abs", "sign_disagreement"):
-        assert getattr(as_iterators, field).tobytes() == getattr(as_lists, field).tobytes()
+        assert getattr(in_place, field).tobytes() == getattr(fresh, field).tobytes()
 
 
 class TestLayerConflict(_ConflictCases):

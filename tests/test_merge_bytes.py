@@ -18,6 +18,7 @@ import numpy as np
 import pytest
 
 from malsmerge import synthesize_checkpoints, write_archive
+from malsmerge import merging
 from malsmerge.cli import run
 from malsmerge.merging import METHODS
 
@@ -86,6 +87,12 @@ def inputs(tmp_path_factory):
     # one-element layers with nine tasks: the task-order sums see 1-element rows
     base, tuned = synthesize_checkpoints(8, 3, 1, 9, [0.7, 0.5, 0.2])
     sets["nine-tasks"] = _write_set(root / "nine-tasks", base, _noisy(tuned, 9))
+
+    # layer groups of 150k entries, off the grid: over two slices, so they run on the worker
+    # pool, and over 65,536 entries, so each sum of products adds several parts of numpy's
+    # pairwise tree and each cast sum many of its 8,192-entry buffers
+    base, tuned = synthesize_checkpoints(10, 2, 150_000, 3, [0.7, 0.3])
+    sets["wide"] = _write_set(root / "wide", base, _noisy(tuned, 11))
     return sets
 
 
@@ -144,6 +151,14 @@ CASES.update({
                                                              "default")),
     "nine-tasks-analyze-csv": ("nine-tasks", _analyze("csv")),
 })
+WIDE_CASES = {
+    "wide-merge-mals-elect": ("wide", _merge("mals", True, 1.0, "default")),
+    "wide-merge-ties": ("wide", _merge("ties", False, 0.7, "default")),
+    "wide-merge-uniform_sparsity": ("wide", _merge("uniform_sparsity", False, 1.0, "default")),
+    "wide-merge-simple_average": ("wide", _merge("simple_average", False, 0.7, "default")),
+    "wide-analyze-json": ("wide", _analyze("json")),
+}
+CASES.update(WIDE_CASES)
 
 
 def case_digests(case_id: str, sets: dict, work: Path) -> dict[str, str]:
@@ -161,3 +176,12 @@ def test_output_bytes_match_the_pins(case_id, inputs, tmp_path):
     assert sorted(pinned) == sorted(CASES)
     got = case_digests(case_id, inputs, tmp_path)
     assert got == pinned[case_id], f"{case_id}: got {got}, pinned {pinned[case_id]}"
+
+
+@pytest.mark.parametrize("workers", [1, 2, 4])
+@pytest.mark.parametrize("case_id", sorted(WIDE_CASES))
+def test_wide_layers_give_the_pinned_bytes_at_any_worker_count(case_id, workers, inputs, tmp_path,
+                                                                monkeypatch):
+    monkeypatch.setattr(merging, "_workers", lambda: workers)
+    got = case_digests(case_id, inputs, tmp_path)
+    assert got == json.loads(GOLDEN.read_text())[case_id], f"{case_id} at {workers} workers"

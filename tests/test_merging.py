@@ -4,6 +4,7 @@ import json
 import re
 import tracemalloc
 from dataclasses import replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -26,7 +27,7 @@ from malsmerge import (
     tensor_shapes,
     write_synthetic_set,
 )
-from malsmerge import cli, merging
+from malsmerge import cli, conflict, merging
 from malsmerge.conflict import layer_conflict
 from malsmerge.merging import compose_merged, masked_select, plan, simple_average
 from malsmerge.task_vectors import TaskVector, compute_task_vector
@@ -149,10 +150,16 @@ def _tie_heavy_vectors(draw):
 
 
 @settings(max_examples=300, deadline=None)
-@given(_tie_heavy_vectors(), st.floats(min_value=0.0, max_value=1.0))
-def test_sparsify_equals_oracle_on_ties_bytewise(v, s):
+@given(_tie_heavy_vectors(), st.floats(min_value=0.0, max_value=1.0),
+       st.sampled_from([1, 3, 8, merging._SLICE_ENTRIES]))
+def test_sparsify_equals_oracle_on_ties_bytewise(v, s, slice_entries):
+    # the keep mask is filled, and surplus ties are dropped, a slice at a time
     expected = np.array(sparsify_oracle(v, s), dtype=v.dtype)
-    assert sparsify_top_fraction(v, s).tobytes() == expected.tobytes()
+    default, merging._SLICE_ENTRIES = merging._SLICE_ENTRIES, slice_entries
+    try:
+        assert sparsify_top_fraction(v, s).tobytes() == expected.tobytes()
+    finally:
+        merging._SLICE_ENTRIES = default
 
 
 class TestElectSigns:
@@ -794,3 +801,36 @@ def test_plan_memory_per_added_task_is_deviations_and_packed_signs(tmp_path):
     small = _peak_bytes(tmp_path / "small", 4, _plan, num_tasks=2)
     large = _peak_bytes(tmp_path / "large", 4, _plan, num_tasks=8)
     assert (large - small) / (6 * 50_000) <= 9.5
+
+
+@pytest.mark.parametrize("phase", ["plan", "pass 2"])
+def test_memory_grows_by_at_most_one_raw_update_per_added_worker(tmp_path, monkeypatch, phase):
+    # a task's job holds beyond what it keeps at most one raw update (pass 1's deviations
+    # take the update's own buffer; pass 2 trims the update in place beside its
+    # magnitudes) and slice-sized temporaries: never a layer-sized temporary per worker
+    import concurrent.futures  # noqa: F401  merge() imports it on first use: not while traced
+
+    monkeypatch.setattr(merging, "_SLICE_ENTRIES", 4096)
+    monkeypatch.setattr(conflict, "_NODE_ENTRIES", 4096)
+    elems = 300_000
+    paths = write_synthetic_set(tmp_path, seed=3, num_layers=2, elems_per_layer=elems, num_tasks=4,
+                                conflict_profile=[0.8, 0.2])
+    config = MergeConfig(method="mals", sign_election=True)
+    peaks = {}
+    for workers in (1, 2, 4):
+        monkeypatch.setattr(merging, "_workers", lambda: workers)
+        base, tuned = read_archive(paths["base"]), [read_archive(path) for path in paths["tasks"]]
+        if phase == "pass 2":
+            merged, _, _ = merge(base, tuned, config)
+            job = partial(stream_archive, tensor_shapes(base), merged, tmp_path / "merged.safetensors")
+        else:
+            job = partial(plan, base, tuned, config)
+        tracemalloc.start()
+        try:
+            job()
+            peaks[workers] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    slice_temporaries = 64 * merging._SLICE_ENTRIES
+    for workers in (2, 4):
+        assert peaks[workers] - peaks[1] <= (workers - 1) * (4 * elems + slice_temporaries), peaks

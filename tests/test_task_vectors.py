@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from malsmerge import MergeConfig, ValidationError, merge
-from malsmerge.task_vectors import compute_task_vector, layer_deltas, stored_sum, validate_compatibility
+from malsmerge.task_vectors import compute_task_vector, layer_updates, stored_sum, validate_compatibility
 
 
 def _map(**kwargs):
@@ -116,7 +116,7 @@ def test_other_dtypes_add_at_64_bits(scale):
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-def test_layer_deltas_equal_member_deltas_concatenated(dtype):
+def test_layer_updates_equal_member_deltas_concatenated(dtype):
     rng = np.random.default_rng(9)
     shapes = {"b": (5,), "a": (3, 4), "c": (0, 2)}
 
@@ -125,13 +125,14 @@ def test_layer_deltas_equal_member_deltas_concatenated(dtype):
 
     base, tuned = checkpoint(), [checkpoint(), checkpoint()]
     members = ["a", "b"]  # a two-member group, not in the map's order
-    flats = layer_deltas(base, tuned, members)
-    for t in tuned:
-        flat = next(flats)
+    updates = layer_updates(base, tuned, members)
+    assert len(updates) == len(tuned)
+    for t, update in zip(tuned, updates):
+        flat = update()
         expected = np.concatenate([np.ravel(_sum_64(t[n], -1, base[n])) for n in members])
         assert flat.dtype == np.float32 and flat.tobytes() == expected.tobytes()
-    assert next(flats, None) is None
-    assert next(layer_deltas(base, tuned, ["c"])).shape == (0,)
+        assert update() is not flat  # a fresh flat per call, which the caller may overwrite
+    assert layer_updates(base, tuned, ["c"])[0]().shape == (0,)
 
 
 class _Unread(dict):
@@ -139,12 +140,12 @@ class _Unread(dict):
         raise AssertionError(f"tensor {name!r} read before it was asked for")
 
 
-def test_layer_deltas_reads_a_checkpoint_only_when_its_update_is_taken():
+def test_layer_updates_read_a_checkpoint_only_when_its_update_is_built():
     base = _map(w=[1.0, 2.0])
-    flats = layer_deltas(base, [_map(w=[2.0, 4.0]), _Unread(base)], ["w"])
-    np.testing.assert_array_equal(next(flats), [1.0, 2.0])
+    first, second = layer_updates(base, [_map(w=[2.0, 4.0]), _Unread(base)], ["w"])
+    np.testing.assert_array_equal(first(), [1.0, 2.0])
     with pytest.raises(AssertionError, match="'w' read before"):
-        next(flats)
+        second()
 
 
 def test_compatibility_all_pass():
