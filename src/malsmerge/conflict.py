@@ -43,7 +43,9 @@ def _check_pair(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return x, y
 
 
-# the parts of numpy's pairwise tree that _sum_of_products reduces one at a time
+# the parts of numpy's pairwise tree that _sum_of_products reduces one at a time. Not
+# merging._SLICE_ENTRIES, which tests set to 1, 3 or 7 entries: _node_sum splits a part of
+# under 16 entries at 0, so parts that small would recurse without end
 _NODE_ENTRIES = 1 << 16
 
 
@@ -129,8 +131,12 @@ def _signs(x: np.ndarray) -> _Signs:
 
 def _disagreement(sx: _Signs, sy: _Signs) -> float:
     (pos_x, neg_x, nonzero_x), (pos_y, neg_y, nonzero_y) = sx, sy
-    # the two sets are disjoint, as pos_x and neg_x are, so one count of their union is exact
-    opposite = int(np.count_nonzero(np.unpackbits((pos_x & neg_y) | (neg_x & pos_y))))
+    # the two sets are disjoint, as pos_x and neg_x are, so one count of their union is
+    # exact; it is unpacked and counted a part at a time, not as one byte per entry
+    mask = pos_x & neg_y
+    mask |= neg_x & pos_y
+    step = _NODE_ENTRIES // 8
+    opposite = sum(int(np.count_nonzero(np.unpackbits(mask[i:i + step]))) for i in range(0, len(mask), step))
     nonzero = nonzero_x + nonzero_y
     if nonzero == 0:
         return 0.0
@@ -172,7 +178,9 @@ def _check_names(task_vectors: Sequence[TaskVector], grouping: LayerGrouping) ->
 
 def task_order_sum(rows: Iterable, shape: int | tuple[int, ...], dtype=np.float64) -> np.ndarray:
     """Sum of ``rows`` in ``dtype``, added in the order given and holding none while the next
-    is built. Every sum over tasks or pairs goes through here: ``np.sum(axis=0)`` adds pairwise."""
+    is built. Every sum over tasks or pairs goes through here, ``np.sum(axis=0)`` adding
+    pairwise, but one: ``merging.disjoint_merge`` adds its total and count in its own task-order
+    loop, one contributor mask at a time."""
     total = np.zeros(shape, dtype=dtype)
     for row in rows:
         total += row

@@ -98,6 +98,12 @@ def flatten_group(tensors: Mapping[str, np.ndarray], members: Sequence[str]) -> 
     return np.concatenate([np.ravel(tensors[name]) for name in ordered])
 
 
+def member_offsets(shapes: Mapping[str, tuple[int, ...]], members: Sequence[str]) -> list[int]:
+    """Where each of ``members`` starts in its layer group's flat, in ``members`` order,
+    then the flat's length: the one rule that lays a group's members end to end."""
+    return np.cumsum([0, *(np.prod(shapes[name], dtype=np.int64) for name in members)]).tolist()
+
+
 def unflatten_group(
     flat: np.ndarray,
     shapes: Mapping[str, tuple[int, ...]],
@@ -107,15 +113,11 @@ def unflatten_group(
     missing = [name for name in members if name not in shapes]
     if missing:
         raise ValidationError(f"names missing from shape map: {sorted(missing)}")
-    out: dict[str, np.ndarray] = {}
-    offset = 0
-    for name in sorted(members):
-        shape = shapes[name]
-        size = int(np.prod(shape, dtype=np.int64))
-        out[name] = np.asarray(flat[offset : offset + size]).reshape(shape)
-        offset += size
-    if offset != len(flat):
+    ordered = sorted(members)
+    offsets = member_offsets(shapes, ordered)
+    if offsets[-1] != len(flat):
         raise ValidationError(
-            f"flat vector holds {len(flat)} values, member shapes demand {offset}"
+            f"flat vector holds {len(flat)} values, member shapes demand {offsets[-1]}"
         )
-    return out
+    return {name: np.asarray(flat[start:stop]).reshape(shapes[name])
+            for name, start, stop in zip(ordered, offsets, offsets[1:])}

@@ -23,7 +23,7 @@ from .allocation import AllocationConfig, AllocationResult, allocate, coerce_fie
 from .archive import Archive, tensor_shapes
 from .conflict import ConflictReport, score_layers, task_order_sum
 from .errors import ConvergenceError, ValidationError
-from .grouping import DEFAULT_GROUPING_PATTERN, LayerGrouping, compile_grouping, group_layers
+from .grouping import DEFAULT_GROUPING_PATTERN, LayerGrouping, compile_grouping, group_layers, member_offsets
 from .task_vectors import TaskVector, TensorMap, layer_updates, require_compatible, stored_sum
 
 METHODS = ("mals", "simple_average", "uniform_sparsity", "ties")
@@ -140,6 +140,8 @@ def _rows(sparsified: Sequence[np.ndarray]) -> list[np.ndarray]:
     rows = [np.asarray(v) for v in sparsified]
     for row in rows:
         _float_bits(row.dtype)
+        if row.ndim != 1:
+            raise ValueError(f"vectors must be flat, got one of shape {row.shape}")
     lengths = {len(row) for row in rows}
     if len(lengths) > 1:
         raise ValueError(f"length mismatch across vectors: {sorted(lengths)}")
@@ -169,6 +171,8 @@ def disjoint_merge(sparsified: Sequence[np.ndarray], signs: np.ndarray | None = 
     rows = _rows(sparsified)
     if signs is not None:
         signs = np.asarray(signs)
+        if signs.ndim != 1:
+            raise ValueError(f"signs must be flat, got shape {signs.shape}")
         if len(signs) != len(rows[0]):
             raise ValueError(f"signs length {len(signs)} does not match vectors {len(rows[0])}")
     total = np.zeros(rows[0].shape)
@@ -232,10 +236,6 @@ def _job_maps() -> Iterator[Callable[[int], Callable]]:
             pool.shutdown()
 
 
-def _entries(shapes: dict[str, tuple[int, ...]], members: Sequence[str]) -> int:
-    return sum(math.prod(shapes[name]) for name in members)
-
-
 def plan(
     base: TensorMap,
     tuned: Sequence[TensorMap],
@@ -259,11 +259,11 @@ def plan(
     if config.method == "simple_average":
         return grouping, None, None
     shapes = tensor_shapes(base)
-    sizes = [_entries(shapes, members) for _, members in grouping.groups]
+    offsets = [member_offsets(shapes, members) for _, members in grouping.groups]
     with _job_maps() as map_for:
         layers = (
-            (map_for(n), n, layer_updates(base, tuned, members))
-            for n, (_, members) in zip(sizes, grouping.groups)
+            (map_for(at[-1]), at[-1], layer_updates(base, tuned, members, at))
+            for at, (_, members) in zip(offsets, grouping.groups)
         )
         conflict = score_layers(grouping.layer_ids, len(tuned), layers)
     alloc_config = config.allocation
@@ -286,21 +286,24 @@ def _flat_reads(tensors: TensorMap, members: Sequence[str]) -> Callable[[str, in
 
 
 def _slice_walk(
-    members: Sequence[str], shapes: dict[str, tuple[int, ...]], map_jobs: Callable,
-    fill: Callable[[str, int, int, np.ndarray], None],
+    base: TensorMap, members: Sequence[str], shapes: dict[str, tuple[int, ...]], lam: float,
+    map_jobs: Callable, fill: Callable[[str, int, int, np.ndarray, np.ndarray], None],
 ) -> dict[str, np.ndarray]:
-    """Each member's float32 output, which ``fill(name, start, stop, out)`` writes in fixed
-    slices of ``_SLICE_ENTRIES`` entries, ``out`` being the slice ``[start, stop)`` of the
-    flat output. A fill works position by position, so the bytes do not depend on the
-    slice size or on how ``map_jobs`` spreads the slices over workers. ``map_jobs`` yields
-    in walk order, so the error raised is the first that a serial walk in (member, offset)
-    order meets."""
+    """Each member's float32 merged tensor, in slices of ``_SLICE_ENTRIES`` entries: a slice
+    reads the base's entries ``[start, stop)`` once, as ``b``, ``fill(name, start, stop, b,
+    out)`` writes their merged update into ``out``, the slice of the flat output, and ``b +
+    lam * out`` is stored there. A fill works position by position, so the bytes do not
+    depend on the slice size or on how ``map_jobs``, which yields in walk order, spreads the
+    slices; the error raised is the first that a serial (member, offset) walk meets."""
+    base_read = _flat_reads(base, members)
     merged = {name: np.empty(shapes[name], np.float32) for name in members}
 
     def run(job: tuple[str, int]) -> None:
         name, start = job
         out = merged[name].reshape(-1)[start:start + _SLICE_ENTRIES]
-        fill(name, start, start + len(out), out)
+        b = base_read(name, start, start + len(out))
+        fill(name, start, start + len(out), b, out)
+        stored_sum(f"merged tensor {name!r}", b, lam, out, out=out)
 
     walk = [(name, start) for name in members for start in range(0, merged[name].size, _SLICE_ENTRIES)]
     for _ in map_jobs(run, walk):
@@ -313,42 +316,40 @@ def _merge_layer(
     shapes: dict[str, tuple[int, ...]], level: float, config: MergeConfig, map_jobs: Callable,
 ) -> dict[str, np.ndarray]:
     """Pass 2 on one layer group: one job per task builds its update and trims it to
-    ``level`` in place; then each slice is elected, merged and added ``lam`` times onto
-    the base."""
+    ``level`` in place; then each slice is elected and merged, and the walk adds ``lam``
+    times that onto the base."""
     layer_base = {name: base[name] for name in members}  # read once, for updates and compose
-    trimmed = list(map_jobs(lambda update: _trim(update(), level), layer_updates(layer_base, tuned, members)))
-    base_read = _flat_reads(layer_base, members)
-    offsets = dict(zip(members, np.cumsum([0, *(math.prod(shapes[name]) for name in members)]).tolist()))
+    offsets = member_offsets(shapes, members)
+    updates = layer_updates(layer_base, tuned, members, offsets)
+    trimmed = list(map_jobs(lambda update: _trim(update(np.empty(offsets[-1], np.float32)), level), updates))
+    starts = dict(zip(members, offsets))
     election = config.sign_election or config.method == "ties"
 
-    def merge_slice(name: str, start: int, stop: int, out: np.ndarray) -> None:
-        rows = [row[offsets[name] + start:offsets[name] + stop] for row in trimmed]
+    def merge_slice(name: str, start: int, stop: int, b: np.ndarray, out: np.ndarray) -> None:
+        rows = [row[starts[name] + start:starts[name] + stop] for row in trimmed]
         out[...] = disjoint_merge(rows, elect_signs(rows) if election else None)
-        stored_sum(f"merged tensor {name!r}", base_read(name, start, stop), config.lam, out, out=out)
 
-    return _slice_walk(members, shapes, map_jobs, merge_slice)
+    return _slice_walk(layer_base, members, shapes, config.lam, map_jobs, merge_slice)
 
 
 def _average_layer(
     base: TensorMap, tuned: Sequence[TensorMap], members: Sequence[str],
     shapes: dict[str, tuple[int, ...]], lam: float, map_jobs: Callable,
 ) -> dict[str, np.ndarray]:
-    """Pass 2 of ``simple_average`` on one layer group: each slice reads the base's range
-    once and each checkpoint's in task order, adds their 32-bit updates into a float64
-    total, divides it by T, rounds it to float32 and adds ``lam`` times that onto the base
-    straight into the member's output."""
-    base_read, *tuned_reads = (_flat_reads(tensors, members) for tensors in (base, *tuned))
+    """Pass 2 of ``simple_average`` on one layer group: each slice reads each checkpoint's
+    range in task order, adds their 32-bit updates into a float64 total, divides it by T
+    and rounds it to float32 in the member's output, and the walk adds ``lam`` times that
+    onto the base."""
+    tuned_reads = [_flat_reads(tensors, members) for tensors in tuned]
 
-    def average(name: str, start: int, stop: int, out: np.ndarray) -> None:
-        b = base_read(name, start, stop)
-        total = np.zeros(stop - start)
+    def average(name: str, start: int, stop: int, b: np.ndarray, out: np.ndarray) -> None:
         update = np.empty(stop - start, np.float32)
-        for read in tuned_reads:
-            total += stored_sum(f"update of tensor {name!r}", read(name, start, stop), -1, b, out=update)
+        updates = (stored_sum(f"update of tensor {name!r}", read(name, start, stop), -1, b, out=update)
+                   for read in tuned_reads)
+        total = task_order_sum(updates, stop - start)
         out[...] = np.divide(total, len(tuned_reads), out=total)
-        stored_sum(f"merged tensor {name!r}", b, lam, out, out=out)
 
-    return _slice_walk(members, shapes, map_jobs, average)
+    return _slice_walk(base, members, shapes, lam, map_jobs, average)
 
 
 def _workers() -> int:
@@ -392,7 +393,7 @@ def merge(
         shapes = tensor_shapes(base)
         with _job_maps() as map_for:
             for l, (_, members) in enumerate(grouping.groups):
-                map_jobs = map_for(_entries(shapes, members))
+                map_jobs = map_for(member_offsets(shapes, members)[-1])
                 # nothing here holds a layer once its last pair is taken
                 yield from (
                     _average_layer(base, tuned, members, shapes, config.lam, map_jobs)

@@ -106,20 +106,18 @@ def compute_task_vector(base: TensorMap, tuned: TensorMap, label: str) -> TaskVe
 
 
 def layer_updates(
-    base: TensorMap, tuned: Sequence[TensorMap], members: Sequence[str]
-) -> list[Callable[..., np.ndarray]]:
-    """A function per checkpoint that builds its update on one layer group: its members'
-    deltas raveled and laid end to end in ``members`` order, each written straight into a
-    float32 flat that the caller owns. Called with no argument, it builds a fresh flat;
-    called with a float64 array of the group's length, it lays the flat in that array's
-    first half. Each base member is looked up once, here; a checkpoint is read only when
-    its function is called, so each update can be built on a worker of its own. Callers
-    check compatibility first."""
+    base: TensorMap, tuned: Sequence[TensorMap], members: Sequence[str], offsets: Sequence[int]
+) -> list[Callable[[np.ndarray], np.ndarray]]:
+    """A function per checkpoint that writes its update on one layer group, its members'
+    deltas raveled and laid end to end at ``offsets`` (:func:`grouping.member_offsets`), as
+    float32 straight into the start of the float32 or float64 array of the group's length
+    that it is given, and returns that flat. Each base member is looked up once, here; a
+    checkpoint is read only when its function is called, so each update can be built on a
+    worker of its own. Callers check compatibility first."""
     bases = [base[name] for name in members]
-    offsets = np.cumsum([0, *(b.size for b in bases)]).tolist()
 
-    def update(t: TensorMap, room: np.ndarray | None = None) -> np.ndarray:
-        flat = np.empty(offsets[-1], np.float32) if room is None else room.view(np.float32)[:offsets[-1]]
+    def update(t: TensorMap, room: np.ndarray) -> np.ndarray:
+        flat = room.view(np.float32)[:offsets[-1]]
         for name, b, start, end in zip(members, bases, offsets, offsets[1:]):
             stored_sum(f"update of tensor {name!r}", t[name], -1, b, out=flat[start:end].reshape(b.shape))
         return flat

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -17,7 +18,11 @@ from malsmerge import (
     sign_disagreement,
     synthesize_checkpoints,
 )
-from malsmerge.conflict import _NODE_ENTRIES, _center, _sum_of_products, layer_conflict, score_layers
+from malsmerge.archive import tensor_shapes
+from malsmerge.conflict import (
+    _NODE_ENTRIES, _center, _disagreement, _signs, _sum_of_products, layer_conflict, score_layers,
+)
+from malsmerge.grouping import member_offsets
 from malsmerge.merging import plan
 from malsmerge.task_vectors import TaskVector, compute_task_vector, layer_updates
 from oracles import pearson_abs_oracle, sign_disagreement_oracle
@@ -132,6 +137,31 @@ def test_packed_sign_disagreement_equals_oracle_exactly(n):
         x, y = rng.choice(values, size=n), rng.choice(values, size=n)
         assert sign_disagreement(x, y) == sign_disagreement_oracle(x, y)
         assert sign_disagreement(x, -x) == sign_disagreement_oracle(x, -x)
+
+
+@pytest.mark.parametrize("n", [1, 7, 8, 9, 65535, 65536, 65537, 200003])
+def test_disagreement_counts_the_whole_opposite_sign_mask(n):
+    # the packed mask is counted a part at a time: around a byte and a part's edges, the
+    # count equals that of the whole mask unpacked at once
+    rng = np.random.default_rng(n)
+    x, y = (rng.choice([-1.0, 0.0, 1.0], size=n) for _ in range(2))
+    x[0], y[0] = 1.0, -1.0  # one opposite pair at least, so the ratio is not 0 / 0
+    (pos_x, neg_x, nonzero_x), (pos_y, neg_y, nonzero_y) = sx, sy = _signs(x), _signs(y)
+    opposite = np.count_nonzero(np.unpackbits((pos_x & neg_y) | (neg_x & pos_y)))
+    assert _disagreement(sx, sy) == 2.0 * opposite / (nonzero_x + nonzero_y)
+
+
+def test_disagreement_holds_no_byte_per_entry():
+    n = 1_000_000
+    rng = np.random.default_rng(5)
+    sx, sy = (_signs(rng.choice([-1.0, 0.0, 1.0], size=n)) for _ in range(2))
+    tracemalloc.start()
+    try:
+        _disagreement(sx, sy)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / n < 0.5
 
 
 vectors = st.lists(
@@ -321,7 +351,8 @@ def test_score_layers_takes_each_layer_as_a_one_shot_iterator():
 
     def layers(map_jobs):
         for _, members in grouping.groups:
-            yield map_jobs, sum(base[name].size for name in members), layer_updates(base, tuned, members)
+            offsets = member_offsets(tensor_shapes(base), members)
+            yield map_jobs, offsets[-1], layer_updates(base, tuned, members, offsets)
 
     fresh = layer_conflict(tvs, grouping)
     with ThreadPoolExecutor(3) as pool:

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from malsmerge import ValidationError, flatten_group, group_layers, unflatten_group
+from malsmerge.grouping import member_offsets
 from malsmerge.grouping import _group_sort_key
 
 
@@ -117,6 +118,14 @@ def test_unflatten_reverses_flatten():
 def test_unflatten_length_mismatch_rejected():
     with pytest.raises(ValidationError, match="holds 3 values, member shapes demand 2"):
         unflatten_group(np.zeros(3), {"a": (2,)}, ["a"])
+    with pytest.raises(ValidationError, match="holds 1 values, member shapes demand 2"):
+        unflatten_group(np.zeros(1), {"a": (2,)}, ["a"])
+
+
+def test_member_offsets_lay_members_end_to_end_in_the_given_order():
+    shapes = {"a": (3, 4), "b": (), "c": (0, 2), "d": (5,)}
+    assert member_offsets(shapes, ["d", "a", "c", "b"]) == [0, 5, 17, 17, 18]
+    assert member_offsets(shapes, []) == [0]
 
 
 def test_unflatten_missing_member_rejected():

@@ -213,6 +213,20 @@ class TestDisjointMerge:
         with pytest.raises(ValueError, match="signs length"):
             disjoint_merge([np.ones(2)], np.array([1]))
 
+    @pytest.mark.parametrize("signs", [np.int8(1), np.ones((2, 2), np.int8)], ids=["0-d", "2-D"])
+    def test_signs_not_flat_rejected(self, signs):
+        with pytest.raises(ValueError, match=re.escape(f"signs must be flat, got shape {signs.shape}")):
+            disjoint_merge([np.ones(2)], signs)
+
+
+@pytest.mark.parametrize("kernel", [elect_signs, disjoint_merge])
+@pytest.mark.parametrize("row", [np.float32(1), np.ones((2, 2), np.float32)], ids=["0-d", "2-D"])
+def test_rows_not_flat_rejected(kernel, row):
+    message = re.escape(f"vectors must be flat, got one of shape {row.shape}")
+    for rows in ([row], [np.ones(2, np.float32), row]):
+        with pytest.raises(ValueError, match=message):
+            kernel(rows)
+
 
 def _sweep_rows(rng, n_tasks, n):
     """Float32 rows of signed zeros, equal magnitudes and magnitudes 2^-60 to 2^60."""

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from malsmerge import MergeConfig, ValidationError, merge
+from malsmerge.grouping import member_offsets
 from malsmerge.task_vectors import compute_task_vector, layer_updates, stored_sum, validate_compatibility
 
 
@@ -125,14 +126,17 @@ def test_layer_updates_equal_member_deltas_concatenated(dtype):
 
     base, tuned = checkpoint(), [checkpoint(), checkpoint()]
     members = ["a", "b"]  # a two-member group, not in the map's order
-    updates = layer_updates(base, tuned, members)
+    updates = layer_updates(base, tuned, members, member_offsets(shapes, members))
     assert len(updates) == len(tuned)
     for t, update in zip(tuned, updates):
-        flat = update()
         expected = np.concatenate([np.ravel(_sum_64(t[n], -1, base[n])) for n in members])
-        assert flat.dtype == np.float32 and flat.tobytes() == expected.tobytes()
-        assert update() is not flat  # a fresh flat per call, which the caller may overwrite
-    assert layer_updates(base, tuned, ["c"])[0]().shape == (0,)
+        for room_dtype in (np.float32, np.float64):  # the flat goes at the start of either
+            room = np.full(17, np.nan, room_dtype)
+            flat = update(room)
+            assert flat.dtype == np.float32 and flat.tobytes() == expected.tobytes()
+            assert flat.ctypes.data == room.ctypes.data
+    empty = layer_updates(base, tuned, ["c"], member_offsets(shapes, ["c"]))[0]
+    assert empty(np.empty(0, np.float32)).shape == (0,)
 
 
 class _Unread(dict):
@@ -142,10 +146,10 @@ class _Unread(dict):
 
 def test_layer_updates_read_a_checkpoint_only_when_its_update_is_built():
     base = _map(w=[1.0, 2.0])
-    first, second = layer_updates(base, [_map(w=[2.0, 4.0]), _Unread(base)], ["w"])
-    np.testing.assert_array_equal(first(), [1.0, 2.0])
+    first, second = layer_updates(base, [_map(w=[2.0, 4.0]), _Unread(base)], ["w"], [0, 2])
+    np.testing.assert_array_equal(first(np.empty(2, np.float32)), [1.0, 2.0])
     with pytest.raises(AssertionError, match="'w' read before"):
-        second()
+        second(np.empty(2, np.float32))
 
 
 def test_compatibility_all_pass():
