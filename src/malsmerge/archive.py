@@ -368,7 +368,8 @@ def write_archive(
 def atomic_file(path: str | Path) -> Iterator[BinaryIO]:
     """The one way a file is written: a new temp file beside ``path``, renamed into place
     when the block ends. Readers see the old file or the complete new one; on any failure
-    the temp file is removed and ``path`` is left untouched. An ``OSError`` on it names ``path``."""
+    the temp file is removed and ``path`` is left untouched. An ``OSError`` on it names ``path``.
+    The temp file is synced to disk before the rename, and its directory after it."""
     target = Path(path)
     tmp_name = target.with_name(f"{target.name}.{secrets.token_hex(8)}.tmp")
     try:
@@ -377,6 +378,8 @@ def atomic_file(path: str | Path) -> Iterator[BinaryIO]:
         try:
             with os.fdopen(fd, "wb") as f:
                 yield f
+                f.flush()
+                _sync(f.fileno(), tmp_name)
             os.replace(tmp_name, target)
         except BaseException:
             try:
@@ -389,3 +392,16 @@ def atomic_file(path: str | Path) -> Iterator[BinaryIO]:
             raise
         # the temp file is an implementation detail: name the file the caller asked for
         raise _naming(exc, path) from exc
+    directory = os.open(target.parent, os.O_RDONLY)
+    try:
+        _sync(directory, target.parent)
+    finally:
+        os.close(directory)
+
+
+def _sync(fd: int, path: str | Path) -> None:
+    """``os.fsync(fd)``; an ``OSError`` names ``path``."""
+    try:
+        os.fsync(fd)
+    except OSError as exc:
+        raise _naming(exc, path, "syncing it") from exc

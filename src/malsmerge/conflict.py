@@ -16,8 +16,9 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
+from .archive import tensor_shapes
 from .errors import ValidationError
-from .grouping import LayerGrouping, flatten_group
+from .grouping import LayerGrouping, flatten_group, member_offsets
 from .task_vectors import TaskVector
 
 
@@ -267,9 +268,10 @@ def layer_conflict(task_vectors: Sequence[TaskVector], grouping: LayerGrouping) 
     elements scores 0 conflict and 0 importance.
     """
     _check_names(task_vectors, grouping)
+    shapes = tensor_shapes(task_vectors[0].deltas)
 
     def layer(members: Sequence[str]) -> _Layer:
-        n = sum(np.size(task_vectors[0].deltas[name]) for name in members)
+        n = member_offsets(shapes, members)[-1]
         return map, n, [lambda _, tv=tv: flatten_group(tv.deltas, members) for tv in task_vectors]
 
     layers = (layer(members) for _, members in grouping.groups)

@@ -15,7 +15,7 @@ import math
 import os
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields, replace
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -31,6 +31,8 @@ METHODS = ("mals", "simple_average", "uniform_sparsity", "ties")
 # entries of one member tensor that pass 2 merges or averages, and composes, as one unit of
 # work: a worker's temporaries are a few times this, whatever the layer's size
 _SLICE_ENTRIES = 1 << 16
+# a layer group in a walk: its members' shapes by name, their offsets, how to run its jobs
+_Group = tuple[dict[str, tuple[int, ...]], list[int], Callable]
 
 
 @dataclass(frozen=True)
@@ -209,31 +211,42 @@ def simple_average(task_vectors: Sequence[TaskVector]) -> TaskVector:
 
 
 @contextmanager
-def _job_maps() -> Iterator[Callable[[int], Callable]]:
-    """``map_for(entries)``: how to run the jobs of a layer group of ``entries`` entries,
-    a ``map`` that yields their results in order. A group under two slices runs them with
-    the builtin ``map``: a pool gains nothing there. A larger one runs them on one thread
-    per CPU this process may use, in a pool started for the first such group (only then is
-    ``concurrent.futures``, which pulls in ``logging``, imported) and shut down, once the
-    jobs in flight are done, however the block ends. numpy's ufuncs, its partition and
-    ``preadv`` release the GIL."""
+def _layer_walk(base: TensorMap, grouping: LayerGrouping) -> Iterator[Iterator[_Group]]:
+    """Each layer group's ``(shapes, offsets, map_jobs)``, in ``grouping`` order: its members'
+    shapes by name, in member order, :func:`grouping.member_offsets` for them, and a ``map``
+    that runs its jobs, results in order: the builtin one under two slices, where a pool gains
+    nothing, else that of a pool of one thread per CPU this process may use. The pool starts
+    at the first large group (only then is ``concurrent.futures``, which pulls in ``logging``,
+    imported) and shuts down, once the jobs in flight are done, however the block ends.
+    numpy's ufuncs, its partition and ``preadv`` release the GIL."""
     pool = None
 
-    def map_for(entries: int) -> Callable:
+    def walk() -> Iterator[_Group]:
         nonlocal pool
-        if entries < 2 * _SLICE_ENTRIES:
-            return map
-        if pool is None:
-            from concurrent.futures import ThreadPoolExecutor
+        base_shapes = tensor_shapes(base)
+        for _, members in grouping.groups:
+            offsets = member_offsets(base_shapes, members)
+            large = offsets[-1] >= 2 * _SLICE_ENTRIES
+            if large and pool is None:
+                from concurrent.futures import ThreadPoolExecutor
 
-            pool = ThreadPoolExecutor(_workers())
-        return pool.map
+                pool = ThreadPoolExecutor(_workers())
+            yield {name: base_shapes[name] for name in members}, offsets, pool.map if large else map
 
     try:
-        yield map_for
+        yield walk()
     finally:
         if pool is not None:
             pool.shutdown()
+
+
+def _require_finite(tensors: TensorMap, what: str) -> None:
+    """Raise :class:`ValidationError` naming ``what`` and the first tensor holding a NaN or
+    an infinity. An :class:`Archive` is skipped: it checks each value as it reads it."""
+    if not isinstance(tensors, Archive):
+        for name, tensor in tensors.items():
+            if not np.all(np.isfinite(tensor)):
+                raise ValidationError(f"{what}: non-finite value detected in tensor {name!r}")
 
 
 def plan(
@@ -253,18 +266,16 @@ def plan(
         labels = [f"task-{i}" for i in range(len(tuned))]
     elif len(labels) != len(tuned):
         raise ValidationError(f"{len(labels)} labels provided for {len(tuned)} checkpoints")
+    _require_finite(base, "base")
     for checkpoint, label in zip(tuned, labels):
         require_compatible(base, checkpoint, f"checkpoint {label!r}")
+        _require_finite(checkpoint, f"checkpoint {label!r}")
     grouping = group_layers(base, config.grouping_pattern)
     if config.method == "simple_average":
         return grouping, None, None
-    shapes = tensor_shapes(base)
-    offsets = [member_offsets(shapes, members) for _, members in grouping.groups]
-    with _job_maps() as map_for:
-        layers = (
-            (map_for(at[-1]), at[-1], layer_updates(base, tuned, members, at))
-            for at, (_, members) in zip(offsets, grouping.groups)
-        )
+    with _layer_walk(base, grouping) as walk:
+        layers = ((map_jobs, at[-1], layer_updates(base, tuned, list(shapes), at))
+                  for shapes, at, map_jobs in walk)
         conflict = score_layers(grouping.layer_ids, len(tuned), layers)
     alloc_config = config.allocation
     if config.method in ("uniform_sparsity", "ties"):
@@ -275,81 +286,80 @@ def plan(
     return grouping, conflict, allocate(conflict, alloc_config)
 
 
-def _flat_reads(tensors: TensorMap, members: Sequence[str]) -> Callable[[str, int, int], np.ndarray]:
-    """``read(name, start, stop)``: entries ``[start, stop)`` of member ``name``, flat. An
-    :class:`Archive` reads just that range; any other mapping's members are raveled once
-    here, each keeping its dtype, and sliced."""
+def _flat_reads(tensors: TensorMap, names: Iterable[str]) -> Callable[[str, int, int], np.ndarray]:
+    """``read(name, start, stop)``: entries ``[start, stop)`` of tensor ``name``, one of
+    ``names``, flat. An :class:`Archive` reads just that range; any other mapping's tensors
+    are raveled once here, each keeping its dtype, and sliced."""
     if isinstance(tensors, Archive):
         return tensors.read_range
-    flats = {name: np.ravel(tensors[name]) for name in members}
+    flats = {name: np.ravel(tensors[name]) for name in names}
     return lambda name, start, stop: flats[name][start:stop]
 
 
 def _slice_walk(
-    base: TensorMap, members: Sequence[str], shapes: dict[str, tuple[int, ...]], lam: float,
+    base: TensorMap, shapes: dict[str, tuple[int, ...]], offsets: Sequence[int], lam: float,
     map_jobs: Callable, fill: Callable[[str, int, int, np.ndarray, np.ndarray], None],
 ) -> dict[str, np.ndarray]:
     """Each member's float32 merged tensor, in slices of ``_SLICE_ENTRIES`` entries: a slice
-    reads the base's entries ``[start, stop)`` once, as ``b``, ``fill(name, start, stop, b,
-    out)`` writes their merged update into ``out``, the slice of the flat output, and ``b +
-    lam * out`` is stored there. A fill works position by position, so the bytes do not
-    depend on the slice size or on how ``map_jobs``, which yields in walk order, spreads the
-    slices; the error raised is the first that a serial (member, offset) walk meets."""
-    base_read = _flat_reads(base, members)
-    merged = {name: np.empty(shapes[name], np.float32) for name in members}
+    reads the base's entries from ``start`` once, as ``b``, ``fill(name, at, start, b, out)``
+    writes their merged update into ``out``, its slice of the flat output (``at`` is where the
+    member starts in the group's flat), and ``b + lam * out`` is stored there. Fills work by
+    position, so the bytes depend on neither the slice size nor how ``map_jobs`` (results in
+    walk order) spreads the slices; the error raised is the first a serial walk meets."""
+    base_read = _flat_reads(base, shapes)
+    merged = {name: np.empty(shape, np.float32) for name, shape in shapes.items()}
 
-    def run(job: tuple[str, int]) -> None:
-        name, start = job
+    def run(job: tuple[str, int, int]) -> None:
+        name, at, start = job
         out = merged[name].reshape(-1)[start:start + _SLICE_ENTRIES]
         b = base_read(name, start, start + len(out))
-        fill(name, start, start + len(out), b, out)
+        fill(name, at, start, b, out)
         stored_sum(f"merged tensor {name!r}", b, lam, out, out=out)
 
-    walk = [(name, start) for name in members for start in range(0, merged[name].size, _SLICE_ENTRIES)]
+    walk = [(name, at, start) for name, at, end in zip(shapes, offsets, offsets[1:])
+            for start in range(0, end - at, _SLICE_ENTRIES)]
     for _ in map_jobs(run, walk):
         pass
     return merged
 
 
 def _merge_layer(
-    base: TensorMap, tuned: Sequence[TensorMap], members: Sequence[str],
-    shapes: dict[str, tuple[int, ...]], level: float, config: MergeConfig, map_jobs: Callable,
+    base: TensorMap, tuned: Sequence[TensorMap], shapes: dict[str, tuple[int, ...]],
+    offsets: Sequence[int], level: float, config: MergeConfig, map_jobs: Callable,
 ) -> dict[str, np.ndarray]:
     """Pass 2 on one layer group: one job per task builds its update and trims it to
     ``level`` in place; then each slice is elected and merged, and the walk adds ``lam``
     times that onto the base."""
-    layer_base = {name: base[name] for name in members}  # read once, for updates and compose
-    offsets = member_offsets(shapes, members)
-    updates = layer_updates(layer_base, tuned, members, offsets)
+    layer_base = {name: base[name] for name in shapes}  # read once, for updates and compose
+    updates = layer_updates(layer_base, tuned, list(shapes), offsets)
     trimmed = list(map_jobs(lambda update: _trim(update(np.empty(offsets[-1], np.float32)), level), updates))
-    starts = dict(zip(members, offsets))
     election = config.sign_election or config.method == "ties"
 
-    def merge_slice(name: str, start: int, stop: int, b: np.ndarray, out: np.ndarray) -> None:
-        rows = [row[starts[name] + start:starts[name] + stop] for row in trimmed]
+    def merge_slice(name: str, at: int, start: int, b: np.ndarray, out: np.ndarray) -> None:
+        rows = [row[at + start:at + start + len(out)] for row in trimmed]
         out[...] = disjoint_merge(rows, elect_signs(rows) if election else None)
 
-    return _slice_walk(layer_base, members, shapes, config.lam, map_jobs, merge_slice)
+    return _slice_walk(layer_base, shapes, offsets, config.lam, map_jobs, merge_slice)
 
 
 def _average_layer(
-    base: TensorMap, tuned: Sequence[TensorMap], members: Sequence[str],
-    shapes: dict[str, tuple[int, ...]], lam: float, map_jobs: Callable,
+    base: TensorMap, tuned: Sequence[TensorMap], shapes: dict[str, tuple[int, ...]],
+    offsets: Sequence[int], lam: float, map_jobs: Callable,
 ) -> dict[str, np.ndarray]:
     """Pass 2 of ``simple_average`` on one layer group: each slice reads each checkpoint's
     range in task order, adds their 32-bit updates into a float64 total, divides it by T
     and rounds it to float32 in the member's output, and the walk adds ``lam`` times that
     onto the base."""
-    tuned_reads = [_flat_reads(tensors, members) for tensors in tuned]
+    tuned_reads = [_flat_reads(tensors, shapes) for tensors in tuned]
 
-    def average(name: str, start: int, stop: int, b: np.ndarray, out: np.ndarray) -> None:
-        update = np.empty(stop - start, np.float32)
-        updates = (stored_sum(f"update of tensor {name!r}", read(name, start, stop), -1, b, out=update)
-                   for read in tuned_reads)
-        total = task_order_sum(updates, stop - start)
+    def average(name: str, at: int, start: int, b: np.ndarray, out: np.ndarray) -> None:
+        update = np.empty(len(b), np.float32)
+        updates = (stored_sum(f"update of tensor {name!r}", read(name, start, start + len(b)), -1, b,
+                              out=update) for read in tuned_reads)
+        total = task_order_sum(updates, len(b))
         out[...] = np.divide(total, len(tuned_reads), out=total)
 
-    return _slice_walk(base, members, shapes, lam, map_jobs, average)
+    return _slice_walk(base, shapes, offsets, lam, map_jobs, average)
 
 
 def _workers() -> int:
@@ -390,15 +400,13 @@ def merge(
         )
 
     def merged() -> Iterator[tuple[str, np.ndarray]]:
-        shapes = tensor_shapes(base)
-        with _job_maps() as map_for:
-            for l, (_, members) in enumerate(grouping.groups):
-                map_jobs = map_for(member_offsets(shapes, members)[-1])
+        with _layer_walk(base, grouping) as walk:
+            for l, (shapes, offsets, map_jobs) in enumerate(walk):
                 # nothing here holds a layer once its last pair is taken
                 yield from (
-                    _average_layer(base, tuned, members, shapes, config.lam, map_jobs)
+                    _average_layer(base, tuned, shapes, offsets, config.lam, map_jobs)
                     if allocation is None else
-                    _merge_layer(base, tuned, members, shapes, float(allocation.s_final[l]), config, map_jobs)
+                    _merge_layer(base, tuned, shapes, offsets, float(allocation.s_final[l]), config, map_jobs)
                 ).items()
 
     return merged(), conflict, allocation

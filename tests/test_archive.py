@@ -4,7 +4,9 @@ import errno
 import json
 import math
 import os
+import stat
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -465,6 +467,43 @@ def test_failed_write_leaves_target_and_no_temp_file(tmp_path):
 
     with pytest.raises(RuntimeError, match="interrupted"), atomic_file(target) as f:
         f.writelines(chunks())
+    assert target.read_bytes() == b"old"
+    assert sorted(tmp_path.iterdir()) == [target]
+
+
+def test_atomic_file_syncs_the_file_then_renames_then_syncs_the_directory(tmp_path, monkeypatch):
+    calls = []
+    fsync, replace = os.fsync, os.replace
+
+    def recorded_fsync(fd):
+        info = os.fstat(fd)
+        calls.append(("fsync", "directory" if stat.S_ISDIR(info.st_mode) else info.st_size))
+        fsync(fd)
+
+    def recorded_replace(src, dst):
+        calls.append(("replace", Path(dst).name))
+        replace(src, dst)
+
+    monkeypatch.setattr(os, "fsync", recorded_fsync)
+    monkeypatch.setattr(os, "replace", recorded_replace)
+    with atomic_file(tmp_path / "out.bin") as f:
+        f.write(b"new")  # buffered: the sync must see it flushed
+    assert calls == [("fsync", 3), ("replace", "out.bin"), ("fsync", "directory")]
+    assert (tmp_path / "out.bin").read_bytes() == b"new"
+
+
+def test_failed_file_sync_renames_nothing_and_names_the_file(tmp_path, monkeypatch):
+    target = tmp_path / "out.bin"
+    target.write_bytes(b"old")
+
+    def failing(fd):
+        raise OSError(errno.EIO, os.strerror(errno.EIO))
+
+    monkeypatch.setattr(os, "fsync", failing)
+    with pytest.raises(OSError) as info, atomic_file(target) as f:
+        f.write(b"new")
+    assert info.value.errno == errno.EIO and info.value.filename == str(target)
+    assert info.value.strerror == f"{os.strerror(errno.EIO)} syncing it"
     assert target.read_bytes() == b"old"
     assert sorted(tmp_path.iterdir()) == [target]
 

@@ -21,8 +21,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from malsmerge import ArchiveError, MergeConfig, ValidationError, merge, read_archive
-from malsmerge import merging
+from malsmerge import METHODS, ArchiveError, MergeConfig, ValidationError, merge, read_archive
+from malsmerge import merging, task_vectors
 from malsmerge.archive import Archive
 
 SHAPES = {
@@ -287,3 +287,72 @@ def test_small_layer_groups_start_no_threads_and_import_no_pool():
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
     assert done.stdout == "[]\n"
+
+
+class _RecordedPools:
+    """Every ``ThreadPoolExecutor`` a merge builds, each with a thread name of its own, and
+    the tensors each ``stored_sum`` call named, with the thread that made it."""
+
+    def __init__(self, monkeypatch):
+        import concurrent.futures
+
+        self.pools, self.calls = [], []
+        pools = self.pools
+
+        class Pool(concurrent.futures.ThreadPoolExecutor):
+            def __init__(self, workers):
+                self.prefix = f"pool-{len(pools)}"
+                super().__init__(workers, thread_name_prefix=self.prefix)
+                pools.append(self)
+
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Pool)
+        for module in (merging, task_vectors):
+            monkeypatch.setattr(module, "stored_sum", self._recorded(module.stored_sum))
+
+    def _recorded(self, stored_sum):
+        def recorded(what, *args, **kwargs):
+            self.calls.append((what.split("'")[1], threading.current_thread().name))
+            return stored_sum(what, *args, **kwargs)
+        return recorded
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_each_pass_builds_one_pool_and_runs_only_large_groups_on_it(monkeypatch, method):
+    # groups of 3, 10, 5 and 12 entries against slices of 4: the second and fourth reach
+    # two slices, so each pass builds one pool at its first large group and keeps it
+    monkeypatch.setattr(merging, "_SLICE_ENTRIES", 4)
+    _use_workers(monkeypatch, 2)
+    sizes = {"layers.0.w": 3, "layers.1.w": 10, "layers.2.w": 5, "layers.3.w": 12}
+    rng = np.random.RandomState(5)
+    base = {name: rng.standard_normal(n).astype(np.float32) for name, n in sizes.items()}
+    tuned = [{name: b + rng.standard_normal(b.shape).astype(np.float32) for name, b in base.items()}
+             for _ in range(3)]
+    recorded = _RecordedPools(monkeypatch)
+
+    merged, _, _ = merge(base, tuned, MergeConfig(method=method, sign_election=True))
+    pass_1 = (recorded.pools[:], recorded.calls[:])
+    dict(merged)
+    pass_2 = (recorded.pools[len(pass_1[0]):], recorded.calls[len(pass_1[1]):])
+
+    passes = [pass_2] if method == "simple_average" else [pass_1, pass_2]
+    assert len(recorded.pools) == len(passes)
+    if method == "simple_average":
+        assert pass_1 == ([], [])
+    for pools, calls in passes:
+        assert len(pools) == 1
+        prefix = pools[0].prefix
+        assert {name for name, _ in calls} == set(sizes)
+        for name, thread in calls:
+            on_pool = thread.startswith(prefix + "_")
+            assert on_pool == (sizes[name] >= 8) and (on_pool or thread == "MainThread"), (name, thread)
+
+
+def test_small_groups_build_no_pool(monkeypatch):
+    monkeypatch.setattr(merging, "_SLICE_ENTRIES", 4)
+    _use_workers(monkeypatch, 2)
+    base = {f"layers.{i}.w": np.zeros(7, np.float32) for i in range(3)}
+    tuned = [{name: np.arange(7, dtype=np.float32) * (t + 1) for name in base} for t in range(2)]
+    recorded = _RecordedPools(monkeypatch)
+    for method in METHODS:
+        dict(merge(base, tuned, MergeConfig(method=method, sign_election=True))[0])
+    assert recorded.pools == [] and recorded.calls

@@ -28,6 +28,7 @@ from malsmerge import (
     write_synthetic_set,
 )
 from malsmerge import cli, conflict, merging
+from malsmerge.archive import Archive
 from malsmerge.conflict import layer_conflict
 from malsmerge.merging import compose_merged, masked_select, plan, simple_average
 from malsmerge.task_vectors import TaskVector, compute_task_vector
@@ -570,6 +571,30 @@ class TestMerge:
         bad_label = r"checkpoint 'task-1' incompatible at 'embed\.w'"
         with pytest.raises(ValidationError, match=bad_label):
             merge(base, tuned, MergeConfig())
+
+    @pytest.mark.parametrize("where, value", [("base", np.nan), ("checkpoint", np.nan), ("checkpoint", np.inf)])
+    @pytest.mark.parametrize("method", METHODS)
+    def test_non_finite_mapping_value_rejected_naming_the_input_and_tensor(self, method, where, value):
+        # the message of an archive's read, naming the mapping in place of the file
+        base, tuned = _edge_checkpoints(seed=7)
+        (base if where == "base" else tuned[1])["m.layers.1.mlp.w"][3] = value
+        what = "base" if where == "base" else "checkpoint 'task-1'"
+        message = f"{what}: non-finite value detected in tensor 'm.layers.1.mlp.w'"
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            merge(base, tuned, MergeConfig(method=method))
+
+    def test_archive_inputs_are_not_scanned_for_non_finite_values(self, tmp_path, monkeypatch):
+        # an archive checks each value as it reads it: plan() reads none of simple_average's
+        base, tuned = _checkpoints(seed=7)
+        paths = [tmp_path / f"{i}.st" for i in range(len(tuned) + 1)]
+        for tensors, path in zip([base, *tuned], paths):
+            stream_archive(tensor_shapes(tensors), tensors.items(), path)
+        reads = []
+        monkeypatch.setattr(Archive, "__getitem__", lambda self, name: reads.append(name))
+        monkeypatch.setattr(Archive, "read_range", lambda self, name, start, stop: reads.append(name))
+        plan(read_archive(paths[0]), [read_archive(path) for path in paths[1:]],
+             MergeConfig(method="simple_average"))
+        assert reads == []
 
     def test_empty_tuned_rejected(self):
         base, _ = _checkpoints()
