@@ -28,6 +28,7 @@ from .merging import (
     disjoint_merge,
     elect_signs,
     merge,
+    merge_to_archive,
     sparsify_top_fraction,
 )
 from .synthetic import synthesize_checkpoints, write_synthetic_set
@@ -57,6 +58,7 @@ __all__ = [
     "group_layers",
     "initial_sparsity",
     "merge",
+    "merge_to_archive",
     "min_max_normalize",
     "pearson_abs",
     "project_to_budget",

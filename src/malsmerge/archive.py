@@ -10,23 +10,26 @@ apart from the tensors.
 Archives are always written as F32; F16 tensors are widened to F32 when they
 are read, so every downstream computation works over a single precision. A
 reader checks the header when it opens an archive and reads each tensor only
-when it is looked up. A writer lays the header out from names and shapes
-alone, then writes each tensor at its offset when it is given.
+when it is looked up, or a range of it when that is asked for. A writer lays
+the header out from names and shapes alone, then writes each range of a tensor
+at its offset when it is given.
 """
 
 from __future__ import annotations
 
+import bisect
 import json
 import math
 import os
 import secrets
 import struct
 import sys
+import threading
 import weakref
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from typing import BinaryIO, Iterable, Iterator, Mapping
+from typing import BinaryIO, Callable, Iterable, Iterator, Mapping
 
 import numpy as np
 
@@ -291,19 +294,24 @@ def write_at(fd: int, buf: bytes | np.ndarray, offset: int, path: str | Path, wh
         raise _naming(exc, path, f"writing {what}") from exc
 
 
-def stream_archive(
+@contextmanager
+def archive_writer(
     shapes: Mapping[str, tuple[int, ...]],
-    tensors: Iterable[tuple[str, np.ndarray]],
     path: str | Path,
     metadata: Mapping[str, str] | None = None,
-) -> None:
-    """Write an F32 archive of ``shapes`` from ``(name, tensor)`` pairs, each at its
-    offset as it arrives, in any order, so that none need outlive its write.
+) -> Iterator[Callable[[str, int, np.ndarray], None]]:
+    """Write an F32 archive of ``shapes`` a range at a time: the block is given
+    ``write_range(name, start, values)``, which writes the flat ``values`` as entries
+    ``start`` on of tensor ``name`` in row-major order. Ranges may come in any order and
+    from several threads at once; none need outlive its write.
 
     The header follows from ``shapes``, names in lexicographic order, and ``metadata``
-    becomes its ``__metadata__`` entry. The file is renamed into place once every
-    tensor is written; a name not in ``shapes``, a shape unlike its entry, a tensor
-    given twice or never, or a non-finite value raises :class:`ArchiveError`.
+    becomes its ``__metadata__`` entry. A name not in ``shapes``, a range outside its
+    tensor, a non-finite value at 32-bit precision, a range overlapping one already
+    written, or a tensor not wholly written when the block ends raises
+    :class:`ArchiveError` naming ``path`` and the tensor. The file is renamed into place,
+    through :func:`atomic_file`, only once every tensor is wholly written; on any error
+    the target is left untouched. The block must not end while a ``write_range`` runs.
     """
     if not shapes:
         raise ArchiveError("tensor map must contain at least one tensor")
@@ -322,37 +330,97 @@ def stream_archive(
         if any(not isinstance(k, str) or not isinstance(v, str) for k, v in metadata.items()):
             raise ArchiveError("metadata must map strings to strings")
         header["__metadata__"] = {k: metadata[k] for k in sorted(metadata)}
-    pending: dict[str, tuple[tuple[int, ...], int]] = {}  # shape and payload offset by name
+    layout: dict[str, tuple[int, int]] = {}  # entries and payload offset by name
     cursor = 0
     for name in sorted(shapes):
         shape = tuple(int(d) for d in shapes[name])
         if len(shape) > _MAX_DIMS:
             raise ArchiveError(f"tensor {name!r} has {len(shape)} dims, more than {_MAX_DIMS}")
-        end = cursor + 4 * math.prod(shape)
+        size = math.prod(shape)
+        end = cursor + 4 * size
         header[name] = {"dtype": "F32", "shape": list(shape), "data_offsets": [cursor, end]}
-        pending[name] = shape, cursor
+        layout[name] = size, cursor
         cursor = end
     raw = json.dumps(header, separators=(",", ":"), ensure_ascii=True).encode("utf-8")
 
-    start = 8 + len(raw)
+    payload = 8 + len(raw)
+    written: dict[str, list[list[int]]] = {name: [] for name in layout}  # see _claim
+    lock = threading.Lock()
     with atomic_file(path) as f:
-        write_at(f.fileno(), struct.pack("<Q", len(raw)) + raw, 0, path, "the header")
+        fd = f.fileno()
+        write_at(fd, struct.pack("<Q", len(raw)) + raw, 0, path, "the header")
+
+        def write_range(name: str, start: int, values: np.ndarray) -> None:
+            if name not in layout:
+                raise ArchiveError(f"{path}: tensor {name!r} is not in the archive header")
+            size, offset = layout[name]
+            with np.errstate(over="ignore"):  # an overflow is reported just below
+                flat = np.ravel(np.asarray(values, dtype="<f4"))
+            if not 0 <= start <= start + flat.size <= size:
+                raise ArchiveError(f"{path}: range [{start}, {start + flat.size}) lies outside "
+                                   f"tensor {name!r} of {size} entries")
+            if not np.all(np.isfinite(flat)):
+                raise ArchiveError(f"{path}: non-finite value in tensor {name!r} at 32-bit precision")
+            with lock:
+                claimed = _claim(written[name], start, start + flat.size)
+            if not claimed:  # the file holds no telling which value was meant
+                raise ArchiveError(f"{path}: tensor {name!r} has entries written twice, "
+                                   f"in range [{start}, {start + flat.size})")
+            write_at(fd, flat.view(np.uint8), payload + offset + 4 * start, path, f"tensor {name!r}")
+
+        yield write_range
+        for name, (size, _) in layout.items():
+            done = sum(stop - start for start, stop in written[name])
+            if done < size:  # its missing bytes would read as silent zeros, or be cut off
+                what = f"is partly written ({done} of {size} entries)" if done else "was never written"
+                raise ArchiveError(f"{path}: tensor {name!r} {what}")
+
+
+def _claim(spans: list[list[int]], start: int, stop: int) -> bool:
+    """Add ``[start, stop)`` to ``spans``, the sorted ``[start, stop)`` ranges written so
+    far with touching ones joined, so that ranges written in order keep one; False, and
+    ``spans`` unchanged, if it overlaps one of them."""
+    if start == stop:
+        return True
+    i = bisect.bisect_left(spans, [start])  # the first range starting at ``start`` or later
+    if (i and spans[i - 1][1] > start) or (i < len(spans) and spans[i][0] < stop):
+        return False
+    if i and spans[i - 1][1] == start:
+        spans[i - 1][1] = stop
+        if i < len(spans) and spans[i][0] == stop:
+            spans[i - 1][1] = spans.pop(i)[1]
+    elif i < len(spans) and spans[i][0] == stop:
+        spans[i][0] = start
+    else:
+        spans.insert(i, [start, stop])
+    return True
+
+
+def stream_archive(
+    shapes: Mapping[str, tuple[int, ...]],
+    tensors: Iterable[tuple[str, np.ndarray]],
+    path: str | Path,
+    metadata: Mapping[str, str] | None = None,
+) -> None:
+    """Write an F32 archive of ``shapes`` from ``(name, tensor)`` pairs, each at its
+    offset as it arrives, in any order, so that none need outlive its write.
+
+    This is :func:`archive_writer` given each tensor whole: a name not in ``shapes``, a
+    shape unlike its entry, a tensor given twice, a non-empty one never given, or a
+    non-finite value raises :class:`ArchiveError`.
+    """
+    with archive_writer(shapes, path, metadata) as write_range:
+        pending = set(shapes)
         for name, tensor in tensors:
             if name not in pending:
                 what = "written twice" if name in shapes else "not in the archive header"
                 raise ArchiveError(f"tensor {name!r} is {what}")
-            shape, offset = pending.pop(name)
-            with np.errstate(over="ignore"):  # an overflow is reported just below
-                arr = np.asarray(tensor, dtype="<f4", order="C")
-            if arr.shape != shape:
-                raise ArchiveError(f"tensor {name!r} has shape {arr.shape}, its header entry {shape}")
-            if not np.all(np.isfinite(arr)):
-                raise ArchiveError(f"non-finite value in tensor {name!r} at 32-bit precision")
-            write_at(f.fileno(), arr.reshape(-1).view(np.uint8), start + offset,
-                     path, f"tensor {name!r}")
-            del tensor, arr  # a tensor may hold its whole layer: free it before the next
-        if pending:  # its bytes would read as silent zeros
-            raise ArchiveError(f"tensor {min(pending)!r} was never written")
+            pending.remove(name)
+            shape = tuple(int(d) for d in shapes[name])
+            if np.shape(tensor) != shape:
+                raise ArchiveError(f"tensor {name!r} has shape {np.shape(tensor)}, its header entry {shape}")
+            write_range(name, 0, tensor)
+            del tensor  # a tensor may hold its whole layer: free it before the next
 
 
 def write_archive(

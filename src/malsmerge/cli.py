@@ -19,7 +19,7 @@ from .archive import read_archive, stream_archive, tensor_shapes
 from .diagnostics import REPORT_FORMATS, LayerDiagnostics
 from .errors import ArchiveError, ConvergenceError, ValidationError
 from .grouping import DEFAULT_GROUPING_PATTERN
-from .merging import MergeConfig, config_fields, config_metadata, merge, plan
+from .merging import MergeConfig, config_fields, config_metadata, merge_to_archive, plan
 from .synthetic import write_synthetic_set
 from .task_vectors import delta_tensors
 
@@ -145,10 +145,9 @@ def _cmd_merge(args: argparse.Namespace) -> int:
     tuned = [read_archive(path) for path, _ in cfg.tuned_paths]
     labels = [label for _, label in cfg.tuned_paths]
     method = cfg.merge_config.method
-    merged, conflict, allocation = merge(base, tuned, cfg.merge_config, labels=labels)
-    # each layer is written as soon as it is merged: one layer is resident, not the model
-    stream_archive(
-        tensor_shapes(base), merged, cfg.output_path, metadata=config_metadata(cfg.merge_config)
+    conflict, allocation = merge_to_archive(
+        base, tuned, cfg.merge_config, cfg.output_path, labels=labels,
+        metadata=config_metadata(cfg.merge_config),
     )
     print(f"merged {len(tuned)} checkpoints via {method} -> {cfg.output_path}")
     if cfg.report_path is not None:

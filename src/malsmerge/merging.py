@@ -15,12 +15,13 @@ import math
 import os
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields, replace
-from typing import Callable, Iterable, Iterator, Sequence
+from pathlib import Path
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
 from .allocation import AllocationConfig, AllocationResult, allocate, coerce_field_types, config_key
-from .archive import Archive, tensor_shapes
+from .archive import Archive, archive_writer, tensor_shapes
 from .conflict import ConflictReport, score_layers, task_order_sum
 from .errors import ConvergenceError, ValidationError
 from .grouping import DEFAULT_GROUPING_PATTERN, LayerGrouping, compile_grouping, group_layers, member_offsets
@@ -33,6 +34,8 @@ METHODS = ("mals", "simple_average", "uniform_sparsity", "ties")
 _SLICE_ENTRIES = 1 << 16
 # a layer group in a walk: its members' shapes by name, their offsets, how to run its jobs
 _Group = tuple[dict[str, tuple[int, ...]], list[int], Callable]
+# takes a composed slice: ``place(name, start, values)`` for entries ``start`` on of ``name``
+_Place = Callable[[str, int, np.ndarray], None]
 
 
 @dataclass(frozen=True)
@@ -298,35 +301,35 @@ def _flat_reads(tensors: TensorMap, names: Iterable[str]) -> Callable[[str, int,
 
 def _slice_walk(
     base: TensorMap, shapes: dict[str, tuple[int, ...]], offsets: Sequence[int], lam: float,
-    map_jobs: Callable, fill: Callable[[str, int, int, np.ndarray, np.ndarray], None],
-) -> dict[str, np.ndarray]:
+    map_jobs: Callable, fill: Callable[[str, int, int, np.ndarray, np.ndarray], None], place: _Place,
+) -> None:
     """Each member's float32 merged tensor, in slices of ``_SLICE_ENTRIES`` entries: a slice
     reads the base's entries from ``start`` once, as ``b``, ``fill(name, at, start, b, out)``
-    writes their merged update into ``out``, its slice of the flat output (``at`` is where the
-    member starts in the group's flat), and ``b + lam * out`` is stored there. Fills work by
+    writes their merged update into ``out``, a float32 buffer of the slice's length (``at`` is
+    where the member starts in the group's flat), ``b + lam * out`` is stored there, and
+    ``place(name, start, out)`` takes it, on the thread that composed it. Fills work by
     position, so the bytes depend on neither the slice size nor how ``map_jobs`` (results in
     walk order) spreads the slices; the error raised is the first a serial walk meets."""
     base_read = _flat_reads(base, shapes)
-    merged = {name: np.empty(shape, np.float32) for name, shape in shapes.items()}
 
-    def run(job: tuple[str, int, int]) -> None:
-        name, at, start = job
-        out = merged[name].reshape(-1)[start:start + _SLICE_ENTRIES]
-        b = base_read(name, start, start + len(out))
+    def run(job: tuple[str, int, int, int]) -> None:
+        name, at, start, stop = job
+        b = base_read(name, start, stop)
+        out = np.empty(stop - start, np.float32)
         fill(name, at, start, b, out)
-        stored_sum(f"merged tensor {name!r}", b, lam, out, out=out)
+        place(name, start, stored_sum(f"merged tensor {name!r}", b, lam, out, out=out))
 
-    walk = [(name, at, start) for name, at, end in zip(shapes, offsets, offsets[1:])
+    walk = [(name, at, start, min(start + _SLICE_ENTRIES, end - at))
+            for name, at, end in zip(shapes, offsets, offsets[1:])
             for start in range(0, end - at, _SLICE_ENTRIES)]
     for _ in map_jobs(run, walk):
         pass
-    return merged
 
 
 def _merge_layer(
     base: TensorMap, tuned: Sequence[TensorMap], shapes: dict[str, tuple[int, ...]],
-    offsets: Sequence[int], level: float, config: MergeConfig, map_jobs: Callable,
-) -> dict[str, np.ndarray]:
+    offsets: Sequence[int], level: float, config: MergeConfig, map_jobs: Callable, place: _Place,
+) -> None:
     """Pass 2 on one layer group: one job per task builds its update and trims it to
     ``level`` in place; then each slice is elected and merged, and the walk adds ``lam``
     times that onto the base."""
@@ -339,13 +342,13 @@ def _merge_layer(
         rows = [row[at + start:at + start + len(out)] for row in trimmed]
         out[...] = disjoint_merge(rows, elect_signs(rows) if election else None)
 
-    return _slice_walk(layer_base, shapes, offsets, config.lam, map_jobs, merge_slice)
+    _slice_walk(layer_base, shapes, offsets, config.lam, map_jobs, merge_slice, place)
 
 
 def _average_layer(
     base: TensorMap, tuned: Sequence[TensorMap], shapes: dict[str, tuple[int, ...]],
-    offsets: Sequence[int], lam: float, map_jobs: Callable,
-) -> dict[str, np.ndarray]:
+    offsets: Sequence[int], lam: float, map_jobs: Callable, place: _Place,
+) -> None:
     """Pass 2 of ``simple_average`` on one layer group: each slice reads each checkpoint's
     range in task order, adds their 32-bit updates into a float64 total, divides it by T
     and rounds it to float32 in the member's output, and the walk adds ``lam`` times that
@@ -359,13 +362,40 @@ def _average_layer(
         total = task_order_sum(updates, len(b))
         out[...] = np.divide(total, len(tuned_reads), out=total)
 
-    return _slice_walk(base, shapes, offsets, lam, map_jobs, average)
+    _slice_walk(base, shapes, offsets, lam, map_jobs, average, place)
 
 
 def _workers() -> int:
     """Threads for a large layer group's jobs: the CPUs this process may run on, the
     machine's where that call is missing."""
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
+def _converged_plan(
+    base: TensorMap, tuned: Sequence[TensorMap], config: MergeConfig, labels: Sequence[str] | None,
+) -> tuple[LayerGrouping, ConflictReport | None, AllocationResult | None]:
+    """:func:`plan`, refusing a non-converged allocation with :class:`ConvergenceError`."""
+    grouping, conflict, allocation = plan(base, tuned, config, labels)
+    if allocation is not None and not allocation.converged:
+        raise ConvergenceError(
+            f"budget projection did not converge within {config.allocation.max_iterations} "
+            f"iterations (mean sparsity {allocation.mean_sparsity}, "
+            f"target {config.allocation.s_target})"
+        )
+    return grouping, conflict, allocation
+
+
+def _pass_2(
+    base: TensorMap, tuned: Sequence[TensorMap], config: MergeConfig,
+    allocation: AllocationResult | None, l: int, group: _Group, place: _Place,
+) -> None:
+    """Pass 2 on layer group ``l``: average its updates, or trim, elect and merge them, add
+    ``lam`` times the result onto the base, and ``place`` each slice of it."""
+    shapes, offsets, map_jobs = group
+    if allocation is None:
+        _average_layer(base, tuned, shapes, offsets, config.lam, map_jobs, place)
+    else:
+        _merge_layer(base, tuned, shapes, offsets, float(allocation.s_final[l]), config, map_jobs, place)
 
 
 def merge(
@@ -383,7 +413,8 @@ def merge(
     layer group as it reaches it: average the updates, or trim, elect and merge
     them, and add ``lam`` times the result onto the base. Pass-2 errors, such as
     an overflowing merged tensor, are raised during iteration. ``dict(merged)``
-    holds the whole model; ``stream_archive`` writes it holding one layer.
+    holds the whole model; :func:`merge_to_archive` writes the model to a file
+    without holding a merged layer.
 
     A layer group of at least two slices (131,072 entries) runs its jobs on one
     thread per CPU this process may use: pass 1's per-task scores and per-pair
@@ -391,25 +422,51 @@ def merge(
     merge and compose. The bytes do not depend on the count. Pass 1's threads end
     with this call; pass 2's live until ``merged`` is exhausted, closed or raises.
     """
-    grouping, conflict, allocation = plan(base, tuned, config, labels)
-    if allocation is not None and not allocation.converged:
-        raise ConvergenceError(
-            f"budget projection did not converge within {config.allocation.max_iterations} "
-            f"iterations (mean sparsity {allocation.mean_sparsity}, "
-            f"target {config.allocation.s_target})"
-        )
+    grouping, conflict, allocation = _converged_plan(base, tuned, config, labels)
+
+    def layer(l: int, group: _Group) -> dict[str, np.ndarray]:
+        merged = {name: np.empty(shape, np.float32) for name, shape in group[0].items()}
+
+        def place(name: str, start: int, values: np.ndarray) -> None:
+            merged[name].reshape(-1)[start:start + len(values)] = values
+
+        _pass_2(base, tuned, config, allocation, l, group, place)
+        return merged
 
     def merged() -> Iterator[tuple[str, np.ndarray]]:
         with _layer_walk(base, grouping) as walk:
-            for l, (shapes, offsets, map_jobs) in enumerate(walk):
+            for l, group in enumerate(walk):
                 # nothing here holds a layer once its last pair is taken
-                yield from (
-                    _average_layer(base, tuned, shapes, offsets, config.lam, map_jobs)
-                    if allocation is None else
-                    _merge_layer(base, tuned, shapes, offsets, float(allocation.s_final[l]), config, map_jobs)
-                ).items()
+                yield from layer(l, group).items()
 
     return merged(), conflict, allocation
+
+
+def merge_to_archive(
+    base: TensorMap,
+    tuned: Sequence[TensorMap],
+    config: MergeConfig,
+    path: str | Path,
+    labels: Sequence[str] | None = None,
+    metadata: Mapping[str, str] | None = None,
+) -> tuple[ConflictReport | None, AllocationResult | None]:
+    """:func:`merge`, writing the merged model as an F32 archive at ``path`` with
+    ``metadata``; returns ``(conflict, allocation)``.
+
+    Each composed slice is written at its offset in the file by the thread that
+    composed it, so no merged layer is held: pass 2 holds a layer's base and each
+    task's trimmed update of it for a trimmed merge, and slices alone for
+    ``simple_average``. The file is renamed into place once every tensor is
+    written; on any error, ``path`` is left untouched.
+    """
+    grouping, conflict, allocation = _converged_plan(base, tuned, config, labels)
+    # the walk's block ends, and its pool has finished every slice, before the writer's
+    # closes or removes the file, however the walk ends
+    with archive_writer(tensor_shapes(base), path, metadata) as write_range:
+        with _layer_walk(base, grouping) as walk:
+            for l, group in enumerate(walk):
+                _pass_2(base, tuned, config, allocation, l, group, write_range)
+    return conflict, allocation
 
 
 def config_fields(config: MergeConfig) -> dict[str, object]:

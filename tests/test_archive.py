@@ -4,8 +4,11 @@ import errno
 import json
 import math
 import os
+import re
 import stat
 import struct
+import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -14,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from malsmerge import ArchiveError, read_archive, stream_archive, write_archive
-from malsmerge.archive import atomic_file
+from malsmerge.archive import _claim, archive_writer, atomic_file
 from malsmerge.cli import run
 
 
@@ -541,3 +544,78 @@ def test_streamed_write_refuses_a_tensor_unlike_the_header(tmp_path, pairs, mess
         stream_archive({"a": (2,), "b": (3,)}, iter(pairs), target)
     assert target.read_bytes() == b"old"
     assert sorted(tmp_path.iterdir()) == [target]
+
+
+def test_ranges_from_many_threads_in_any_order_equal_write_archive(tmp_path):
+    # more threads than cores, switching often, each writing one-entry ranges: a lost
+    # update of a tensor's written count would refuse the archive as partly written
+    rng = np.random.default_rng(3)
+    tensors = {
+        "b.weight": rng.standard_normal((7, 5)).astype(np.float32),
+        "a.bias": np.array([0.5, -0.0], dtype=np.float32),
+        "c": np.float32(2.5).reshape(()),
+        "z.empty": np.zeros((0, 3), dtype=np.float32),
+    }
+    metadata = {"method": "mals"}
+    write_archive(tensors, tmp_path / "whole.st", metadata=metadata)
+    ranges = [(name, start, tensor.reshape(-1)[start:start + 1])
+              for name, tensor in tensors.items() for start in range(tensor.size)]
+    rng.shuffle(ranges)
+    shapes = {name: tensor.shape for name, tensor in tensors.items()}
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with archive_writer(shapes, tmp_path / "ranges.st", metadata) as write_range:
+            threads = [threading.Thread(target=lambda part: [write_range(*r) for r in part],
+                                        args=(ranges[i::6],)) for i in range(6)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+                assert not thread.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+    assert (tmp_path / "ranges.st").read_bytes() == (tmp_path / "whole.st").read_bytes()
+
+
+@pytest.mark.parametrize(
+    "writes, message",
+    [([("c", 0, [1.0])], "tensor 'c' is not in the archive header"),
+     ([("a", 1, [1.0, 2.0])], r"range \[1, 3\) lies outside tensor 'a' of 2 entries"),
+     ([("a", 0, [1.0, np.inf])], "non-finite value in tensor 'a' at 32-bit precision"),
+     ([("b", 0, [1.0, 2.0, 3.0]), ("a", 1, [1.0])], r"tensor 'a' is partly written \(1 of 2 entries\)"),
+     ([("a", 0, [1.0, 2.0]), ("a", 0, [1.0, 2.0])], r"tensor 'a' has entries written twice, in range \[0, 2\)"),
+     ([("a", 0, [1.0]), ("a", 0, [1.0])], r"tensor 'a' has entries written twice, in range \[0, 1\)"),
+     ([("a", 0, [1.0, 2.0])], "tensor 'b' was never written")],
+    ids=["unknown-name", "past-the-end", "non-finite", "partly-written", "written-twice", "overlapping",
+         "never-written"],
+)
+def test_range_writer_refuses_naming_the_file_and_tensor(tmp_path, writes, message):
+    target = tmp_path / "out.st"
+    target.write_bytes(b"old")
+    with pytest.raises(ArchiveError, match=f"^{re.escape(str(target))}: {message}$"):
+        with archive_writer({"a": (2,), "b": (3,)}, target) as write_range:
+            for name, start, values in writes:
+                write_range(name, start, np.array(values, np.float32))
+    assert target.read_bytes() == b"old"
+    assert sorted(tmp_path.iterdir()) == [target]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 12), st.integers(0, 4)), max_size=12))
+def test_claimed_ranges_are_the_written_entries_joined(ranges):
+    # against a set of entries: a range is refused exactly when it holds a written entry,
+    # and the kept ranges are the written entries' maximal runs
+    spans, entries = [], set()
+    for start, length in ranges:
+        wanted = set(range(start, start + length))
+        assert _claim(spans, start, start + length) == (not wanted & entries)
+        if not wanted & entries:
+            entries |= wanted
+    runs = []
+    for entry in sorted(entries):
+        if runs and runs[-1][1] == entry:
+            runs[-1][1] += 1
+        else:
+            runs.append([entry, entry + 1])
+    assert spans == runs

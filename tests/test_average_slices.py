@@ -10,18 +10,21 @@ first.
 from __future__ import annotations
 
 import json
+import os
+import stat
 import struct
 import subprocess
 import sys
 import threading
 import time
+from contextlib import contextmanager
 from itertools import product
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from malsmerge import METHODS, ArchiveError, MergeConfig, ValidationError, merge, read_archive
+from malsmerge import METHODS, ArchiveError, MergeConfig, ValidationError, merge, merge_to_archive, read_archive
 from malsmerge import merging, task_vectors
 from malsmerge.archive import Archive
 
@@ -123,6 +126,9 @@ def test_more_workers_than_cores_with_frequent_switches_give_the_same_bytes(tmp_
         for _ in range(3):
             merged = _merged(base, tuned, 0.7)
             assert {name: tensor.tobytes() for name, tensor in merged.items()} == expected
+            merge_to_archive(base, tuned, MergeConfig(method="simple_average", lam=0.7), tmp_path / "merged.st")
+            written = read_archive(tmp_path / "merged.st")
+            assert {name: written[name].tobytes() for name in written} == expected
     finally:
         sys.setswitchinterval(interval)
 
@@ -184,6 +190,83 @@ def test_the_first_error_in_walk_order_is_raised_whatever_the_worker_count(tmp_p
     assert raised[0] == raised[1] == (
         ArchiveError, f"{paths[2]}: non-finite value detected in tensor 'layers.0.a'"
     )
+
+
+class _SlowFirstSlices(Archive):
+    """An archive whose reads of the first two slices of ``layers.0.a`` take a while, the
+    second's longer."""
+
+    def read_range(self, name: str, start: int, stop: int) -> np.ndarray:
+        if name == "layers.0.a" and start < 4:
+            time.sleep(0.2 if start == 0 else 0.4)
+        return super().read_range(name, start, stop)
+
+
+@pytest.mark.parametrize("workers", [1, 2, 4])
+def test_a_failed_merge_to_archive_writes_nothing_after_its_writer_closes(tmp_path, monkeypatch, workers):
+    # the first slice fails once it is read, while the second, slower to read, is still
+    # composing on another worker, and more workers meet the second member's failure first:
+    # the walk must raise the first slice's error, and its pool must finish the second slice
+    # before the writer closes and removes its file, or that slice's write could land in a
+    # descriptor the process has reused since
+    monkeypatch.setattr(merging, "_SLICE_ENTRIES", 2)
+    _use_workers(monkeypatch, workers)
+    base = {"layers.0.a": np.zeros(200, np.float32), "layers.0.b": np.zeros(200, np.float32)}
+    tuned = [{name: np.ones(200, np.float32) for name in base} for _ in range(2)]
+    tuned[1]["layers.0.a"][1] = np.inf
+    base["layers.0.b"][0], tuned[0]["layers.0.b"][0] = -2e38, 2e38  # an update of 4e38
+    paths = [tmp_path / f"{i}.st" for i in range(3)]
+    for checkpoint, path in zip([base, *tuned], paths):
+        _write_raw(checkpoint, path)
+    events = []
+    archive_writer = merging.archive_writer
+
+    @contextmanager
+    def spied_writer(*args):
+        with archive_writer(*args) as write_range:
+            def spy(name, start, values):
+                try:
+                    write_range(name, start, values)
+                finally:
+                    events.append("write")
+
+            try:
+                yield spy
+            finally:
+                events.append("closed")
+
+    monkeypatch.setattr(merging, "archive_writer", spied_writer)
+    out = tmp_path / "out"
+    out.mkdir()
+    with pytest.raises((ArchiveError, ValidationError)) as info:
+        merge_to_archive(read_archive(paths[0]), [read_archive(paths[1]), _SlowFirstSlices(paths[2])],
+                         MergeConfig(method="simple_average"), out / "merged.st")
+    assert (type(info.value), str(info.value)) == (
+        ArchiveError, f"{paths[2]}: non-finite value detected in tensor 'layers.0.a'"
+    )
+    assert events.count("closed") == 1 and events[-1] == "closed", events
+    assert list(out.iterdir()) == []
+
+
+def test_merge_to_archive_syncs_the_file_then_renames_then_syncs_the_directory(tmp_path, monkeypatch):
+    calls = []
+    fsync, replace = os.fsync, os.replace
+
+    def recorded_fsync(fd):
+        info = os.fstat(fd)
+        calls.append(("fsync", "directory" if stat.S_ISDIR(info.st_mode) else info.st_size))
+        fsync(fd)
+
+    def recorded_replace(src, dst):
+        calls.append(("replace", Path(dst).name))
+        replace(src, dst)
+
+    monkeypatch.setattr(os, "fsync", recorded_fsync)
+    monkeypatch.setattr(os, "replace", recorded_replace)
+    base, tuned = _checkpoints(np.float32)
+    merge_to_archive(base, tuned, MergeConfig(), tmp_path / "merged.st")
+    size = (tmp_path / "merged.st").stat().st_size
+    assert calls == [("fsync", size), ("replace", "merged.st"), ("fsync", "directory")]
 
 
 @pytest.mark.parametrize("method", ["simple_average", "mals"])

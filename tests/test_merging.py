@@ -757,14 +757,13 @@ def _plan(paths) -> None:
     plan(read_archive(paths["base"]), [read_archive(path) for path in paths["tasks"]], MergeConfig())
 
 
-def _cli_merge(paths) -> None:
+def _cli_merge(paths, options={"method": "mals", "sign_election": True}) -> None:
     config = Path(paths["base"]).with_name("merge.json")
     config.write_text(json.dumps({
         "base_path": str(paths["base"]),
         "tuned_paths": [{"path": str(path)} for path in paths["tasks"]],
         "output_path": str(config.with_name("merged.safetensors")),
-        "method": "mals",
-        "sign_election": True,
+        **options,
     }))
     assert cli.run(["merge", "--config", str(config)]) == 0
 
@@ -798,20 +797,22 @@ def test_simple_average_memory_follows_one_task_not_the_task_count(tmp_path):
 
 
 @pytest.mark.parametrize("workers", [1, 2])
-def test_simple_average_memory_is_the_layer_output_plus_the_slices(tmp_path, monkeypatch, workers):
+@pytest.mark.parametrize("job, bytes_per_entry", [
+    (partial(_library_merge, config=MergeConfig(method="simple_average")), 5),
+    (partial(_cli_merge, options={"method": "simple_average"}), 0.5),
+], ids=["library", "cli"])
+def test_simple_average_memory_is_the_layer_output_plus_the_slices(tmp_path, monkeypatch, workers, job,
+                                                                   bytes_per_entry):
     # each slice's reads, update and float64 total are slice-sized, so a layer four times
-    # as large adds only its float32 output (4 bytes an entry) and the writer's check of it
+    # as large adds to merge() only its float32 output (4 bytes an entry) and the writer's
+    # check of it, and to the CLI's merge, which writes each slice where it is composed, nothing
     import concurrent.futures  # noqa: F401  merge() imports it on first use: not while traced
 
     monkeypatch.setattr(merging, "_SLICE_ENTRIES", 4096)
     monkeypatch.setattr(merging, "_workers", lambda: workers)
-
-    def job(paths):
-        _library_merge(paths, MergeConfig(method="simple_average"))
-
     small = _peak_bytes(tmp_path / "small", 2, job, elems=50_000)
     large = _peak_bytes(tmp_path / "large", 2, job, elems=200_000)
-    assert (large - small) / 150_000 <= 5
+    assert (large - small) / 150_000 <= bytes_per_entry
 
 
 @pytest.mark.parametrize("election", [False, True])

@@ -15,7 +15,7 @@ PUBLIC_NAMES = [
     "METHODS", "MergeConfig", "MergeToolError", "TensorInfo", "ValidationError",
     "allocate", "allocation_scores", "config_metadata", "disjoint_merge",
     "elect_signs", "flatten_group", "group_layers", "initial_sparsity", "merge",
-    "min_max_normalize", "pearson_abs", "project_to_budget", "read_archive",
+    "merge_to_archive", "min_max_normalize", "pearson_abs", "project_to_budget", "read_archive",
     "sign_disagreement", "softmax_weights", "sparsify_top_fraction", "stream_archive",
     "synthesize_checkpoints", "tensor_shapes",
     "unflatten_group", "write_archive", "write_synthetic_set",
