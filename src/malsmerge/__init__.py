@@ -10,7 +10,7 @@ from .allocation import (
     project_to_budget,
     softmax_weights,
 )
-from .archive import TensorInfo, read_archive, stream_archive, tensor_shapes, write_archive
+from .archive import TensorInfo, read_archive, tensor_shapes, write_archive
 from .conflict import ConflictReport, pearson_abs, sign_disagreement
 from .diagnostics import LayerDiagnostics
 from .errors import ArchiveError, ConvergenceError, MergeToolError, ValidationError
@@ -66,7 +66,6 @@ __all__ = [
     "sign_disagreement",
     "softmax_weights",
     "sparsify_top_fraction",
-    "stream_archive",
     "synthesize_checkpoints",
     "tensor_shapes",
     "unflatten_group",

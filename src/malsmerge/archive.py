@@ -29,7 +29,7 @@ import weakref
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from typing import BinaryIO, Callable, Iterable, Iterator, Mapping
+from typing import BinaryIO, Callable, Iterator, Mapping
 
 import numpy as np
 
@@ -396,40 +396,15 @@ def _claim(spans: list[list[int]], start: int, stop: int) -> bool:
     return True
 
 
-def stream_archive(
-    shapes: Mapping[str, tuple[int, ...]],
-    tensors: Iterable[tuple[str, np.ndarray]],
-    path: str | Path,
-    metadata: Mapping[str, str] | None = None,
-) -> None:
-    """Write an F32 archive of ``shapes`` from ``(name, tensor)`` pairs, each at its
-    offset as it arrives, in any order, so that none need outlive its write.
-
-    This is :func:`archive_writer` given each tensor whole: a name not in ``shapes``, a
-    shape unlike its entry, a tensor given twice, a non-empty one never given, or a
-    non-finite value raises :class:`ArchiveError`.
-    """
-    with archive_writer(shapes, path, metadata) as write_range:
-        pending = set(shapes)
-        for name, tensor in tensors:
-            if name not in pending:
-                what = "written twice" if name in shapes else "not in the archive header"
-                raise ArchiveError(f"tensor {name!r} is {what}")
-            pending.remove(name)
-            shape = tuple(int(d) for d in shapes[name])
-            if np.shape(tensor) != shape:
-                raise ArchiveError(f"tensor {name!r} has shape {np.shape(tensor)}, its header entry {shape}")
-            write_range(name, 0, tensor)
-            del tensor  # a tensor may hold its whole layer: free it before the next
-
-
 def write_archive(
     tensors: Mapping[str, np.ndarray],
     path: str | Path,
     metadata: Mapping[str, str] | None = None,
 ) -> None:
-    """Write the in-memory ``tensors`` as an F32 archive, as :func:`stream_archive` does."""
-    stream_archive(tensor_shapes(tensors), tensors.items(), path, metadata)
+    """Write the in-memory ``tensors`` as an F32 archive, each whole, through :func:`archive_writer`."""
+    with archive_writer(tensor_shapes(tensors), path, metadata) as write_range:
+        for name in tensors:  # a lazy mapping's tensor is freed before the next is looked up
+            write_range(name, 0, tensors[name])
 
 
 @contextmanager

@@ -15,7 +15,7 @@ from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 
 from .allocation import AllocationConfig, coerce_field_types, config_key, wrong_type
-from .archive import read_archive, stream_archive, tensor_shapes
+from .archive import archive_writer, read_archive, tensor_shapes
 from .diagnostics import REPORT_FORMATS, LayerDiagnostics
 from .errors import ArchiveError, ConvergenceError, ValidationError
 from .grouping import DEFAULT_GROUPING_PATTERN
@@ -182,7 +182,11 @@ def _cmd_diff(args: argparse.Namespace) -> int:
     base = read_archive(args.base)
     tuned = read_archive(args.tuned)
     label = Path(args.tuned).stem
-    stream_archive(tensor_shapes(base), delta_tensors(base, tuned, label), args.out)
+    updates = delta_tensors(base, tuned, label)  # checks compatibility before the file is made
+    with archive_writer(tensor_shapes(base), args.out) as write_range:
+        for name, update in updates:
+            write_range(name, 0, update)
+            del update  # an update may hold its whole layer: free it before the next is built
     print(f"task vector for {label} -> {args.out}")
     return EXIT_OK
 

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from malsmerge import ArchiveError, read_archive, stream_archive, write_archive
+from malsmerge import ArchiveError, read_archive, write_archive
 from malsmerge.archive import _claim, archive_writer, atomic_file
 from malsmerge.cli import run
 
@@ -523,27 +523,11 @@ def test_streamed_write_in_any_order_equals_write_archive(tmp_path, monkeypatch)
     pwritev = os.pwritev
     # each write takes at most 5 bytes, as a short write would: the writer loops
     monkeypatch.setattr(os, "pwritev", lambda fd, bufs, offset: pwritev(fd, [bufs[0][:5]], offset))
-    pairs = ((name, tensors[name]) for name in sorted(tensors, reverse=True))
     shapes = {name: tensor.shape for name, tensor in tensors.items()}
-    stream_archive(shapes, pairs, tmp_path / "streamed.st", metadata=metadata)
+    with archive_writer(shapes, tmp_path / "streamed.st", metadata) as write_range:
+        for name in sorted(tensors, reverse=True):
+            write_range(name, 0, tensors[name])
     assert (tmp_path / "streamed.st").read_bytes() == (tmp_path / "whole.st").read_bytes()
-
-
-@pytest.mark.parametrize(
-    "pairs, message",
-    [([("a", np.ones(3)), ("b", np.ones(3))], r"'a' has shape \(3,\), its header entry \(2,\)"),
-     ([("c", np.ones(2))], "'c' is not in the archive header"),
-     ([("a", np.ones(2)), ("a", np.ones(2))], "'a' is written twice"),
-     ([("a", np.ones(2))], "'b' was never written")],
-    ids=["wrong-shape", "not-in-header", "written-twice", "never-written"],
-)
-def test_streamed_write_refuses_a_tensor_unlike_the_header(tmp_path, pairs, message):
-    target = tmp_path / "out.st"
-    target.write_bytes(b"old")
-    with pytest.raises(ArchiveError, match=message):
-        stream_archive({"a": (2,), "b": (3,)}, iter(pairs), target)
-    assert target.read_bytes() == b"old"
-    assert sorted(tmp_path.iterdir()) == [target]
 
 
 def test_ranges_from_many_threads_in_any_order_equal_write_archive(tmp_path):

@@ -25,6 +25,7 @@ from malsmerge import (
     write_archive,
     write_synthetic_set,
 )
+from malsmerge import archive
 from malsmerge.cli import _CONFIG_KEYS, RunConfig, load_run_config, run
 
 
@@ -585,6 +586,48 @@ def test_diff_writes_task_vector(tmp_path, synth_dir):
         np.testing.assert_array_equal(
             tau[name], (tuned[name].astype(np.float64) - base[name]).astype(np.float32)
         )
+
+
+def test_diff_bytes_equal_write_archive_of_the_updates(tmp_path):
+    # off the synthetic grid, with a 0-d and an empty tensor among them
+    rng = np.random.default_rng(11)
+    base = {"b.w": rng.standard_normal((5, 7)).astype(np.float32), "a.scalar": np.float32(1.5).reshape(()),
+            "c.empty": np.zeros((0, 4), np.float32)}
+    tuned = {name: (tensor + rng.standard_normal(tensor.shape)).astype(np.float32)
+             for name, tensor in base.items()}
+    write_archive(base, tmp_path / "base.st")
+    write_archive(tuned, tmp_path / "tuned.st")
+    write_archive({name: tuned[name] - base[name] for name in base}, tmp_path / "expected.st")
+    out = tmp_path / "tau.st"
+    argv = ["diff", "--base", str(tmp_path / "base.st"), "--tuned", str(tmp_path / "tuned.st")]
+    assert run([*argv, "--out", str(out)]) == 0
+    assert out.read_bytes() == (tmp_path / "expected.st").read_bytes()
+
+
+@pytest.mark.parametrize("change", ["missing", "reshaped", "extra"])
+def test_incompatible_diff_exits_2_before_its_output_file_is_made(tmp_path, synth_dir, capsys,
+                                                                   monkeypatch, change):
+    name, tuned_path = "model.layers.1.mlp.weight", synth_dir / "task_00.safetensors"
+    tensors = dict(read_archive(tuned_path))
+    if change == "missing":
+        del tensors[name]
+    elif change == "reshaped":
+        tensors[name] = tensors[name][:-1]
+    else:
+        tensors[name + ".extra"] = np.zeros(2, np.float32)
+    write_archive(tensors, tuned_path)
+    out = tmp_path / "out"
+    out.write_bytes(b"old output")
+    files = sorted(tmp_path.rglob("*"))
+    opened = []
+    monkeypatch.setattr(archive, "atomic_file", opened.append)  # no temp file may be started
+    argv = ["diff", "--base", str(synth_dir / "base.safetensors"), "--tuned", str(tuned_path)]
+    assert run([*argv, "--out", str(out)]) == 2
+    key = name + ".extra" if change == "extra" else name
+    assert capsys.readouterr().err.startswith(f"error: checkpoint 'task_00' incompatible at {key!r}: ")
+    assert opened == []
+    assert sorted(tmp_path.rglob("*")) == files
+    assert out.read_bytes() == b"old output"
 
 
 def test_info_lists_tensors(synth_dir, capsys):

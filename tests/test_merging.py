@@ -21,14 +21,15 @@ from malsmerge import (
     elect_signs,
     group_layers,
     merge,
+    merge_to_archive,
     read_archive,
     sparsify_top_fraction,
-    stream_archive,
     tensor_shapes,
+    write_archive,
     write_synthetic_set,
 )
 from malsmerge import cli, conflict, merging
-from malsmerge.archive import Archive
+from malsmerge.archive import Archive, archive_writer
 from malsmerge.conflict import layer_conflict
 from malsmerge.merging import compose_merged, masked_select, plan, simple_average
 from malsmerge.task_vectors import TaskVector, compute_task_vector
@@ -588,7 +589,7 @@ class TestMerge:
         base, tuned = _checkpoints(seed=7)
         paths = [tmp_path / f"{i}.st" for i in range(len(tuned) + 1)]
         for tensors, path in zip([base, *tuned], paths):
-            stream_archive(tensor_shapes(tensors), tensors.items(), path)
+            write_archive(tensors, path)
         reads = []
         monkeypatch.setattr(Archive, "__getitem__", lambda self, name: reads.append(name))
         monkeypatch.setattr(Archive, "read_range", lambda self, name, start, stop: reads.append(name))
@@ -745,9 +746,14 @@ def _peak_bytes(out_dir, num_layers: int, job, num_tasks: int = 3, elems: int = 
     layers of ``elems`` entries and ``num_tasks`` tasks, the archives opened inside ``job``."""
     paths = write_synthetic_set(out_dir, seed=3, num_layers=num_layers, elems_per_layer=elems,
                                 num_tasks=num_tasks, conflict_profile=[0.5] * num_layers)
+    return _traced_peak(partial(job, paths))
+
+
+def _traced_peak(job) -> int:
+    """Peak traced memory of ``job()``."""
     tracemalloc.start()
     try:
-        job(paths)
+        job()
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -768,11 +774,19 @@ def _cli_merge(paths, options={"method": "mals", "sign_election": True}) -> None
     assert cli.run(["merge", "--config", str(config)]) == 0
 
 
+def _write_merged(base, merged, path) -> None:
+    """Write ``merge()``'s pairs through the range writer, one tensor alive at a time."""
+    with archive_writer(tensor_shapes(base), path) as write_range:
+        for name, tensor in merged:
+            write_range(name, 0, tensor)
+            del tensor  # a tensor may hold its whole layer: free it before the next is built
+
+
 def _library_merge(paths, config=MergeConfig(method="mals", sign_election=True)) -> None:
     base = read_archive(paths["base"])
     tuned = [read_archive(path) for path in paths["tasks"]]
     merged, _, _ = merge(base, tuned, config)
-    stream_archive(tensor_shapes(base), merged, Path(paths["base"]).with_name("merged.safetensors"))
+    _write_merged(base, merged, Path(paths["base"]).with_name("merged.safetensors"))
 
 
 @pytest.mark.parametrize("job", [_plan, _cli_merge, _library_merge], ids=lambda job: job.__name__[1:])
@@ -862,15 +876,65 @@ def test_memory_grows_by_at_most_one_raw_update_per_added_worker(tmp_path, monke
         base, tuned = read_archive(paths["base"]), [read_archive(path) for path in paths["tasks"]]
         if phase == "pass 2":
             merged, _, _ = merge(base, tuned, config)
-            job = partial(stream_archive, tensor_shapes(base), merged, tmp_path / "merged.safetensors")
+            job = partial(_write_merged, base, merged, tmp_path / "merged.safetensors")
         else:
             job = partial(plan, base, tuned, config)
-        tracemalloc.start()
-        try:
-            job()
-            peaks[workers] = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peaks[workers] = _traced_peak(job)
     slice_temporaries = 64 * merging._SLICE_ENTRIES
     for workers in (2, 4):
         assert peaks[workers] - peaks[1] <= (workers - 1) * (4 * elems + slice_temporaries), peaks
+
+
+# bytes per entry of a layer group that each pass may hold beyond its fixed cost, at T tasks
+# with ``jobs`` task jobs in flight. Pass 1 keeps the group's base (4) and, per task, its
+# float64 deviations and two packed sign masks (8.25); each job in flight reads one raw member,
+# half the group in these sets, with its bool finiteness mask (2.5). Pass 2 keeps the base (4)
+# and each task's trimmed float32 update (4); each trim in flight holds its magnitudes (4).
+# Averaging holds slices alone.
+_PASS_BUDGETS = {
+    ("mals", "plan"): lambda tasks, jobs: 4 + 8.25 * tasks + 2.5 * jobs,
+    ("mals", "pass 2"): lambda tasks, jobs: 4 + 4 * tasks + 4 * jobs,
+    ("simple_average", "plan"): lambda tasks, jobs: 0,
+    ("simple_average", "pass 2"): lambda tasks, jobs: 0,
+}
+# trimmed merges measured within their budgets, and averaging up to 0.52 over its (the
+# pool's futures, one per 4096-entry slice); one more layer-sized float32 array adds 4
+_MARGIN = 1.0
+_GROUP_SIZES = (16_000, 256_000)
+
+
+@pytest.fixture(scope="module")
+def sized_sets(tmp_path_factory):
+    """Two layer groups of each size in ``_GROUP_SIZES``, at 2 and 4 tasks."""
+    root = tmp_path_factory.mktemp("sized")
+    return {(n, tasks): write_synthetic_set(root / f"{n}-{tasks}", seed=3, num_layers=2, elems_per_layer=n,
+                                            num_tasks=tasks, conflict_profile=[0.8, 0.2])
+            for n in _GROUP_SIZES for tasks in (2, 4)}
+
+
+@pytest.mark.parametrize("method, phase", list(_PASS_BUDGETS))
+def test_memory_per_entry_stays_within_each_pass_budget(tmp_path, monkeypatch, sized_sets, method, phase):
+    # the traced peak's growth per added group entry, at T = 2 and 4 and 1 and 2 workers; pass 2
+    # is merge_to_archive's, the CLI's, with the plan computed beforehand
+    import concurrent.futures  # noqa: F401  merge() imports it on first use: not while traced
+
+    monkeypatch.setattr(merging, "_SLICE_ENTRIES", 4096)
+    monkeypatch.setattr(conflict, "_NODE_ENTRIES", 4096)
+    config = MergeConfig(method=method, sign_election=True)
+    for workers in (1, 2):
+        monkeypatch.setattr(merging, "_workers", lambda: workers)
+        for tasks in (2, 4):
+            peaks = []
+            for n in _GROUP_SIZES:
+                paths = sized_sets[n, tasks]
+                base, tuned = read_archive(paths["base"]), [read_archive(path) for path in paths["tasks"]]
+                if phase == "plan":
+                    job = partial(plan, base, tuned, config)
+                else:
+                    cached = plan(base, tuned, config)
+                    monkeypatch.setattr(merging, "plan", lambda *args: cached)
+                    job = partial(merge_to_archive, base, tuned, config, tmp_path / "merged.safetensors")
+                peaks.append(_traced_peak(job))
+            per_entry = (peaks[1] - peaks[0]) / (_GROUP_SIZES[1] - _GROUP_SIZES[0])
+            budget = _PASS_BUDGETS[method, phase](tasks, min(workers, tasks))
+            assert per_entry <= budget + _MARGIN, (workers, tasks, per_entry, budget)

@@ -16,7 +16,7 @@ PUBLIC_NAMES = [
     "allocate", "allocation_scores", "config_metadata", "disjoint_merge",
     "elect_signs", "flatten_group", "group_layers", "initial_sparsity", "merge",
     "merge_to_archive", "min_max_normalize", "pearson_abs", "project_to_budget", "read_archive",
-    "sign_disagreement", "softmax_weights", "sparsify_top_fraction", "stream_archive",
+    "sign_disagreement", "softmax_weights", "sparsify_top_fraction",
     "synthesize_checkpoints", "tensor_shapes",
     "unflatten_group", "write_archive", "write_synthetic_set",
 ]
