@@ -172,6 +172,13 @@ def _read_header(fd: int) -> tuple[list[tuple], dict[str, str], int]:
     return entries, metadata, 8 + header_len
 
 
+def _within(x: np.ndarray, bound: float) -> bool:
+    """Whether every entry of the float array ``x`` lies strictly between ``-bound`` and
+    ``bound``; at ``np.inf``, whether all are finite. A NaN fails, as ``max`` and ``min``
+    pass it on, and no bool array as long as ``x`` is built."""
+    return not x.size or bool(x.max() < bound and x.min() > -bound)
+
+
 def _widen_f16(stored: np.ndarray) -> np.ndarray:
     """F16 values widened to float32 exactly as ``astype`` widens a finite one, in three
     whole-array passes where ``astype`` converts entry by entry. Shifted left 13 bits as a
@@ -239,12 +246,11 @@ class Archive(Mapping[str, np.ndarray]):
             lacks = min(info.n_bytes, self._offsets[name] + info.n_bytes - os.fstat(self._fd).st_size)
             raise ArchiveError(f"{self.path}: truncated payload: {name!r} lacks {lacks} bytes")
         if stored.dtype == np.float32:
-            tensor, finite = stored, np.all(np.isfinite(stored))
+            tensor, bound = stored, np.inf
         else:
-            tensor = _widen_f16(stored)
             # every finite F16 widens below 2**16 in magnitude, infinity and NaN to 2**16 or more
-            finite = not tensor.size or (tensor.max() < 2.0**16 and tensor.min() > -(2.0**16))
-        if not finite:
+            tensor, bound = _widen_f16(stored), 2.0**16
+        if not _within(tensor, bound):
             raise ArchiveError(f"{self.path}: non-finite value detected in tensor {name!r}")
         return tensor
 
@@ -359,7 +365,7 @@ def archive_writer(
             if not 0 <= start <= start + flat.size <= size:
                 raise ArchiveError(f"{path}: range [{start}, {start + flat.size}) lies outside "
                                    f"tensor {name!r} of {size} entries")
-            if not np.all(np.isfinite(flat)):
+            if not _within(flat, np.inf):
                 raise ArchiveError(f"{path}: non-finite value in tensor {name!r} at 32-bit precision")
             with lock:
                 claimed = _claim(written[name], start, start + flat.size)

@@ -11,8 +11,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from itertools import combinations
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -44,10 +45,36 @@ def _check_pair(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return x, y
 
 
-# the parts of numpy's pairwise tree that _sum_of_products reduces one at a time. Not
-# merging._SLICE_ENTRIES, which tests set to 1, 3 or 7 entries: _node_sum splits a part of
+# the parts of numpy's pairwise tree that are reduced one at a time. Not
+# merging._SLICE_ENTRIES, which tests set to 1, 3 or 7 entries: _parts splits a part of
 # under 16 entries at 0, so parts that small would recurse without end
 _NODE_ENTRIES = 1 << 16
+
+
+def _half(n: int) -> int:
+    """Where numpy's pairwise sum splits ``n`` entries: the sum of the first ``half`` plus
+    that of the rest."""
+    return n // 2 - n // 2 % 8
+
+
+def _parts(n: int, start: int = 0) -> Iterator[tuple[int, int]]:
+    """``(start, length)`` of each part, in order, of numpy's pairwise tree over entries
+    ``start`` to ``start + n``, cut at parts of at most ``_NODE_ENTRIES``."""
+    if n <= _NODE_ENTRIES:
+        yield start, n
+        return
+    half = _half(n)
+    yield from _parts(half, start)
+    yield from _parts(n - half, start + half)
+
+
+def _tree_sum(n: int, sums: Iterator):
+    """The sums of :func:`_parts`' parts of ``n`` entries, taken from ``sums`` in order and
+    added as the tree adds them: floats, or float64 vectors added entry by entry."""
+    if n <= _NODE_ENTRIES:
+        return next(sums)
+    half = _half(n)
+    return _tree_sum(half, sums) + _tree_sum(n - half, sums)
 
 
 def _sum_of_products(x: np.ndarray, y: np.ndarray) -> float:
@@ -59,66 +86,90 @@ def _sum_of_products(x: np.ndarray, y: np.ndarray) -> float:
     sum, added to +0.0, which changes only a -0.0 that numpy's own +0.0 start turns to +0.0
     too) from one reused buffer, and adds the parts as the tree does. BLAS-backed dot
     products would not fix the order across thread counts."""
-    return _node_sum(x, y, np.empty(min(len(x), _NODE_ENTRIES)), 0, len(x))
+    buf = np.empty(min(len(x), _NODE_ENTRIES))
+    sums = (np.add.reduce(np.multiply(x[a:a + k], y[a:a + k], out=buf[:k])) for a, k in _parts(len(x)))
+    return float(_tree_sum(len(x), sums))
 
 
-def _node_sum(x: np.ndarray, y: np.ndarray, buf: np.ndarray, start: int, n: int) -> float:
-    if n <= _NODE_ENTRIES:
-        return float(np.add.reduce(np.multiply(x[start:start + n], y[start:start + n], out=buf[:n])))
-    half = n // 2 - n // 2 % 8
-    return _node_sum(x, y, buf, start, half) + _node_sum(x, y, buf, start + half, n - half)
+def _part_products(xs: Sequence[np.ndarray], means: Sequence[float], pairs: Sequence[tuple[int, int]],
+                   part: tuple[int, int]) -> np.ndarray:
+    """For each ``(i, j)`` of ``pairs``, the sum over one part of the products of ``xs[i]``'s
+    and ``xs[j]``'s float64 deviations from ``means``. Every deviation of the part is taken
+    once, into one ``len(xs) x part`` buffer, and each product through one reused buffer."""
+    start, k = part
+    deviations = np.empty((len(xs), k))
+    for row, x, mean in zip(deviations, xs, means):
+        np.subtract(x[start:start + k], mean, out=row, dtype=np.float64)
+    product = np.empty(k)
+    return np.array([np.add.reduce(np.multiply(deviations[i], deviations[j], out=product)) for i, j in pairs])
 
 
-def _deviations(x: np.ndarray, dx: np.ndarray) -> float:
-    """Write ``x``'s float64 deviations from its mean into ``dx`` and return their sum of
-    squares. From the last node down: where a float32 ``x`` lies in ``dx``'s first half, a
-    node's deviations overwrite only entries already read, and numpy copies the node's own
-    inputs first where they overlap its output."""
-    mean = np.sum(x, dtype=np.float64) / len(x)
-    for start in reversed(range(0, len(x), _NODE_ENTRIES)):
-        node = slice(start, start + _NODE_ENTRIES)
-        np.subtract(x[node], mean, out=dx[node], dtype=np.float64)
-    return _sum_of_products(dx, dx)
+def _centred_products(xs: Sequence[np.ndarray], means: Sequence[float], pairs: Sequence[tuple[int, int]],
+                      map_jobs: Callable = map) -> np.ndarray:
+    """For each ``(i, j)`` of ``pairs``, the sum of the products of ``xs[i]``'s and
+    ``xs[j]``'s float64 deviations from ``means``, the flat ``xs`` all of one length: an
+    ``(i, i)`` gives a sum of squares. Each equals :func:`_sum_of_products` of those
+    deviations, and so ``np.sum(dx * dy)``, bit for bit: ``map_jobs`` (results in order)
+    takes one part of its tree at a time, and the parts' vectors are added in tree order.
+    No deviation is held beyond its part."""
+    n = len(xs[0])
+    return _tree_sum(n, map_jobs(partial(_part_products, xs, means, pairs), _parts(n)))
 
 
-def _center(x: np.ndarray, dx: np.ndarray | None = None) -> tuple[np.ndarray, float]:
-    """Float64 deviations from the mean, written into ``dx`` if given, and their sum of
-    squares. A float32 ``x`` may lie in the first half of a float64 ``dx``, which then
-    overwrites it. A nonzero sum outside [2**-500, 2**500] is taken again from ``x`` scaled
-    exactly by a power of two to a peak in [0.5, 1): the scale cancels in a correlation,
-    and a product of two such sums stays normal. Only an ``x`` wider than 4 bytes needs
-    that: the finite squares of a narrower one sum inside the range, and a non-finite
-    one would be scaled by 2**0.
+def _mean(x: np.ndarray) -> float:
+    """The mean of the flat ``x``, summed in float64: that of each update, for its
+    deviations, and of its magnitudes, for importance."""
+    return np.sum(x, dtype=np.float64) / len(x)
 
-    A vector whose entries are all equal has deviations of exactly 0: its
-    computed mean may be off by rounding, so a sum of squares small enough to
-    be that rounding is followed by an exact check."""
-    x0 = float(x[0])  # before dx may overwrite x
-    if dx is None:
-        dx = np.empty(len(x))
+
+def _deviations(x: np.ndarray) -> tuple[np.ndarray, float]:
+    """``x``'s float64 deviations from its mean and their sum of squares."""
+    dx = np.subtract(x, _mean(x), dtype=np.float64)
+    return dx, _sum_of_products(dx, dx)
+
+
+def _rescaled(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+    """``x``, its float64 deviations from its mean and their sum of squares. A nonzero sum
+    outside [2**-500, 2**500] is taken again from ``x`` scaled exactly by a power of two to
+    a peak in [0.5, 1), and that ``x`` is returned: the scale cancels in a correlation, and
+    a product of two such sums stays normal. Only an ``x`` wider than 4 bytes needs that:
+    the finite squares of a narrower one sum inside the range, and a non-finite one would
+    be scaled by 2**0."""
     with np.errstate(over="ignore", invalid="ignore"):
-        var = _deviations(x, dx)
+        dx, var = _deviations(x)
     if x.itemsize > 4 and not 2.0**-500 <= var <= 2.0**500 and dx.any():
         x = x.astype(np.float64)
         x = np.ldexp(x, -np.frexp(np.max(np.abs(x)))[1])
-        x0 = float(x[0])
-        var = _deviations(x, dx)
-    # a constant vector's deviations are rounding, far under 2**-30 of its entries: only
-    # a sum of squares that small is worth the exact check's pass. Entries whose deviations
-    # all equal d agree to within 2**-52 |d|, so each lies within a factor of 2 of their
-    # computed mean m (or m is 0), where x - m is exact (Sterbenz): each is m + d, so equal
-    # deviations mean equal entries, and the check reads dx, not the overwritten x
-    if math.sqrt(var / len(dx)) <= 2.0**-30 * abs(x0) and np.all(dx == dx[0]):
+        dx, var = _deviations(x)
+    return x, dx, var
+
+
+def _constant(x: np.ndarray, var: float) -> bool:
+    """Whether the entries of ``x``, whose deviations from its mean have the sum of squares
+    ``var``, are all equal. Its computed mean may be off by rounding, so the deviations of
+    a constant ``x`` need not be 0; they are far under 2**-30 of its entries, and only a
+    sum of squares that small is worth the exact check's pass. Entries whose deviations
+    all equal d agree to within 2**-52 |d|, so each lies within a factor of 2 of their
+    computed mean m (or m is 0), where x - m is exact (Sterbenz): each is m + d, so equal
+    deviations mean equal entries, and the check reads ``x``, not its deviations."""
+    return math.sqrt(var / len(x)) <= 2.0**-30 * abs(float(x[0])) and bool(np.all(x == x[0]))
+
+
+def _center(x: np.ndarray) -> tuple[np.ndarray, float]:
+    """Float64 deviations from the mean and their sum of squares, as :func:`_rescaled`
+    takes them; a vector whose entries are all equal has deviations of exactly 0."""
+    x, dx, var = _rescaled(x)
+    if _constant(x, var):
         return np.zeros_like(dx), 0.0
     return dx, var
 
 
-def _pearson_centered(dx: np.ndarray, var_x: float, dy: np.ndarray, var_y: float) -> float:
+def _rho(product: float, var_x: float, var_y: float) -> float:
+    """|rho| from a pair's sum of products of deviations and each one's sum of squares."""
     if var_x == 0.0 or var_y == 0.0:
         return 0.0
     # sqrt(v*v) == v, so x == y lands exactly on 1
-    rho = _sum_of_products(dx, dy) / np.sqrt(var_x * var_y)
-    return min(abs(float(rho)), 1.0)
+    return min(abs(float(product / np.sqrt(var_x * var_y))), 1.0)
 
 
 _Signs = tuple[np.ndarray, np.ndarray, int]
@@ -153,7 +204,8 @@ def pearson_abs(x: np.ndarray, y: np.ndarray) -> float:
     x, y = _check_pair(x, y)
     if len(x) == 0:
         raise ValueError("vectors must hold at least one element")
-    return _pearson_centered(*_center(x), *_center(y))
+    (dx, var_x), (dy, var_y) = _center(x), _center(y)
+    return _rho(_sum_of_products(dx, dy), var_x, var_y)
 
 
 def sign_disagreement(x: np.ndarray, y: np.ndarray) -> float:
@@ -189,28 +241,29 @@ def task_order_sum(rows: Iterable, shape: int | tuple[int, ...], dtype=np.float6
     return total
 
 
-_TaskScores = tuple[float, "tuple[np.ndarray, float] | None", "_Signs | None"]
+# a task's flat update, the mean its deviations are taken from, its mean magnitude where
+# already taken, and its packed signs where it is paired
+_Task = tuple[np.ndarray, float, "float | None", "_Signs | None"]
 
 
-def _task_scores(update: Callable[[np.ndarray], np.ndarray], n: int, paired: bool) -> _TaskScores:
-    """One task's mean magnitude and, if it is ``paired`` with others, its deviations and
-    packed signs. ``update(dx)`` returns the task's flat update of ``n`` entries, and may
-    lay it, as float32, in the first half of ``dx``, the float64 array that becomes the
-    deviations. The magnitudes are taken into the bytes of ``dx`` that the update leaves
-    free, so a job holds ``dx`` and bool masks for the signs, not a raw update beside
-    its deviations."""
-    dx = np.empty(n)
-    x = update(dx)
-    if not n:
-        return 0.0, None, None
+def _task(update: Callable[[np.ndarray], np.ndarray], n: int, paired: bool) -> _Task:
+    """One task's update of ``n`` entries, built by ``update`` into a float32 array of its
+    own, and, if it is ``paired`` with others, its mean and packed signs. Its magnitudes
+    are taken in its place once the pairs are scored. An update wider than float32, which
+    only :func:`layer_conflict`'s task vectors give, has its mean magnitude taken here and
+    is kept as :func:`_rescaled` gives it."""
+    x = update(np.empty(n, np.float32))
     signs = _signs(x) if paired else None
-    magnitude = dx.view(np.uint8)[dx.nbytes - x.nbytes:].view(x.dtype)
-    importance = np.sum(np.abs(x, out=magnitude), dtype=np.float64) / n
-    return importance, _center(x, dx) if paired else None, signs
+    importance = None
+    if x.itemsize > 4:
+        importance = _mean(np.abs(x))
+        x = _rescaled(x)[0] if paired else x
+    return x, _mean(x) if paired else 0.0, importance, signs
 
 
-def _pair_scores(x: _TaskScores, y: _TaskScores) -> tuple[float, float]:
-    return _pearson_centered(*x[1], *y[1]), _disagreement(x[2], y[2])
+def _mean_magnitude(task: _Task) -> float:
+    x, _, importance, _ = task
+    return _mean(np.abs(x, out=x)) if importance is None else importance
 
 
 _Layer = tuple[Callable, int, Sequence[Callable[[np.ndarray], np.ndarray]]]
@@ -219,29 +272,39 @@ _Layer = tuple[Callable, int, Sequence[Callable[[np.ndarray], np.ndarray]]]
 def _score_layer(layer: _Layer, task_pairs: Sequence[tuple[int, int]]) -> tuple[float, list[float], list[float]]:
     """Importance, then |rho| and sign disagreement per task pair, of one layer group.
 
-    Each task's job builds its flat update and keeps its mean magnitude, deviations and
-    packed signs; each pair's job scores it from those.
+    Each task's job builds its flat update and keeps it with its mean and packed signs.
+    Every task's deviations are then taken one part of the sums' tree at a time, for the
+    sums of squares and the pair products; each pair's job counts its opposite signs, and
+    each task's takes its magnitudes in its update's place.
     """
     map_jobs, n, updates = layer
-    scores = list(map_jobs(lambda update: _task_scores(update, n, bool(task_pairs)), updates))
-    importance = float(task_order_sum((mean for mean, _, _ in scores), ())) / len(scores)
-    if not task_pairs or not n:
-        return importance, [0.0] * len(task_pairs), [0.0] * len(task_pairs)
-    rho, dis = zip(*map_jobs(lambda pair: _pair_scores(scores[pair[0]], scores[pair[1]]), task_pairs))
-    return importance, list(rho), list(dis)
+    if not n:
+        return 0.0, [0.0] * len(task_pairs), [0.0] * len(task_pairs)
+    tasks = list(map_jobs(lambda update: _task(update, n, bool(task_pairs)), updates))
+    rho, dis = [], []
+    if task_pairs:
+        xs, means, _, signs = zip(*tasks)
+        squares = [(t, t) for t in range(len(tasks))]
+        sums = _centred_products(xs, means, squares + list(task_pairs), map_jobs)
+        var = [0.0 if _constant(x, v) else v for x, v in zip(xs, sums)]
+        rho = [_rho(product, var[i], var[j]) for (i, j), product in zip(task_pairs, sums[len(tasks):])]
+        dis = list(map_jobs(lambda pair: _disagreement(signs[pair[0]], signs[pair[1]]), task_pairs))
+    importance = float(task_order_sum(map_jobs(_mean_magnitude, tasks), ())) / len(tasks)
+    return importance, rho, dis
 
 
 def score_layers(layer_ids: Sequence[str], n_tasks: int, layers: Iterable[_Layer]) -> ConflictReport:
     """Score each layer group's per-task updates, in ``layer_ids`` order.
 
     ``layers`` yields one ``(map_jobs, n, updates)`` per group of ``n`` entries.
-    ``updates`` holds one function per task, in task order: given a float64 array of
-    ``n`` entries, it returns the task's flat update, which it may lay as float32 in
-    that array's first half. ``map_jobs`` maps a function over a sequence as the builtin
-    ``map`` does, results in order; a thread pool's ``map`` runs the tasks, then the
-    pairs, side by side. Every sum a job takes is its own, so the scores do not depend
-    on ``map_jobs``. Each group is dropped before the next is taken, so memory grows
-    with the largest group, not the model.
+    ``updates`` holds one function per task, in task order: given a float32 array of
+    ``n`` entries, it returns the task's flat update, which it may build in that array,
+    and which is then scoring's to overwrite. ``map_jobs`` maps a function over a
+    sequence as the builtin ``map`` does, results in order; a thread pool's ``map`` runs
+    the tasks, the parts of the sums' tree and the pairs side by side. Every sum a job
+    takes is its own, and the parts' sums are added in the tree's order, so the scores do
+    not depend on ``map_jobs``. Each group is dropped before the next is taken, so memory
+    grows with the largest group, not the model.
     """
     n_layers = len(layer_ids)
     task_pairs = tuple(combinations(range(n_tasks), 2))

@@ -3,6 +3,7 @@ from __future__ import annotations
 import math
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -20,7 +21,8 @@ from malsmerge import (
 )
 from malsmerge.archive import tensor_shapes
 from malsmerge.conflict import (
-    _NODE_ENTRIES, _center, _disagreement, _signs, _sum_of_products, layer_conflict, score_layers,
+    _NODE_ENTRIES, _center, _centred_products, _disagreement, _signs, _sum_of_products, layer_conflict,
+    score_layers,
 )
 from malsmerge.grouping import member_offsets
 from malsmerge.merging import plan
@@ -324,9 +326,7 @@ def _center_reference(x):
 
 
 @pytest.mark.parametrize("n", SUM_LENGTHS)
-def test_center_equals_the_whole_layer_formulas_also_in_place(n):
-    # in place, the float32 update lies in the first half of the float64 buffer that its
-    # deviations overwrite; the constant check then reads the deviations, not the update
+def test_center_equals_the_whole_layer_formulas(n):
     rng = np.random.default_rng(n + 1)
     varied = (rng.standard_normal(n) * 0.02 + 0.001).astype(np.float32)
     near_constant = np.full(n, 0.1, np.float32)
@@ -335,16 +335,53 @@ def test_center_equals_the_whole_layer_formulas_also_in_place(n):
     tiny[-1] = 0.0
     for x in (varied, near_constant, np.full(n, np.float32(1 / 3)), tiny):
         expected_dx, expected_var = _center_reference(x)
-        room = np.empty(n)
-        room.view(np.float32)[:n] = x
-        for dx, var in (_center(x), _center(room.view(np.float32)[:n], room)):
-            assert dx.tobytes() == expected_dx.tobytes() and var == expected_var
+        dx, var = _center(x)
+        assert dx.tobytes() == expected_dx.tobytes() and var == expected_var
+
+
+@pytest.mark.parametrize("tasks", [1, 2, 3, 5])
+@pytest.mark.parametrize("n", [n for n in SUM_LENGTHS if n <= 400_000])
+def test_centred_products_equal_numpy_sums_bit_for_bit(n, tasks):
+    # one walk over the tree's parts gives every sum of squares and pair product that
+    # np.sum(dx * dy) gives over the whole layer's deviations, through either map
+    rng = np.random.default_rng(n + tasks)
+    xs = [(rng.standard_normal(n) * rng.uniform(1e-3, 1e3, n)).astype(np.float32) for _ in range(tasks)]
+    means = [np.sum(x, dtype=np.float64) / n for x in xs]
+    pairs = [(t, t) for t in range(tasks)] + list(combinations(range(tasks), 2))
+    devs = [_center_reference(x)[0] for x in xs]
+    expected = [float(np.sum(devs[i] * devs[j])) for i, j in pairs]
+    assert [float(v) for v in _centred_products(xs, means, pairs)] == expected
+    with ThreadPoolExecutor(2) as pool:
+        assert [float(v) for v in _centred_products(xs, means, pairs, pool.map)] == expected
+
+
+@pytest.mark.parametrize("n", [8, 128, 8192, 8193, _NODE_ENTRIES, 3 * _NODE_ENTRIES + 5])
+def test_score_layers_equals_the_public_kernels_per_pair(n):
+    # a constant task and an all-zero task among five: their |rho| is exactly 0, and every
+    # other pair's scores equal pearson_abs's and sign_disagreement's on the same updates.
+    # The constant is float64, whose mean rounds (a float32 one's is exact), and a float64
+    # task at 1e-170 takes the power-of-two rescale
+    rng = np.random.default_rng(n)
+    xs = [rng.standard_normal(n).astype(np.float32), np.full(n, 0.1), rng.standard_normal(n).astype(np.float32),
+          rng.standard_normal(n) * 1e-170, np.zeros(n, np.float32)]
+
+    updates = [lambda _, x=x: x.copy() for x in xs]  # scoring may overwrite what it is given
+    importance = float(sum(np.sum(np.abs(x), dtype=np.float64) / n for x in xs)) / len(xs)
+    with ThreadPoolExecutor(2) as pool:
+        for map_jobs in (map, pool.map):
+            report = score_layers(["l"], len(xs), [(map_jobs, n, updates)])
+            for k, (i, j) in enumerate(report.task_pairs):
+                assert report.rho_abs[k, 0] == pearson_abs(xs[i], xs[j])
+                assert report.sign_disagreement[k, 0] == sign_disagreement(xs[i], xs[j])
+                if {i, j} & {1, 4}:
+                    assert report.rho_abs[k, 0] == 0.0
+            assert report.importance[0] == importance
 
 
 def test_score_layers_takes_each_layer_as_a_one_shot_iterator():
     # each layer is (map_jobs, entries, a function per task building its update). Updates
-    # laid in the deviations' own buffer, through a thread pool's map running tasks and
-    # pairs side by side, score as fresh flats through the builtin map do
+    # built in the buffer each is given, through a thread pool's map running tasks, parts
+    # and pairs side by side, score as fresh flats through the builtin map do
     base, tuned = synthesize_checkpoints(5, 3, 1000, 4, [0.9, 0.5, 0.1])
     tvs = [compute_task_vector(base, t, f"t{i}") for i, t in enumerate(tuned)]
     grouping = group_layers(base)

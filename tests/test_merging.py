@@ -849,19 +849,22 @@ def test_disjoint_merge_holds_one_contributor_mask_at_a_time(election):
     assert (peak(8) - peak(2)) / (6 * n) < 0.5
 
 
-def test_plan_memory_per_added_task_is_deviations_and_packed_signs(tmp_path):
-    # pass 1 keeps per task only its float64 deviations (8 bytes an entry) and two
-    # packed sign masks (0.25): no raw update outlives its own scoring
+def test_plan_memory_per_added_task_is_its_float32_update_and_packed_signs(tmp_path, monkeypatch):
+    # pass 1 keeps per task only its float32 update (4 bytes an entry) and two packed sign
+    # masks (0.25): its deviations live one part of the sums' tree at a time, a part here
+    # being 4,096 entries, so that the part buffers are no cost per entry
+    monkeypatch.setattr(conflict, "_NODE_ENTRIES", 4096)
     small = _peak_bytes(tmp_path / "small", 4, _plan, num_tasks=2)
     large = _peak_bytes(tmp_path / "large", 4, _plan, num_tasks=8)
-    assert (large - small) / (6 * 50_000) <= 9.5
+    assert (large - small) / (6 * 50_000) <= 5.0
 
 
 @pytest.mark.parametrize("phase", ["plan", "pass 2"])
 def test_memory_grows_by_at_most_one_raw_update_per_added_worker(tmp_path, monkeypatch, phase):
-    # a task's job holds beyond what it keeps at most one raw update (pass 1's deviations
-    # take the update's own buffer; pass 2 trims the update in place beside its
-    # magnitudes) and slice-sized temporaries: never a layer-sized temporary per worker
+    # a task's job holds beyond what it keeps at most one raw update (pass 1 takes its
+    # deviations a part at a time and its magnitudes in the update's place; pass 2 trims the
+    # update in place beside its magnitudes) and slice- or part-sized temporaries: never a
+    # layer-sized temporary per worker
     import concurrent.futures  # noqa: F401  merge() imports it on first use: not while traced
 
     monkeypatch.setattr(merging, "_SLICE_ENTRIES", 4096)
@@ -887,12 +890,12 @@ def test_memory_grows_by_at_most_one_raw_update_per_added_worker(tmp_path, monke
 
 # bytes per entry of a layer group that each pass may hold beyond its fixed cost, at T tasks
 # with ``jobs`` task jobs in flight. Pass 1 keeps the group's base (4) and, per task, its
-# float64 deviations and two packed sign masks (8.25); each job in flight reads one raw member,
-# half the group in these sets, with its bool finiteness mask (2.5). Pass 2 keeps the base (4)
+# float32 update and two packed sign masks (4.25); each job in flight reads one raw member,
+# half the group in these sets (2.0). Pass 2 keeps the base (4)
 # and each task's trimmed float32 update (4); each trim in flight holds its magnitudes (4).
 # Averaging holds slices alone.
 _PASS_BUDGETS = {
-    ("mals", "plan"): lambda tasks, jobs: 4 + 8.25 * tasks + 2.5 * jobs,
+    ("mals", "plan"): lambda tasks, jobs: 4 + 4.25 * tasks + 2.0 * jobs,
     ("mals", "pass 2"): lambda tasks, jobs: 4 + 4 * tasks + 4 * jobs,
     ("simple_average", "plan"): lambda tasks, jobs: 0,
     ("simple_average", "pass 2"): lambda tasks, jobs: 0,
