@@ -19,8 +19,8 @@ import numpy as np
 
 from .archive import tensor_shapes
 from .errors import ValidationError
-from .grouping import LayerGrouping, flatten_group, member_offsets
-from .task_vectors import TaskVector
+from .grouping import LayerGrouping, member_offsets
+from .task_vectors import TaskVector, layer_updates, require_compatible
 
 
 @dataclass(frozen=True)
@@ -77,20 +77,6 @@ def _tree_sum(n: int, sums: Iterator):
     return _tree_sum(half, sums) + _tree_sum(n - half, sums)
 
 
-def _sum_of_products(x: np.ndarray, y: np.ndarray) -> float:
-    """``np.sum(x * y)`` bit for bit, for flat float64 ``x`` and ``y``, without the ``x * y``
-    temporary. numpy hands a contiguous float64 vector of ``n`` entries to one pairwise sum:
-    the sum of its first ``n2 = n // 2 - n // 2 % 8`` entries plus that of the rest, each
-    split the same way down to 128 entries. This takes the same tree, stops it at parts of
-    at most ``_NODE_ENTRIES``, reduces each part with ``np.add.reduce`` (the same pairwise
-    sum, added to +0.0, which changes only a -0.0 that numpy's own +0.0 start turns to +0.0
-    too) from one reused buffer, and adds the parts as the tree does. BLAS-backed dot
-    products would not fix the order across thread counts."""
-    buf = np.empty(min(len(x), _NODE_ENTRIES))
-    sums = (np.add.reduce(np.multiply(x[a:a + k], y[a:a + k], out=buf[:k])) for a, k in _parts(len(x)))
-    return float(_tree_sum(len(x), sums))
-
-
 def _part_products(xs: Sequence[np.ndarray], means: Sequence[float], pairs: Sequence[tuple[int, int]],
                    part: tuple[int, int]) -> np.ndarray:
     """For each ``(i, j)`` of ``pairs``, the sum over one part of the products of ``xs[i]``'s
@@ -108,10 +94,13 @@ def _centred_products(xs: Sequence[np.ndarray], means: Sequence[float], pairs: S
                       map_jobs: Callable = map) -> np.ndarray:
     """For each ``(i, j)`` of ``pairs``, the sum of the products of ``xs[i]``'s and
     ``xs[j]``'s float64 deviations from ``means``, the flat ``xs`` all of one length: an
-    ``(i, i)`` gives a sum of squares. Each equals :func:`_sum_of_products` of those
-    deviations, and so ``np.sum(dx * dy)``, bit for bit: ``map_jobs`` (results in order)
-    takes one part of its tree at a time, and the parts' vectors are added in tree order.
-    No deviation is held beyond its part."""
+    ``(i, i)`` gives a sum of squares. Each equals ``np.sum(dx * dy)`` over the whole
+    deviations, bit for bit: numpy sums a contiguous float64 vector pairwise, split at
+    :func:`_half` down to 128 entries, and this takes the same tree, reduces each of
+    :func:`_parts` with ``np.add.reduce`` (the same pairwise sum, added to +0.0, which changes
+    only a -0.0 that numpy's own +0.0 start turns to +0.0 too) and adds the parts' vectors in
+    tree order. ``map_jobs`` (results in order) takes one part at a time, so no deviation is
+    held beyond its part. BLAS-backed dot products would not fix the order across threads."""
     n = len(xs[0])
     return _tree_sum(n, map_jobs(partial(_part_products, xs, means, pairs), _parts(n)))
 
@@ -122,26 +111,12 @@ def _mean(x: np.ndarray) -> float:
     return np.sum(x, dtype=np.float64) / len(x)
 
 
-def _deviations(x: np.ndarray) -> tuple[np.ndarray, float]:
-    """``x``'s float64 deviations from its mean and their sum of squares."""
-    dx = np.subtract(x, _mean(x), dtype=np.float64)
-    return dx, _sum_of_products(dx, dx)
-
-
-def _rescaled(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
-    """``x``, its float64 deviations from its mean and their sum of squares. A nonzero sum
-    outside [2**-500, 2**500] is taken again from ``x`` scaled exactly by a power of two to
-    a peak in [0.5, 1), and that ``x`` is returned: the scale cancels in a correlation, and
-    a product of two such sums stays normal. Only an ``x`` wider than 4 bytes needs that:
-    the finite squares of a narrower one sum inside the range, and a non-finite one would
-    be scaled by 2**0."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        dx, var = _deviations(x)
-    if x.itemsize > 4 and not 2.0**-500 <= var <= 2.0**500 and dx.any():
-        x = x.astype(np.float64)
-        x = np.ldexp(x, -np.frexp(np.max(np.abs(x)))[1])
-        dx, var = _deviations(x)
-    return x, dx, var
+def _rescaled(x: np.ndarray) -> tuple[np.ndarray, float]:
+    """``x`` scaled exactly by a power of two to a peak in [0.5, 1), and its mean: the scale
+    cancels in a correlation, and a product of two such sums of squares stays normal."""
+    x = x.astype(np.float64)
+    x = np.ldexp(x, -np.frexp(np.max(np.abs(x)))[1])
+    return x, _mean(x)
 
 
 def _constant(x: np.ndarray, var: float) -> bool:
@@ -153,15 +128,6 @@ def _constant(x: np.ndarray, var: float) -> bool:
     computed mean m (or m is 0), where x - m is exact (Sterbenz): each is m + d, so equal
     deviations mean equal entries, and the check reads ``x``, not its deviations."""
     return math.sqrt(var / len(x)) <= 2.0**-30 * abs(float(x[0])) and bool(np.all(x == x[0]))
-
-
-def _center(x: np.ndarray) -> tuple[np.ndarray, float]:
-    """Float64 deviations from the mean and their sum of squares, as :func:`_rescaled`
-    takes them; a vector whose entries are all equal has deviations of exactly 0."""
-    x, dx, var = _rescaled(x)
-    if _constant(x, var):
-        return np.zeros_like(dx), 0.0
-    return dx, var
 
 
 def _rho(product: float, var_x: float, var_y: float) -> float:
@@ -204,8 +170,21 @@ def pearson_abs(x: np.ndarray, y: np.ndarray) -> float:
     x, y = _check_pair(x, y)
     if len(x) == 0:
         raise ValueError("vectors must hold at least one element")
-    (dx, var_x), (dy, var_y) = _center(x), _center(y)
-    return _rho(_sum_of_products(dx, dy), var_x, var_y)
+    xs, pairs = [x, y], [(0, 0), (1, 1), (0, 1)]
+    with np.errstate(over="ignore", invalid="ignore"):
+        means = [_mean(x), _mean(y)]
+        sums = _centred_products(xs, means, pairs)
+    # a nonzero sum of squares outside [2**-500, 2**500] is taken again from a rescaled
+    # copy. Only an input wider than 4 bytes needs that: the finite squares of a narrower
+    # one sum inside the range, and a non-finite one would be scaled by 2**0
+    wide = [t for t in (0, 1) if xs[t].itemsize > 4 and not 2.0**-500 <= sums[t] <= 2.0**500
+            and np.any(xs[t] != means[t])]
+    for t in wide:
+        xs[t], means[t] = _rescaled(xs[t])
+    if wide:
+        sums = _centred_products(xs, means, pairs)
+    var_x, var_y, product = sums
+    return _rho(product, *(0.0 if _constant(v, var) else var for v, var in zip(xs, (var_x, var_y))))
 
 
 def sign_disagreement(x: np.ndarray, y: np.ndarray) -> float:
@@ -227,6 +206,7 @@ def _check_names(task_vectors: Sequence[TaskVector], grouping: LayerGrouping) ->
             raise ValidationError(
                 f"task vector {tv.label!r} keys do not match the grouping's name set"
             )
+        require_compatible(task_vectors[0].deltas, tv.deltas, f"task vector {tv.label!r}")
 
 
 def task_order_sum(rows: Iterable, shape: int | tuple[int, ...], dtype=np.float64) -> np.ndarray:
@@ -241,29 +221,21 @@ def task_order_sum(rows: Iterable, shape: int | tuple[int, ...], dtype=np.float6
     return total
 
 
-# a task's flat update, the mean its deviations are taken from, its mean magnitude where
-# already taken, and its packed signs where it is paired
-_Task = tuple[np.ndarray, float, "float | None", "_Signs | None"]
+# a task's flat float32 update, the mean its deviations are taken from, and its packed
+# signs where it is paired
+_Task = tuple[np.ndarray, float, "_Signs | None"]
 
 
 def _task(update: Callable[[np.ndarray], np.ndarray], n: int, paired: bool) -> _Task:
     """One task's update of ``n`` entries, built by ``update`` into a float32 array of its
     own, and, if it is ``paired`` with others, its mean and packed signs. Its magnitudes
-    are taken in its place once the pairs are scored. An update wider than float32, which
-    only :func:`layer_conflict`'s task vectors give, has its mean magnitude taken here and
-    is kept as :func:`_rescaled` gives it."""
+    are taken in its place once the pairs are scored."""
     x = update(np.empty(n, np.float32))
-    signs = _signs(x) if paired else None
-    importance = None
-    if x.itemsize > 4:
-        importance = _mean(np.abs(x))
-        x = _rescaled(x)[0] if paired else x
-    return x, _mean(x) if paired else 0.0, importance, signs
+    return x, _mean(x) if paired else 0.0, _signs(x) if paired else None
 
 
 def _mean_magnitude(task: _Task) -> float:
-    x, _, importance, _ = task
-    return _mean(np.abs(x, out=x)) if importance is None else importance
+    return _mean(np.abs(task[0], out=task[0]))
 
 
 _Layer = tuple[Callable, int, Sequence[Callable[[np.ndarray], np.ndarray]]]
@@ -283,7 +255,7 @@ def _score_layer(layer: _Layer, task_pairs: Sequence[tuple[int, int]]) -> tuple[
     tasks = list(map_jobs(lambda update: _task(update, n, bool(task_pairs)), updates))
     rho, dis = [], []
     if task_pairs:
-        xs, means, _, signs = zip(*tasks)
+        xs, means, signs = zip(*tasks)
         squares = [(t, t) for t in range(len(tasks))]
         sums = _centred_products(xs, means, squares + list(task_pairs), map_jobs)
         var = [0.0 if _constant(x, v) else v for x, v in zip(xs, sums)]
@@ -298,8 +270,8 @@ def score_layers(layer_ids: Sequence[str], n_tasks: int, layers: Iterable[_Layer
 
     ``layers`` yields one ``(map_jobs, n, updates)`` per group of ``n`` entries.
     ``updates`` holds one function per task, in task order: given a float32 array of
-    ``n`` entries, it returns the task's flat update, which it may build in that array,
-    and which is then scoring's to overwrite. ``map_jobs`` maps a function over a
+    ``n`` entries, it returns the task's flat float32 update, which it may build in that
+    array, and which is then scoring's to overwrite. ``map_jobs`` maps a function over a
     sequence as the builtin ``map`` does, results in order; a thread pool's ``map`` runs
     the tasks, the parts of the sums' tree and the pairs side by side. Every sum a job
     takes is its own, and the parts' sums are added in the tree's order, so the scores do
@@ -328,14 +300,18 @@ def layer_conflict(task_vectors: Sequence[TaskVector], grouping: LayerGrouping) 
 
     With a single task there are no pairs and conflict is zero everywhere,
     deferring the allocation entirely to importance. A layer group with no
-    elements scores 0 conflict and 0 importance.
+    elements scores 0 conflict and 0 importance. Each update is built as
+    :func:`merging.plan` builds it, over an all-zero base, so it is stored at
+    32-bit: a delta beyond float32's range raises :class:`ValidationError`.
     """
     _check_names(task_vectors, grouping)
     shapes = tensor_shapes(task_vectors[0].deltas)
+    zeros = {name: np.broadcast_to(np.float32(0), shape) for name, shape in shapes.items()}
+    deltas = [tv.deltas for tv in task_vectors]
 
     def layer(members: Sequence[str]) -> _Layer:
-        n = member_offsets(shapes, members)[-1]
-        return map, n, [lambda _, tv=tv: flatten_group(tv.deltas, members) for tv in task_vectors]
+        offsets = member_offsets(shapes, members)
+        return map, offsets[-1], layer_updates(zeros, deltas, members, offsets)
 
     layers = (layer(members) for _, members in grouping.groups)
     return score_layers(grouping.layer_ids, len(task_vectors), layers)

@@ -21,8 +21,7 @@ from malsmerge import (
 )
 from malsmerge.archive import tensor_shapes
 from malsmerge.conflict import (
-    _NODE_ENTRIES, _center, _centred_products, _disagreement, _signs, _sum_of_products, layer_conflict,
-    score_layers,
+    _NODE_ENTRIES, _centred_products, _constant, _disagreement, _mean, _signs, layer_conflict, score_layers,
 )
 from malsmerge.grouping import member_offsets
 from malsmerge.merging import plan
@@ -69,6 +68,15 @@ class TestPearsonAbs:
         y = np.arange(n, dtype=np.float64) ** 2
         assert pearson_abs(np.full(n, value, dtype), y) == 0.0
         assert pearson_abs(y, np.full(n, value, dtype)) == 0.0
+
+    @pytest.mark.parametrize("n", [2, 3, 7, 100, 1001, 12345])
+    @pytest.mark.parametrize("value", [1e308, -1e308, np.finfo(np.float64).max])
+    def test_constant_vector_whose_sum_overflows_returns_exactly_zero(self, n, value):
+        # the mean's sum overflows to inf: it is taken with overflow ignored, and the copy
+        # rescaled by a power of two is found constant, with no warning
+        y = np.arange(n, dtype=np.float64) ** 2
+        assert pearson_abs(np.full(n, value), y) == 0.0
+        assert pearson_abs(y, np.full(n, value)) == 0.0
 
     def test_near_constant_vector_keeps_its_correlation(self):
         # one ulp apart: small enough for the exact check, which finds it not constant
@@ -151,6 +159,23 @@ def test_disagreement_counts_the_whole_opposite_sign_mask(n):
     (pos_x, neg_x, nonzero_x), (pos_y, neg_y, nonzero_y) = sx, sy = _signs(x), _signs(y)
     opposite = np.count_nonzero(np.unpackbits((pos_x & neg_y) | (neg_x & pos_y)))
     assert _disagreement(sx, sy) == 2.0 * opposite / (nonzero_x + nonzero_y)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_pearson_abs_holds_no_deviations_per_entry(dtype):
+    # the sums are taken a part at a time, so the peak does not grow with the vectors:
+    # whole float64 deviations of both would add 16 bytes an entry
+    peaks = {}
+    for n in (250_000, 1_000_000):
+        rng = np.random.default_rng(n)
+        x, y = (rng.standard_normal(n).astype(dtype) for _ in range(2))
+        tracemalloc.start()
+        try:
+            pearson_abs(x, y)
+            peaks[n] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert (peaks[1_000_000] - peaks[250_000]) / 750_000 < 1.0
 
 
 def test_disagreement_holds_no_byte_per_entry():
@@ -306,13 +331,16 @@ SUM_LENGTHS = sorted({1, 7, 8, 9, 127, 128, 129, 8191, 8192, 8193, 16384, 16385,
 
 
 @pytest.mark.parametrize("n", SUM_LENGTHS)
-def test_sum_of_products_equals_numpy_sum_bit_for_bit(n):
+def test_centred_products_from_zero_means_equal_numpy_sum_bit_for_bit(n):
+    # x - 0.0 is x, so the part walk's sums are those of x and y themselves
     rng = np.random.default_rng(n)
     x = rng.standard_normal(n) * rng.uniform(1e-3, 1e3, n)
     y = rng.standard_normal(n)
-    assert _sum_of_products(x, y) == float(np.sum(x * y))
-    assert _sum_of_products(x, x) == float(np.sum(x * x))
-    assert _sum_of_products(x[::-1], y[::-1]) == float(np.sum(x[::-1] * y[::-1]))
+    xy, xx = _centred_products([x, y], [0.0, 0.0], [(0, 1), (0, 0)])
+    (reversed_xy,) = _centred_products([x[::-1], y[::-1]], [0.0, 0.0], [(0, 1)])
+    assert xy == float(np.sum(x * y))
+    assert xx == float(np.sum(x * x))
+    assert reversed_xy == float(np.sum(x[::-1] * y[::-1]))
 
 
 def _center_reference(x):
@@ -326,17 +354,25 @@ def _center_reference(x):
 
 
 @pytest.mark.parametrize("n", SUM_LENGTHS)
-def test_center_equals_the_whole_layer_formulas(n):
+def test_centring_equals_the_whole_layer_formulas(n):
+    # the sum of squares and a product with y from the part walk, and _constant, equal
+    # the whole-layer formulas: a constant vector is exactly the one they zero, and a tiny
+    # one, whose squares underflow to 0, is not constant
     rng = np.random.default_rng(n + 1)
     varied = (rng.standard_normal(n) * 0.02 + 0.001).astype(np.float32)
     near_constant = np.full(n, 0.1, np.float32)
     near_constant[rng.integers(n, size=3)] = np.nextafter(np.float32(0.1), np.float32(1))
     tiny = np.full(n, np.float32(2.0**-149))
     tiny[-1] = 0.0
+    y = rng.standard_normal(n)
     for x in (varied, near_constant, np.full(n, np.float32(1 / 3)), tiny):
         expected_dx, expected_var = _center_reference(x)
-        dx, var = _center(x)
-        assert dx.tobytes() == expected_dx.tobytes() and var == expected_var
+        var, product = _centred_products([x, y], [_mean(x), 0.0], [(0, 0), (0, 1)])
+        constant = _constant(x, var)
+        assert constant == (not expected_dx.any())
+        assert (0.0 if constant else var) == expected_var
+        if not constant:
+            assert product == float(np.sum(expected_dx * y))
 
 
 @pytest.mark.parametrize("tasks", [1, 2, 3, 5])
@@ -357,13 +393,13 @@ def test_centred_products_equal_numpy_sums_bit_for_bit(n, tasks):
 
 @pytest.mark.parametrize("n", [8, 128, 8192, 8193, _NODE_ENTRIES, 3 * _NODE_ENTRIES + 5])
 def test_score_layers_equals_the_public_kernels_per_pair(n):
-    # a constant task and an all-zero task among five: their |rho| is exactly 0, and every
-    # other pair's scores equal pearson_abs's and sign_disagreement's on the same updates.
-    # The constant is float64, whose mean rounds (a float32 one's is exact), and a float64
-    # task at 1e-170 takes the power-of-two rescale
+    # a constant task, one at about 1e-30 and an all-zero one among five float32 updates:
+    # the constant's and the zero's |rho| is exactly 0, and every pair's scores equal
+    # pearson_abs's and sign_disagreement's on the same updates
     rng = np.random.default_rng(n)
-    xs = [rng.standard_normal(n).astype(np.float32), np.full(n, 0.1), rng.standard_normal(n).astype(np.float32),
-          rng.standard_normal(n) * 1e-170, np.zeros(n, np.float32)]
+    xs = [rng.standard_normal(n).astype(np.float32), np.full(n, np.float32(0.1)),
+          rng.standard_normal(n).astype(np.float32), (rng.standard_normal(n) * 1e-30).astype(np.float32),
+          np.zeros(n, np.float32)]
 
     updates = [lambda _, x=x: x.copy() for x in xs]  # scoring may overwrite what it is given
     importance = float(sum(np.sum(np.abs(x), dtype=np.float64) / n for x in xs)) / len(xs)
@@ -406,6 +442,30 @@ class TestLayerConflict(_ConflictCases):
         bad = TaskVector(label="bad", deltas={"other": np.ones(1, np.float32)})
         with pytest.raises(ValidationError, match="name set"):
             layer_conflict([bad], grouping)
+
+    @pytest.mark.parametrize("order", [1, -1])
+    def test_shape_mismatch_rejected_in_either_order(self, order):
+        tvs = [TaskVector(label=f"t{i}", deltas={"m.layers.0.w": np.ones(k, np.float32)})
+               for i, k in enumerate((2, 3))][::order]
+        with pytest.raises(ValidationError, match=f"task vector {tvs[1].label!r} incompatible at 'm.layers.0.w'"):
+            layer_conflict(tvs, group_layers(tvs[0].deltas))
+
+    def test_float64_task_vectors_score_as_stored_at_32_bit(self):
+        rng = np.random.default_rng(13)
+        shapes = {"m.layers.0.w": (9,), "m.layers.1.w": (4, 2)}
+        wide = [TaskVector(f"t{i}", {name: rng.normal(size=shape) for name, shape in shapes.items()})
+                for i in range(3)]
+        narrow = [TaskVector(tv.label, {name: d.astype(np.float32) for name, d in tv.deltas.items()})
+                  for tv in wide]
+        report, expected = layer_conflict(wide, group_layers(shapes)), layer_conflict(narrow, group_layers(shapes))
+        for field in ("conflict", "importance", "rho_abs", "sign_disagreement"):
+            assert getattr(report, field).tobytes() == getattr(expected, field).tobytes()
+
+    def test_float64_update_beyond_float32_range_rejected(self):
+        tvs, grouping = _two_layer_vectors(([1.0], [2.0]), ([3.0], [4.0]))
+        tvs[1].deltas["m.layers.1.w"] = np.array([1e39])
+        with pytest.raises(ValidationError, match=r"update of tensor 'm\.layers\.1\.w' overflows 32-bit precision$"):
+            layer_conflict(tvs, grouping)
 
     def test_no_task_vectors_rejected(self):
         _, grouping = _two_layer_vectors(([1.0], [2.0]))
