@@ -20,6 +20,7 @@ from __future__ import annotations
 import bisect
 import json
 import math
+import operator
 import os
 import secrets
 import struct
@@ -339,7 +340,12 @@ def archive_writer(
     layout: dict[str, tuple[int, int]] = {}  # entries and payload offset by name
     cursor = 0
     for name in sorted(shapes):
-        shape = tuple(int(d) for d in shapes[name])
+        try:  # int() would pass -1 on and write 2.5 as 2
+            shape = tuple(operator.index(d) for d in shapes[name])
+        except TypeError:
+            shape = None
+        if shape is None or min(shape, default=0) < 0:
+            raise ArchiveError(f"tensor {name!r} has a bad shape {shapes[name]!r}: dims must be integers >= 0")
         if len(shape) > _MAX_DIMS:
             raise ArchiveError(f"tensor {name!r} has {len(shape)} dims, more than {_MAX_DIMS}")
         size = math.prod(shape)

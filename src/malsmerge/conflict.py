@@ -114,8 +114,9 @@ def _mean(x: np.ndarray) -> float:
 def _rescaled(x: np.ndarray) -> tuple[np.ndarray, float]:
     """``x`` scaled exactly by a power of two to a peak in [0.5, 1), and its mean: the scale
     cancels in a correlation, and a product of two such sums of squares stays normal."""
-    x = x.astype(np.float64)
-    x = np.ldexp(x, -np.frexp(np.max(np.abs(x)))[1])
+    # no |x| array, and float() so that int64's minimum negates; the scaled copy is the one array
+    peak = max(-float(np.min(x)), float(np.max(x)))
+    x = np.ldexp(x, -np.frexp(peak)[1], dtype=np.float64)
     return x, _mean(x)
 
 
@@ -138,27 +139,27 @@ def _rho(product: float, var_x: float, var_y: float) -> float:
     return min(abs(float(product / np.sqrt(var_x * var_y))), 1.0)
 
 
-_Signs = tuple[np.ndarray, np.ndarray, int]
+def _sign_counts(xs: Sequence[np.ndarray], pairs: Sequence[tuple[int, int]], part: tuple[int, int]) -> np.ndarray:
+    """Over one part of :func:`_parts`, each ``(i, j)`` of ``pairs``' count of entries where
+    ``xs[i]`` and ``xs[j]`` have opposite signs, then each of ``xs``' count of nonzero entries."""
+    start, k = part
+    views = [x[start:start + k] for x in xs]
+    pos, neg = [v > 0 for v in views], [v < 0 for v in views]
+    opposite = [np.count_nonzero(pos[i] & neg[j]) + np.count_nonzero(neg[i] & pos[j]) for i, j in pairs]
+    # counting the zeros' bool mask is several times faster than counting a float vector,
+    # and counts a NaN as nonzero
+    return np.array(opposite + [k - np.count_nonzero(v == 0) for v in views], dtype=np.int64)
 
 
-def _signs(x: np.ndarray) -> _Signs:
-    """Positive and negative masks, packed with padding bits 0, and nonzero count of one vector."""
-    # counting the zeros' bool mask is several times faster than counting a float vector
-    return np.packbits(x > 0), np.packbits(x < 0), x.size - int(np.count_nonzero(x == 0))
-
-
-def _disagreement(sx: _Signs, sy: _Signs) -> float:
-    (pos_x, neg_x, nonzero_x), (pos_y, neg_y, nonzero_y) = sx, sy
-    # the two sets are disjoint, as pos_x and neg_x are, so one count of their union is
-    # exact; it is unpacked and counted a part at a time, not as one byte per entry
-    mask = pos_x & neg_y
-    mask |= neg_x & pos_y
-    step = _NODE_ENTRIES // 8
-    opposite = sum(int(np.count_nonzero(np.unpackbits(mask[i:i + step]))) for i in range(0, len(mask), step))
-    nonzero = nonzero_x + nonzero_y
-    if nonzero == 0:
-        return 0.0
-    return 2.0 * opposite / nonzero
+def _disagreements(xs: Sequence[np.ndarray], pairs: Sequence[tuple[int, int]],
+                   map_jobs: Callable = map) -> list[float]:
+    """Each ``(i, j)`` of ``pairs``' sign disagreement between ``xs[i]`` and ``xs[j]``, the
+    flat ``xs`` all of one length. ``map_jobs`` takes one part of :func:`_parts` at a time;
+    the parts' counts are integers, so their sum is exact in any order."""
+    counts = sum(map_jobs(partial(_sign_counts, xs, pairs), _parts(len(xs[0]))))
+    nonzero = counts[len(pairs):]
+    return [2.0 * int(counts[p]) / total if (total := int(nonzero[i] + nonzero[j])) else 0.0
+            for p, (i, j) in enumerate(pairs)]
 
 
 def pearson_abs(x: np.ndarray, y: np.ndarray) -> float:
@@ -194,7 +195,7 @@ def sign_disagreement(x: np.ndarray, y: np.ndarray) -> float:
     of both vectors; 0 when neither vector has a nonzero entry.
     """
     x, y = _check_pair(x, y)
-    return _disagreement(_signs(x), _signs(y))
+    return _disagreements([x, y], [(0, 1)])[0]
 
 
 def _check_names(task_vectors: Sequence[TaskVector], grouping: LayerGrouping) -> None:
@@ -221,47 +222,35 @@ def task_order_sum(rows: Iterable, shape: int | tuple[int, ...], dtype=np.float6
     return total
 
 
-# a task's flat float32 update, the mean its deviations are taken from, and its packed
-# signs where it is paired
-_Task = tuple[np.ndarray, float, "_Signs | None"]
+def _mean_magnitude(x: np.ndarray) -> float:
+    return _mean(np.abs(x, out=x))
 
 
-def _task(update: Callable[[np.ndarray], np.ndarray], n: int, paired: bool) -> _Task:
-    """One task's update of ``n`` entries, built by ``update`` into a float32 array of its
-    own, and, if it is ``paired`` with others, its mean and packed signs. Its magnitudes
-    are taken in its place once the pairs are scored."""
-    x = update(np.empty(n, np.float32))
-    return x, _mean(x) if paired else 0.0, _signs(x) if paired else None
-
-
-def _mean_magnitude(task: _Task) -> float:
-    return _mean(np.abs(task[0], out=task[0]))
-
-
-_Layer = tuple[Callable, int, Sequence[Callable[[np.ndarray], np.ndarray]]]
+_Layer = tuple[Callable, int, Sequence[Callable[[], np.ndarray]]]
 
 
 def _score_layer(layer: _Layer, task_pairs: Sequence[tuple[int, int]]) -> tuple[float, list[float], list[float]]:
     """Importance, then |rho| and sign disagreement per task pair, of one layer group.
 
-    Each task's job builds its flat update and keeps it with its mean and packed signs.
-    Every task's deviations are then taken one part of the sums' tree at a time, for the
-    sums of squares and the pair products; each pair's job counts its opposite signs, and
-    each task's takes its magnitudes in its update's place.
+    Each task's job builds its flat float32 update, the one array kept per task, and,
+    where there are pairs, a second takes its mean. Every task's deviations are then taken
+    one part of the sums' tree at a time, for the sums of squares and the pair products;
+    each pair's opposite signs and each task's nonzero entries are counted over the same
+    parts, and each task's job then takes its magnitudes in its update's place.
     """
     map_jobs, n, updates = layer
     if not n:
         return 0.0, [0.0] * len(task_pairs), [0.0] * len(task_pairs)
-    tasks = list(map_jobs(lambda update: _task(update, n, bool(task_pairs)), updates))
+    xs = list(map_jobs(lambda update: update(), updates))
     rho, dis = [], []
     if task_pairs:
-        xs, means, signs = zip(*tasks)
-        squares = [(t, t) for t in range(len(tasks))]
+        means = list(map_jobs(_mean, xs))
+        squares = [(t, t) for t in range(len(xs))]
         sums = _centred_products(xs, means, squares + list(task_pairs), map_jobs)
         var = [0.0 if _constant(x, v) else v for x, v in zip(xs, sums)]
-        rho = [_rho(product, var[i], var[j]) for (i, j), product in zip(task_pairs, sums[len(tasks):])]
-        dis = list(map_jobs(lambda pair: _disagreement(signs[pair[0]], signs[pair[1]]), task_pairs))
-    importance = float(task_order_sum(map_jobs(_mean_magnitude, tasks), ())) / len(tasks)
+        rho = [_rho(product, var[i], var[j]) for (i, j), product in zip(task_pairs, sums[len(xs):])]
+        dis = _disagreements(xs, task_pairs, map_jobs)
+    importance = float(task_order_sum(map_jobs(_mean_magnitude, xs), ())) / len(xs)
     return importance, rho, dis
 
 
@@ -269,14 +258,14 @@ def score_layers(layer_ids: Sequence[str], n_tasks: int, layers: Iterable[_Layer
     """Score each layer group's per-task updates, in ``layer_ids`` order.
 
     ``layers`` yields one ``(map_jobs, n, updates)`` per group of ``n`` entries.
-    ``updates`` holds one function per task, in task order: given a float32 array of
-    ``n`` entries, it returns the task's flat float32 update, which it may build in that
-    array, and which is then scoring's to overwrite. ``map_jobs`` maps a function over a
-    sequence as the builtin ``map`` does, results in order; a thread pool's ``map`` runs
-    the tasks, the parts of the sums' tree and the pairs side by side. Every sum a job
-    takes is its own, and the parts' sums are added in the tree's order, so the scores do
-    not depend on ``map_jobs``. Each group is dropped before the next is taken, so memory
-    grows with the largest group, not the model.
+    ``updates`` holds one function per task, in task order: called with no arguments, it
+    returns the task's flat float32 update of ``n`` entries in an array of its own, which
+    is then scoring's to overwrite. ``map_jobs`` maps a function over a sequence as the
+    builtin ``map`` does, results in order; a thread pool's ``map`` runs the tasks and the
+    parts of the sums' tree side by side. Every sum a job takes is its own, the parts'
+    float sums are added in the tree's order and their sign counts are integers, so the
+    scores do not depend on ``map_jobs``. Each group is dropped before the next is taken,
+    so memory grows with the largest group, not the model.
     """
     n_layers = len(layer_ids)
     task_pairs = tuple(combinations(range(n_tasks), 2))

@@ -335,7 +335,7 @@ def _merge_layer(
     times that onto the base."""
     layer_base = {name: base[name] for name in shapes}  # read once, for updates and compose
     updates = layer_updates(layer_base, tuned, list(shapes), offsets)
-    trimmed = list(map_jobs(lambda update: _trim(update(np.empty(offsets[-1], np.float32)), level), updates))
+    trimmed = list(map_jobs(lambda update: _trim(update(), level), updates))
     election = config.sign_election or config.method == "ties"
 
     def merge_slice(name: str, at: int, start: int, b: np.ndarray, out: np.ndarray) -> None:

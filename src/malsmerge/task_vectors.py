@@ -107,16 +107,16 @@ def compute_task_vector(base: TensorMap, tuned: TensorMap, label: str) -> TaskVe
 
 def layer_updates(
     base: TensorMap, tuned: Sequence[TensorMap], members: Sequence[str], offsets: Sequence[int]
-) -> list[Callable[[np.ndarray], np.ndarray]]:
-    """A function per checkpoint that writes its update on one layer group, its members'
-    deltas raveled and laid end to end at ``offsets`` (:func:`grouping.member_offsets`),
-    straight into the float32 array of the group's length that it is given, and returns
-    that flat. Each base member is looked up once, here; a checkpoint is read only when its
-    function is called, so each update can be built on a worker of its own. Callers check
-    compatibility first."""
+) -> list[Callable[[], np.ndarray]]:
+    """A function per checkpoint that returns its update on one layer group as a new flat
+    float32 array, its members' deltas raveled and written straight into it end to end at
+    ``offsets`` (:func:`grouping.member_offsets`). Each base member is looked up once, here;
+    a checkpoint is read only when its function is called, so each update can be built on a
+    worker of its own. Callers check compatibility first."""
     bases = [base[name] for name in members]
 
-    def update(t: TensorMap, flat: np.ndarray) -> np.ndarray:
+    def update(t: TensorMap) -> np.ndarray:
+        flat = np.empty(offsets[-1], np.float32)
         for name, b, start, end in zip(members, bases, offsets, offsets[1:]):
             stored_sum(f"update of tensor {name!r}", t[name], -1, b, out=flat[start:end].reshape(b.shape))
         return flat

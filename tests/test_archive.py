@@ -585,6 +585,16 @@ def test_range_writer_refuses_naming_the_file_and_tensor(tmp_path, writes, messa
     assert sorted(tmp_path.iterdir()) == [target]
 
 
+@pytest.mark.parametrize("shape", [(-1,), (2.5,), (3, -2), ("3",)], ids=["negative", "fraction", "negative-last", "text"])
+def test_range_writer_refuses_a_bad_dimension_before_making_a_file(tmp_path, shape):
+    # a negative dim would make a header that read_archive refuses, and a fraction a shape
+    # other than the one asked for: both are refused before the temp file is made
+    with pytest.raises(ArchiveError, match=f"^tensor 'a' has a bad shape {re.escape(repr(shape))}: dims must be"):
+        with archive_writer({"a": shape}, tmp_path / "out.st"):
+            pass
+    assert list(tmp_path.iterdir()) == []
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.tuples(st.integers(0, 12), st.integers(0, 4)), max_size=12))
 def test_claimed_ranges_are_the_written_entries_joined(ranges):

@@ -21,7 +21,7 @@ from malsmerge import (
 )
 from malsmerge.archive import tensor_shapes
 from malsmerge.conflict import (
-    _NODE_ENTRIES, _centred_products, _constant, _disagreement, _mean, _signs, layer_conflict, score_layers,
+    _NODE_ENTRIES, _centred_products, _constant, _disagreements, _mean, layer_conflict, score_layers,
 )
 from malsmerge.grouping import member_offsets
 from malsmerge.merging import plan
@@ -138,8 +138,8 @@ def test_oracle_equivalence_battery():
 
 
 @pytest.mark.parametrize("n", [*range(18), 8191, 8192, 8193])
-def test_packed_sign_disagreement_equals_oracle_exactly(n):
-    # lengths around a byte and a page of packed bits cover every padding of the last byte
+def test_sign_disagreement_equals_oracle_exactly(n):
+    # signed zeros and subnormals of either sign, at lengths short and long
     rng = np.random.default_rng(n)
     tiny = np.finfo(np.float64).smallest_subnormal
     values = np.array([0.0, -0.0, tiny, -tiny, 1.5, -2.0, 3e-310, -3e-310])
@@ -149,46 +149,56 @@ def test_packed_sign_disagreement_equals_oracle_exactly(n):
         assert sign_disagreement(x, -x) == sign_disagreement_oracle(x, -x)
 
 
-@pytest.mark.parametrize("n", [1, 7, 8, 9, 65535, 65536, 65537, 200003])
-def test_disagreement_counts_the_whole_opposite_sign_mask(n):
-    # the packed mask is counted a part at a time: around a byte and a part's edges, the
-    # count equals that of the whole mask unpacked at once
+@pytest.mark.parametrize("n", [1, 7, 8, 9, _NODE_ENTRIES - 1, _NODE_ENTRIES, _NODE_ENTRIES + 1,
+                               3 * _NODE_ENTRIES + 5])
+def test_disagreements_counted_a_part_at_a_time_equal_the_oracle(n):
+    # the signs are counted over each part of the sums' tree and the counts added: around
+    # a part's edges, and through the builtin map and a pool's, each pair's ratio is the
+    # oracle's count over the whole vectors, with a NaN counted as nonzero
     rng = np.random.default_rng(n)
-    x, y = (rng.choice([-1.0, 0.0, 1.0], size=n) for _ in range(2))
-    x[0], y[0] = 1.0, -1.0  # one opposite pair at least, so the ratio is not 0 / 0
-    (pos_x, neg_x, nonzero_x), (pos_y, neg_y, nonzero_y) = sx, sy = _signs(x), _signs(y)
-    opposite = np.count_nonzero(np.unpackbits((pos_x & neg_y) | (neg_x & pos_y)))
-    assert _disagreement(sx, sy) == 2.0 * opposite / (nonzero_x + nonzero_y)
+    values = [-1.0, -0.0, 0.0, 1.0, np.nan, -np.inf]
+    xs = [rng.choice(values, size=n).astype(np.float32) for _ in range(3)]
+    xs[0][0], xs[1][0] = 1.0, -1.0  # one opposite pair at least, so the ratio is not 0 / 0
+    pairs = list(combinations(range(3), 2))
+    expected = [sign_disagreement_oracle(xs[i], xs[j]) for i, j in pairs]
+    assert _disagreements(xs, pairs) == expected
+    with ThreadPoolExecutor(2) as pool:
+        assert _disagreements(xs, pairs, pool.map) == expected
 
 
-@pytest.mark.parametrize("dtype", [np.float32, np.float64])
-def test_pearson_abs_holds_no_deviations_per_entry(dtype):
+@pytest.mark.parametrize("dtype, scale, bound", [(np.float32, 1.0, 1.0), (np.float64, 1.0, 1.0),
+                                                 (np.float64, 1e-170, 17.0)])
+def test_pearson_abs_holds_no_deviations_per_entry(dtype, scale, bound):
     # the sums are taken a part at a time, so the peak does not grow with the vectors:
-    # whole float64 deviations of both would add 16 bytes an entry
+    # whole float64 deviations of both would add 16 bytes an entry. At 1e-170 the sums of
+    # squares underflow, and each vector's rescaled float64 copy is the one array it adds
     peaks = {}
     for n in (250_000, 1_000_000):
         rng = np.random.default_rng(n)
-        x, y = (rng.standard_normal(n).astype(dtype) for _ in range(2))
+        x, y = ((scale * rng.standard_normal(n)).astype(dtype) for _ in range(2))
         tracemalloc.start()
         try:
             pearson_abs(x, y)
             peaks[n] = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-    assert (peaks[1_000_000] - peaks[250_000]) / 750_000 < 1.0
+    assert (peaks[1_000_000] - peaks[250_000]) / 750_000 < bound
 
 
-def test_disagreement_holds_no_byte_per_entry():
-    n = 1_000_000
-    rng = np.random.default_rng(5)
-    sx, sy = (_signs(rng.choice([-1.0, 0.0, 1.0], size=n)) for _ in range(2))
-    tracemalloc.start()
-    try:
-        _disagreement(sx, sy)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak / n < 0.5
+def test_sign_disagreement_holds_no_byte_per_entry():
+    # the signs are counted a part at a time, so the peak does not grow with the vectors:
+    # whole sign masks of both would add a byte an entry, and packed ones a quarter
+    peaks = {}
+    for n in (250_000, 1_000_000):
+        rng = np.random.default_rng(n)
+        x, y = (rng.choice([-1.0, 0.0, 1.0], size=n) for _ in range(2))
+        tracemalloc.start()
+        try:
+            sign_disagreement(x, y)
+            peaks[n] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert (peaks[1_000_000] - peaks[250_000]) / 750_000 < 0.1
 
 
 vectors = st.lists(
@@ -401,7 +411,7 @@ def test_score_layers_equals_the_public_kernels_per_pair(n):
           rng.standard_normal(n).astype(np.float32), (rng.standard_normal(n) * 1e-30).astype(np.float32),
           np.zeros(n, np.float32)]
 
-    updates = [lambda _, x=x: x.copy() for x in xs]  # scoring may overwrite what it is given
+    updates = [lambda x=x: x.copy() for x in xs]  # scoring may overwrite what it is given
     importance = float(sum(np.sum(np.abs(x), dtype=np.float64) / n for x in xs)) / len(xs)
     with ThreadPoolExecutor(2) as pool:
         for map_jobs in (map, pool.map):
@@ -416,8 +426,8 @@ def test_score_layers_equals_the_public_kernels_per_pair(n):
 
 def test_score_layers_takes_each_layer_as_a_one_shot_iterator():
     # each layer is (map_jobs, entries, a function per task building its update). Updates
-    # built in the buffer each is given, through a thread pool's map running tasks, parts
-    # and pairs side by side, score as fresh flats through the builtin map do
+    # built from the checkpoints, through a thread pool's map running tasks and parts side
+    # by side, score as the task vectors' updates through the builtin map do
     base, tuned = synthesize_checkpoints(5, 3, 1000, 4, [0.9, 0.5, 0.1])
     tvs = [compute_task_vector(base, t, f"t{i}") for i, t in enumerate(tuned)]
     grouping = group_layers(base)
