@@ -77,37 +77,56 @@ def _tree_sum(n: int, sums: Iterator):
     return _tree_sum(half, sums) + _tree_sum(n - half, sums)
 
 
-def _part_products(xs: Sequence[np.ndarray], means: Sequence[float], pairs: Sequence[tuple[int, int]],
-                   part: tuple[int, int]) -> np.ndarray:
-    """For each ``(i, j)`` of ``pairs``, the sum over one part of the products of ``xs[i]``'s
-    and ``xs[j]``'s float64 deviations from ``means``. Every deviation of the part is taken
-    once, into one ``len(xs) x part`` buffer, and each product through one reused buffer."""
+def _part_sums(xs: Sequence[np.ndarray], means: Sequence[float], products: Sequence[tuple[int, int]],
+               signs: Sequence[tuple[int, int]], part: tuple[int, int]) -> np.ndarray:
+    """One part's terms of :func:`_part_walk`, in one float64 vector: each of ``products``'
+    sum of products of deviations, each of ``signs``' count of opposite signs, then, with
+    ``signs``, each of ``xs``' count of nonzero entries. The deviations go into one
+    ``len(xs) x part`` buffer and the products through one reused buffer, both dropped
+    before the sign masks are built, so a job holds one or the other."""
     start, k = part
-    deviations = np.empty((len(xs), k))
-    for row, x, mean in zip(deviations, xs, means):
-        np.subtract(x[start:start + k], mean, out=row, dtype=np.float64)
-    product = np.empty(k)
-    return np.array([np.add.reduce(np.multiply(deviations[i], deviations[j], out=product)) for i, j in pairs])
+    views = [x[start:start + k] for x in xs]
+    sums = []
+    if products:
+        deviations = np.empty((len(xs), k))
+        for row, v, mean in zip(deviations, views, means):
+            np.subtract(v, mean, out=row, dtype=np.float64)
+        product = np.empty(k)
+        sums = [np.add.reduce(np.multiply(deviations[i], deviations[j], out=product)) for i, j in products]
+        del deviations, product
+    if signs:
+        pos, neg = [v > 0 for v in views], [v < 0 for v in views]
+        sums += [np.count_nonzero(pos[i] & neg[j]) + np.count_nonzero(neg[i] & pos[j]) for i, j in signs]
+        # counting the zeros' bool mask is several times faster than counting a float vector,
+        # and counts a NaN as nonzero
+        sums += [k - np.count_nonzero(v == 0) for v in views]
+    return np.array(sums, dtype=np.float64)
 
 
-def _centred_products(xs: Sequence[np.ndarray], means: Sequence[float], pairs: Sequence[tuple[int, int]],
-                      map_jobs: Callable = map) -> np.ndarray:
-    """For each ``(i, j)`` of ``pairs``, the sum of the products of ``xs[i]``'s and
-    ``xs[j]``'s float64 deviations from ``means``, the flat ``xs`` all of one length: an
-    ``(i, i)`` gives a sum of squares. Each equals ``np.sum(dx * dy)`` over the whole
-    deviations, bit for bit: numpy sums a contiguous float64 vector pairwise, split at
-    :func:`_half` down to 128 entries, and this takes the same tree, reduces each of
-    :func:`_parts` with ``np.add.reduce`` (the same pairwise sum, added to +0.0, which changes
-    only a -0.0 that numpy's own +0.0 start turns to +0.0 too) and adds the parts' vectors in
-    tree order. ``map_jobs`` (results in order) takes one part at a time, so no deviation is
-    held beyond its part. BLAS-backed dot products would not fix the order across threads."""
+def _part_walk(xs: Sequence[np.ndarray], means: Sequence[float], products: Sequence[tuple[int, int]],
+               signs: Sequence[tuple[int, int]], map_jobs: Callable = map) -> tuple[np.ndarray, list[float]]:
+    """For each ``(i, j)`` of ``products``, the sum of the products of ``xs[i]``'s and
+    ``xs[j]``'s float64 deviations from ``means`` (an ``(i, i)`` gives a sum of squares),
+    and each of ``signs``' sign disagreement, the flat ``xs`` all of one length. Each sum
+    equals ``np.sum(dx * dy)`` over the whole deviations, bit for bit: numpy sums a
+    contiguous float64 vector pairwise, split at :func:`_half` down to 128 entries, and
+    this takes the same tree, reduces each of :func:`_parts` with ``np.add.reduce`` (the
+    same pairwise sum, added to +0.0, which changes only a -0.0 that numpy's own +0.0 start
+    turns to +0.0 too) and adds the parts' vectors in tree order; the counts in them,
+    integers below 2**53, add exactly. ``map_jobs`` (results in order) takes one part at a
+    time, so nothing is held beyond its part. BLAS-backed dot products would not fix the
+    order across threads."""
     n = len(xs[0])
-    return _tree_sum(n, map_jobs(partial(_part_products, xs, means, pairs), _parts(n)))
+    totals = _tree_sum(n, map_jobs(partial(_part_sums, xs, means, products, signs), _parts(n)))
+    counts = totals[len(products):].tolist()
+    nonzero = counts[len(signs):]
+    ratios = [2.0 * counts[p] / total if (total := nonzero[i] + nonzero[j]) else 0.0
+              for p, (i, j) in enumerate(signs)]
+    return totals[:len(products)], ratios
 
 
 def _mean(x: np.ndarray) -> float:
-    """The mean of the flat ``x``, summed in float64: that of each update, for its
-    deviations, and of its magnitudes, for importance."""
+    """The mean of the flat ``x``, summed in float64."""
     return np.sum(x, dtype=np.float64) / len(x)
 
 
@@ -139,34 +158,12 @@ def _rho(product: float, var_x: float, var_y: float) -> float:
     return min(abs(float(product / np.sqrt(var_x * var_y))), 1.0)
 
 
-def _sign_counts(xs: Sequence[np.ndarray], pairs: Sequence[tuple[int, int]], part: tuple[int, int]) -> np.ndarray:
-    """Over one part of :func:`_parts`, each ``(i, j)`` of ``pairs``' count of entries where
-    ``xs[i]`` and ``xs[j]`` have opposite signs, then each of ``xs``' count of nonzero entries."""
-    start, k = part
-    views = [x[start:start + k] for x in xs]
-    pos, neg = [v > 0 for v in views], [v < 0 for v in views]
-    opposite = [np.count_nonzero(pos[i] & neg[j]) + np.count_nonzero(neg[i] & pos[j]) for i, j in pairs]
-    # counting the zeros' bool mask is several times faster than counting a float vector,
-    # and counts a NaN as nonzero
-    return np.array(opposite + [k - np.count_nonzero(v == 0) for v in views], dtype=np.int64)
-
-
-def _disagreements(xs: Sequence[np.ndarray], pairs: Sequence[tuple[int, int]],
-                   map_jobs: Callable = map) -> list[float]:
-    """Each ``(i, j)`` of ``pairs``' sign disagreement between ``xs[i]`` and ``xs[j]``, the
-    flat ``xs`` all of one length. ``map_jobs`` takes one part of :func:`_parts` at a time;
-    the parts' counts are integers, so their sum is exact in any order."""
-    counts = sum(map_jobs(partial(_sign_counts, xs, pairs), _parts(len(xs[0]))))
-    nonzero = counts[len(pairs):]
-    return [2.0 * int(counts[p]) / total if (total := int(nonzero[i] + nonzero[j])) else 0.0
-            for p, (i, j) in enumerate(pairs)]
-
-
 def pearson_abs(x: np.ndarray, y: np.ndarray) -> float:
     """Absolute Pearson correlation of two equally long flat vectors.
 
     Returns 0 when either vector has zero variance: a constant update
-    carries no directional conflict signal.
+    carries no directional conflict signal. An infinity or a NaN in either
+    vector gives NaN, with no warning, whatever the float dtype.
     """
     x, y = _check_pair(x, y)
     if len(x) == 0:
@@ -174,17 +171,21 @@ def pearson_abs(x: np.ndarray, y: np.ndarray) -> float:
     xs, pairs = [x, y], [(0, 0), (1, 1), (0, 1)]
     with np.errstate(over="ignore", invalid="ignore"):
         means = [_mean(x), _mean(y)]
-        sums = _centred_products(xs, means, pairs)
-    # a nonzero sum of squares outside [2**-500, 2**500] is taken again from a rescaled
-    # copy. Only an input wider than 4 bytes needs that: the finite squares of a narrower
-    # one sum inside the range, and a non-finite one would be scaled by 2**0
-    wide = [t for t in (0, 1) if xs[t].itemsize > 4 and not 2.0**-500 <= sums[t] <= 2.0**500
-            and np.any(xs[t] != means[t])]
-    for t in wide:
-        xs[t], means[t] = _rescaled(xs[t])
-    if wide:
-        sums = _centred_products(xs, means, pairs)
+        sums, _ = _part_walk(xs, means, pairs, ())
+        # a nonzero sum of squares outside [2**-500, 2**500] is taken again from a rescaled
+        # copy. Only an input wider than 4 bytes needs that: the finite squares of a narrower
+        # one sum inside the range. A non-finite one is scaled by 2**0, still NaN
+        wide = [t for t in (0, 1) if xs[t].itemsize > 4 and not 2.0**-500 <= sums[t] <= 2.0**500
+                and np.any(xs[t] != means[t])]
+        for t in wide:
+            xs[t], means[t] = _rescaled(xs[t])
+        if wide:
+            sums, _ = _part_walk(xs, means, pairs, ())
     var_x, var_y, product = sums
+    # an infinity among x's entries makes x's mean NaN or an infinity of that sign, so a NaN
+    # deviation, and a product of NaN; finite inputs' sums are finite by now
+    if math.isnan(product):
+        return math.nan
     return _rho(product, *(0.0 if _constant(v, var) else var for v, var in zip(xs, (var_x, var_y))))
 
 
@@ -195,7 +196,7 @@ def sign_disagreement(x: np.ndarray, y: np.ndarray) -> float:
     of both vectors; 0 when neither vector has a nonzero entry.
     """
     x, y = _check_pair(x, y)
-    return _disagreements([x, y], [(0, 1)])[0]
+    return _part_walk([x, y], (), (), [(0, 1)])[1][0]
 
 
 def _check_names(task_vectors: Sequence[TaskVector], grouping: LayerGrouping) -> None:
@@ -232,24 +233,22 @@ _Layer = tuple[Callable, int, Sequence[Callable[[], np.ndarray]]]
 def _score_layer(layer: _Layer, task_pairs: Sequence[tuple[int, int]]) -> tuple[float, list[float], list[float]]:
     """Importance, then |rho| and sign disagreement per task pair, of one layer group.
 
-    Each task's job builds its flat float32 update, the one array kept per task, and,
-    where there are pairs, a second takes its mean. Every task's deviations are then taken
-    one part of the sums' tree at a time, for the sums of squares and the pair products;
-    each pair's opposite signs and each task's nonzero entries are counted over the same
-    parts, and each task's job then takes its magnitudes in its update's place.
+    Three rounds of jobs: each task's job builds its flat float32 update, the one array
+    kept per task, and takes its mean; where there are pairs, one walk over the parts of
+    the sums' tree gives every task's sum of squares, every pair's product of deviations
+    and every pair's sign counts (:func:`_part_walk`); then each task's job takes its
+    magnitudes in its update's place.
     """
     map_jobs, n, updates = layer
     if not n:
         return 0.0, [0.0] * len(task_pairs), [0.0] * len(task_pairs)
-    xs = list(map_jobs(lambda update: update(), updates))
+    xs, means = zip(*map_jobs(lambda update: (x := update(), _mean(x)), updates))
     rho, dis = [], []
     if task_pairs:
-        means = list(map_jobs(_mean, xs))
         squares = [(t, t) for t in range(len(xs))]
-        sums = _centred_products(xs, means, squares + list(task_pairs), map_jobs)
+        sums, dis = _part_walk(xs, means, squares + list(task_pairs), task_pairs, map_jobs)
         var = [0.0 if _constant(x, v) else v for x, v in zip(xs, sums)]
         rho = [_rho(product, var[i], var[j]) for (i, j), product in zip(task_pairs, sums[len(xs):])]
-        dis = _disagreements(xs, task_pairs, map_jobs)
     importance = float(task_order_sum(map_jobs(_mean_magnitude, xs), ())) / len(xs)
     return importance, rho, dis
 
@@ -262,10 +261,10 @@ def score_layers(layer_ids: Sequence[str], n_tasks: int, layers: Iterable[_Layer
     returns the task's flat float32 update of ``n`` entries in an array of its own, which
     is then scoring's to overwrite. ``map_jobs`` maps a function over a sequence as the
     builtin ``map`` does, results in order; a thread pool's ``map`` runs the tasks and the
-    parts of the sums' tree side by side. Every sum a job takes is its own, the parts'
-    float sums are added in the tree's order and their sign counts are integers, so the
-    scores do not depend on ``map_jobs``. Each group is dropped before the next is taken,
-    so memory grows with the largest group, not the model.
+    parts of the sums' tree side by side. Every sum a job takes is its own and the parts'
+    sums and sign counts are added in the tree's order, so the scores do not depend on
+    ``map_jobs``. Each group is dropped before the next is taken, so memory grows with the
+    largest group, not the model.
     """
     n_layers = len(layer_ids)
     task_pairs = tuple(combinations(range(n_tasks), 2))

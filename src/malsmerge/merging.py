@@ -21,7 +21,7 @@ from typing import Callable, Iterable, Iterator, Mapping, Sequence
 import numpy as np
 
 from .allocation import AllocationConfig, AllocationResult, allocate, coerce_field_types, config_key
-from .archive import Archive, archive_writer, tensor_shapes
+from .archive import Archive, _within, archive_writer, tensor_shapes
 from .conflict import ConflictReport, score_layers, task_order_sum
 from .errors import ConvergenceError, ValidationError
 from .grouping import DEFAULT_GROUPING_PATTERN, LayerGrouping, compile_grouping, group_layers, member_offsets
@@ -248,7 +248,7 @@ def _require_finite(tensors: TensorMap, what: str) -> None:
     an infinity. An :class:`Archive` is skipped: it checks each value as it reads it."""
     if not isinstance(tensors, Archive):
         for name, tensor in tensors.items():
-            if not np.all(np.isfinite(tensor)):
+            if not _within(np.asarray(tensor), np.inf):
                 raise ValidationError(f"{what}: non-finite value detected in tensor {name!r}")
 
 

@@ -21,7 +21,7 @@ from malsmerge import (
 )
 from malsmerge.archive import tensor_shapes
 from malsmerge.conflict import (
-    _NODE_ENTRIES, _centred_products, _constant, _disagreements, _mean, layer_conflict, score_layers,
+    _NODE_ENTRIES, _constant, _mean, _part_walk, layer_conflict, score_layers,
 )
 from malsmerge.grouping import member_offsets
 from malsmerge.merging import plan
@@ -77,6 +77,18 @@ class TestPearsonAbs:
         y = np.arange(n, dtype=np.float64) ** 2
         assert pearson_abs(np.full(n, value), y) == 0.0
         assert pearson_abs(y, np.full(n, value)) == 0.0
+
+    @pytest.mark.parametrize("dtype", [np.float16, np.float32, np.float64])
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    @pytest.mark.parametrize("other", [[1.0, 2.0, 0.5], [3.0, 3.0, 3.0], [np.inf, 0.0, -1.0]])
+    def test_a_non_finite_entry_gives_nan_with_no_warning(self, dtype, bad, other):
+        # warnings are errors here: float64's rescaled second walk must ignore the NaNs it
+        # makes as the first does, and a NaN wins over a constant partner's 0
+        x, y = np.array([bad, 1.0, 2.0], dtype), np.array(other, dtype)
+        assert math.isnan(pearson_abs(x, y))
+        assert math.isnan(pearson_abs(y, x))
+        assert sign_disagreement(x, y) == sign_disagreement_oracle(x, y)
+        assert sign_disagreement(y, x) == sign_disagreement_oracle(y, x)
 
     def test_near_constant_vector_keeps_its_correlation(self):
         # one ulp apart: small enough for the exact check, which finds it not constant
@@ -151,7 +163,7 @@ def test_sign_disagreement_equals_oracle_exactly(n):
 
 @pytest.mark.parametrize("n", [1, 7, 8, 9, _NODE_ENTRIES - 1, _NODE_ENTRIES, _NODE_ENTRIES + 1,
                                3 * _NODE_ENTRIES + 5])
-def test_disagreements_counted_a_part_at_a_time_equal_the_oracle(n):
+def test_part_walk_sign_disagreements_equal_the_oracle(n):
     # the signs are counted over each part of the sums' tree and the counts added: around
     # a part's edges, and through the builtin map and a pool's, each pair's ratio is the
     # oracle's count over the whole vectors, with a NaN counted as nonzero
@@ -161,9 +173,9 @@ def test_disagreements_counted_a_part_at_a_time_equal_the_oracle(n):
     xs[0][0], xs[1][0] = 1.0, -1.0  # one opposite pair at least, so the ratio is not 0 / 0
     pairs = list(combinations(range(3), 2))
     expected = [sign_disagreement_oracle(xs[i], xs[j]) for i, j in pairs]
-    assert _disagreements(xs, pairs) == expected
+    assert _part_walk(xs, (), (), pairs)[1] == expected
     with ThreadPoolExecutor(2) as pool:
-        assert _disagreements(xs, pairs, pool.map) == expected
+        assert _part_walk(xs, (), (), pairs, pool.map)[1] == expected
 
 
 @pytest.mark.parametrize("dtype, scale, bound", [(np.float32, 1.0, 1.0), (np.float64, 1.0, 1.0),
@@ -341,13 +353,13 @@ SUM_LENGTHS = sorted({1, 7, 8, 9, 127, 128, 129, 8191, 8192, 8193, 16384, 16385,
 
 
 @pytest.mark.parametrize("n", SUM_LENGTHS)
-def test_centred_products_from_zero_means_equal_numpy_sum_bit_for_bit(n):
+def test_part_walk_from_zero_means_equals_numpy_sum_bit_for_bit(n):
     # x - 0.0 is x, so the part walk's sums are those of x and y themselves
     rng = np.random.default_rng(n)
     x = rng.standard_normal(n) * rng.uniform(1e-3, 1e3, n)
     y = rng.standard_normal(n)
-    xy, xx = _centred_products([x, y], [0.0, 0.0], [(0, 1), (0, 0)])
-    (reversed_xy,) = _centred_products([x[::-1], y[::-1]], [0.0, 0.0], [(0, 1)])
+    (xy, xx), _ = _part_walk([x, y], [0.0, 0.0], [(0, 1), (0, 0)], ())
+    (reversed_xy,), _ = _part_walk([x[::-1], y[::-1]], [0.0, 0.0], [(0, 1)], ())
     assert xy == float(np.sum(x * y))
     assert xx == float(np.sum(x * x))
     assert reversed_xy == float(np.sum(x[::-1] * y[::-1]))
@@ -377,7 +389,7 @@ def test_centring_equals_the_whole_layer_formulas(n):
     y = rng.standard_normal(n)
     for x in (varied, near_constant, np.full(n, np.float32(1 / 3)), tiny):
         expected_dx, expected_var = _center_reference(x)
-        var, product = _centred_products([x, y], [_mean(x), 0.0], [(0, 0), (0, 1)])
+        (var, product), _ = _part_walk([x, y], [_mean(x), 0.0], [(0, 0), (0, 1)], ())
         constant = _constant(x, var)
         assert constant == (not expected_dx.any())
         assert (0.0 if constant else var) == expected_var
@@ -387,18 +399,27 @@ def test_centring_equals_the_whole_layer_formulas(n):
 
 @pytest.mark.parametrize("tasks", [1, 2, 3, 5])
 @pytest.mark.parametrize("n", [n for n in SUM_LENGTHS if n <= 400_000])
-def test_centred_products_equal_numpy_sums_bit_for_bit(n, tasks):
+def test_part_walk_equals_numpy_sums_and_the_oracle_bit_for_bit(n, tasks):
     # one walk over the tree's parts gives every sum of squares and pair product that
-    # np.sum(dx * dy) gives over the whole layer's deviations, through either map
+    # np.sum(dx * dy) gives over the whole layer's deviations, and with them each pair's
+    # sign disagreement, through either map
     rng = np.random.default_rng(n + tasks)
     xs = [(rng.standard_normal(n) * rng.uniform(1e-3, 1e3, n)).astype(np.float32) for _ in range(tasks)]
+    for x in xs:
+        x[rng.integers(n, size=n // 10)] = 0.0
     means = [np.sum(x, dtype=np.float64) / n for x in xs]
-    pairs = [(t, t) for t in range(tasks)] + list(combinations(range(tasks), 2))
+    signs = list(combinations(range(tasks), 2))
+    products = [(t, t) for t in range(tasks)] + signs
     devs = [_center_reference(x)[0] for x in xs]
-    expected = [float(np.sum(devs[i] * devs[j])) for i, j in pairs]
-    assert [float(v) for v in _centred_products(xs, means, pairs)] == expected
+    expected = [float(np.sum(devs[i] * devs[j])) for i, j in products]
+    # the oracle's counts, vectorised: every entry is finite
+    ratios = [2.0 * np.count_nonzero(np.sign(xs[i]) * np.sign(xs[j]) < 0)
+              / (np.count_nonzero(xs[i]) + np.count_nonzero(xs[j])) for i, j in signs]
     with ThreadPoolExecutor(2) as pool:
-        assert [float(v) for v in _centred_products(xs, means, pairs, pool.map)] == expected
+        for map_jobs in (map, pool.map):
+            sums, dis = _part_walk(xs, means, products, signs, map_jobs)
+            assert [float(v) for v in sums] == expected
+            assert dis == ratios
 
 
 @pytest.mark.parametrize("n", [8, 128, 8192, 8193, _NODE_ENTRIES, 3 * _NODE_ENTRIES + 5])
