@@ -18,10 +18,10 @@ from .allocation import AllocationConfig, coerce_field_types, config_key, wrong_
 from .archive import archive_writer, read_archive, tensor_shapes
 from .diagnostics import REPORT_FORMATS, LayerDiagnostics
 from .errors import ArchiveError, ConvergenceError, ValidationError
-from .grouping import DEFAULT_GROUPING_PATTERN
-from .merging import MergeConfig, config_fields, config_metadata, merge_to_archive, plan
+from .grouping import DEFAULT_GROUPING_PATTERN, member_offsets
+from .merging import MergeConfig, _slices, config_fields, config_metadata, merge_to_archive, plan
 from .synthetic import write_synthetic_set
-from .task_vectors import delta_tensors
+from .task_vectors import require_compatible, update_range
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -182,11 +182,12 @@ def _cmd_diff(args: argparse.Namespace) -> int:
     base = read_archive(args.base)
     tuned = read_archive(args.tuned)
     label = Path(args.tuned).stem
-    updates = delta_tensors(base, tuned, label)  # checks compatibility before the file is made
-    with archive_writer(tensor_shapes(base), args.out) as write_range:
-        for name, update in updates:
-            write_range(name, 0, update)
-            del update  # an update may hold its whole layer: free it before the next is built
+    require_compatible(base, tuned, f"checkpoint {label!r}")  # before the file is made
+    shapes = tensor_shapes(base)
+    with archive_writer(shapes, args.out) as write_range:
+        for name, _, start, stop in _slices(shapes, member_offsets(shapes, shapes)):
+            b = base.read_range(name, start, stop)  # each slice lies in one tensor, a group of one
+            write_range(name, start, update_range(tuned.read_range, [name], [0, stop], start, b))
     print(f"task vector for {label} -> {args.out}")
     return EXIT_OK
 

@@ -20,7 +20,7 @@ import numpy as np
 from .archive import tensor_shapes
 from .errors import ValidationError
 from .grouping import LayerGrouping, member_offsets
-from .task_vectors import TaskVector, layer_updates, require_compatible
+from .task_vectors import TaskVector, range_reader, require_compatible, update_range
 
 
 @dataclass(frozen=True)
@@ -227,7 +227,7 @@ def _mean_magnitude(x: np.ndarray) -> float:
     return _mean(np.abs(x, out=x))
 
 
-_Layer = tuple[Callable, int, Sequence[Callable[[], np.ndarray]]]
+_Layer = tuple[Callable, np.ndarray, Sequence[Callable[[int, np.ndarray], np.ndarray]]]
 
 
 def _score_layer(layer: _Layer, task_pairs: Sequence[tuple[int, int]]) -> tuple[float, list[float], list[float]]:
@@ -239,10 +239,10 @@ def _score_layer(layer: _Layer, task_pairs: Sequence[tuple[int, int]]) -> tuple[
     and every pair's sign counts (:func:`_part_walk`); then each task's job takes its
     magnitudes in its update's place.
     """
-    map_jobs, n, updates = layer
-    if not n:
+    map_jobs, b, updates = layer
+    if not len(b):
         return 0.0, [0.0] * len(task_pairs), [0.0] * len(task_pairs)
-    xs, means = zip(*map_jobs(lambda update: (x := update(), _mean(x)), updates))
+    xs, means = zip(*map_jobs(lambda update: (x := update(0, b), _mean(x)), updates))
     rho, dis = [], []
     if task_pairs:
         squares = [(t, t) for t in range(len(xs))]
@@ -256,15 +256,15 @@ def _score_layer(layer: _Layer, task_pairs: Sequence[tuple[int, int]]) -> tuple[
 def score_layers(layer_ids: Sequence[str], n_tasks: int, layers: Iterable[_Layer]) -> ConflictReport:
     """Score each layer group's per-task updates, in ``layer_ids`` order.
 
-    ``layers`` yields one ``(map_jobs, n, updates)`` per group of ``n`` entries.
-    ``updates`` holds one function per task, in task order: called with no arguments, it
-    returns the task's flat float32 update of ``n`` entries in an array of its own, which
-    is then scoring's to overwrite. ``map_jobs`` maps a function over a sequence as the
-    builtin ``map`` does, results in order; a thread pool's ``map`` runs the tasks and the
-    parts of the sums' tree side by side. Every sum a job takes is its own and the parts'
-    sums and sign counts are added in the tree's order, so the scores do not depend on
-    ``map_jobs``. Each group is dropped before the next is taken, so memory grows with the
-    largest group, not the model.
+    ``layers`` yields one ``(map_jobs, b, updates)`` per group: ``b`` holds the base's
+    entries of the group's flat, and ``updates`` one function per task, in task order, that
+    builds as :func:`task_vectors.update_range` does: ``update(start, b[start:stop])`` gives
+    the task's float32 update over that range in a new array, which scoring may overwrite.
+    ``map_jobs`` maps a function over a sequence as the builtin ``map`` does, results in
+    order; a thread pool's ``map`` runs the tasks and the parts of the sums' tree side by
+    side. Every sum a job takes is its own and the parts' sums and sign counts are added in
+    the tree's order, so the scores do not depend on ``map_jobs``. Each group is dropped
+    before the next is taken, so memory grows with the largest group, not the model.
     """
     n_layers = len(layer_ids)
     task_pairs = tuple(combinations(range(n_tasks), 2))
@@ -294,12 +294,12 @@ def layer_conflict(task_vectors: Sequence[TaskVector], grouping: LayerGrouping) 
     """
     _check_names(task_vectors, grouping)
     shapes = tensor_shapes(task_vectors[0].deltas)
-    zeros = {name: np.broadcast_to(np.float32(0), shape) for name, shape in shapes.items()}
-    deltas = [tv.deltas for tv in task_vectors]
 
     def layer(members: Sequence[str]) -> _Layer:
         offsets = member_offsets(shapes, members)
-        return map, offsets[-1], layer_updates(zeros, deltas, members, offsets)
+        updates = [partial(update_range, range_reader(tv.deltas, members), members, offsets)
+                   for tv in task_vectors]
+        return map, np.broadcast_to(np.float32(0), offsets[-1]), updates
 
     layers = (layer(members) for _, members in grouping.groups)
     return score_layers(grouping.layer_ids, len(task_vectors), layers)

@@ -15,6 +15,7 @@ import math
 import os
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields, replace
+from functools import partial
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
@@ -25,15 +26,15 @@ from .archive import Archive, _within, archive_writer, tensor_shapes
 from .conflict import ConflictReport, score_layers, task_order_sum
 from .errors import ConvergenceError, ValidationError
 from .grouping import DEFAULT_GROUPING_PATTERN, LayerGrouping, compile_grouping, group_layers, member_offsets
-from .task_vectors import TaskVector, TensorMap, layer_updates, require_compatible, stored_sum
+from .task_vectors import TaskVector, TensorMap, range_reader, require_compatible, stored_sum, update_range
 
 METHODS = ("mals", "simple_average", "uniform_sparsity", "ties")
 
 # entries of one member tensor that pass 2 merges or averages, and composes, as one unit of
 # work: a worker's temporaries are a few times this, whatever the layer's size
 _SLICE_ENTRIES = 1 << 16
-# a layer group in a walk: its members' shapes by name, their offsets, how to run its jobs
-_Group = tuple[dict[str, tuple[int, ...]], list[int], Callable]
+# a layer group in a walk: its members' names, their offsets, how to run its jobs
+_Group = tuple[tuple[str, ...], list[int], Callable]
 # takes a composed slice: ``place(name, start, values)`` for entries ``start`` on of ``name``
 _Place = Callable[[str, int, np.ndarray], None]
 
@@ -215,13 +216,13 @@ def simple_average(task_vectors: Sequence[TaskVector]) -> TaskVector:
 
 @contextmanager
 def _layer_walk(base: TensorMap, grouping: LayerGrouping) -> Iterator[Iterator[_Group]]:
-    """Each layer group's ``(shapes, offsets, map_jobs)``, in ``grouping`` order: its members'
-    shapes by name, in member order, :func:`grouping.member_offsets` for them, and a ``map``
-    that runs its jobs, results in order: the builtin one under two slices, where a pool gains
-    nothing, else that of a pool of one thread per CPU this process may use. The pool starts
-    at the first large group (only then is ``concurrent.futures``, which pulls in ``logging``,
-    imported) and shuts down, once the jobs in flight are done, however the block ends.
-    numpy's ufuncs, its partition and ``preadv`` release the GIL."""
+    """Each layer group's ``(members, offsets, map_jobs)``, in ``grouping`` order: its members'
+    names, :func:`grouping.member_offsets` for them, and a ``map`` that runs its jobs, results
+    in order: the builtin one under two slices, where a pool gains nothing, else that of a pool
+    of one thread per CPU this process may use. The pool starts at the first large group (only
+    then is ``concurrent.futures``, which pulls in ``logging``, imported) and shuts down, once
+    the jobs in flight are done, however the block ends. numpy's ufuncs, its partition and
+    ``preadv`` release the GIL."""
     pool = None
 
     def walk() -> Iterator[_Group]:
@@ -234,7 +235,7 @@ def _layer_walk(base: TensorMap, grouping: LayerGrouping) -> Iterator[Iterator[_
                 from concurrent.futures import ThreadPoolExecutor
 
                 pool = ThreadPoolExecutor(_workers())
-            yield {name: base_shapes[name] for name in members}, offsets, pool.map if large else map
+            yield members, offsets, pool.map if large else map
 
     try:
         yield walk()
@@ -244,11 +245,14 @@ def _layer_walk(base: TensorMap, grouping: LayerGrouping) -> Iterator[Iterator[_
 
 
 def _require_finite(tensors: TensorMap, what: str) -> None:
-    """Raise :class:`ValidationError` naming ``what`` and the first tensor holding a NaN or
-    an infinity. An :class:`Archive` is skipped: it checks each value as it reads it."""
+    """Raise :class:`ValidationError` naming ``what`` and the first tensor of a non-real dtype
+    or holding a NaN or an infinity; an :class:`Archive` checks each value as it reads it."""
     if not isinstance(tensors, Archive):
         for name, tensor in tensors.items():
-            if not _within(np.asarray(tensor), np.inf):
+            tensor = np.asarray(tensor)
+            if tensor.dtype.kind not in "fiub":
+                raise ValidationError(f"{what}: tensor {name!r} has dtype {tensor.dtype}, not a real number")
+            if not _within(tensor, np.inf):
                 raise ValidationError(f"{what}: non-finite value detected in tensor {name!r}")
 
 
@@ -277,8 +281,9 @@ def plan(
     if config.method == "simple_average":
         return grouping, None, None
     with _layer_walk(base, grouping) as walk:
-        layers = ((map_jobs, at[-1], layer_updates(base, tuned, list(shapes), at))
-                  for shapes, at, map_jobs in walk)
+        layers = ((map_jobs, np.concatenate([np.ravel(base[name]) for name in members]),
+                   [partial(update_range, range_reader(t, members), members, at) for t in tuned])
+                  for members, at, map_jobs in walk)
         conflict = score_layers(grouping.layer_ids, len(tuned), layers)
     alloc_config = config.allocation
     if config.method in ("uniform_sparsity", "ties"):
@@ -289,80 +294,70 @@ def plan(
     return grouping, conflict, allocate(conflict, alloc_config)
 
 
-def _flat_reads(tensors: TensorMap, names: Iterable[str]) -> Callable[[str, int, int], np.ndarray]:
-    """``read(name, start, stop)``: entries ``[start, stop)`` of tensor ``name``, one of
-    ``names``, flat. An :class:`Archive` reads just that range; any other mapping's tensors
-    are raveled once here, each keeping its dtype, and sliced."""
-    if isinstance(tensors, Archive):
-        return tensors.read_range
-    flats = {name: np.ravel(tensors[name]) for name in names}
-    return lambda name, start, stop: flats[name][start:stop]
+def _slices(members: Iterable[str], offsets: Sequence[int]) -> Iterator[tuple[str, int, int, int]]:
+    """``(name, at, start, stop)`` of each slice of ``_SLICE_ENTRIES`` entries, in walk order:
+    entries ``[start, stop)`` of member ``name``, which starts at ``at`` in the group's flat."""
+    return ((name, at, start, min(start + _SLICE_ENTRIES, end - at))
+            for name, at, end in zip(members, offsets, offsets[1:])
+            for start in range(0, end - at, _SLICE_ENTRIES))
 
 
-def _slice_walk(
-    base: TensorMap, shapes: dict[str, tuple[int, ...]], offsets: Sequence[int], lam: float,
-    map_jobs: Callable, fill: Callable[[str, int, int, np.ndarray, np.ndarray], None], place: _Place,
-) -> None:
-    """Each member's float32 merged tensor, in slices of ``_SLICE_ENTRIES`` entries: a slice
-    reads the base's entries from ``start`` once, as ``b``, ``fill(name, at, start, b, out)``
-    writes their merged update into ``out``, a float32 buffer of the slice's length (``at`` is
-    where the member starts in the group's flat), ``b + lam * out`` is stored there, and
-    ``place(name, start, out)`` takes it, on the thread that composed it. Fills work by
-    position, so the bytes depend on neither the slice size nor how ``map_jobs`` (results in
-    walk order) spreads the slices; the error raised is the first a serial walk meets."""
-    base_read = _flat_reads(base, shapes)
+def _slice_walk(base_read: Callable[[str, int, int], np.ndarray], group: _Group, lam: float,
+                fill: Callable[[int, np.ndarray, np.ndarray], None], place: _Place) -> None:
+    """Each member's float32 merged tensor, in :func:`_slices`: a slice reads the base's
+    entries once through ``base_read``, as ``b``, ``fill(first, b, out)`` writes their merged
+    update into ``out``, a float32 buffer of the slice's length that starts at ``first`` in
+    the group's flat, ``b + lam * out`` is stored there, and ``place(name, start, out)`` takes
+    it on the thread that composed it. Fills work by position, so the bytes depend on neither
+    the slice size nor how the group's ``map_jobs`` (results in walk order) spreads the
+    slices; the error raised is the first a serial walk meets."""
+    members, offsets, map_jobs = group
 
     def run(job: tuple[str, int, int, int]) -> None:
         name, at, start, stop = job
         b = base_read(name, start, stop)
         out = np.empty(stop - start, np.float32)
-        fill(name, at, start, b, out)
+        fill(at + start, b, out)
         place(name, start, stored_sum(f"merged tensor {name!r}", b, lam, out, out=out))
 
-    walk = [(name, at, start, min(start + _SLICE_ENTRIES, end - at))
-            for name, at, end in zip(shapes, offsets, offsets[1:])
-            for start in range(0, end - at, _SLICE_ENTRIES)]
-    for _ in map_jobs(run, walk):
+    for _ in map_jobs(run, _slices(members, offsets)):
         pass
 
 
-def _merge_layer(
-    base: TensorMap, tuned: Sequence[TensorMap], shapes: dict[str, tuple[int, ...]],
-    offsets: Sequence[int], level: float, config: MergeConfig, map_jobs: Callable, place: _Place,
-) -> None:
-    """Pass 2 on one layer group: one job per task builds its update and trims it to
-    ``level`` in place; then each slice is elected and merged, and the walk adds ``lam``
-    times that onto the base."""
-    layer_base = {name: base[name] for name in shapes}  # read once, for updates and compose
-    updates = layer_updates(layer_base, tuned, list(shapes), offsets)
-    trimmed = list(map_jobs(lambda update: _trim(update(), level), updates))
+def _merge_layer(base: TensorMap, tuned: Sequence[TensorMap], group: _Group, level: float,
+                 config: MergeConfig, place: _Place) -> None:
+    """Pass 2 on one layer group: its base is read once into a flat, one job per task builds
+    its update over all of it and trims it to ``level`` in place; then each slice is elected
+    and merged, and the walk adds ``lam`` times that onto the base, read from the same flat."""
+    members, offsets, map_jobs = group
+    flat = np.concatenate([np.ravel(base[name]) for name in members])  # read once, for updates and compose
+    reads = [range_reader(t, members) for t in tuned]
+    trimmed = list(map_jobs(lambda read: _trim(update_range(read, members, offsets, 0, flat), level), reads))
     election = config.sign_election or config.method == "ties"
 
-    def merge_slice(name: str, at: int, start: int, b: np.ndarray, out: np.ndarray) -> None:
-        rows = [row[at + start:at + start + len(out)] for row in trimmed]
+    def merge_slice(first: int, b: np.ndarray, out: np.ndarray) -> None:
+        rows = [row[first:first + len(out)] for row in trimmed]
         out[...] = disjoint_merge(rows, elect_signs(rows) if election else None)
 
-    _slice_walk(layer_base, shapes, offsets, config.lam, map_jobs, merge_slice, place)
+    views = dict(zip(members, np.split(flat, offsets[1:-1])))  # the base's members, as views of the flat
+    _slice_walk(range_reader(views, members), group, config.lam, merge_slice, place)
 
 
-def _average_layer(
-    base: TensorMap, tuned: Sequence[TensorMap], shapes: dict[str, tuple[int, ...]],
-    offsets: Sequence[int], lam: float, map_jobs: Callable, place: _Place,
-) -> None:
-    """Pass 2 of ``simple_average`` on one layer group: each slice reads each checkpoint's
-    range in task order, adds their 32-bit updates into a float64 total, divides it by T
-    and rounds it to float32 in the member's output, and the walk adds ``lam`` times that
-    onto the base."""
-    tuned_reads = [_flat_reads(tensors, shapes) for tensors in tuned]
+def _average_layer(base: TensorMap, tuned: Sequence[TensorMap], group: _Group, lam: float,
+                   place: _Place) -> None:
+    """Pass 2 of ``simple_average`` on one layer group: each slice builds each checkpoint's
+    update over it (:func:`update_range`) in task order, adds them into a float64 total and
+    divides it by T into ``out``, and the walk adds ``lam`` times that onto the base."""
+    members, offsets, _ = group
+    tuned_reads = [range_reader(tensors, members) for tensors in tuned]
 
-    def average(name: str, at: int, start: int, b: np.ndarray, out: np.ndarray) -> None:
+    def average(first: int, b: np.ndarray, out: np.ndarray) -> None:
         update = np.empty(len(b), np.float32)
-        updates = (stored_sum(f"update of tensor {name!r}", read(name, start, start + len(b)), -1, b,
-                              out=update) for read in tuned_reads)
-        total = task_order_sum(updates, len(b))
+        total = task_order_sum((update_range(read, members, offsets, first, b, out=update)
+                                for read in tuned_reads), len(b))
         out[...] = np.divide(total, len(tuned_reads), out=total)
 
-    _slice_walk(base, shapes, offsets, lam, map_jobs, average, place)
+    _slice_walk(range_reader(base, members), group, lam, average, place)
 
 
 def _workers() -> int:
@@ -391,11 +386,10 @@ def _pass_2(
 ) -> None:
     """Pass 2 on layer group ``l``: average its updates, or trim, elect and merge them, add
     ``lam`` times the result onto the base, and ``place`` each slice of it."""
-    shapes, offsets, map_jobs = group
     if allocation is None:
-        _average_layer(base, tuned, shapes, offsets, config.lam, map_jobs, place)
+        _average_layer(base, tuned, group, config.lam, place)
     else:
-        _merge_layer(base, tuned, shapes, offsets, float(allocation.s_final[l]), config, map_jobs, place)
+        _merge_layer(base, tuned, group, float(allocation.s_final[l]), config, place)
 
 
 def merge(
@@ -416,16 +410,17 @@ def merge(
     holds the whole model; :func:`merge_to_archive` writes the model to a file
     without holding a merged layer.
 
-    A layer group of at least two slices (131,072 entries) runs its jobs on one
-    thread per CPU this process may use: pass 1's per-task scores and per-pair
-    products, pass 2's per-task trims and its slices of averaging or of election,
-    merge and compose. The bytes do not depend on the count. Pass 1's threads end
-    with this call; pass 2's live until ``merged`` is exhausted, closed or raises.
+    A layer group of at least two slices (131,072 entries) runs its jobs on one thread
+    per CPU this process may use: pass 1's per-task updates and the parts of its sums'
+    tree, pass 2's per-task trims and its slices of averaging or of election, merge and
+    compose. The bytes do not depend on the count. Pass 1's threads end with this call;
+    pass 2's live until ``merged`` is exhausted, closed or raises.
     """
     grouping, conflict, allocation = _converged_plan(base, tuned, config, labels)
+    shapes = tensor_shapes(base)
 
     def layer(l: int, group: _Group) -> dict[str, np.ndarray]:
-        merged = {name: np.empty(shape, np.float32) for name, shape in group[0].items()}
+        merged = {name: np.empty(shapes[name], np.float32) for name in group[0]}
 
         def place(name: str, start: int, values: np.ndarray) -> None:
             merged[name].reshape(-1)[start:start + len(values)] = values

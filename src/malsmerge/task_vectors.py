@@ -2,16 +2,17 @@
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass, field
-from functools import partial
-from typing import Callable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .archive import tensor_shapes
+from .archive import Archive, tensor_shapes
 from .errors import ValidationError
 
 TensorMap = Mapping[str, np.ndarray]
+RangeRead = Callable[[str, int, int], np.ndarray]  # read(name, start, stop), as range_reader gives it
 
 
 @dataclass
@@ -93,35 +94,38 @@ def stored_sum(
         raise ValidationError(f"{what} overflows 32-bit precision") from None
 
 
-def delta_tensors(base: TensorMap, tuned: TensorMap, label: str) -> Iterator[tuple[str, np.ndarray]]:
-    """``(name, tuned - base)`` pairs in the base's order, each subtracted only when
-    reached. Compatibility is checked here, before any pair."""
-    require_compatible(base, tuned, f"checkpoint {label!r}")
-    return ((key, stored_sum(f"update of tensor {key!r}", tuned[key], -1, base[key])) for key in base)
+def range_reader(tensors: TensorMap, names: Iterable[str]) -> RangeRead:
+    """``read(name, start, stop)``: entries ``[start, stop)`` of tensor ``name``, one of
+    ``names``, flat. An :class:`Archive` reads just that range; any other mapping's tensors
+    are raveled once here, each keeping its dtype, and sliced."""
+    if isinstance(tensors, Archive):
+        return tensors.read_range
+    flats = {name: np.ravel(tensors[name]) for name in names}
+    return lambda name, start, stop: flats[name][start:stop]
+
+
+def update_range(read: RangeRead, members: Sequence[str], offsets: Sequence[int], start: int, b: np.ndarray,
+                 out: np.ndarray | None = None) -> np.ndarray:
+    """A checkpoint's float32 update ``tuned - base`` (:func:`stored_sum`) over entries ``[start,
+    start + len(b))`` of a layer group's flat, whose ``members`` lie end to end at ``offsets``
+    (:func:`grouping.member_offsets`), into ``out`` if given, else a new array. ``b`` holds the
+    base's entries there; each member piece in the range is read through ``read`` and
+    subtracted in turn, one raw piece alive at a time. Callers check compatibility first."""
+    stop = start + len(b)
+    out = np.empty(len(b), np.float32) if out is None else out
+    for i in range(bisect.bisect_right(offsets, start) - 1, bisect.bisect_left(offsets, stop)):
+        lo, hi = max(start, offsets[i]), min(stop, offsets[i + 1])
+        if lo < hi:
+            what, piece = f"update of tensor {members[i]!r}", slice(lo - start, hi - start)
+            stored_sum(what, read(members[i], lo - offsets[i], hi - offsets[i]), -1, b[piece], out=out[piece])
+    return out
 
 
 def compute_task_vector(base: TensorMap, tuned: TensorMap, label: str) -> TaskVector:
     """Subtract the base from a fine-tuned checkpoint, tensor by tensor."""
-    return TaskVector(label=label, deltas=dict(delta_tensors(base, tuned, label)))
-
-
-def layer_updates(
-    base: TensorMap, tuned: Sequence[TensorMap], members: Sequence[str], offsets: Sequence[int]
-) -> list[Callable[[], np.ndarray]]:
-    """A function per checkpoint that returns its update on one layer group as a new flat
-    float32 array, its members' deltas raveled and written straight into it end to end at
-    ``offsets`` (:func:`grouping.member_offsets`). Each base member is looked up once, here;
-    a checkpoint is read only when its function is called, so each update can be built on a
-    worker of its own. Callers check compatibility first."""
-    bases = [base[name] for name in members]
-
-    def update(t: TensorMap) -> np.ndarray:
-        flat = np.empty(offsets[-1], np.float32)
-        for name, b, start, end in zip(members, bases, offsets, offsets[1:]):
-            stored_sum(f"update of tensor {name!r}", t[name], -1, b, out=flat[start:end].reshape(b.shape))
-        return flat
-
-    return [partial(update, t) for t in tuned]
+    require_compatible(base, tuned, f"checkpoint {label!r}")
+    deltas = {key: stored_sum(f"update of tensor {key!r}", tuned[key], -1, base[key]) for key in base}
+    return TaskVector(label=label, deltas=deltas)
 
 
 def validate_compatibility(base: TensorMap, tuned_list: Sequence[TensorMap],

@@ -7,6 +7,7 @@ import os
 import re
 import shlex
 import struct
+import tracemalloc
 import warnings
 from dataclasses import fields
 from pathlib import Path
@@ -25,7 +26,7 @@ from malsmerge import (
     write_archive,
     write_synthetic_set,
 )
-from malsmerge import archive
+from malsmerge import archive, merging
 from malsmerge.cli import _CONFIG_KEYS, RunConfig, load_run_config, run
 
 
@@ -588,7 +589,7 @@ def test_diff_writes_task_vector(tmp_path, synth_dir):
         )
 
 
-def test_diff_bytes_equal_write_archive_of_the_updates(tmp_path):
+def _diff_bytes_equal_write_archive_of_the_updates(tmp_path):
     # off the synthetic grid, with a 0-d and an empty tensor among them
     rng = np.random.default_rng(11)
     base = {"b.w": rng.standard_normal((5, 7)).astype(np.float32), "a.scalar": np.float32(1.5).reshape(()),
@@ -602,6 +603,38 @@ def test_diff_bytes_equal_write_archive_of_the_updates(tmp_path):
     argv = ["diff", "--base", str(tmp_path / "base.st"), "--tuned", str(tmp_path / "tuned.st")]
     assert run([*argv, "--out", str(out)]) == 0
     assert out.read_bytes() == (tmp_path / "expected.st").read_bytes()
+
+
+def test_diff_bytes_equal_write_archive_of_the_updates(tmp_path):
+    _diff_bytes_equal_write_archive_of_the_updates(tmp_path)
+
+
+@pytest.mark.parametrize("slice_entries", [1, 3, 7])
+def test_diff_bytes_do_not_depend_on_the_slice_size(tmp_path, monkeypatch, slice_entries):
+    # the whole model's flat is cut into slices of every size across its tensors' ends
+    monkeypatch.setattr(merging, "_SLICE_ENTRIES", slice_entries)
+    _diff_bytes_equal_write_archive_of_the_updates(tmp_path)
+
+
+def test_diff_memory_stays_within_a_few_slices(tmp_path, monkeypatch):
+    # each tensor's update is built and written a slice at a time: the traced peak of a diff
+    # of a 64-slice tensor stays within 8 slices, where base, tuned and update tensors held
+    # whole take 3 x 64
+    monkeypatch.setattr(merging, "_SLICE_ENTRIES", 4096)
+    w = np.random.default_rng(3).standard_normal((64, 4096)).astype(np.float32)
+    write_archive({"w": w, "b": w[:3]}, tmp_path / "base.st")
+    write_archive({"w": w + 1, "b": 2 * w[:3]}, tmp_path / "tuned.st")
+    del w
+    argv = ["diff", "--base", str(tmp_path / "base.st"), "--tuned", str(tmp_path / "tuned.st"),
+            "--out", str(tmp_path / "tau.st")]
+    assert run(argv) == 0  # once untraced, so that first-use caches are not counted
+    tracemalloc.start()
+    try:
+        assert run(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * 4 * 4096, peak / (4 * 4096)
 
 
 @pytest.mark.parametrize("change", ["missing", "reshaped", "extra"])

@@ -3,6 +3,7 @@ from __future__ import annotations
 import math
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
+from functools import partial
 from itertools import combinations
 
 import numpy as np
@@ -25,7 +26,7 @@ from malsmerge.conflict import (
 )
 from malsmerge.grouping import member_offsets
 from malsmerge.merging import plan
-from malsmerge.task_vectors import TaskVector, compute_task_vector, layer_updates
+from malsmerge.task_vectors import TaskVector, compute_task_vector, range_reader, update_range
 from oracles import pearson_abs_oracle, sign_disagreement_oracle
 
 
@@ -432,11 +433,12 @@ def test_score_layers_equals_the_public_kernels_per_pair(n):
           rng.standard_normal(n).astype(np.float32), (rng.standard_normal(n) * 1e-30).astype(np.float32),
           np.zeros(n, np.float32)]
 
-    updates = [lambda x=x: x.copy() for x in xs]  # scoring may overwrite what it is given
+    # each update built over a zero base, in a new array: scoring may overwrite what it is given
+    updates = [partial(update_range, range_reader({"x": x}, ["x"]), ["x"], [0, n]) for x in xs]
     importance = float(sum(np.sum(np.abs(x), dtype=np.float64) / n for x in xs)) / len(xs)
     with ThreadPoolExecutor(2) as pool:
         for map_jobs in (map, pool.map):
-            report = score_layers(["l"], len(xs), [(map_jobs, n, updates)])
+            report = score_layers(["l"], len(xs), [(map_jobs, np.zeros(n, np.float32), updates)])
             for k, (i, j) in enumerate(report.task_pairs):
                 assert report.rho_abs[k, 0] == pearson_abs(xs[i], xs[j])
                 assert report.sign_disagreement[k, 0] == sign_disagreement(xs[i], xs[j])
@@ -446,9 +448,10 @@ def test_score_layers_equals_the_public_kernels_per_pair(n):
 
 
 def test_score_layers_takes_each_layer_as_a_one_shot_iterator():
-    # each layer is (map_jobs, entries, a function per task building its update). Updates
-    # built from the checkpoints, through a thread pool's map running tasks and parts side
-    # by side, score as the task vectors' updates through the builtin map do
+    # each layer is (map_jobs, the base's flat, a function per task building its update over
+    # a range of it). Updates built from the checkpoints by the range builder, through a
+    # thread pool's map running tasks and parts side by side, score as the task vectors'
+    # updates through the builtin map do
     base, tuned = synthesize_checkpoints(5, 3, 1000, 4, [0.9, 0.5, 0.1])
     tvs = [compute_task_vector(base, t, f"t{i}") for i, t in enumerate(tuned)]
     grouping = group_layers(base)
@@ -456,7 +459,9 @@ def test_score_layers_takes_each_layer_as_a_one_shot_iterator():
     def layers(map_jobs):
         for _, members in grouping.groups:
             offsets = member_offsets(tensor_shapes(base), members)
-            yield map_jobs, offsets[-1], layer_updates(base, tuned, members, offsets)
+            b = np.concatenate([base[name].ravel() for name in members])
+            updates = [partial(update_range, range_reader(t, members), members, offsets) for t in tuned]
+            yield map_jobs, b, updates
 
     fresh = layer_conflict(tvs, grouping)
     with ThreadPoolExecutor(3) as pool:

@@ -584,6 +584,41 @@ class TestMerge:
         with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
             merge(base, tuned, MergeConfig(method=method))
 
+    @pytest.mark.parametrize("where", ["base", "checkpoint"])
+    @pytest.mark.parametrize("dtype", [np.complex128, np.complex64, "<U1"])
+    @pytest.mark.parametrize("method", METHODS)
+    def test_non_real_mapping_dtype_rejected_naming_the_input_tensor_and_dtype(self, method, dtype, where):
+        # a complex or text tensor would otherwise fail deep inside numpy, in pass 1 or 2
+        base, tuned = _edge_checkpoints(seed=7)
+        target = base if where == "base" else tuned[1]
+        target["m.layers.1.mlp.w"] = np.ones(target["m.layers.1.mlp.w"].shape, dtype)
+        what = "base" if where == "base" else "checkpoint 'task-1'"
+        message = f"{what}: tensor 'm.layers.1.mlp.w' has dtype {np.dtype(dtype)}, not a real number"
+        config = MergeConfig(method=method, sign_election=True)
+        for job in (plan, merge):
+            with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+                job(base, tuned, config)
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_integer_bool_and_mixed_float_members_merge_as_their_float64_values(self, method):
+        # one layer group of float32, float16, int64, uint8 and bool members: each merges by
+        # its values, as the same values held in float64 do
+        rng = np.random.default_rng(5)
+        dtypes = {"f32": np.float32, "f16": np.float16, "i64": np.int64, "u8": np.uint8, "b": np.bool_}
+
+        def checkpoint():
+            return {f"m.layers.0.{key}": rng.integers(0, 2 if key == "b" else 9, size=(2, 3)).astype(dtype)
+                    for key, dtype in dtypes.items()}
+
+        def wide(tensors):
+            return {name: tensor.astype(np.float64) for name, tensor in tensors.items()}
+
+        base, tuned = checkpoint(), [checkpoint() for _ in range(3)]
+        config = MergeConfig(method=method, sign_election=True)
+        merged, _, _ = merge(base, tuned, config)
+        expected, _, _ = merge(wide(base), [wide(t) for t in tuned], config)
+        assert [(name, t.tobytes()) for name, t in merged] == [(name, t.tobytes()) for name, t in expected]
+
     @pytest.mark.parametrize("tensor", [np.arange(5), np.array([True, False]), np.float16([1, np.inf]),
                                         np.array(np.nan), np.array(2.5), np.zeros((0, 3)), np.full(3, -np.inf)])
     def test_mapping_finiteness_check_matches_isfinite(self, tensor):
@@ -802,6 +837,31 @@ def _library_merge(paths, config=MergeConfig(method="mals", sign_election=True))
     tuned = [read_archive(path) for path in paths["tasks"]]
     merged, _, _ = merge(base, tuned, config)
     _write_merged(base, merged, Path(paths["base"]).with_name("merged.safetensors"))
+
+
+@pytest.mark.parametrize("method, passes", [("mals", 2), ("ties", 2), ("simple_average", 1)])
+def test_merge_to_archive_reads_each_input_entry_once_a_pass(tmp_path, monkeypatch, method, passes):
+    # pass 1 and pass 2 each read every base and task entry once, pass 2 composing onto the
+    # base flat it built the updates from; simple_average runs pass 2 alone, a slice at a time
+    monkeypatch.setattr(merging, "_SLICE_ENTRIES", 7)
+    monkeypatch.setattr(merging, "_workers", lambda: 2)
+    paths = write_synthetic_set(tmp_path, seed=3, num_layers=3, elems_per_layer=64, num_tasks=3,
+                                conflict_profile=[0.8, 0.5, 0.2])
+    reads = []  # appended from the workers; an append is atomic
+    read_range = Archive.read_range
+
+    def counted(self, name, start, stop):
+        reads.append((self.path, name, stop - start))
+        return read_range(self, name, start, stop)
+
+    monkeypatch.setattr(Archive, "read_range", counted)
+    base, tuned = read_archive(paths["base"]), [read_archive(path) for path in paths["tasks"]]
+    merge_to_archive(base, tuned, MergeConfig(method=method, sign_election=True), tmp_path / "merged.st")
+    counts = {}
+    for path, name, entries in reads:
+        counts[path, name] = counts.get((path, name), 0) + entries
+    assert counts == {(archive.path, name): passes * int(np.prod(info.shape))
+                      for archive in (base, *tuned) for name, info in archive.infos.items()}
 
 
 @pytest.mark.parametrize("job", [_plan, _cli_merge, _library_merge], ids=lambda job: job.__name__[1:])

@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 from malsmerge import MergeConfig, ValidationError, merge
 from malsmerge.grouping import member_offsets
-from malsmerge.task_vectors import compute_task_vector, layer_updates, stored_sum, validate_compatibility
+from malsmerge.task_vectors import (compute_task_vector, range_reader, stored_sum, update_range,
+                                    validate_compatibility)
 
 
 def _map(**kwargs):
@@ -116,38 +117,51 @@ def test_other_dtypes_add_at_64_bits(scale):
     assert stored.dtype == np.float32 and stored[0] == np.float32((1 + 1e-9) - 1.0) != 0
 
 
+_SHAPES = {"b": (5,), "a": (3, 4), "c": (0, 2)}
+_MEMBERS = ["a", "c", "b"]  # three members, one of them empty, not in the map's order
+_OFFSETS = member_offsets(_SHAPES, _MEMBERS)
+
+
+def _ranges():
+    return [(a, b) for a in range(_OFFSETS[-1] + 1) for b in range(a, _OFFSETS[-1] + 1)]
+
+
+@pytest.mark.parametrize("given_out", [False, True], ids=["new", "out"])
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-def test_layer_updates_equal_member_deltas_concatenated(dtype):
+def test_update_range_over_every_range_equals_the_member_deltas_concatenated(dtype, given_out):
     rng = np.random.default_rng(9)
-    shapes = {"b": (5,), "a": (3, 4), "c": (0, 2)}
 
     def checkpoint():
-        return {name: rng.normal(size=shape).astype(dtype) for name, shape in shapes.items()}
+        return {name: rng.normal(size=shape).astype(dtype) for name, shape in _SHAPES.items()}
 
     base, tuned = checkpoint(), [checkpoint(), checkpoint()]
-    members = ["a", "b"]  # a two-member group, not in the map's order
-    updates = layer_updates(base, tuned, members, member_offsets(shapes, members))
-    assert len(updates) == len(tuned)
-    for t, update in zip(tuned, updates):
-        expected = np.concatenate([np.ravel(_sum_64(t[n], -1, base[n])) for n in members])
-        flat = update()
-        assert flat.dtype == np.float32 and flat.tobytes() == expected.tobytes()
-        assert not np.shares_memory(flat, update())  # a new array each call, scoring's to overwrite
-    empty = layer_updates(base, tuned, ["c"], member_offsets(shapes, ["c"]))[0]
-    assert empty().shape == (0,)
+    flat_base = np.concatenate([base[name].ravel() for name in _MEMBERS])
+    for t in tuned:
+        expected = np.concatenate([np.ravel(_sum_64(t[n], -1, base[n])) for n in _MEMBERS])
+        read = range_reader(t, _MEMBERS)
+        for a, b in _ranges():
+            out = np.full(b - a, np.nan, np.float32) if given_out else None
+            update = update_range(read, _MEMBERS, _OFFSETS, a, flat_base[a:b], out=out)
+            assert update.dtype == np.float32 and update.tobytes() == expected[a:b].tobytes(), (a, b)
+            assert update is out if given_out else update.base is None  # a new array
 
 
-class _Unread(dict):
-    def __getitem__(self, name):
-        raise AssertionError(f"tensor {name!r} read before it was asked for")
+def test_update_range_reads_only_the_member_pieces_in_its_range():
+    # each member piece that the range covers is read once, over just those entries; an
+    # empty member, and any member outside the range, is not read
+    tensors = {name: np.ones(shape, np.float32) for name, shape in _SHAPES.items()}
+    reader = range_reader(tensors, _MEMBERS)
+    for a, b in _ranges():
+        reads = []
 
+        def read(name, start, stop):
+            reads.append((name, start, stop))
+            return reader(name, start, stop)
 
-def test_layer_updates_read_a_checkpoint_only_when_its_update_is_built():
-    base = _map(w=[1.0, 2.0])
-    first, second = layer_updates(base, [_map(w=[2.0, 4.0]), _Unread(base)], ["w"], [0, 2])
-    np.testing.assert_array_equal(first(), [1.0, 2.0])
-    with pytest.raises(AssertionError, match="'w' read before"):
-        second()
+        update_range(read, _MEMBERS, _OFFSETS, a, np.zeros(b - a, np.float32))
+        pieces = [(name, max(a, at) - at, min(b, end) - at)
+                  for name, at, end in zip(_MEMBERS, _OFFSETS, _OFFSETS[1:]) if max(a, at) < min(b, end)]
+        assert reads == pieces, (a, b)
 
 
 def test_compatibility_all_pass():
