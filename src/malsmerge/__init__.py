@@ -17,7 +17,6 @@ from .errors import ArchiveError, ConvergenceError, MergeToolError, ValidationEr
 from .grouping import (
     DEFAULT_GROUPING_PATTERN,
     LayerGrouping,
-    flatten_group,
     group_layers,
     unflatten_group,
 )
@@ -54,7 +53,6 @@ __all__ = [
     "config_metadata",
     "disjoint_merge",
     "elect_signs",
-    "flatten_group",
     "group_layers",
     "initial_sparsity",
     "merge",

@@ -13,7 +13,7 @@ import hashlib
 import json
 import math
 import os
-from contextlib import contextmanager
+from contextlib import closing
 from dataclasses import dataclass, field, fields, replace
 from functools import partial
 from pathlib import Path
@@ -214,19 +214,16 @@ def simple_average(task_vectors: Sequence[TaskVector]) -> TaskVector:
     return TaskVector(label="simple_average", deltas=deltas)
 
 
-@contextmanager
-def _layer_walk(base: TensorMap, grouping: LayerGrouping) -> Iterator[Iterator[_Group]]:
+def _layer_walk(base: TensorMap, grouping: LayerGrouping) -> Iterator[_Group]:
     """Each layer group's ``(members, offsets, map_jobs)``, in ``grouping`` order: its members'
     names, :func:`grouping.member_offsets` for them, and a ``map`` that runs its jobs, results
     in order: the builtin one under two slices, where a pool gains nothing, else that of a pool
     of one thread per CPU this process may use. The pool starts at the first large group (only
     then is ``concurrent.futures``, which pulls in ``logging``, imported) and shuts down, once
-    the jobs in flight are done, however the block ends. numpy's ufuncs, its partition and
-    ``preadv`` release the GIL."""
+    the jobs in flight are done, when the walk ends or is closed, as each caller closes it.
+    numpy's ufuncs, its partition and ``preadv`` release the GIL."""
     pool = None
-
-    def walk() -> Iterator[_Group]:
-        nonlocal pool
+    try:
         base_shapes = tensor_shapes(base)
         for _, members in grouping.groups:
             offsets = member_offsets(base_shapes, members)
@@ -236,9 +233,6 @@ def _layer_walk(base: TensorMap, grouping: LayerGrouping) -> Iterator[Iterator[_
 
                 pool = ThreadPoolExecutor(_workers())
             yield members, offsets, pool.map if large else map
-
-    try:
-        yield walk()
     finally:
         if pool is not None:
             pool.shutdown()
@@ -280,7 +274,7 @@ def plan(
     grouping = group_layers(base, config.grouping_pattern)
     if config.method == "simple_average":
         return grouping, None, None
-    with _layer_walk(base, grouping) as walk:
+    with closing(_layer_walk(base, grouping)) as walk:
         layers = ((map_jobs, np.concatenate([np.ravel(base[name]) for name in members]),
                    [partial(update_range, range_reader(t, members), members, at) for t in tuned])
                   for members, at, map_jobs in walk)
@@ -303,22 +297,21 @@ def _slices(members: Iterable[str], offsets: Sequence[int]) -> Iterator[tuple[st
 
 
 def _slice_walk(base_read: Callable[[str, int, int], np.ndarray], group: _Group, lam: float,
-                fill: Callable[[int, np.ndarray, np.ndarray], None], place: _Place) -> None:
+                fill: Callable[[int, np.ndarray], np.ndarray], place: _Place) -> None:
     """Each member's float32 merged tensor, in :func:`_slices`: a slice reads the base's
-    entries once through ``base_read``, as ``b``, ``fill(first, b, out)`` writes their merged
-    update into ``out``, a float32 buffer of the slice's length that starts at ``first`` in
-    the group's flat, ``b + lam * out`` is stored there, and ``place(name, start, out)`` takes
-    it on the thread that composed it. Fills work by position, so the bytes depend on neither
-    the slice size nor how the group's ``map_jobs`` (results in walk order) spreads the
-    slices; the error raised is the first a serial walk meets."""
+    entries once through ``base_read``, as ``b``, ``fill(first, b)`` returns their merged update
+    in a float32 array of its own, the slice's length, which starts at ``first`` in the group's
+    flat, ``b + lam * update`` is stored in that array, and ``place(name, start, update)`` takes
+    it on the thread that composed it, so the walk owns no buffer. Fills work by position, so
+    the bytes depend on neither the slice size nor how the group's ``map_jobs`` (results in
+    walk order) spreads the slices; the error raised is the first a serial walk meets."""
     members, offsets, map_jobs = group
 
     def run(job: tuple[str, int, int, int]) -> None:
         name, at, start, stop = job
         b = base_read(name, start, stop)
-        out = np.empty(stop - start, np.float32)
-        fill(at + start, b, out)
-        place(name, start, stored_sum(f"merged tensor {name!r}", b, lam, out, out=out))
+        update = fill(at + start, b)
+        place(name, start, stored_sum(f"merged tensor {name!r}", b, lam, update, out=update))
 
     for _ in map_jobs(run, _slices(members, offsets)):
         pass
@@ -335,9 +328,9 @@ def _merge_layer(base: TensorMap, tuned: Sequence[TensorMap], group: _Group, lev
     trimmed = list(map_jobs(lambda read: _trim(update_range(read, members, offsets, 0, flat), level), reads))
     election = config.sign_election or config.method == "ties"
 
-    def merge_slice(first: int, b: np.ndarray, out: np.ndarray) -> None:
-        rows = [row[first:first + len(out)] for row in trimmed]
-        out[...] = disjoint_merge(rows, elect_signs(rows) if election else None)
+    def merge_slice(first: int, b: np.ndarray) -> np.ndarray:
+        rows = [row[first:first + len(b)] for row in trimmed]
+        return disjoint_merge(rows, elect_signs(rows) if election else None)
 
     views = dict(zip(members, np.split(flat, offsets[1:-1])))  # the base's members, as views of the flat
     _slice_walk(range_reader(views, members), group, config.lam, merge_slice, place)
@@ -346,16 +339,16 @@ def _merge_layer(base: TensorMap, tuned: Sequence[TensorMap], group: _Group, lev
 def _average_layer(base: TensorMap, tuned: Sequence[TensorMap], group: _Group, lam: float,
                    place: _Place) -> None:
     """Pass 2 of ``simple_average`` on one layer group: each slice builds each checkpoint's
-    update over it (:func:`update_range`) in task order, adds them into a float64 total and
-    divides it by T into ``out``, and the walk adds ``lam`` times that onto the base."""
+    update over it (:func:`update_range`) in task order into one float32 buffer, adds them into a
+    float64 total and divides that by T into the buffer, which the walk composes into."""
     members, offsets, _ = group
     tuned_reads = [range_reader(tensors, members) for tensors in tuned]
 
-    def average(first: int, b: np.ndarray, out: np.ndarray) -> None:
+    def average(first: int, b: np.ndarray) -> np.ndarray:
         update = np.empty(len(b), np.float32)
         total = task_order_sum((update_range(read, members, offsets, first, b, out=update)
                                 for read in tuned_reads), len(b))
-        out[...] = np.divide(total, len(tuned_reads), out=total)
+        return np.divide(total, len(tuned_reads), out=update)
 
     _slice_walk(range_reader(base, members), group, lam, average, place)
 
@@ -366,10 +359,14 @@ def _workers() -> int:
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
-def _converged_plan(
+def _merge_walk(
     base: TensorMap, tuned: Sequence[TensorMap], config: MergeConfig, labels: Sequence[str] | None,
-) -> tuple[LayerGrouping, ConflictReport | None, AllocationResult | None]:
-    """:func:`plan`, refusing a non-converged allocation with :class:`ConvergenceError`."""
+    place: Callable[[Sequence[str]], _Place],
+) -> tuple[Iterator[None], ConflictReport | None, AllocationResult | None]:
+    """:func:`plan`, refusing a non-converged allocation with :class:`ConvergenceError`, and
+    pass 2 as a generator that its caller closes: for each layer group in turn it averages the
+    updates, or trims, elects and merges them, adds ``lam`` times the result onto the base,
+    hands each slice to the ``_Place`` that ``place(members)`` gives for the group, and yields."""
     grouping, conflict, allocation = plan(base, tuned, config, labels)
     if allocation is not None and not allocation.converged:
         raise ConvergenceError(
@@ -377,19 +374,17 @@ def _converged_plan(
             f"iterations (mean sparsity {allocation.mean_sparsity}, "
             f"target {config.allocation.s_target})"
         )
-    return grouping, conflict, allocation
 
+    def walk() -> Iterator[None]:
+        with closing(_layer_walk(base, grouping)) as groups:
+            for l, group in enumerate(groups):
+                if allocation is None:
+                    _average_layer(base, tuned, group, config.lam, place(group[0]))
+                else:
+                    _merge_layer(base, tuned, group, float(allocation.s_final[l]), config, place(group[0]))
+                yield
 
-def _pass_2(
-    base: TensorMap, tuned: Sequence[TensorMap], config: MergeConfig,
-    allocation: AllocationResult | None, l: int, group: _Group, place: _Place,
-) -> None:
-    """Pass 2 on layer group ``l``: average its updates, or trim, elect and merge them, add
-    ``lam`` times the result onto the base, and ``place`` each slice of it."""
-    if allocation is None:
-        _average_layer(base, tuned, group, config.lam, place)
-    else:
-        _merge_layer(base, tuned, group, float(allocation.s_final[l]), config, place)
+    return walk(), conflict, allocation
 
 
 def merge(
@@ -403,12 +398,12 @@ def merge(
     Returns ``(merged, conflict, allocation)``. Pass 1 and allocation run here,
     scoring conflict on one layer group's ``tuned - base`` updates at a time
     (not for ``simple_average``); a non-converged allocation is refused here.
-    ``merged`` iterates the ``(name, tensor)`` pairs, running pass 2 on each
-    layer group as it reaches it: average the updates, or trim, elect and merge
-    them, and add ``lam`` times the result onto the base. Pass-2 errors, such as
-    an overflowing merged tensor, are raised during iteration. ``dict(merged)``
-    holds the whole model; :func:`merge_to_archive` writes the model to a file
-    without holding a merged layer.
+    ``merged`` iterates the ``(name, tensor)`` pairs, running :func:`merge_to_archive`'s
+    pass 2 on each layer group as it reaches it: average the updates, or trim, elect and
+    merge them, and add ``lam`` times the result onto the base, into the group's float32
+    outputs (the previous group's are dropped first). Pass-2 errors, such as an
+    overflowing merged tensor, are raised during iteration. ``dict(merged)`` holds the
+    whole model; :func:`merge_to_archive` writes it to a file without holding a merged layer.
 
     A layer group of at least two slices (131,072 entries) runs its jobs on one thread
     per CPU this process may use: pass 1's per-task updates and the parts of its sums'
@@ -416,23 +411,23 @@ def merge(
     compose. The bytes do not depend on the count. Pass 1's threads end with this call;
     pass 2's live until ``merged`` is exhausted, closed or raises.
     """
-    grouping, conflict, allocation = _converged_plan(base, tuned, config, labels)
     shapes = tensor_shapes(base)
+    layer: dict[str, np.ndarray] = {}  # the float32 outputs of the layer group being composed
 
-    def layer(l: int, group: _Group) -> dict[str, np.ndarray]:
-        merged = {name: np.empty(shapes[name], np.float32) for name in group[0]}
+    def place(members: Sequence[str]) -> _Place:
+        layer.clear()
+        layer.update((name, np.empty(shapes[name], np.float32)) for name in members)
+        return put
 
-        def place(name: str, start: int, values: np.ndarray) -> None:
-            merged[name].reshape(-1)[start:start + len(values)] = values
+    def put(name: str, start: int, values: np.ndarray) -> None:
+        layer[name].reshape(-1)[start:start + len(values)] = values
 
-        _pass_2(base, tuned, config, allocation, l, group, place)
-        return merged
+    walk, conflict, allocation = _merge_walk(base, tuned, config, labels, place)
 
     def merged() -> Iterator[tuple[str, np.ndarray]]:
-        with _layer_walk(base, grouping) as walk:
-            for l, group in enumerate(walk):
-                # nothing here holds a layer once its last pair is taken
-                yield from layer(l, group).items()
+        with closing(walk):
+            for _ in walk:
+                yield from layer.items()
 
     return merged(), conflict, allocation
 
@@ -448,19 +443,18 @@ def merge_to_archive(
     """:func:`merge`, writing the merged model as an F32 archive at ``path`` with
     ``metadata``; returns ``(conflict, allocation)``.
 
-    Each composed slice is written at its offset in the file by the thread that
-    composed it, so no merged layer is held: pass 2 holds a layer's base and each
-    task's trimmed update of it for a trimmed merge, and slices alone for
-    ``simple_average``. The file is renamed into place once every tensor is
-    written; on any error, ``path`` is left untouched.
+    The writer opens first, so a bad ``path`` or ``metadata`` fails before pass 1 reads
+    anything. On :func:`merge`'s pass-2 walk each composed slice is written at its offset in
+    the file by the thread that composed it, so no merged layer is held: only a layer's base
+    and each task's trimmed update of it for a trimmed merge, slices for ``simple_average``.
+    The file is renamed into place once all is written; on any error ``path`` is untouched.
     """
-    grouping, conflict, allocation = _converged_plan(base, tuned, config, labels)
-    # the walk's block ends, and its pool has finished every slice, before the writer's
-    # closes or removes the file, however the walk ends
     with archive_writer(tensor_shapes(base), path, metadata) as write_range:
-        with _layer_walk(base, grouping) as walk:
-            for l, group in enumerate(walk):
-                _pass_2(base, tuned, config, allocation, l, group, write_range)
+        walk, conflict, allocation = _merge_walk(base, tuned, config, labels, lambda members: write_range)
+        # however the walk ends, it is closed, its pool done, before the writer closes or removes the file
+        with closing(walk):
+            for _ in walk:
+                pass
     return conflict, allocation
 
 

@@ -7,6 +7,7 @@ These must never import from the package under test.
 from __future__ import annotations
 
 import math
+import struct
 
 
 def pearson_abs_oracle(x, y) -> float:
@@ -127,3 +128,68 @@ def project_to_budget_oracle(s0, s_target, s_min, s_max) -> list[float]:
     if m_hi > m_lo:
         t += (s_target - m_lo) * (breaks[hi] - breaks[lo]) / (m_hi - m_lo)
     return [min(max(x + t, s_min), s_max) for x in s0]
+
+
+def _f32(x: float) -> float:
+    """``x`` rounded to the nearest float32, ties to even."""
+    return struct.unpack("<f", struct.pack("<f", x))[0]
+
+
+def allocation_oracle(conflict, importance, alpha, beta, s_min, s_max, s_target) -> list[float]:
+    """Min-max normalize both scores, score ``alpha * c - beta * m``, take the max-shifted
+    softmax, map it into ``[s_min, s_max]`` and project exactly onto the mean budget."""
+    c_hat, m_hat = min_max_oracle(conflict), min_max_oracle(importance)
+    r = [alpha * c - beta * m for c, m in zip(c_hat, m_hat)]
+    e = [math.exp(v - max(r)) for v in r]
+    s0 = [s_min + v / math.fsum(e) * (s_max - s_min) for v in e]
+    return project_to_budget_oracle(s0, s_target, s_min, s_max)
+
+
+def merge_oracle(base, tuned, groups, method, sign_election, lam, alloc, s_final=None):
+    """The whole merge, entry by entry: ``(conflict, importance, s_final, merged)``.
+
+    ``groups`` lists each layer group's member names in flat order; ``alloc`` holds
+    ``alpha``, ``beta``, ``s_min``, ``s_max`` and ``s_target``. Each task's update is
+    ``tuned - base`` rounded to float32. Pass 1 scores each group: conflict is the pairs'
+    mean of half |Pearson| plus half the sign disagreement, importance the tasks' mean of
+    mean |update|; the allocation runs on those scores, with the box collapsed onto the
+    target for ``uniform_sparsity`` and ``ties``. Pass 2 trims each update to the group's
+    level (``s_final`` if given, else the allocation's), elects signs for ``ties`` or with
+    ``sign_election``, merges the survivors and rounds the merge to float32; or, for
+    ``simple_average``, rounds the task-order mean of the updates to float32. The merged
+    tensor is ``base + lam * merge`` rounded once to float32, as flat lists by name.
+    ``simple_average`` runs no pass 1: its scores and levels are None.
+    """
+    def flat(tensors, members):
+        return [float(v) for name in members for v in tensors[name].flat]
+
+    updates = [[[_f32(t - b) for b, t in zip(flat(base, members), flat(checkpoint, members))]
+                for checkpoint in tuned] for members in groups]
+    conflict = importance = None
+    if method != "simple_average":
+        pairs = [(i, j) for i in range(len(tuned)) for j in range(i + 1, len(tuned))]
+        conflict, importance = [], []
+        for xs in updates:
+            n = len(xs[0])
+            terms = [0.5 * pearson_abs_oracle(xs[i], xs[j]) + 0.5 * sign_disagreement_oracle(xs[i], xs[j])
+                     for i, j in pairs] if n else [0.0] * len(pairs)
+            conflict.append(_task_order_total(terms) / max(len(pairs), 1))
+            magnitudes = [math.fsum(abs(v) for v in x) / n for x in xs] if n else [0.0]
+            importance.append(_task_order_total(magnitudes) / len(magnitudes))
+        box = ((alloc["s_target"],) * 2 if method in ("uniform_sparsity", "ties")
+               else (alloc["s_min"], alloc["s_max"]))
+        own = allocation_oracle(conflict, importance, alloc["alpha"], alloc["beta"], *box, alloc["s_target"])
+        s_final = own if s_final is None else s_final
+    merged = {}
+    for l, (members, xs) in enumerate(zip(groups, updates)):
+        if method == "simple_average":
+            delta = [_f32(_task_order_total(column) / len(xs)) for column in zip(*xs)]
+        else:
+            rows = [sparsify_oracle(x, s_final[l]) for x in xs]
+            signs = elect_signs_oracle(rows) if sign_election or method == "ties" else None
+            delta = [_f32(v) for v in disjoint_merge_oracle(rows, signs)]
+        out = [_f32(b + lam * d) for b, d in zip(flat(base, members), delta)]
+        for name in members:
+            size = base[name].size
+            merged[name], out = out[:size], out[size:]
+    return conflict, importance, s_final, merged

@@ -17,6 +17,7 @@ import subprocess
 import sys
 import threading
 import time
+import tracemalloc
 from contextlib import contextmanager
 from itertools import product
 from pathlib import Path
@@ -24,7 +25,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from malsmerge import METHODS, ArchiveError, MergeConfig, ValidationError, merge, merge_to_archive, read_archive
+from malsmerge import (
+    METHODS, ArchiveError, MergeConfig, ValidationError, merge, merge_to_archive, read_archive,
+    write_synthetic_set,
+)
 from malsmerge import merging, task_vectors
 from malsmerge.archive import Archive
 
@@ -267,6 +271,57 @@ def test_merge_to_archive_syncs_the_file_then_renames_then_syncs_the_directory(t
     merge_to_archive(base, tuned, MergeConfig(), tmp_path / "merged.st")
     size = (tmp_path / "merged.st").stat().st_size
     assert calls == [("fsync", size), ("replace", "merged.st"), ("fsync", "directory")]
+
+
+@pytest.mark.parametrize("bad", ["missing directory", "metadata"])
+def test_a_bad_output_fails_before_pass_1(tmp_path, monkeypatch, bad):
+    # the writer opens before plan() reads any input, so a path it cannot create or metadata
+    # it cannot store costs no pass 1, and the file already at the path is left as it was
+    def no_plan(*args):
+        raise AssertionError("plan() ran")
+
+    monkeypatch.setattr(merging, "plan", no_plan)
+    base, tuned = _checkpoints(np.float32)
+    old = tmp_path / "merged.st"
+    old.write_bytes(b"old")
+    if bad == "missing directory":
+        path, metadata, error = tmp_path / "missing" / "merged.st", None, FileNotFoundError
+    else:
+        path, metadata, error = old, {"method": 1}, ArchiveError
+    with pytest.raises(error) as info:
+        merge_to_archive(base, tuned, MergeConfig(), path, metadata=metadata)
+    assert bad == "missing directory" or str(info.value) == "metadata must map strings to strings"
+    assert sorted(tmp_path.iterdir()) == [old] and old.read_bytes() == b"old"
+
+
+def test_the_slice_walk_owns_no_slice_buffer(tmp_path, monkeypatch):
+    # an averaging slice job holds the base's slice (4 bytes an entry), the float32 update
+    # buffer that the fill divides its float64 total (8) into and the walk composes into (4),
+    # and one raw range of a checkpoint (4): 20 bytes an entry for each worker. A float32
+    # slice buffer of the walk's own, with the fill's result copied into it, would add 4 more
+    import concurrent.futures  # noqa: F401  merge() imports it on first use: not while traced
+
+    small, large = 1 << 14, 1 << 15
+    # layer groups of four slices, so each runs on the pool and holds four futures
+    sets = {n: write_synthetic_set(tmp_path / str(n), seed=3, num_layers=2, elems_per_layer=4 * n,
+                                   num_tasks=3, conflict_profile=[0.5] * 2) for n in (1024, small, large)}
+
+    def peak(slice_entries: int, workers: int) -> int:
+        monkeypatch.setattr(merging, "_SLICE_ENTRIES", slice_entries)
+        _use_workers(monkeypatch, workers)
+        paths = sets[slice_entries]
+        base, tuned = read_archive(paths["base"]), [read_archive(path) for path in paths["tasks"]]
+        tracemalloc.start()
+        try:
+            merge_to_archive(base, tuned, MergeConfig(method="simple_average"), tmp_path / "merged.st")
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(1024, 2)  # the first merge's one-time costs
+    one_worker = (peak(large, 1) - peak(small, 1)) / (large - small)
+    added_worker = (peak(large, 2) - peak(large, 1)) / large
+    assert one_worker <= 22 and added_worker <= 22, (one_worker, added_worker)
 
 
 @pytest.mark.parametrize("method", ["simple_average", "mals"])

@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 from malsmerge import (
     MergeConfig,
     ValidationError,
-    flatten_group,
     group_layers,
     pearson_abs,
     sign_disagreement,
@@ -24,7 +23,7 @@ from malsmerge.archive import tensor_shapes
 from malsmerge.conflict import (
     _NODE_ENTRIES, _constant, _mean, _part_walk, layer_conflict, score_layers,
 )
-from malsmerge.grouping import member_offsets
+from malsmerge.grouping import flatten_group, member_offsets
 from malsmerge.merging import plan
 from malsmerge.task_vectors import TaskVector, compute_task_vector, range_reader, update_range
 from oracles import pearson_abs_oracle, sign_disagreement_oracle

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from malsmerge import ValidationError, flatten_group, group_layers, unflatten_group
-from malsmerge.grouping import member_offsets
+from malsmerge import ValidationError, group_layers, unflatten_group
+from malsmerge.grouping import flatten_group, member_offsets
 from malsmerge.grouping import _group_sort_key
 
 

@@ -33,7 +33,9 @@ from malsmerge.archive import Archive, archive_writer
 from malsmerge.conflict import layer_conflict
 from malsmerge.merging import compose_merged, masked_select, plan, simple_average
 from malsmerge.task_vectors import TaskVector, compute_task_vector
-from oracles import disjoint_merge_oracle, elect_signs_oracle, sparsify_oracle
+from oracles import (
+    allocation_oracle, disjoint_merge_oracle, elect_signs_oracle, merge_oracle, sparsify_oracle,
+)
 
 
 class TestSparsifyTopFraction:
@@ -789,6 +791,57 @@ def test_sparsify_count_property(values, s):
     dropped = np.abs(v[(out == 0) & (v != 0)])
     if kept_magnitudes.size and dropped.size:
         assert kept_magnitudes.min() >= dropped.max() - 1e-12
+
+
+# eighths in [-1, 1] and -0.0: updates on this grid are exact, often tied in magnitude,
+# often zero, and -0.0 where a tuned -0.0 meets a base +0.0
+_GRID = np.array([k / 8 for k in range(-8, 9)] + [-0.0], np.float32)
+_ALLOCATION = AllocationConfig(alpha=1.0, beta=0.5, s_min=0.1, s_max=0.9, s_target=0.5, epsilon=1e-13)
+
+
+@settings(max_examples=30, deadline=None)
+@given(tasks=st.integers(1, 4), sizes=st.lists(st.integers(0, 300), min_size=1, max_size=2),
+       order=st.randoms(use_true_random=False), seed=st.integers(0, 2**32 - 1),
+       lam=st.sampled_from([1.0, 0.7, 1.3]))
+def test_merge_matches_the_reference_merge(tasks, sizes, order, seed, lam):
+    # every method, election on and off, with an empty group and a one-entry group in every
+    # case; a group of two or more entries is split into two members at a drawn point
+    sizes = [0, 1, *sizes]
+    order.shuffle(sizes)
+    rng = np.random.default_rng(seed)
+    base, tuned, groups = {}, [{} for _ in range(tasks)], []
+    for l, n in enumerate(sizes):
+        cut = int(rng.integers(1, n)) if n >= 2 else n
+        members = [f"model.layers.{l}.a", f"model.layers.{l}.b"][:1 + (n >= 2)]
+        for name, size in zip(members, (cut, n - cut)):
+            base[name] = rng.choice(_GRID, size)
+            for checkpoint in tuned:
+                checkpoint[name] = rng.choice(_GRID, size)
+        groups.append(members)
+    for method in METHODS:
+        for sign_election in (False, True):
+            _check_against_the_oracle(base, tuned, groups, method, sign_election, lam)
+
+
+def _check_against_the_oracle(base, tuned, groups, method, sign_election, lam) -> None:
+    """Pass 1 agrees with the oracle's to 1e-12, the allocation on pass 1's scores with the
+    exact projection (epsilon 1e-13), and pass 2, at plan()'s own levels, to the byte."""
+    config = MergeConfig(method=method, sign_election=sign_election, lam=lam, allocation=_ALLOCATION)
+    merged, report, allocation = merge(base, tuned, config)
+    merged = {name: tensor.tobytes() for name, tensor in merged}
+    s_final = None if allocation is None else allocation.s_final.tolist()
+    conflict, importance, _, expected = merge_oracle(base, tuned, groups, method, sign_election, lam,
+                                                     vars(_ALLOCATION), s_final)
+    expected = {name: np.array(values, np.float32).tobytes() for name, values in expected.items()}
+    assert merged == expected, method
+    if method == "simple_average":
+        assert report is None and allocation is None
+        return
+    np.testing.assert_allclose(report.conflict, conflict, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(report.importance, importance, rtol=0, atol=1e-12)
+    box = (0.5, 0.5) if method in ("uniform_sparsity", "ties") else (0.1, 0.9)
+    levels = allocation_oracle(report.conflict.tolist(), report.importance.tolist(), 1.0, 0.5, *box, 0.5)
+    np.testing.assert_allclose(allocation.s_final, levels, rtol=0, atol=1e-12)
 
 
 def _peak_bytes(out_dir, num_layers: int, job, num_tasks: int = 3, elems: int = 50_000) -> int:

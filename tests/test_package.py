@@ -14,7 +14,7 @@ PUBLIC_NAMES = [
     "ConvergenceError", "DEFAULT_GROUPING_PATTERN", "LayerDiagnostics", "LayerGrouping",
     "METHODS", "MergeConfig", "MergeToolError", "TensorInfo", "ValidationError",
     "allocate", "allocation_scores", "config_metadata", "disjoint_merge",
-    "elect_signs", "flatten_group", "group_layers", "initial_sparsity", "merge",
+    "elect_signs", "group_layers", "initial_sparsity", "merge",
     "merge_to_archive", "min_max_normalize", "pearson_abs", "project_to_budget", "read_archive",
     "sign_disagreement", "softmax_weights", "sparsify_top_fraction",
     "synthesize_checkpoints", "tensor_shapes",
@@ -28,6 +28,7 @@ WHOLE_MODEL_HELPERS = {
     "validate_compatibility": "malsmerge.task_vectors",
     "CompatibilityReport": "malsmerge.task_vectors",
     "layer_conflict": "malsmerge.conflict",
+    "flatten_group": "malsmerge.grouping",
     "simple_average": "malsmerge.merging",
     "compose_merged": "malsmerge.merging",
 }
