@@ -22,7 +22,6 @@ import json
 import math
 import operator
 import os
-import secrets
 import struct
 import sys
 import threading
@@ -426,7 +425,7 @@ def atomic_file(path: str | Path) -> Iterator[BinaryIO]:
     the temp file is removed and ``path`` is left untouched. An ``OSError`` on it names ``path``.
     The temp file is synced to disk before the rename, and its directory after it."""
     target = Path(path)
-    tmp_name = target.with_name(f"{target.name}.{secrets.token_hex(8)}.tmp")
+    tmp_name = target.with_name(f"{target.name}.{os.urandom(8).hex()}.tmp")
     try:
         # mode 0666 less the umask, as open(path, "wb") gives; mkstemp would force 0600
         fd = os.open(tmp_name, os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o666)

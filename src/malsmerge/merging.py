@@ -9,10 +9,10 @@ onto the target, which makes the advertised method equivalences structural.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 import os
+from collections import deque
 from contextlib import closing
 from dataclasses import dataclass, field, fields, replace
 from functools import partial
@@ -27,6 +27,16 @@ from .conflict import ConflictReport, score_layers, task_order_sum
 from .errors import ConvergenceError, ValidationError
 from .grouping import DEFAULT_GROUPING_PATTERN, LayerGrouping, compile_grouping, group_layers, member_offsets
 from .task_vectors import TaskVector, TensorMap, range_reader, require_compatible, stored_sum, update_range
+
+# CPython's own SHA-256, so that no job loads OpenSSL's libcrypto (3.5 MiB of its RSS) for a
+# config digest of a few hundred bytes. A build without it, such as a FIPS one, pays that cost
+try:
+    from _sha2 import sha256 as _sha256  # Python 3.12 on
+except ImportError:
+    try:
+        from _sha256 import sha256 as _sha256  # Python 3.10 and 3.11
+    except ImportError:
+        from hashlib import sha256 as _sha256
 
 METHODS = ("mals", "simple_average", "uniform_sparsity", "ties")
 
@@ -214,14 +224,32 @@ def simple_average(task_vectors: Sequence[TaskVector]) -> TaskVector:
     return TaskVector(label="simple_average", deltas=deltas)
 
 
+def _in_order(pool, ahead: int, fn: Callable, jobs: Iterable) -> Iterator:
+    """``pool.map(fn, jobs)`` with at most ``ahead`` jobs submitted and not yet yielded, so a
+    group holds that many futures, not one per slice: results in order, the first error in
+    that order raised, and the jobs not yet run cancelled when one is raised or the map closed."""
+    pending = deque()
+    try:
+        for job in jobs:
+            if len(pending) == ahead:
+                yield pending.popleft().result()
+            pending.append(pool.submit(fn, job))
+        while pending:
+            yield pending.popleft().result()
+    finally:
+        for future in pending:
+            future.cancel()
+
+
 def _layer_walk(base: TensorMap, grouping: LayerGrouping) -> Iterator[_Group]:
     """Each layer group's ``(members, offsets, map_jobs)``, in ``grouping`` order: its members'
     names, :func:`grouping.member_offsets` for them, and a ``map`` that runs its jobs, results
-    in order: the builtin one under two slices, where a pool gains nothing, else that of a pool
-    of one thread per CPU this process may use. The pool starts at the first large group (only
-    then is ``concurrent.futures``, which pulls in ``logging``, imported) and shuts down, once
-    the jobs in flight are done, when the walk ends or is closed, as each caller closes it.
-    numpy's ufuncs, its partition and ``preadv`` release the GIL."""
+    in order: the builtin one under two slices, where a pool gains nothing, else one over a pool
+    of one thread per CPU this process may use, two jobs a thread ahead (:func:`_in_order`). The
+    pool starts at the first large group (only then is ``concurrent.futures``, which pulls in
+    ``logging``, imported) and shuts down, once the jobs in flight are done, when the walk ends
+    or is closed, as each caller closes it. numpy's ufuncs, its partition and ``preadv`` release
+    the GIL."""
     pool = None
     try:
         base_shapes = tensor_shapes(base)
@@ -231,8 +259,10 @@ def _layer_walk(base: TensorMap, grouping: LayerGrouping) -> Iterator[_Group]:
             if large and pool is None:
                 from concurrent.futures import ThreadPoolExecutor
 
-                pool = ThreadPoolExecutor(_workers())
-            yield members, offsets, pool.map if large else map
+                workers = _workers()
+                pool = ThreadPoolExecutor(workers)
+                pool_map = partial(_in_order, pool, 2 * workers)
+            yield members, offsets, pool_map if large else map
     finally:
         if pool is not None:
             pool.shutdown()
@@ -467,5 +497,5 @@ def config_fields(config: MergeConfig) -> dict[str, object]:
 
 def config_metadata(config: MergeConfig) -> dict[str, str]:
     """Archive metadata identifying the merge: method, lambda, config digest."""
-    digest = hashlib.sha256(json.dumps(config_fields(config), sort_keys=True).encode()).hexdigest()
+    digest = _sha256(json.dumps(config_fields(config), sort_keys=True).encode()).hexdigest()
     return {"method": config.method, "lambda": repr(config.lam), "config_digest": digest[:16]}

@@ -24,7 +24,11 @@ _DELTA_SCALE = 0.02
 
 
 def _snap(values: np.ndarray) -> np.ndarray:
-    return (np.round(values * _GRID) / _GRID).astype(np.float32)
+    """The float64 ``values`` rounded to the grid, as float32; ``values`` is overwritten."""
+    values *= _GRID
+    np.rint(values, out=values)  # np.round at 0 decimals, without an array of its own
+    values /= _GRID
+    return values.astype(np.float32)
 
 
 def _layer_shapes(layer: int, elems: int) -> dict[str, tuple[int]]:
@@ -62,6 +66,7 @@ def synthesize_checkpoints(
     rng = np.random.default_rng(seed)
     base: dict[str, np.ndarray] = {}
     tuned: list[dict[str, np.ndarray]] = [{} for _ in range(num_tasks)]
+    scaled = np.empty(elems_per_layer)  # each task's share of the shared pattern
     for layer, mix in enumerate(profile):
         shapes = _layer_shapes(layer, elems_per_layer)
         base_flat = _snap(rng.normal(0.0, 1.0, elems_per_layer))
@@ -69,9 +74,11 @@ def synthesize_checkpoints(
         for task in range(num_tasks):
             own = rng.normal(0.0, 1.0, elems_per_layer)
             flip = 1.0 if task % 2 == 0 else -1.0
-            delta = _snap(
-                _DELTA_SCALE * (np.sqrt(1.0 - mix) * own + np.sqrt(mix) * flip * shared)
-            )
+            # _DELTA_SCALE * (sqrt(1 - mix) * own + sqrt(mix) * flip * shared), in own's buffer
+            own *= np.sqrt(1.0 - mix)
+            own += np.multiply(shared, np.sqrt(mix) * flip, out=scaled)
+            own *= _DELTA_SCALE
+            delta = _snap(own)
             # grid values stay exact under float32 addition
             tuned_flat = base_flat + delta
             tuned[task].update(unflatten_group(tuned_flat, shapes, shapes))

@@ -27,7 +27,7 @@ import pytest
 
 from malsmerge import (
     METHODS, ArchiveError, MergeConfig, ValidationError, merge, merge_to_archive, read_archive,
-    write_synthetic_set,
+    write_archive, write_synthetic_set,
 )
 from malsmerge import merging, task_vectors
 from malsmerge.archive import Archive
@@ -322,6 +322,32 @@ def test_the_slice_walk_owns_no_slice_buffer(tmp_path, monkeypatch):
     one_worker = (peak(large, 1) - peak(small, 1)) / (large - small)
     added_worker = (peak(large, 2) - peak(large, 1)) / large
     assert one_worker <= 22 and added_worker <= 22, (one_worker, added_worker)
+
+
+def test_the_pool_holds_a_few_jobs_whatever_the_group_size(tmp_path, monkeypatch):
+    # the pool's map keeps two jobs a worker submitted ahead, not a future and its job for
+    # every slice of the group until it ends (about 1.8 KB a slice, some 29 MB for
+    # Llama-3.1-8B's 1.05B-entry ungrouped group at 65,536-entry slices)
+    import concurrent.futures  # noqa: F401  merge() imports it on first use: not while traced
+
+    monkeypatch.setattr(merging, "_SLICE_ENTRIES", 4096)
+    _use_workers(monkeypatch, 2)
+
+    def peak(n: int) -> int:
+        path = tmp_path / f"{n}.st"
+        write_archive({"layers.0.w": np.zeros(n, np.float32)}, path)
+        base, tuned = read_archive(path), [read_archive(path) for _ in range(2)]
+        tracemalloc.start()
+        try:
+            merge_to_archive(base, tuned, MergeConfig(method="simple_average"), tmp_path / "merged.st")
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(1 << 16)  # the first merge's one-time costs
+    small, large = 1 << 20, 1 << 22  # 256 and 1,024 slices
+    per_slice = (peak(large) - peak(small)) / ((large - small) // 4096)
+    assert per_slice <= 64, per_slice
 
 
 @pytest.mark.parametrize("method", ["simple_average", "mals"])

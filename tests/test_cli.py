@@ -2,11 +2,14 @@ from __future__ import annotations
 
 import csv
 import errno
+import importlib.util
 import json
 import os
 import re
 import shlex
 import struct
+import subprocess
+import sys
 import tracemalloc
 import warnings
 from dataclasses import fields
@@ -851,3 +854,56 @@ def test_readme_library_example_runs(tmp_path, monkeypatch, capsys):
     streamed = (tmp_path / "merged.safetensors").read_bytes()
     assert streamed == (tmp_path / "merged-whole.safetensors").read_bytes()
     assert capsys.readouterr().out  # the example prints the allocation and conflict
+
+
+def test_no_command_loads_openssl(tmp_path, synth_dir):
+    # OpenSSL's libcrypto is 3.5 MiB of every job's RSS, and nothing here needs it: a fresh
+    # interpreter shows what each command imports, since pytest's own may already hold it.
+    # synth draws from numpy.random, whose import brings in secrets, and _hashlib with it
+    if not any(importlib.util.find_spec(name) for name in ("_sha2", "_sha256")):
+        pytest.skip("no built-in SHA-256: config_metadata falls back to hashlib's")
+    (tmp_path / "csv").mkdir()
+    merged = str(tmp_path / "merged.safetensors")
+    commands = [
+        ["merge", "--config", str(_config(tmp_path, synth_dir))],
+        ["merge", "--config", str(_config(tmp_path / "csv", synth_dir, report_format="csv",
+                                          report_path=str(tmp_path / "csv" / "report.csv")))],
+        ["analyze", "--base", str(synth_dir / "base.safetensors"), "--out", str(tmp_path / "a.json"),
+         "--tuned", *(str(synth_dir / f"task_{i:02d}.safetensors") for i in range(3))],
+        ["diff", "--base", str(synth_dir / "base.safetensors"), "--tuned", merged,
+         "--out", str(tmp_path / "tau.safetensors")],
+        ["info", "--archive", merged],
+        ["synth", "--seed", "0", "--layers", "1", "--elems", "8", "--tasks", "2", "--conflict", "0.5",
+         "--out-dir", str(tmp_path / "synth")],
+    ]
+    code = """if True:
+        import contextlib, io, json, os, sys, traceback
+
+        class Recorder:  # a finder that finds nothing: it notes the stack of each OpenSSL import
+            stacks = []
+
+            def find_spec(self, name, path=None, target=None):
+                if name in ("_hashlib", "ssl"):
+                    self.stacks.append([frame.filename for frame in traceback.extract_stack()])
+
+        sys.meta_path.insert(0, Recorder())
+        import numpy
+        with_numpy = len(Recorder.stacks)
+        from malsmerge import cli
+        *commands, synth = json.loads(sys.argv[1])
+        with contextlib.redirect_stdout(io.StringIO()):
+            for argv in commands:
+                assert cli.run(argv) == 0, argv
+            loaded = sorted(name for name in ("_hashlib", "ssl") if name in sys.modules)
+            assert cli.run(synth) == 0
+        random = os.path.join("", "numpy", "random", "")
+        print(json.dumps({"with_numpy": with_numpy, "loaded": loaded,
+                          "synth": [any(random in f for f in stack) for stack in Recorder.stacks]}))
+    """
+    done = subprocess.run([sys.executable, "-c", code, json.dumps(commands)], capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    result = json.loads(done.stdout)
+    if result["with_numpy"]:
+        pytest.skip("this numpy imports numpy.random, and so _hashlib, with itself (numpy 1.x)")
+    assert result["loaded"] == []
+    assert all(result["synth"]), result  # synth's libcrypto, if any, comes with numpy.random

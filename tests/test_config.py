@@ -1,11 +1,13 @@
 from __future__ import annotations
 
+import hashlib
+import json
 from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from malsmerge import AllocationConfig, MergeConfig, ValidationError, config_metadata
+from malsmerge import METHODS, AllocationConfig, MergeConfig, ValidationError, config_metadata
 from malsmerge.allocation import config_key
 from malsmerge.cli import RunConfig
 from malsmerge.merging import config_fields
@@ -102,3 +104,17 @@ def test_config_digests_are_pinned():
     assert config_metadata(config) == {
         "method": "ties", "lambda": "0.7", "config_digest": "e50a7644e259722f"
     }
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_config_digest_is_hashlib_sha256_of_the_config_fields(method):
+    # the built-in SHA-256 that config_metadata uses gives OpenSSL's digest, at the defaults
+    # and with lambda and every allocation field set away from them
+    allocation = AllocationConfig(alpha=0.25, beta=3.0, s_min=0.2, s_max=0.8, s_target=0.45,
+                                  epsilon=1e-9, max_iterations=17)
+    for config in (MergeConfig(method=method),
+                   MergeConfig(method=method, lam=0.35, sign_election=True, allocation=allocation,
+                               grouping_pattern=r"blocks\.(\d+)\.")):
+        text = json.dumps(config_fields(config), sort_keys=True)
+        expected = hashlib.sha256(text.encode()).hexdigest()[:16]
+        assert config_metadata(config)["config_digest"] == expected, config

@@ -844,22 +844,33 @@ def _check_against_the_oracle(base, tuned, groups, method, sign_election, lam) -
     np.testing.assert_allclose(allocation.s_final, levels, rtol=0, atol=1e-12)
 
 
-def _peak_bytes(out_dir, num_layers: int, job, num_tasks: int = 3, elems: int = 50_000) -> int:
+def _peak_bytes(out_dir, num_layers: int, job, num_tasks: int = 3, elems: int = 50_000,
+                runs: int = 1) -> int:
     """Peak traced memory of ``job(paths)`` over a synthetic set of ``num_layers``
-    layers of ``elems`` entries and ``num_tasks`` tasks, the archives opened inside ``job``."""
+    layers of ``elems`` entries and ``num_tasks`` tasks, the archives opened inside ``job``,
+    the largest of ``runs`` runs."""
     paths = write_synthetic_set(out_dir, seed=3, num_layers=num_layers, elems_per_layer=elems,
                                 num_tasks=num_tasks, conflict_profile=[0.5] * num_layers)
-    return _traced_peak(partial(job, paths))
+    return _traced_peak(partial(job, paths), runs)
 
 
-def _traced_peak(job) -> int:
-    """Peak traced memory of ``job()``."""
-    tracemalloc.start()
-    try:
-        job()
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+# runs whose largest traced peak a test takes at each size when it charges for two workers'
+# jobs overlapping: on busy CPUs a run's jobs miss each other about two times in five, at
+# either size, and three runs each still let the smaller miss in all three one time in eight
+_OVERLAP_RUNS = 5
+
+
+def _traced_peak(job, runs: int = 1) -> int:
+    """Peak traced memory of ``job()``, the largest of ``runs`` runs."""
+    peaks = []
+    for _ in range(runs):
+        tracemalloc.start()
+        try:
+            job()
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    return max(peaks)
 
 
 def _plan(paths) -> None:
@@ -952,8 +963,9 @@ def test_simple_average_memory_is_the_layer_output_plus_the_slices(tmp_path, mon
 
     monkeypatch.setattr(merging, "_SLICE_ENTRIES", 4096)
     monkeypatch.setattr(merging, "_workers", lambda: workers)
-    small = _peak_bytes(tmp_path / "small", 2, job, elems=50_000)
-    large = _peak_bytes(tmp_path / "large", 2, job, elems=200_000)
+    runs = _OVERLAP_RUNS if workers > 1 else 1
+    small = _peak_bytes(tmp_path / "small", 2, job, elems=50_000, runs=runs)
+    large = _peak_bytes(tmp_path / "large", 2, job, elems=200_000, runs=runs)
     assert (large - small) / 150_000 <= bytes_per_entry
 
 
@@ -1028,7 +1040,8 @@ def test_memory_grows_by_at_most_one_raw_update_per_added_worker(tmp_path, monke
 # one raw member, half the group in these sets (2.0). Pass 2 keeps the base (4) and each
 # task's trimmed float32 update (4); each trim in flight holds its magnitudes (4). Averaging
 # holds slices alone. The trimmed merges measured 0.12 to 2.5 under their budgets, and
-# averaging up to 0.52 over its (the pool's futures, one per 4096-entry slice), so one more
+# averaging up to 0.52 over its while the pool's map held a future per 4096-entry slice
+# (it holds two a worker now, whatever the group's size), so one more
 # layer-sized float32 array (4) fails each; so does a quarter byte per entry per task in
 # pass 1 at T = 8, as packed sign masks kept per task (38.6 at 1 worker) did
 _PASS_BUDGETS = {
@@ -1072,7 +1085,7 @@ def test_memory_per_entry_stays_within_each_pass_budget(tmp_path, monkeypatch, s
                     cached = plan(base, tuned, config)
                     monkeypatch.setattr(merging, "plan", lambda *args: cached)
                     job = partial(merge_to_archive, base, tuned, config, tmp_path / "merged.safetensors")
-                peaks.append(_traced_peak(job))
+                peaks.append(_traced_peak(job, runs=_OVERLAP_RUNS if workers > 1 else 1))
             per_entry = (peaks[1] - peaks[0]) / (_GROUP_SIZES[1] - _GROUP_SIZES[0])
             budget, margin = _PASS_BUDGETS[method, phase]
             assert per_entry <= budget(tasks, min(workers, tasks)) + margin, (workers, tasks, per_entry)
