@@ -163,8 +163,10 @@ def project_to_budget(
 
     Each iteration checks convergence, applies the uniform affine correction
     with box clipping, and, when clipping leaves a residual, redistributes it
-    over the free (non-saturated) layers with one scaled correction. Returns
-    the projected vector, the iteration count, and the convergence flag.
+    over the free (non-saturated) layers with one scaled correction. When the
+    iterations run out, the last correction is checked as the next iteration
+    would check it, without counting one more. Returns the projected vector,
+    the iteration count, and the convergence flag.
     """
     if not (s_min <= s_target <= s_max):
         raise ValidationError(
@@ -193,6 +195,8 @@ def project_to_budget(
             n_free = int(np.count_nonzero(free))
             if n_free > 0:
                 s[free] = np.clip(s[free] + residual * n / n_free, s_min, s_max)
+    else:  # the last correction is checked too
+        converged = abs(s_target - float(np.mean(s))) < epsilon
     return s, iterations, converged
 
 

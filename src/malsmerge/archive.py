@@ -179,17 +179,17 @@ def _within(x: np.ndarray, bound: float) -> bool:
     return not x.size or bool(x.max() < bound and x.min() > -bound)
 
 
-def _widen_f16(stored: np.ndarray) -> np.ndarray:
-    """F16 values widened to float32 exactly as ``astype`` widens a finite one, in three
-    whole-array passes where ``astype`` converts entry by entry. Shifted left 13 bits as a
-    sign-extended int32, an F16's mantissa lands in the top of float32's, its exponent in
-    the bottom of float32's, and copies of its sign in bits 28 to 31, of which the mask
-    keeps bit 31.
+def _widen_f16(stored: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """F16 values widened to float32, into ``out`` if given, exactly as ``astype`` widens a
+    finite one, in three whole-array passes where ``astype`` converts entry by entry.
+    Shifted left 13 bits as a sign-extended int32, an F16's mantissa lands in the top of
+    float32's, its exponent in the bottom of float32's, and copies of its sign in bits 28
+    to 31, of which the mask keeps bit 31.
     Read as a float32, that is the F16 value times 2**-112 (biases 127 and 15; a subnormal
     lands on a subnormal), so one multiply by 2**112 gives it. Infinity and NaN come out
     at 2**16 or more in magnitude, past F16's largest finite 65504.
     """
-    bits = np.left_shift(stored.view("<i2"), 13, dtype=np.int32)
+    bits = np.left_shift(stored.view("<i2"), 13, dtype=np.int32, out=None if out is None else out.view("<i4"))
     bits &= -0x70002000  # 0x8FFFE000 as an int32
     tensor = bits.view(np.float32)
     tensor *= np.float32(2.0**112)
@@ -228,15 +228,17 @@ class Archive(Mapping[str, np.ndarray]):
         shape = self.infos[name].shape
         return self.read_range(name, 0, math.prod(shape)).reshape(shape)
 
-    def read_range(self, name: str, start: int, stop: int) -> np.ndarray:
-        """Entries ``[start, stop)`` of tensor ``name`` in row-major order, as a fresh flat
-        float32 array: F32 is read in place, F16 widened. A non-finite value, or a payload
-        the file no longer holds, raises :class:`ArchiveError` as a whole-tensor lookup
-        that reached it first would, naming the file and the tensor."""
+    def read_range(self, name: str, start: int, stop: int, out: np.ndarray | None = None) -> np.ndarray:
+        """Entries ``[start, stop)`` of tensor ``name`` in row-major order, as a flat float32
+        array: ``out``, a contiguous float32 array of ``stop - start`` entries, if given, else a
+        fresh one. F32 is read straight into it, F16 read and widened into it. A non-finite
+        value, or a payload the file no longer holds, raises :class:`ArchiveError` as a
+        whole-tensor lookup that reached it first would, naming the file and the tensor."""
         info = self.infos[name]
         if not 0 <= start <= stop <= math.prod(info.shape):
             raise IndexError(f"range [{start}, {stop}) outside tensor {name!r} of shape {info.shape}")
-        stored = np.empty(stop - start, _DTYPES[info.dtype])
+        dtype = _DTYPES[info.dtype]
+        stored = out if out is not None and dtype == np.float32 else np.empty(stop - start, dtype)
         skipped = start * stored.itemsize
         try:
             read = _read_at(self._fd, stored.view(np.uint8), self._offsets[name] + skipped)
@@ -249,7 +251,7 @@ class Archive(Mapping[str, np.ndarray]):
             tensor, bound = stored, np.inf
         else:
             # every finite F16 widens below 2**16 in magnitude, infinity and NaN to 2**16 or more
-            tensor, bound = _widen_f16(stored), 2.0**16
+            tensor, bound = _widen_f16(stored, out), 2.0**16
         if not _within(tensor, bound):
             raise ArchiveError(f"{self.path}: non-finite value detected in tensor {name!r}")
         return tensor

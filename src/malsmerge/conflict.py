@@ -77,38 +77,51 @@ def _tree_sum(n: int, sums: Iterator):
     return _tree_sum(half, sums) + _tree_sum(n - half, sums)
 
 
-def _part_sums(xs: Sequence[np.ndarray], means: Sequence[float], products: Sequence[tuple[int, int]],
+_Parts = Callable[[int, int], Iterable[np.ndarray]]  # parts(start, stop): each vector's entries there
+
+
+def _views(xs: Sequence[np.ndarray]) -> _Parts:
+    """The :data:`_Parts` of the flat arrays ``xs``: a view of each."""
+    return lambda start, stop: (x[start:stop] for x in xs)
+
+
+def _part_sums(parts: _Parts, means: Sequence[float], products: Sequence[tuple[int, int]],
                signs: Sequence[tuple[int, int]], part: tuple[int, int]) -> np.ndarray:
     """One part's terms of :func:`_part_walk`, in one float64 vector: each of ``products``'
     sum of products of deviations, each of ``signs``' count of opposite signs, then, with
-    ``signs``, each of ``xs``' count of nonzero entries. The deviations go into one
-    ``len(xs) x part`` buffer and the products through one reused buffer, both dropped
-    before the sign masks are built, so a job holds one or the other."""
+    ``signs``, each vector's count of nonzero entries. ``parts`` gives the vectors' entries
+    over the part one vector at a time, and each is dropped once its deviations go into a
+    row of one ``vectors x part`` buffer and its sign masks are built; the products go
+    through one reused buffer."""
     start, k = part
-    views = [x[start:start + k] for x in xs]
+    deviations = np.empty((len(means), k)) if products else None
+    pos, neg, nonzero = [], [], []
+    for t, v in enumerate(parts(start, start + k)):
+        if products:
+            np.subtract(v, means[t], out=deviations[t], dtype=np.float64)
+        if signs:
+            pos.append(v > 0)
+            neg.append(v < 0)
+            # counting the zeros' bool mask is several times faster than counting a float
+            # vector, and counts a NaN as nonzero
+            nonzero.append(k - np.count_nonzero(v == 0))
+        del v
     sums = []
     if products:
-        deviations = np.empty((len(xs), k))
-        for row, v, mean in zip(deviations, views, means):
-            np.subtract(v, mean, out=row, dtype=np.float64)
         product = np.empty(k)
         sums = [np.add.reduce(np.multiply(deviations[i], deviations[j], out=product)) for i, j in products]
         del deviations, product
-    if signs:
-        pos, neg = [v > 0 for v in views], [v < 0 for v in views]
-        sums += [np.count_nonzero(pos[i] & neg[j]) + np.count_nonzero(neg[i] & pos[j]) for i, j in signs]
-        # counting the zeros' bool mask is several times faster than counting a float vector,
-        # and counts a NaN as nonzero
-        sums += [k - np.count_nonzero(v == 0) for v in views]
-    return np.array(sums, dtype=np.float64)
+    sums += [np.count_nonzero(pos[i] & neg[j]) + np.count_nonzero(neg[i] & pos[j]) for i, j in signs]
+    return np.array(sums + nonzero, dtype=np.float64)
 
 
-def _part_walk(xs: Sequence[np.ndarray], means: Sequence[float], products: Sequence[tuple[int, int]],
+def _part_walk(parts: _Parts, n: int, means: Sequence[float], products: Sequence[tuple[int, int]],
                signs: Sequence[tuple[int, int]], map_jobs: Callable = map) -> tuple[np.ndarray, list[float]]:
-    """For each ``(i, j)`` of ``products``, the sum of the products of ``xs[i]``'s and
-    ``xs[j]``'s float64 deviations from ``means`` (an ``(i, i)`` gives a sum of squares),
-    and each of ``signs``' sign disagreement, the flat ``xs`` all of one length. Each sum
-    equals ``np.sum(dx * dy)`` over the whole deviations, bit for bit: numpy sums a
+    """For each ``(i, j)`` of ``products``, the sum of the products of vector ``i``'s and
+    vector ``j``'s float64 deviations from ``means`` (an ``(i, i)`` gives a sum of squares),
+    and each of ``signs``' sign disagreement, over flat vectors of ``n`` entries whose
+    entries over a range ``parts`` gives. Each sum equals ``np.sum(dx * dy)`` over the
+    whole deviations, bit for bit: numpy sums a
     contiguous float64 vector pairwise, split at :func:`_half` down to 128 entries, and
     this takes the same tree, reduces each of :func:`_parts` with ``np.add.reduce`` (the
     same pairwise sum, added to +0.0, which changes only a -0.0 that numpy's own +0.0 start
@@ -116,8 +129,7 @@ def _part_walk(xs: Sequence[np.ndarray], means: Sequence[float], products: Seque
     integers below 2**53, add exactly. ``map_jobs`` (results in order) takes one part at a
     time, so nothing is held beyond its part. BLAS-backed dot products would not fix the
     order across threads."""
-    n = len(xs[0])
-    totals = _tree_sum(n, map_jobs(partial(_part_sums, xs, means, products, signs), _parts(n)))
+    totals = _tree_sum(n, map_jobs(partial(_part_sums, parts, means, products, signs), _parts(n)))
     counts = totals[len(products):].tolist()
     nonzero = counts[len(signs):]
     ratios = [2.0 * counts[p] / total if (total := nonzero[i] + nonzero[j]) else 0.0
@@ -139,15 +151,16 @@ def _rescaled(x: np.ndarray) -> tuple[np.ndarray, float]:
     return x, _mean(x)
 
 
-def _constant(x: np.ndarray, var: float) -> bool:
-    """Whether the entries of ``x``, whose deviations from its mean have the sum of squares
-    ``var``, are all equal. Its computed mean may be off by rounding, so the deviations of
-    a constant ``x`` need not be 0; they are far under 2**-30 of its entries, and only a
-    sum of squares that small is worth the exact check's pass. Entries whose deviations
-    all equal d agree to within 2**-52 |d|, so each lies within a factor of 2 of their
-    computed mean m (or m is 0), where x - m is exact (Sterbenz): each is m + d, so equal
-    deviations mean equal entries, and the check reads ``x``, not its deviations."""
-    return math.sqrt(var / len(x)) <= 2.0**-30 * abs(float(x[0])) and bool(np.all(x == x[0]))
+def _constant(var: float, n: int, first: np.generic, x: Callable[[], np.ndarray]) -> bool:
+    """Whether the ``n`` entries of the flat ``x()``, the first of them ``first``, whose
+    deviations from their mean have the sum of squares ``var``, are all equal. Their computed
+    mean may be off by rounding, so the deviations of a constant vector need not be 0; they
+    are far under 2**-30 of its entries, and only a sum of squares that small is worth the
+    exact check, the one call of ``x``. Entries whose deviations all equal d agree to within
+    2**-52 |d|, so each lies within a factor of 2 of their computed mean m (or m is 0), where
+    x - m is exact (Sterbenz): each is m + d, so equal deviations mean equal entries, and
+    the check reads the entries, not their deviations."""
+    return math.sqrt(var / n) <= 2.0**-30 * abs(float(first)) and bool(np.all(x() == first))
 
 
 def _rho(product: float, var_x: float, var_y: float) -> float:
@@ -171,7 +184,7 @@ def pearson_abs(x: np.ndarray, y: np.ndarray) -> float:
     xs, pairs = [x, y], [(0, 0), (1, 1), (0, 1)]
     with np.errstate(over="ignore", invalid="ignore"):
         means = [_mean(x), _mean(y)]
-        sums, _ = _part_walk(xs, means, pairs, ())
+        sums, _ = _part_walk(_views(xs), len(x), means, pairs, ())
         # a nonzero sum of squares outside [2**-500, 2**500] is taken again from a rescaled
         # copy. Only an input wider than 4 bytes needs that: the finite squares of a narrower
         # one sum inside the range. A non-finite one is scaled by 2**0, still NaN
@@ -180,13 +193,14 @@ def pearson_abs(x: np.ndarray, y: np.ndarray) -> float:
         for t in wide:
             xs[t], means[t] = _rescaled(xs[t])
         if wide:
-            sums, _ = _part_walk(xs, means, pairs, ())
+            sums, _ = _part_walk(_views(xs), len(x), means, pairs, ())
     var_x, var_y, product = sums
     # an infinity among x's entries makes x's mean NaN or an infinity of that sign, so a NaN
     # deviation, and a product of NaN; finite inputs' sums are finite by now
     if math.isnan(product):
         return math.nan
-    return _rho(product, *(0.0 if _constant(v, var) else var for v, var in zip(xs, (var_x, var_y))))
+    return _rho(product, *(0.0 if _constant(var, len(v), v[0], lambda v=v: v) else var
+                           for v, var in zip(xs, (var_x, var_y))))
 
 
 def sign_disagreement(x: np.ndarray, y: np.ndarray) -> float:
@@ -196,7 +210,7 @@ def sign_disagreement(x: np.ndarray, y: np.ndarray) -> float:
     of both vectors; 0 when neither vector has a nonzero entry.
     """
     x, y = _check_pair(x, y)
-    return _part_walk([x, y], (), (), [(0, 1)])[1][0]
+    return _part_walk(_views([x, y]), len(x), (), (), [(0, 1)])[1][0]
 
 
 def _check_names(task_vectors: Sequence[TaskVector], grouping: LayerGrouping) -> None:
@@ -223,8 +237,11 @@ def task_order_sum(rows: Iterable, shape: int | tuple[int, ...], dtype=np.float6
     return total
 
 
-def _mean_magnitude(x: np.ndarray) -> float:
-    return _mean(np.abs(x, out=x))
+def _task_means(b: np.ndarray, update: Callable[[int, np.ndarray], np.ndarray]) -> tuple[float, np.generic, float]:
+    """A task's mean over a layer group, its first entry and its mean magnitude, from its
+    update over the whole group, built here and dropped; the magnitudes take its place."""
+    x = update(0, b)
+    return _mean(x), x[0], _mean(np.abs(x, out=x))
 
 
 _Layer = tuple[Callable, np.ndarray, Sequence[Callable[[int, np.ndarray], np.ndarray]]]
@@ -233,23 +250,28 @@ _Layer = tuple[Callable, np.ndarray, Sequence[Callable[[int, np.ndarray], np.nda
 def _score_layer(layer: _Layer, task_pairs: Sequence[tuple[int, int]]) -> tuple[float, list[float], list[float]]:
     """Importance, then |rho| and sign disagreement per task pair, of one layer group.
 
-    Three rounds of jobs: each task's job builds its flat float32 update, the one array
-    kept per task, and takes its mean; where there are pairs, one walk over the parts of
-    the sums' tree gives every task's sum of squares, every pair's product of deviations
-    and every pair's sign counts (:func:`_part_walk`); then each task's job takes its
-    magnitudes in its update's place.
+    Two rounds of jobs, each job holding at most one task's update of the whole group: each
+    task's job builds its float32 update and takes its mean, its first entry and its mean
+    magnitude (:func:`_task_means`); then, where there are pairs, one walk over the parts of
+    the sums' tree builds every task's update over each part and gives every task's sum of
+    squares, every pair's product of deviations and every pair's sign counts
+    (:func:`_part_walk`). Only a task whose sum of squares is tiny is built whole again, for
+    :func:`_constant`'s exact check.
     """
     map_jobs, b, updates = layer
-    if not len(b):
+    n = len(b)
+    if not n:
         return 0.0, [0.0] * len(task_pairs), [0.0] * len(task_pairs)
-    xs, means = zip(*map_jobs(lambda update: (x := update(0, b), _mean(x)), updates))
+    means, firsts, magnitudes = zip(*map_jobs(partial(_task_means, b), updates))
     rho, dis = [], []
     if task_pairs:
-        squares = [(t, t) for t in range(len(xs))]
-        sums, dis = _part_walk(xs, means, squares + list(task_pairs), task_pairs, map_jobs)
-        var = [0.0 if _constant(x, v) else v for x, v in zip(xs, sums)]
-        rho = [_rho(product, var[i], var[j]) for (i, j), product in zip(task_pairs, sums[len(xs):])]
-    importance = float(task_order_sum(map_jobs(_mean_magnitude, xs), ())) / len(xs)
+        squares = [(t, t) for t in range(len(updates))]
+        parts = lambda start, stop: (update(start, b[start:stop]) for update in updates)
+        sums, dis = _part_walk(parts, n, means, squares + list(task_pairs), task_pairs, map_jobs)
+        var = [0.0 if _constant(v, n, first, partial(update, 0, b)) else v
+               for update, first, v in zip(updates, firsts, sums)]
+        rho = [_rho(product, var[i], var[j]) for (i, j), product in zip(task_pairs, sums[len(updates):])]
+    importance = float(task_order_sum(magnitudes, ())) / len(updates)
     return importance, rho, dis
 
 

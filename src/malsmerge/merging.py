@@ -99,34 +99,57 @@ def masked_select(v: np.ndarray, keep: np.ndarray) -> np.ndarray:
     return _select_bits(mask, v, out=mask).view(v.dtype)
 
 
-def _trim(v: np.ndarray, s: float) -> np.ndarray:
-    """:func:`sparsify_top_fraction` of the flat real-float ``v``, written into ``v`` itself.
+def _kept(s: float, n: int) -> int:
+    """How many of ``n`` entries a trim to sparsity ``s`` keeps: ceil((1 - s) * n), none at 1."""
+    return 0 if s == 1.0 else math.ceil((1.0 - s) * n)
 
-    Beside ``v`` it holds one array, of its magnitudes; once the partition has found the
-    threshold, that array's buffer becomes the keep mask. The mask is filled, and surplus
-    ties are found, a slice at a time, so no other array as long as ``v`` is built.
+
+def _threshold(magnitude: np.ndarray, n_keep: int, values: Callable[[], np.ndarray]) -> tuple[np.generic, int]:
+    """The trim of a flat real-float ``v`` to its ``n_keep`` largest magnitudes, as
+    ``(threshold, cutoff)`` for :func:`_trim_slice`: an entry is kept if its magnitude's bits,
+    unsigned, exceed ``threshold``, or equal it at an index below ``cutoff``.
+
+    ``magnitude`` is ``|v|`` in an array of its own, which is partitioned in place through its
+    unsigned view: a finite magnitude's bits order as it does. The entries from the
+    partition's pivot up hold every magnitude above ``threshold`` and as many ties as are
+    kept; only if ties lie below the pivot too (the largest entry there is one) is ``v``
+    taken again, in index order, from ``values()``, and scanned for the index after the last
+    tie kept, lower indices first. The kept ties are counted, and ``v`` scanned, a slice at
+    a time, so nothing else as long as ``v`` is built.
     """
-    n_keep = 0 if s == 1.0 else math.ceil((1.0 - s) * v.size)
+    bits = magnitude.view(_float_bits(magnitude.dtype))
     if n_keep == 0:
-        v.fill(0)
-        return v
-    magnitude = np.abs(v)
-    magnitude.partition(v.size - n_keep)
-    threshold = magnitude[v.size - n_keep]
-    keep = magnitude.view(_float_bits(v.dtype))
-    for start in range(0, v.size, _SLICE_ENTRIES):
-        part = slice(start, start + _SLICE_ENTRIES)
-        keep[part] = np.abs(v[part]) >= threshold
-    surplus = int(np.count_nonzero(keep)) - n_keep
-    for start in reversed(range(0, v.size, _SLICE_ENTRIES)):  # surplus ties, last index first
-        if surplus <= 0:
-            break
-        part = slice(start, start + _SLICE_ENTRIES)
-        ties = np.flatnonzero(np.abs(v[part]) == threshold)[-surplus:]
-        keep[part][ties] = 0
-        surplus -= len(ties)
-    _select_bits(keep, v, out=v.view(keep.dtype))
-    return v
+        return bits.dtype.type(np.iinfo(bits.dtype).max), 0  # no magnitude's bits exceed it
+    pivot = len(bits) - n_keep
+    bits.partition(pivot)
+    threshold = bits[pivot]
+    if not pivot or bits[:pivot].max() < threshold:  # no tie is dropped
+        return threshold, len(bits)
+
+    def ties(x: np.ndarray) -> int:
+        return int(np.count_nonzero(x == threshold))
+
+    quota = sum(ties(bits[start:start + _SLICE_ENTRIES]) for start in range(pivot, len(bits), _SLICE_ENTRIES))
+    v = values()
+    for start in range(0, len(v), _SLICE_ENTRIES):
+        part = np.abs(v[start:start + _SLICE_ENTRIES]).view(bits.dtype)
+        tied = ties(part)
+        if tied >= quota:
+            return threshold, start + int(np.flatnonzero(part == threshold)[quota - 1]) + 1
+        quota -= tied
+    raise AssertionError("values() holds fewer ties than the partition counted")
+
+
+def _trim_slice(v: np.ndarray, threshold: np.generic, cutoff: int) -> np.ndarray:
+    """The flat ``v``, a slice of a vector whose :func:`_threshold` is ``(threshold, cutoff +
+    first)`` when ``v`` starts at entry ``first`` of it, with the entries that trim drops
+    zeroed, in a new array. A kept entry keeps its bits, ``-0.0`` included, and a dropped
+    one becomes ``+0.0``."""
+    mask = np.abs(v).view(threshold.dtype)
+    cut = min(max(cutoff, 0), len(mask))
+    np.greater_equal(mask[:cut], threshold, out=mask[:cut])
+    np.greater(mask[cut:], threshold, out=mask[cut:])
+    return _select_bits(mask, v, out=mask).view(v.dtype)
 
 
 def sparsify_top_fraction(v: np.ndarray, s: float) -> np.ndarray:
@@ -136,10 +159,10 @@ def sparsify_top_fraction(v: np.ndarray, s: float) -> np.ndarray:
     platforms and sort implementations. ``s = 1`` keeps nothing.
 
     Runs in O(n): a partial selection finds the smallest kept magnitude and
-    every entry at or above it is kept; only if that keeps too many are the
-    surplus entries equal to it dropped, from the highest index down. Kept
-    entries are copied as they are, so a kept ``-0.0`` stays ``-0.0``. ``v``
-    itself is left as it is.
+    every entry above it is kept, with as many entries equal to it as fit,
+    from the lowest index up (:func:`_threshold`, :func:`_trim_slice`). Kept
+    entries are copied as they are, so a kept ``-0.0`` stays ``-0.0``. ``v``,
+    whose entries are finite, is left as it is.
     """
     if not 0.0 <= s <= 1.0:
         raise ValueError(f"sparsity level must lie in [0, 1], got {s}")
@@ -147,7 +170,8 @@ def sparsify_top_fraction(v: np.ndarray, s: float) -> np.ndarray:
     if v.ndim != 1:
         raise ValueError("input must be a flat vector")
     _float_bits(v.dtype)  # checked at every level, 1 included
-    return _trim(v.copy(), s)
+    threshold, cutoff = _threshold(np.abs(v), _kept(s, v.size), lambda: v)
+    return _trim_slice(v, threshold, cutoff)
 
 
 def _rows(sparsified: Sequence[np.ndarray]) -> list[np.ndarray]:
@@ -349,17 +373,27 @@ def _slice_walk(base_read: Callable[[str, int, int], np.ndarray], group: _Group,
 
 def _merge_layer(base: TensorMap, tuned: Sequence[TensorMap], group: _Group, level: float,
                  config: MergeConfig, place: _Place) -> None:
-    """Pass 2 on one layer group: its base is read once into a flat, one job per task builds
-    its update over all of it and trims it to ``level`` in place; then each slice is elected
-    and merged, and the walk adds ``lam`` times that onto the base, read from the same flat."""
+    """Pass 2 on one layer group: its base is read once into a flat, and one job per task
+    builds its update over all of it and finds, from its magnitudes in the update's place,
+    the :func:`_threshold` of its trim to ``level``; then each slice rebuilds every task's
+    update over it, trims it (:func:`_trim_slice`), elects and merges, and the walk adds
+    ``lam`` times that onto the base, read from the same flat."""
     members, offsets, map_jobs = group
     flat = np.concatenate([np.ravel(base[name]) for name in members])  # read once, for updates and compose
     reads = [range_reader(t, members) for t in tuned]
-    trimmed = list(map_jobs(lambda read: _trim(update_range(read, members, offsets, 0, flat), level), reads))
+    n_keep = _kept(level, len(flat))
+
+    def find_threshold(read: Callable) -> tuple[np.generic, int]:
+        row = update_range(read, members, offsets, 0, flat)
+        again = partial(update_range, read, members, offsets, 0, flat, out=row)
+        return _threshold(np.abs(row, out=row), n_keep, again)
+
+    thresholds = list(map_jobs(find_threshold, reads))
     election = config.sign_election or config.method == "ties"
 
     def merge_slice(first: int, b: np.ndarray) -> np.ndarray:
-        rows = [row[first:first + len(b)] for row in trimmed]
+        rows = [_trim_slice(update_range(read, members, offsets, first, b), threshold, cutoff - first)
+                for read, (threshold, cutoff) in zip(reads, thresholds)]
         return disjoint_merge(rows, elect_signs(rows) if election else None)
 
     views = dict(zip(members, np.split(flat, offsets[1:-1])))  # the base's members, as views of the flat
@@ -435,11 +469,19 @@ def merge(
     overflowing merged tensor, are raised during iteration. ``dict(merged)`` holds the
     whole model; :func:`merge_to_archive` writes it to a file without holding a merged layer.
 
+    Neither pass keeps a task's update of a layer group: a job in flight holds one, and
+    the rest is built a part or a slice at a time. Pass 1 builds each update whole for its
+    mean and magnitude, then every task's update over each part of its sums' tree; pass 2
+    builds each update whole for its trim threshold, then every task's update over each
+    slice, which it trims, elects and merges. So a trimmed merge reads each tuned entry
+    twice a pass (three times in pass 2 for a task whose threshold has surplus ties) and
+    the base once a pass; ``simple_average`` reads each entry once.
+
     A layer group of at least two slices (131,072 entries) runs its jobs on one thread
     per CPU this process may use: pass 1's per-task updates and the parts of its sums'
-    tree, pass 2's per-task trims and its slices of averaging or of election, merge and
-    compose. The bytes do not depend on the count. Pass 1's threads end with this call;
-    pass 2's live until ``merged`` is exhausted, closed or raises.
+    tree, pass 2's per-task thresholds and its slices of averaging or of trim, election,
+    merge and compose. The bytes do not depend on the count. Pass 1's threads end with this
+    call; pass 2's live until ``merged`` is exhausted, closed or raises.
     """
     shapes = tensor_shapes(base)
     layer: dict[str, np.ndarray] = {}  # the float32 outputs of the layer group being composed
@@ -476,7 +518,8 @@ def merge_to_archive(
     The writer opens first, so a bad ``path`` or ``metadata`` fails before pass 1 reads
     anything. On :func:`merge`'s pass-2 walk each composed slice is written at its offset in
     the file by the thread that composed it, so no merged layer is held: only a layer's base
-    and each task's trimmed update of it for a trimmed merge, slices for ``simple_average``.
+    and one task's update of it per job in flight for a trimmed merge, whatever the task
+    count, and slices for ``simple_average``.
     The file is renamed into place once all is written; on any error ``path`` is untouched.
     """
     with archive_writer(tensor_shapes(base), path, metadata) as write_range:

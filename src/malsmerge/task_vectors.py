@@ -12,7 +12,7 @@ from .archive import Archive, tensor_shapes
 from .errors import ValidationError
 
 TensorMap = Mapping[str, np.ndarray]
-RangeRead = Callable[[str, int, int], np.ndarray]  # read(name, start, stop), as range_reader gives it
+RangeRead = Callable[..., np.ndarray]  # read(name, start, stop, out=None), as range_reader gives it
 
 
 @dataclass
@@ -95,13 +95,14 @@ def stored_sum(
 
 
 def range_reader(tensors: TensorMap, names: Iterable[str]) -> RangeRead:
-    """``read(name, start, stop)``: entries ``[start, stop)`` of tensor ``name``, one of
-    ``names``, flat. An :class:`Archive` reads just that range; any other mapping's tensors
-    are raveled once here, each keeping its dtype, and sliced."""
+    """``read(name, start, stop, out=None)``: entries ``[start, stop)`` of tensor ``name``, one
+    of ``names``, flat. An :class:`Archive` reads just that range, into the float32 ``out`` if
+    given (:meth:`Archive.read_range`); any other mapping's tensors are raveled once here, each
+    keeping its dtype, and sliced, ``out`` unused."""
     if isinstance(tensors, Archive):
         return tensors.read_range
     flats = {name: np.ravel(tensors[name]) for name in names}
-    return lambda name, start, stop: flats[name][start:stop]
+    return lambda name, start, stop, out=None: flats[name][start:stop]
 
 
 def update_range(read: RangeRead, members: Sequence[str], offsets: Sequence[int], start: int, b: np.ndarray,
@@ -109,15 +110,17 @@ def update_range(read: RangeRead, members: Sequence[str], offsets: Sequence[int]
     """A checkpoint's float32 update ``tuned - base`` (:func:`stored_sum`) over entries ``[start,
     start + len(b))`` of a layer group's flat, whose ``members`` lie end to end at ``offsets``
     (:func:`grouping.member_offsets`), into ``out`` if given, else a new array. ``b`` holds the
-    base's entries there; each member piece in the range is read through ``read`` and
-    subtracted in turn, one raw piece alive at a time. Callers check compatibility first."""
+    base's entries there; each member piece in the range is read through ``read`` into its place
+    in ``out`` where the reader can (an archive's), and the base subtracted there, so no raw
+    piece is held beside ``out``. Callers check compatibility first."""
     stop = start + len(b)
     out = np.empty(len(b), np.float32) if out is None else out
     for i in range(bisect.bisect_right(offsets, start) - 1, bisect.bisect_left(offsets, stop)):
         lo, hi = max(start, offsets[i]), min(stop, offsets[i + 1])
         if lo < hi:
             what, piece = f"update of tensor {members[i]!r}", slice(lo - start, hi - start)
-            stored_sum(what, read(members[i], lo - offsets[i], hi - offsets[i]), -1, b[piece], out=out[piece])
+            raw = read(members[i], lo - offsets[i], hi - offsets[i], out=out[piece])
+            stored_sum(what, raw, -1, b[piece], out=out[piece])
     return out
 
 

@@ -147,6 +147,25 @@ class TestProjectToBudget:
         assert converged
         assert iterations == 2
 
+    @pytest.mark.parametrize("max_iterations", [1, 2])
+    def test_the_last_correction_is_checked(self, max_iterations):
+        # one shift by 0.05 lands the mean on the target up to rounding (5.6e-17 off): the
+        # levels it returns have converged, in the one iteration that was allowed
+        s, iterations, converged = project_to_budget(
+            np.array([0.2, 0.4, 0.6, 0.6]), 0.5, 0.1, 0.9, 1e-6, max_iterations
+        )
+        np.testing.assert_allclose(s, [0.25, 0.45, 0.65, 0.65], atol=1e-12)
+        assert converged and iterations == max_iterations
+
+    def test_a_last_correction_off_the_target_is_not_converged(self):
+        # shifting by 0.523 clips the first level at 0.9, and spreading the residual over
+        # the other two clips the second: one iteration leaves the mean 0.0027 short
+        s, iterations, converged = project_to_budget(
+            np.array([0.645, 0.251, 0.204]), 0.89, 0.1, 0.9, 1e-6, 1
+        )
+        assert abs(float(np.mean(s)) - 0.89) > 1e-3
+        assert iterations == 1 and not converged
+
     def test_infeasible_target_rejected(self):
         with pytest.raises(ValidationError, match="infeasible"):
             project_to_budget(np.array([0.5]), 0.95, 0.1, 0.9)

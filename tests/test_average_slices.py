@@ -168,10 +168,10 @@ def test_overflowing_compose_raises_naming_the_merged_tensor(monkeypatch):
 class _SlowAtTheEnd(Archive):
     """An archive whose read of the last slice of ``layers.0.a`` takes a while."""
 
-    def read_range(self, name: str, start: int, stop: int) -> np.ndarray:
+    def read_range(self, name: str, start: int, stop: int, out: np.ndarray | None = None) -> np.ndarray:
         if name == "layers.0.a" and stop == 200:
             time.sleep(0.2)
-        return super().read_range(name, start, stop)
+        return super().read_range(name, start, stop, out)
 
 
 def test_the_first_error_in_walk_order_is_raised_whatever_the_worker_count(tmp_path, monkeypatch):
@@ -200,10 +200,10 @@ class _SlowFirstSlices(Archive):
     """An archive whose reads of the first two slices of ``layers.0.a`` take a while, the
     second's longer."""
 
-    def read_range(self, name: str, start: int, stop: int) -> np.ndarray:
+    def read_range(self, name: str, start: int, stop: int, out: np.ndarray | None = None) -> np.ndarray:
         if name == "layers.0.a" and start < 4:
             time.sleep(0.2 if start == 0 else 0.4)
-        return super().read_range(name, start, stop)
+        return super().read_range(name, start, stop, out)
 
 
 @pytest.mark.parametrize("workers", [1, 2, 4])
@@ -405,9 +405,9 @@ def test_trimmed_merge_bytes_do_not_depend_on_slice_size_or_worker_count(tmp_pat
 class _SlowToRead(Archive):
     """An archive whose every tensor takes a while to read."""
 
-    def read_range(self, name: str, start: int, stop: int) -> np.ndarray:
+    def read_range(self, name: str, start: int, stop: int, out: np.ndarray | None = None) -> np.ndarray:
         time.sleep(0.2)
-        return super().read_range(name, start, stop)
+        return super().read_range(name, start, stop, out)
 
 
 def test_the_first_failing_task_is_raised_whatever_the_worker_count(tmp_path, monkeypatch):

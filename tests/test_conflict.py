@@ -21,7 +21,7 @@ from malsmerge import (
 )
 from malsmerge.archive import tensor_shapes
 from malsmerge.conflict import (
-    _NODE_ENTRIES, _constant, _mean, _part_walk, layer_conflict, score_layers,
+    _NODE_ENTRIES, _constant, _mean, _part_walk, _views, layer_conflict, score_layers,
 )
 from malsmerge.grouping import flatten_group, member_offsets
 from malsmerge.merging import plan
@@ -173,9 +173,9 @@ def test_part_walk_sign_disagreements_equal_the_oracle(n):
     xs[0][0], xs[1][0] = 1.0, -1.0  # one opposite pair at least, so the ratio is not 0 / 0
     pairs = list(combinations(range(3), 2))
     expected = [sign_disagreement_oracle(xs[i], xs[j]) for i, j in pairs]
-    assert _part_walk(xs, (), (), pairs)[1] == expected
+    assert _part_walk(_views(xs), n, (), (), pairs)[1] == expected
     with ThreadPoolExecutor(2) as pool:
-        assert _part_walk(xs, (), (), pairs, pool.map)[1] == expected
+        assert _part_walk(_views(xs), n, (), (), pairs, pool.map)[1] == expected
 
 
 @pytest.mark.parametrize("dtype, scale, bound", [(np.float32, 1.0, 1.0), (np.float64, 1.0, 1.0),
@@ -358,8 +358,8 @@ def test_part_walk_from_zero_means_equals_numpy_sum_bit_for_bit(n):
     rng = np.random.default_rng(n)
     x = rng.standard_normal(n) * rng.uniform(1e-3, 1e3, n)
     y = rng.standard_normal(n)
-    (xy, xx), _ = _part_walk([x, y], [0.0, 0.0], [(0, 1), (0, 0)], ())
-    (reversed_xy,), _ = _part_walk([x[::-1], y[::-1]], [0.0, 0.0], [(0, 1)], ())
+    (xy, xx), _ = _part_walk(_views([x, y]), n, [0.0, 0.0], [(0, 1), (0, 0)], ())
+    (reversed_xy,), _ = _part_walk(_views([x[::-1], y[::-1]]), n, [0.0, 0.0], [(0, 1)], ())
     assert xy == float(np.sum(x * y))
     assert xx == float(np.sum(x * x))
     assert reversed_xy == float(np.sum(x[::-1] * y[::-1]))
@@ -389,8 +389,8 @@ def test_centring_equals_the_whole_layer_formulas(n):
     y = rng.standard_normal(n)
     for x in (varied, near_constant, np.full(n, np.float32(1 / 3)), tiny):
         expected_dx, expected_var = _center_reference(x)
-        (var, product), _ = _part_walk([x, y], [_mean(x), 0.0], [(0, 0), (0, 1)], ())
-        constant = _constant(x, var)
+        (var, product), _ = _part_walk(_views([x, y]), n, [_mean(x), 0.0], [(0, 0), (0, 1)], ())
+        constant = _constant(var, n, x[0], lambda: x)
         assert constant == (not expected_dx.any())
         assert (0.0 if constant else var) == expected_var
         if not constant:
@@ -417,7 +417,7 @@ def test_part_walk_equals_numpy_sums_and_the_oracle_bit_for_bit(n, tasks):
               / (np.count_nonzero(xs[i]) + np.count_nonzero(xs[j])) for i, j in signs]
     with ThreadPoolExecutor(2) as pool:
         for map_jobs in (map, pool.map):
-            sums, dis = _part_walk(xs, means, products, signs, map_jobs)
+            sums, dis = _part_walk(_views(xs), n, means, products, signs, map_jobs)
             assert [float(v) for v in sums] == expected
             assert dis == ratios
 

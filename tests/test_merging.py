@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from malsmerge import (
@@ -164,6 +164,42 @@ def test_sparsify_equals_oracle_on_ties_bytewise(v, s, slice_entries):
         assert sparsify_top_fraction(v, s).tobytes() == expected.tobytes()
     finally:
         merging._SLICE_ENTRIES = default
+
+
+@st.composite
+def _trims(draw):
+    """A tie-heavy vector and a sparsity level: 0, 1, any, or one at or next to a level where
+    (1 - s) * n is a whole number, where the ceil in the kept count changes."""
+    v = draw(_tie_heavy_vectors())
+    edge = 1.0 - draw(st.integers(0, v.size)) / v.size
+    s = draw(st.sampled_from([0.0, 1.0, edge, np.nextafter(edge, 0.0), np.nextafter(edge, 1.0)])
+             | st.floats(min_value=0.0, max_value=1.0))
+    return v, float(s)
+
+
+@settings(max_examples=500, deadline=None)
+@given(_trims(), st.sampled_from([1, 3, 7, merging._SLICE_ENTRIES]))
+@example((np.array([-0.0, 0.0, -0.0, 0.5], np.float32), 0.5), 1)  # a kept -0.0 and a dropped one
+@example((np.array([0.25, -0.25, 0.25, -0.25, 0.25], np.float16), 0.5), 3)  # surplus ties
+def test_threshold_and_slice_trims_equal_the_oracle_bytewise(trim, slice_entries):
+    # pass 2's trim: the threshold from the partitioned magnitudes, then each slice trimmed
+    # on its own. The vector is taken again, for the cutoff, only if its threshold has ties
+    # beyond those kept
+    v, s = trim
+    expected = np.array(sparsify_oracle(v, s), dtype=v.dtype)
+    n_keep = merging._kept(s, v.size)
+    magnitudes = np.sort(np.abs(v.astype(np.float64)))[::-1]
+    surplus = 0 < n_keep < v.size and magnitudes[n_keep - 1] == magnitudes[n_keep]
+    taken = []
+    default, merging._SLICE_ENTRIES = merging._SLICE_ENTRIES, slice_entries
+    try:
+        threshold, cutoff = merging._threshold(np.abs(v), n_keep, lambda: taken.append(1) or v.copy())
+    finally:
+        merging._SLICE_ENTRIES = default
+    trimmed = [merging._trim_slice(v[start:start + slice_entries], threshold, cutoff - start)
+               for start in range(0, v.size, slice_entries)]
+    assert np.concatenate(trimmed).tobytes() == expected.tobytes()
+    assert len(taken) == surplus
 
 
 class TestElectSigns:
@@ -903,29 +939,58 @@ def _library_merge(paths, config=MergeConfig(method="mals", sign_election=True))
     _write_merged(base, merged, Path(paths["base"]).with_name("merged.safetensors"))
 
 
-@pytest.mark.parametrize("method, passes", [("mals", 2), ("ties", 2), ("simple_average", 1)])
-def test_merge_to_archive_reads_each_input_entry_once_a_pass(tmp_path, monkeypatch, method, passes):
-    # pass 1 and pass 2 each read every base and task entry once, pass 2 composing onto the
-    # base flat it built the updates from; simple_average runs pass 2 alone, a slice at a time
+def _off_grid_set(root: Path, tied: bool) -> tuple[Path, list[Path]]:
+    """Three layer groups of two 32-entry members, a base and three tasks, written as archives:
+    continuous values, so no two magnitudes of an update tie. With ``tied``, task 0's update
+    of the first group is ±0.5 at every entry, so any trim of it that keeps some has surplus
+    ties at its threshold."""
+    rng = np.random.default_rng(3)
+    names = [f"model.layers.{layer}.{member}.weight" for layer in range(3) for member in ("attn", "mlp")]
+    base = {name: rng.standard_normal(32).astype(np.float32) for name in names}
+    tuned = [{name: (values + 0.02 * rng.standard_normal(32)).astype(np.float32) for name, values in base.items()}
+             for _ in range(3)]
+    if tied:
+        for name in names[:2]:
+            base[name] = rng.integers(-8, 8, 32).astype(np.float32)  # base ± 0.5 is exact
+            tuned[0][name] = base[name] + rng.choice([-0.5, 0.5], 32).astype(np.float32)
+    paths = [root / f"{i}.st" for i in range(4)]
+    for tensors, path in zip([base, *tuned], paths):
+        write_archive(tensors, path)
+    return paths[0], paths[1:]
+
+
+@pytest.mark.parametrize("tied", [False, True])
+@pytest.mark.parametrize("method", ["mals", "ties", "simple_average"])
+def test_merge_to_archive_reads_each_tuned_entry_twice_a_pass_and_the_base_once(tmp_path, monkeypatch,
+                                                                                method, tied):
+    # each pass of a trimmed merge reads the base once, into a flat, and every task's update
+    # twice: whole, for pass 1's mean or pass 2's threshold, then a part or slice at a time. A
+    # threshold with surplus ties reads its task's group once more, whole, to find the last tie
+    # kept. simple_average runs pass 2 alone and reads every entry once, a slice at a time
     monkeypatch.setattr(merging, "_SLICE_ENTRIES", 7)
+    monkeypatch.setattr(conflict, "_NODE_ENTRIES", 20)
     monkeypatch.setattr(merging, "_workers", lambda: 2)
-    paths = write_synthetic_set(tmp_path, seed=3, num_layers=3, elems_per_layer=64, num_tasks=3,
-                                conflict_profile=[0.8, 0.5, 0.2])
+    base_path, task_paths = _off_grid_set(tmp_path, tied)
     reads = []  # appended from the workers; an append is atomic
     read_range = Archive.read_range
 
-    def counted(self, name, start, stop):
+    def counted(self, name, start, stop, out=None):
         reads.append((self.path, name, stop - start))
-        return read_range(self, name, start, stop)
+        return read_range(self, name, start, stop, out)
 
     monkeypatch.setattr(Archive, "read_range", counted)
-    base, tuned = read_archive(paths["base"]), [read_archive(path) for path in paths["tasks"]]
+    base, tuned = read_archive(base_path), [read_archive(path) for path in task_paths]
     merge_to_archive(base, tuned, MergeConfig(method=method, sign_election=True), tmp_path / "merged.st")
     counts = {}
     for path, name, entries in reads:
         counts[path, name] = counts.get((path, name), 0) + entries
-    assert counts == {(archive.path, name): passes * int(np.prod(info.shape))
-                      for archive in (base, *tuned) for name, info in archive.infos.items()}
+    base_reads, tuned_reads = (1, 1) if method == "simple_average" else (2, 4)
+    expected = {(archive.path, name): (base_reads if archive is base else tuned_reads) * 32
+                for archive in (base, *tuned) for name in archive}
+    if tied and method != "simple_average":
+        for name in ("model.layers.0.attn.weight", "model.layers.0.mlp.weight"):
+            expected[tuned[0].path, name] += 32
+    assert counts == expected
 
 
 @pytest.mark.parametrize("job", [_plan, _cli_merge, _library_merge], ids=lambda job: job.__name__[1:])
@@ -989,28 +1054,40 @@ def test_disjoint_merge_holds_one_contributor_mask_at_a_time(election):
     assert (peak(8) - peak(2)) / (6 * n) < 0.5
 
 
-def test_plan_memory_per_added_task_is_its_float32_update(tmp_path, monkeypatch):
-    # pass 1 keeps per task only its float32 update (4 bytes an entry): its deviations and
-    # sign masks live one part of the sums' tree at a time, a part here being 512 entries,
-    # so that the part buffers (4 KiB of deviations per task) are no cost per entry of these
-    # 50,000-entry groups. The archives are opened before tracing: their objects, about
-    # 4 KiB each, are not pass 1's
+@pytest.mark.parametrize("phase", ["plan", "pass 2"])
+def test_memory_per_added_task_is_about_nothing(tmp_path, monkeypatch, phase):
+    # neither pass keeps a task's update of a layer group: a task's job builds it whole, keeps
+    # its mean and magnitude or its threshold, and drops it, and the rest is built a part of
+    # the sums' tree or a slice at a time, 512 entries here, no cost per entry of these
+    # 50,000-entry groups. One worker, so one whole update is in flight at either task count.
+    # The archives are opened before tracing: their objects, about 4 KiB each, are not the
+    # passes'. Pass 2 runs with the plan computed beforehand
+    import concurrent.futures  # noqa: F401  merge() imports it on first use: not while traced
+
     monkeypatch.setattr(conflict, "_NODE_ENTRIES", 512)
+    monkeypatch.setattr(merging, "_SLICE_ENTRIES", 512)
+    monkeypatch.setattr(merging, "_workers", lambda: 1)
+    config = MergeConfig(method="mals", sign_election=True)
     peaks = {}
     for tasks in (2, 8):
         paths = write_synthetic_set(tmp_path / str(tasks), seed=3, num_layers=4, elems_per_layer=50_000,
                                     num_tasks=tasks, conflict_profile=[0.5] * 4)
         base, tuned = read_archive(paths["base"]), [read_archive(path) for path in paths["tasks"]]
-        peaks[tasks] = _traced_peak(partial(plan, base, tuned, MergeConfig()))
-    assert (peaks[8] - peaks[2]) / (6 * 50_000) <= 4.1
+        if phase == "plan":
+            job = partial(plan, base, tuned, config)
+        else:
+            cached = plan(base, tuned, config)
+            monkeypatch.setattr(merging, "plan", lambda *args: cached)
+            job = partial(merge_to_archive, base, tuned, config, tmp_path / "merged.safetensors")
+        peaks[tasks] = _traced_peak(job)
+    assert (peaks[8] - peaks[2]) / (6 * 50_000) <= 0.5, peaks
 
 
 @pytest.mark.parametrize("phase", ["plan", "pass 2"])
 def test_memory_grows_by_at_most_one_raw_update_per_added_worker(tmp_path, monkeypatch, phase):
-    # a task's job holds beyond what it keeps at most one raw update (pass 1 takes its
-    # deviations a part at a time and its magnitudes in the update's place; pass 2 trims the
-    # update in place beside its magnitudes) and slice- or part-sized temporaries: never a
-    # layer-sized temporary per worker
+    # a task's job holds one whole update, read into its own array (pass 1 takes its magnitudes
+    # in the update's place, pass 2 partitions them there), and every other job slice- or
+    # part-sized temporaries: never more than one layer-sized array per worker
     import concurrent.futures  # noqa: F401  merge() imports it on first use: not while traced
 
     monkeypatch.setattr(merging, "_SLICE_ENTRIES", 4096)
@@ -1034,19 +1111,18 @@ def test_memory_grows_by_at_most_one_raw_update_per_added_worker(tmp_path, monke
         assert peaks[workers] - peaks[1] <= (workers - 1) * (4 * elems + slice_temporaries), peaks
 
 
-# bytes per entry of a layer group that each pass may hold beyond its fixed cost, at T tasks
-# with ``jobs`` task jobs in flight, and the margin over it that each pass is allowed. Pass 1
-# keeps the group's base (4) and, per task, its float32 update (4); each job in flight reads
-# one raw member, half the group in these sets (2.0). Pass 2 keeps the base (4) and each
-# task's trimmed float32 update (4); each trim in flight holds its magnitudes (4). Averaging
-# holds slices alone. The trimmed merges measured 0.12 to 2.5 under their budgets, and
-# averaging up to 0.52 over its while the pool's map held a future per 4096-entry slice
-# (it holds two a worker now, whatever the group's size), so one more
-# layer-sized float32 array (4) fails each; so does a quarter byte per entry per task in
-# pass 1 at T = 8, as packed sign masks kept per task (38.6 at 1 worker) did
+# bytes per entry of a layer group that each pass may hold beyond its fixed cost, with ``jobs``
+# task jobs in flight, whatever the task count, and the margin over it that each pass is
+# allowed. A trimmed merge's pass keeps the group's base (4), and each task job in flight one
+# whole update (4), read into its own array: pass 1's job takes its mean and then its
+# magnitudes in its place, pass 2's partitions its magnitudes there. The rest is built a part
+# of the sums' tree or a slice at a time. Averaging holds slices alone. The trimmed passes
+# measured 6.6 to 12.0 against these budgets and averaging at most 0.02, so one more
+# layer-sized float32 array (4) fails each, as does a return to a float32 update kept per task
+# (36.8 in pass 1 and 39.9 in pass 2 at T = 8 on 1 worker)
 _PASS_BUDGETS = {
-    ("mals", "plan"): (lambda tasks, jobs: 4 + 4 * tasks + 2.0 * jobs, 0.25),
-    ("mals", "pass 2"): (lambda tasks, jobs: 4 + 4 * tasks + 4 * jobs, 0.25),
+    ("mals", "plan"): (lambda tasks, jobs: 4 + 4 * jobs, 0.25),
+    ("mals", "pass 2"): (lambda tasks, jobs: 4 + 4 * jobs, 0.25),
     ("simple_average", "plan"): (lambda tasks, jobs: 0, 1.0),
     ("simple_average", "pass 2"): (lambda tasks, jobs: 0, 1.0),
 }

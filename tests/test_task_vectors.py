@@ -154,9 +154,9 @@ def test_update_range_reads_only_the_member_pieces_in_its_range():
     for a, b in _ranges():
         reads = []
 
-        def read(name, start, stop):
+        def read(name, start, stop, out=None):
             reads.append((name, start, stop))
-            return reader(name, start, stop)
+            return reader(name, start, stop, out)
 
         update_range(read, _MEMBERS, _OFFSETS, a, np.zeros(b - a, np.float32))
         pieces = [(name, max(a, at) - at, min(b, end) - at)
