@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 1 usage error, 2 validation error (bad config,
 shape/key mismatch, malformed archive), 3 numerical failure (allocation
-non-convergence).
+non-convergence), 130 interrupted (SIGINT, or SIGTERM through the
+``malsmerge`` command).
 """
 
 from __future__ import annotations
@@ -10,6 +11,7 @@ from __future__ import annotations
 import argparse
 import ctypes
 import json
+import signal
 import sys
 from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
@@ -27,6 +29,7 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_VALIDATION = 2
 EXIT_NUMERICAL = 3
+EXIT_INTERRUPTED = 130  # as shells report a process that SIGINT ended
 
 
 def _expect(value: object, kind: type, key: str) -> object:
@@ -269,6 +272,9 @@ def run(argv: list[str] | None = None) -> int:
     except (ValidationError, ArchiveError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
+    except KeyboardInterrupt:  # the file being written is removed on the way here
+        print("error: interrupted", file=sys.stderr)
+        return EXIT_INTERRUPTED
 
 
 def _reuse_freed_memory() -> None:
@@ -294,6 +300,10 @@ def _reuse_freed_memory() -> None:
 
 
 def entrypoint() -> None:
+    # SIGTERM raises KeyboardInterrupt in the main thread, as SIGINT does, so a write in
+    # progress removes its temp file and run() exits 130. Set here, not in run(), so that
+    # library callers keep their own handlers
+    signal.signal(signal.SIGTERM, signal.default_int_handler)
     _reuse_freed_memory()
     sys.exit(run(sys.argv[1:]))
 

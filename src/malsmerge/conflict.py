@@ -45,10 +45,25 @@ def _check_pair(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return x, y
 
 
-# the parts of numpy's pairwise tree that are reduced one at a time. Not
+# the largest part of numpy's pairwise tree that is reduced at once. Not
 # merging._SLICE_ENTRIES, which tests set to 1, 3 or 7 entries: _parts splits a part of
 # under 16 entries at 0, so parts that small would recurse without end
 _NODE_ENTRIES = 1 << 16
+# a part job's float64 deviations, one row a vector, stay within this many bytes down to
+# parts of _MIN_PART entries (_cut)
+_PART_BYTES = 2 << 20
+_MIN_PART = 1 << 12
+
+
+def _cut(vectors: int) -> int:
+    """The part size of a walk over ``vectors`` vectors' deviations: the largest power of two,
+    at most ``_NODE_ENTRIES`` and at least ``_MIN_PART``, whose ``vectors`` float64 rows fit in
+    ``_PART_BYTES`` (65,536 entries up to 4 vectors, 32,768 at 8, 16,384 at 16). A walk that
+    takes no deviations cuts at ``_NODE_ENTRIES``."""
+    if not vectors:
+        return _NODE_ENTRIES
+    fit = 1 << ((_PART_BYTES // 8 // vectors).bit_length() - 1)
+    return min(_NODE_ENTRIES, max(_MIN_PART, fit))
 
 
 def _half(n: int) -> int:
@@ -57,24 +72,24 @@ def _half(n: int) -> int:
     return n // 2 - n // 2 % 8
 
 
-def _parts(n: int, start: int = 0) -> Iterator[tuple[int, int]]:
+def _parts(n: int, cut: int, start: int = 0) -> Iterator[tuple[int, int]]:
     """``(start, length)`` of each part, in order, of numpy's pairwise tree over entries
-    ``start`` to ``start + n``, cut at parts of at most ``_NODE_ENTRIES``."""
-    if n <= _NODE_ENTRIES:
+    ``start`` to ``start + n``, cut at parts of at most ``cut`` entries."""
+    if n <= cut:
         yield start, n
         return
     half = _half(n)
-    yield from _parts(half, start)
-    yield from _parts(n - half, start + half)
+    yield from _parts(half, cut, start)
+    yield from _parts(n - half, cut, start + half)
 
 
-def _tree_sum(n: int, sums: Iterator):
-    """The sums of :func:`_parts`' parts of ``n`` entries, taken from ``sums`` in order and
-    added as the tree adds them: floats, or float64 vectors added entry by entry."""
-    if n <= _NODE_ENTRIES:
+def _tree_sum(n: int, cut: int, sums: Iterator):
+    """The sums of :func:`_parts`' parts of ``n`` entries at ``cut``, taken from ``sums`` in
+    order and added as the tree adds them: floats, or float64 vectors added entry by entry."""
+    if n <= cut:
         return next(sums)
     half = _half(n)
-    return _tree_sum(half, sums) + _tree_sum(n - half, sums)
+    return _tree_sum(half, cut, sums) + _tree_sum(n - half, cut, sums)
 
 
 _Parts = Callable[[int, int], Iterable[np.ndarray]]  # parts(start, stop): each vector's entries there
@@ -126,10 +141,13 @@ def _part_walk(parts: _Parts, n: int, means: Sequence[float], products: Sequence
     this takes the same tree, reduces each of :func:`_parts` with ``np.add.reduce`` (the
     same pairwise sum, added to +0.0, which changes only a -0.0 that numpy's own +0.0 start
     turns to +0.0 too) and adds the parts' vectors in tree order; the counts in them,
-    integers below 2**53, add exactly. ``map_jobs`` (results in order) takes one part at a
-    time, so nothing is held beyond its part. BLAS-backed dot products would not fix the
-    order across threads."""
-    totals = _tree_sum(n, map_jobs(partial(_part_sums, parts, means, products, signs), _parts(n)))
+    integers below 2**53, add exactly. The parts are cut at :func:`_cut` of the vectors
+    whose deviations are taken, so a part's deviations fill at most ``_PART_BYTES`` whatever
+    their count, and any cut of at least 128 entries follows the same tree. ``map_jobs``
+    (results in order) takes one part at a time, so nothing is held beyond its part.
+    BLAS-backed dot products would not fix the order across threads."""
+    cut = _cut(len(means))
+    totals = _tree_sum(n, cut, map_jobs(partial(_part_sums, parts, means, products, signs), _parts(n, cut)))
     counts = totals[len(products):].tolist()
     nonzero = counts[len(signs):]
     ratios = [2.0 * counts[p] / total if (total := nonzero[i] + nonzero[j]) else 0.0
@@ -244,31 +262,39 @@ def _task_means(b: np.ndarray, update: Callable[[int, np.ndarray], np.ndarray]) 
     return _mean(x), x[0], _mean(np.abs(x, out=x))
 
 
-_Layer = tuple[Callable, np.ndarray, Sequence[Callable[[int, np.ndarray], np.ndarray]]]
+# (map_jobs, n, base, updates): see score_layers
+_Layer = tuple[Callable, int, Callable[[int, int], np.ndarray],
+               Sequence[Callable[[int, np.ndarray], np.ndarray]]]
 
 
 def _score_layer(layer: _Layer, task_pairs: Sequence[tuple[int, int]]) -> tuple[float, list[float], list[float]]:
     """Importance, then |rho| and sign disagreement per task pair, of one layer group.
 
-    Two rounds of jobs, each job holding at most one task's update of the whole group: each
-    task's job builds its float32 update and takes its mean, its first entry and its mean
-    magnitude (:func:`_task_means`); then, where there are pairs, one walk over the parts of
-    the sums' tree builds every task's update over each part and gives every task's sum of
-    squares, every pair's product of deviations and every pair's sign counts
-    (:func:`_part_walk`). Only a task whose sum of squares is tiny is built whole again, for
-    :func:`_constant`'s exact check.
+    Two rounds of jobs, each job holding at most one task's update of the whole group: the
+    base's entries of the whole group are read once into a flat, each task's job builds its
+    float32 update from it and takes its mean, its first entry and its mean magnitude
+    (:func:`_task_means`), and the flat is dropped with the round. Then, where there are
+    pairs, one walk over the parts of the sums' tree reads the base's entries over each part
+    once, builds every task's update there and gives every task's sum of squares, every
+    pair's product of deviations and every pair's sign counts (:func:`_part_walk`). Only a
+    task whose sum of squares is tiny is built whole again, from the base read whole again,
+    for :func:`_constant`'s exact check.
     """
-    map_jobs, b, updates = layer
-    n = len(b)
+    map_jobs, n, base, updates = layer
     if not n:
         return 0.0, [0.0] * len(task_pairs), [0.0] * len(task_pairs)
-    means, firsts, magnitudes = zip(*map_jobs(partial(_task_means, b), updates))
+    # the flat is held by the round's partial alone, so it goes when the round ends
+    means, firsts, magnitudes = zip(*map_jobs(partial(_task_means, base(0, n)), updates))
     rho, dis = [], []
     if task_pairs:
         squares = [(t, t) for t in range(len(updates))]
-        parts = lambda start, stop: (update(start, b[start:stop]) for update in updates)
+
+        def parts(start: int, stop: int) -> Iterator[np.ndarray]:
+            b = base(start, stop)  # read once a part, for every task
+            return (update(start, b) for update in updates)
+
         sums, dis = _part_walk(parts, n, means, squares + list(task_pairs), task_pairs, map_jobs)
-        var = [0.0 if _constant(v, n, first, partial(update, 0, b)) else v
+        var = [0.0 if _constant(v, n, first, lambda update=update: update(0, base(0, n))) else v
                for update, first, v in zip(updates, firsts, sums)]
         rho = [_rho(product, var[i], var[j]) for (i, j), product in zip(task_pairs, sums[len(updates):])]
     importance = float(task_order_sum(magnitudes, ())) / len(updates)
@@ -278,15 +304,19 @@ def _score_layer(layer: _Layer, task_pairs: Sequence[tuple[int, int]]) -> tuple[
 def score_layers(layer_ids: Sequence[str], n_tasks: int, layers: Iterable[_Layer]) -> ConflictReport:
     """Score each layer group's per-task updates, in ``layer_ids`` order.
 
-    ``layers`` yields one ``(map_jobs, b, updates)`` per group: ``b`` holds the base's
-    entries of the group's flat, and ``updates`` one function per task, in task order, that
-    builds as :func:`task_vectors.update_range` does: ``update(start, b[start:stop])`` gives
-    the task's float32 update over that range in a new array, which scoring may overwrite.
-    ``map_jobs`` maps a function over a sequence as the builtin ``map`` does, results in
-    order; a thread pool's ``map`` runs the tasks and the parts of the sums' tree side by
-    side. Every sum a job takes is its own and the parts' sums and sign counts are added in
-    the tree's order, so the scores do not depend on ``map_jobs``. Each group is dropped
-    before the next is taken, so memory grows with the largest group, not the model.
+    ``layers`` yields one ``(map_jobs, n, base, updates)`` per group of ``n`` entries:
+    ``base(start, stop)`` reads the base's entries over that range of the group's flat into a
+    new array, and ``updates`` holds one function per task, in task order, that builds as
+    :func:`task_vectors.update_range` does: ``update(start, b)``, given ``b = base(start,
+    stop)``, gives the task's float32 update over that range in a new array, which scoring
+    may overwrite. The base is read whole for the per-task round, once over the parts of
+    the walk, and whole again only for :func:`_constant`'s rare check; no flat of it
+    outlives the round. ``map_jobs`` maps a function over a sequence as the builtin ``map``
+    does, results in order; a thread pool's ``map`` runs the tasks and the parts of the
+    sums' tree side by side. Every sum a job takes is its own and the parts' sums and sign
+    counts are added in the tree's order, so the scores do not depend on ``map_jobs``. Each
+    group is dropped before the next is taken, so memory grows with the largest group, not
+    the model.
     """
     n_layers = len(layer_ids)
     task_pairs = tuple(combinations(range(n_tasks), 2))
@@ -321,7 +351,7 @@ def layer_conflict(task_vectors: Sequence[TaskVector], grouping: LayerGrouping) 
         offsets = member_offsets(shapes, members)
         updates = [partial(update_range, range_reader(tv.deltas, members), members, offsets)
                    for tv in task_vectors]
-        return map, np.broadcast_to(np.float32(0), offsets[-1]), updates
+        return map, offsets[-1], lambda start, stop: np.broadcast_to(np.float32(0), stop - start), updates
 
     layers = (layer(members) for _, members in grouping.groups)
     return score_layers(grouping.layer_ids, len(task_vectors), layers)

@@ -26,7 +26,8 @@ from .archive import Archive, _within, archive_writer, tensor_shapes
 from .conflict import ConflictReport, score_layers, task_order_sum
 from .errors import ConvergenceError, ValidationError
 from .grouping import DEFAULT_GROUPING_PATTERN, LayerGrouping, compile_grouping, group_layers, member_offsets
-from .task_vectors import TaskVector, TensorMap, range_reader, require_compatible, stored_sum, update_range
+from .task_vectors import (TaskVector, TensorMap, flat_reader, range_reader, require_compatible, stored_sum,
+                           update_range)
 
 # CPython's own SHA-256, so that no job loads OpenSSL's libcrypto (3.5 MiB of its RSS) for a
 # config digest of a few hundred bytes. A build without it, such as a FIPS one, pays that cost
@@ -104,7 +105,8 @@ def _kept(s: float, n: int) -> int:
     return 0 if s == 1.0 else math.ceil((1.0 - s) * n)
 
 
-def _threshold(magnitude: np.ndarray, n_keep: int, values: Callable[[], np.ndarray]) -> tuple[np.generic, int]:
+def _threshold(magnitude: np.ndarray, n_keep: int,
+               again: Callable[[int, int], np.ndarray]) -> tuple[np.generic, int]:
     """The trim of a flat real-float ``v`` to its ``n_keep`` largest magnitudes, as
     ``(threshold, cutoff)`` for :func:`_trim_slice`: an entry is kept if its magnitude's bits,
     unsigned, exceed ``threshold``, or equal it at an index below ``cutoff``.
@@ -112,10 +114,11 @@ def _threshold(magnitude: np.ndarray, n_keep: int, values: Callable[[], np.ndarr
     ``magnitude`` is ``|v|`` in an array of its own, which is partitioned in place through its
     unsigned view: a finite magnitude's bits order as it does. The entries from the
     partition's pivot up hold every magnitude above ``threshold`` and as many ties as are
-    kept; only if ties lie below the pivot too (the largest entry there is one) is ``v``
-    taken again, in index order, from ``values()``, and scanned for the index after the last
-    tie kept, lower indices first. The kept ties are counted, and ``v`` scanned, a slice at
-    a time, so nothing else as long as ``v`` is built.
+    kept; only if ties lie below the pivot too (the largest entry there is one) are the
+    magnitudes taken again, a slice at a time in index order from ``again(start, stop)``
+    (``|v|`` over entries ``[start, stop)``, in an array of its own), and scanned for the
+    index after the last tie kept, lower indices first, up to the slice that holds it. The
+    kept ties are counted a slice at a time too, so nothing else as long as ``v`` is built.
     """
     bits = magnitude.view(_float_bits(magnitude.dtype))
     if n_keep == 0:
@@ -130,14 +133,13 @@ def _threshold(magnitude: np.ndarray, n_keep: int, values: Callable[[], np.ndarr
         return int(np.count_nonzero(x == threshold))
 
     quota = sum(ties(bits[start:start + _SLICE_ENTRIES]) for start in range(pivot, len(bits), _SLICE_ENTRIES))
-    v = values()
-    for start in range(0, len(v), _SLICE_ENTRIES):
-        part = np.abs(v[start:start + _SLICE_ENTRIES]).view(bits.dtype)
+    for start in range(0, len(bits), _SLICE_ENTRIES):
+        part = again(start, min(start + _SLICE_ENTRIES, len(bits))).view(bits.dtype)
         tied = ties(part)
         if tied >= quota:
             return threshold, start + int(np.flatnonzero(part == threshold)[quota - 1]) + 1
         quota -= tied
-    raise AssertionError("values() holds fewer ties than the partition counted")
+    raise AssertionError("again() holds fewer ties than the partition counted")
 
 
 def _trim_slice(v: np.ndarray, threshold: np.generic, cutoff: int) -> np.ndarray:
@@ -170,7 +172,7 @@ def sparsify_top_fraction(v: np.ndarray, s: float) -> np.ndarray:
     if v.ndim != 1:
         raise ValueError("input must be a flat vector")
     _float_bits(v.dtype)  # checked at every level, 1 included
-    threshold, cutoff = _threshold(np.abs(v), _kept(s, v.size), lambda: v)
+    threshold, cutoff = _threshold(np.abs(v), _kept(s, v.size), lambda start, stop: np.abs(v[start:stop]))
     return _trim_slice(v, threshold, cutoff)
 
 
@@ -329,7 +331,7 @@ def plan(
     if config.method == "simple_average":
         return grouping, None, None
     with closing(_layer_walk(base, grouping)) as walk:
-        layers = ((map_jobs, np.concatenate([np.ravel(base[name]) for name in members]),
+        layers = ((map_jobs, at[-1], flat_reader(base, members, at),
                    [partial(update_range, range_reader(t, members), members, at) for t in tuned])
                   for members, at, map_jobs in walk)
         conflict = score_layers(grouping.layer_ids, len(tuned), layers)
@@ -375,20 +377,27 @@ def _merge_layer(base: TensorMap, tuned: Sequence[TensorMap], group: _Group, lev
                  config: MergeConfig, place: _Place) -> None:
     """Pass 2 on one layer group: its base is read once into a flat, and one job per task
     builds its update over all of it and finds, from its magnitudes in the update's place,
-    the :func:`_threshold` of its trim to ``level``; then each slice rebuilds every task's
-    update over it, trims it (:func:`_trim_slice`), elects and merges, and the walk adds
-    ``lam`` times that onto the base, read from the same flat."""
+    the :func:`_threshold` of its trim to ``level`` (a tied threshold rebuilds the update a
+    slice at a time, up to the cutoff's slice); the flat goes with that round. Then each
+    slice reads the base's entries over it, rebuilds every task's update there, trims it
+    (:func:`_trim_slice`), elects and merges, and the walk adds ``lam`` times that onto the
+    same base entries."""
     members, offsets, map_jobs = group
-    flat = np.concatenate([np.ravel(base[name]) for name in members])  # read once, for updates and compose
+    flat = flat_reader(base, members, offsets)(0, offsets[-1])  # for the threshold round alone
     reads = [range_reader(t, members) for t in tuned]
     n_keep = _kept(level, len(flat))
 
     def find_threshold(read: Callable) -> tuple[np.generic, int]:
         row = update_range(read, members, offsets, 0, flat)
-        again = partial(update_range, read, members, offsets, 0, flat, out=row)
+
+        def again(start: int, stop: int) -> np.ndarray:
+            part = update_range(read, members, offsets, start, flat[start:stop])
+            return np.abs(part, out=part)
+
         return _threshold(np.abs(row, out=row), n_keep, again)
 
     thresholds = list(map_jobs(find_threshold, reads))
+    del flat  # the walk reads the base a slice at a time
     election = config.sign_election or config.method == "ties"
 
     def merge_slice(first: int, b: np.ndarray) -> np.ndarray:
@@ -396,8 +405,7 @@ def _merge_layer(base: TensorMap, tuned: Sequence[TensorMap], group: _Group, lev
                 for read, (threshold, cutoff) in zip(reads, thresholds)]
         return disjoint_merge(rows, elect_signs(rows) if election else None)
 
-    views = dict(zip(members, np.split(flat, offsets[1:-1])))  # the base's members, as views of the flat
-    _slice_walk(range_reader(views, members), group, config.lam, merge_slice, place)
+    _slice_walk(range_reader(base, members), group, config.lam, merge_slice, place)
 
 
 def _average_layer(base: TensorMap, tuned: Sequence[TensorMap], group: _Group, lam: float,
@@ -473,9 +481,11 @@ def merge(
     the rest is built a part or a slice at a time. Pass 1 builds each update whole for its
     mean and magnitude, then every task's update over each part of its sums' tree; pass 2
     builds each update whole for its trim threshold, then every task's update over each
-    slice, which it trims, elects and merges. So a trimmed merge reads each tuned entry
-    twice a pass (three times in pass 2 for a task whose threshold has surplus ties) and
-    the base once a pass; ``simple_average`` reads each entry once.
+    slice, which it trims, elects and merges. Each pass holds the group's base in a flat
+    for its per-task round alone, and its walk reads the base a part or a slice at a time,
+    once for every task. So a trimmed merge reads each tuned entry and each base entry
+    twice a pass, and pass 2 reads a task's group once more, up to the slice that holds its
+    cutoff, where its threshold has surplus ties; ``simple_average`` reads each entry once.
 
     A layer group of at least two slices (131,072 entries) runs its jobs on one thread
     per CPU this process may use: pass 1's per-task updates and the parts of its sums'
@@ -517,9 +527,9 @@ def merge_to_archive(
 
     The writer opens first, so a bad ``path`` or ``metadata`` fails before pass 1 reads
     anything. On :func:`merge`'s pass-2 walk each composed slice is written at its offset in
-    the file by the thread that composed it, so no merged layer is held: only a layer's base
-    and one task's update of it per job in flight for a trimmed merge, whatever the task
-    count, and slices for ``simple_average``.
+    the file by the thread that composed it, so no merged layer is held: at most a layer's
+    base and one task's update of it per job in flight for a trimmed merge, whatever the
+    task count, and slices for ``simple_average``.
     The file is renamed into place once all is written; on any error ``path`` is untouched.
     """
     with archive_writer(tensor_shapes(base), path, metadata) as write_range:

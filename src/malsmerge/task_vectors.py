@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -105,6 +105,37 @@ def range_reader(tensors: TensorMap, names: Iterable[str]) -> RangeRead:
     return lambda name, start, stop, out=None: flats[name][start:stop]
 
 
+def _pieces(offsets: Sequence[int], start: int, stop: int) -> Iterator[tuple[int, int, int]]:
+    """``(i, lo, hi)`` for each member ``i`` that entries ``[start, stop)`` of a layer group's flat
+    cover, in order: entries ``[lo, hi)`` of the flat, found by bisection of ``offsets``."""
+    for i in range(bisect.bisect_right(offsets, start) - 1, bisect.bisect_left(offsets, stop)):
+        lo, hi = max(start, offsets[i]), min(stop, offsets[i + 1])
+        if lo < hi:
+            yield i, lo, hi
+
+
+def flat_reader(tensors: TensorMap, members: Sequence[str],
+                offsets: Sequence[int]) -> Callable[[int, int], np.ndarray]:
+    """``flat(start, stop)``: entries ``[start, stop)`` of the layer group's flat that ``members``
+    of ``tensors`` make, end to end at ``offsets``, in a new array of the dtype that
+    ``np.concatenate`` gives them. An :class:`Archive`'s pieces are read into their places, as
+    float32; any other mapping's are copied there from :func:`range_reader`'s slices."""
+    read = range_reader(tensors, members)
+    archive = isinstance(tensors, Archive)
+    dtype = np.float32 if archive else np.result_type(*(np.asarray(tensors[name]).dtype for name in members))
+
+    def flat(start: int, stop: int) -> np.ndarray:
+        out = np.empty(stop - start, dtype)
+        for i, lo, hi in _pieces(offsets, start, stop):
+            piece = out[lo - start:hi - start]
+            values = read(members[i], lo - offsets[i], hi - offsets[i], out=piece)
+            if not archive:
+                piece[...] = values
+        return out
+
+    return flat
+
+
 def update_range(read: RangeRead, members: Sequence[str], offsets: Sequence[int], start: int, b: np.ndarray,
                  out: np.ndarray | None = None) -> np.ndarray:
     """A checkpoint's float32 update ``tuned - base`` (:func:`stored_sum`) over entries ``[start,
@@ -113,14 +144,11 @@ def update_range(read: RangeRead, members: Sequence[str], offsets: Sequence[int]
     base's entries there; each member piece in the range is read through ``read`` into its place
     in ``out`` where the reader can (an archive's), and the base subtracted there, so no raw
     piece is held beside ``out``. Callers check compatibility first."""
-    stop = start + len(b)
     out = np.empty(len(b), np.float32) if out is None else out
-    for i in range(bisect.bisect_right(offsets, start) - 1, bisect.bisect_left(offsets, stop)):
-        lo, hi = max(start, offsets[i]), min(stop, offsets[i + 1])
-        if lo < hi:
-            what, piece = f"update of tensor {members[i]!r}", slice(lo - start, hi - start)
-            raw = read(members[i], lo - offsets[i], hi - offsets[i], out=out[piece])
-            stored_sum(what, raw, -1, b[piece], out=out[piece])
+    for i, lo, hi in _pieces(offsets, start, start + len(b)):
+        what, piece = f"update of tensor {members[i]!r}", slice(lo - start, hi - start)
+        raw = read(members[i], lo - offsets[i], hi - offsets[i], out=out[piece])
+        stored_sum(what, raw, -1, b[piece], out=out[piece])
     return out
 
 

@@ -7,6 +7,7 @@ import json
 import os
 import re
 import shlex
+import signal
 import struct
 import subprocess
 import sys
@@ -503,6 +504,43 @@ def test_nonconvergence_exits_3(tmp_path, synth_dir, capsys):
     code = run(["merge", "--config", str(cfg)])
     assert code == 3
     assert "converge" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("signum", [signal.SIGINT, signal.SIGTERM], ids=["SIGINT", "SIGTERM"])
+def test_a_signal_in_pass_2_exits_130_with_one_line_and_no_temp_file(tmp_path, synth_dir, signum):
+    # the merge runs through the command's entry point in a child, where pass 2's first fill
+    # says that it has started and then waits: the signal lands in mid pass 2, with the
+    # output's temp file open, and the child exits 130 with one line, the temp file removed
+    code = """if True:
+        import sys, time
+        from malsmerge import cli, merging
+
+        slice_walk = merging._slice_walk
+
+        def waiting_walk(base_read, group, lam, fill, place):
+            def waiting_fill(first, b):
+                print("filling", flush=True)
+                time.sleep(60)
+                return fill(first, b)
+
+            slice_walk(base_read, group, lam, waiting_fill, place)
+
+        merging._slice_walk = waiting_walk
+        sys.argv[1:] = ["merge", "--config", sys.argv[1]]
+        cli.entrypoint()
+    """
+    child = subprocess.Popen([sys.executable, "-c", code, str(_config(tmp_path, synth_dir))],
+                             stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+    try:
+        assert child.stdout.readline() == "filling\n"
+        child.send_signal(signum)
+        _, stderr = child.communicate(timeout=60)
+    finally:
+        child.kill()
+        child.wait()
+    assert (child.returncode, stderr) == (130, "error: interrupted\n")
+    assert not list(tmp_path.glob("*.tmp"))
+    assert not (tmp_path / "merged.safetensors").exists()
 
 
 def test_simple_average_skips_report_with_warning(tmp_path, synth_dir, capsys):

@@ -21,11 +21,11 @@ from malsmerge import (
 )
 from malsmerge.archive import tensor_shapes
 from malsmerge.conflict import (
-    _NODE_ENTRIES, _constant, _mean, _part_walk, _views, layer_conflict, score_layers,
+    _NODE_ENTRIES, _PART_BYTES, _constant, _cut, _mean, _part_walk, _views, layer_conflict, score_layers,
 )
 from malsmerge.grouping import flatten_group, member_offsets
 from malsmerge.merging import plan
-from malsmerge.task_vectors import TaskVector, compute_task_vector, range_reader, update_range
+from malsmerge.task_vectors import TaskVector, compute_task_vector, flat_reader, range_reader, update_range
 from oracles import pearson_abs_oracle, sign_disagreement_oracle
 
 
@@ -211,6 +211,27 @@ def test_sign_disagreement_holds_no_byte_per_entry():
         finally:
             tracemalloc.stop()
     assert (peaks[1_000_000] - peaks[250_000]) / 750_000 < 0.1
+
+
+@pytest.mark.parametrize("tasks", [2, 4, 8, 16])
+def test_part_walk_job_holds_one_bounded_block_whatever_the_task_count(tasks):
+    # a part job holds its vectors' float64 deviations, cut to fill at most _PART_BYTES (2 MiB),
+    # each vector's two sign masks (a quarter of that), one product buffer of a part's float64
+    # row and bool temporaries. Cut at 65,536 entries whatever the count, the deviations alone
+    # would take 4 MiB at eight tasks and 8 MiB at sixteen
+    n = 2 * _NODE_ENTRIES  # whole parts at every cut
+    rng = np.random.default_rng(tasks)
+    xs = [rng.standard_normal(n).astype(np.float32) for _ in range(tasks)]
+    means = [_mean(x) for x in xs]
+    pairs = list(combinations(range(tasks), 2))
+    assert tasks * _cut(tasks) * 8 <= _PART_BYTES
+    tracemalloc.start()
+    try:
+        _part_walk(_views(xs), n, means, [(t, t) for t in range(tasks)] + pairs, pairs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= _PART_BYTES + _PART_BYTES // 4 + 8 * _NODE_ENTRIES + (64 << 10), peak
 
 
 vectors = st.lists(
@@ -422,22 +443,28 @@ def test_part_walk_equals_numpy_sums_and_the_oracle_bit_for_bit(n, tasks):
             assert dis == ratios
 
 
-@pytest.mark.parametrize("n", [8, 128, 8192, 8193, _NODE_ENTRIES, 3 * _NODE_ENTRIES + 5])
-def test_score_layers_equals_the_public_kernels_per_pair(n):
-    # a constant task, one at about 1e-30 and an all-zero one among five float32 updates:
-    # the constant's and the zero's |rho| is exactly 0, and every pair's scores equal
-    # pearson_abs's and sign_disagreement's on the same updates
+@pytest.mark.parametrize("tasks", [5, 8])
+@pytest.mark.parametrize("n", [8, 128, 8192, 8193, 32767, 32768, 32769, 65535, _NODE_ENTRIES, 65537,
+                               3 * _NODE_ENTRIES + 5])
+def test_score_layers_equals_the_public_kernels_per_pair(n, tasks):
+    # a constant task, one at about 1e-30 and an all-zero one among five or eight float32
+    # updates: the constant's and the zero's |rho| is exactly 0, and every pair's scores equal
+    # pearson_abs's and sign_disagreement's on the same updates. At eight tasks the walk cuts
+    # its parts at 32,768 entries, where pearson_abs's two vectors cut at 65,536: both follow
+    # numpy's own pairwise tree, so the sums agree bit for bit on either side of each cut
     rng = np.random.default_rng(n)
     xs = [rng.standard_normal(n).astype(np.float32), np.full(n, np.float32(0.1)),
           rng.standard_normal(n).astype(np.float32), (rng.standard_normal(n) * 1e-30).astype(np.float32),
-          np.zeros(n, np.float32)]
+          np.zeros(n, np.float32), (rng.standard_normal(n) * 1e3).astype(np.float32),
+          rng.choice([-1.0, 0.0, 1.0], n).astype(np.float32), rng.uniform(0, 1, n).astype(np.float32)][:tasks]
 
     # each update built over a zero base, in a new array: scoring may overwrite what it is given
     updates = [partial(update_range, range_reader({"x": x}, ["x"]), ["x"], [0, n]) for x in xs]
     importance = float(sum(np.sum(np.abs(x), dtype=np.float64) / n for x in xs)) / len(xs)
+    zeros = lambda start, stop: np.zeros(stop - start, np.float32)
     with ThreadPoolExecutor(2) as pool:
         for map_jobs in (map, pool.map):
-            report = score_layers(["l"], len(xs), [(map_jobs, np.zeros(n, np.float32), updates)])
+            report = score_layers(["l"], len(xs), [(map_jobs, n, zeros, updates)])
             for k, (i, j) in enumerate(report.task_pairs):
                 assert report.rho_abs[k, 0] == pearson_abs(xs[i], xs[j])
                 assert report.sign_disagreement[k, 0] == sign_disagreement(xs[i], xs[j])
@@ -447,10 +474,10 @@ def test_score_layers_equals_the_public_kernels_per_pair(n):
 
 
 def test_score_layers_takes_each_layer_as_a_one_shot_iterator():
-    # each layer is (map_jobs, the base's flat, a function per task building its update over
-    # a range of it). Updates built from the checkpoints by the range builder, through a
-    # thread pool's map running tasks and parts side by side, score as the task vectors'
-    # updates through the builtin map do
+    # each layer is (map_jobs, its length, a reader of the base's entries over a range of its
+    # flat, a function per task building its update over a range from them). Updates built
+    # from the checkpoints by the range builder, through a thread pool's map running tasks and
+    # parts side by side, score as the task vectors' updates through the builtin map do
     base, tuned = synthesize_checkpoints(5, 3, 1000, 4, [0.9, 0.5, 0.1])
     tvs = [compute_task_vector(base, t, f"t{i}") for i, t in enumerate(tuned)]
     grouping = group_layers(base)
@@ -458,9 +485,8 @@ def test_score_layers_takes_each_layer_as_a_one_shot_iterator():
     def layers(map_jobs):
         for _, members in grouping.groups:
             offsets = member_offsets(tensor_shapes(base), members)
-            b = np.concatenate([base[name].ravel() for name in members])
             updates = [partial(update_range, range_reader(t, members), members, offsets) for t in tuned]
-            yield map_jobs, b, updates
+            yield map_jobs, offsets[-1], flat_reader(base, members, offsets), updates
 
     fresh = layer_conflict(tvs, grouping)
     with ThreadPoolExecutor(3) as pool:

@@ -3,6 +3,7 @@ from __future__ import annotations
 import json
 import re
 import tracemalloc
+import weakref
 from dataclasses import replace
 from functools import partial
 from pathlib import Path
@@ -184,22 +185,28 @@ def _trims(draw):
 def test_threshold_and_slice_trims_equal_the_oracle_bytewise(trim, slice_entries):
     # pass 2's trim: the threshold from the partitioned magnitudes, then each slice trimmed
     # on its own. The vector is taken again, for the cutoff, only if its threshold has ties
-    # beyond those kept
+    # beyond those kept, a slice at a time from its start to the slice that holds the cutoff
     v, s = trim
     expected = np.array(sparsify_oracle(v, s), dtype=v.dtype)
     n_keep = merging._kept(s, v.size)
     magnitudes = np.sort(np.abs(v.astype(np.float64)))[::-1]
     surplus = 0 < n_keep < v.size and magnitudes[n_keep - 1] == magnitudes[n_keep]
     taken = []
+
+    def again(start, stop):
+        taken.append((start, stop))
+        return np.abs(v[start:stop])
+
     default, merging._SLICE_ENTRIES = merging._SLICE_ENTRIES, slice_entries
     try:
-        threshold, cutoff = merging._threshold(np.abs(v), n_keep, lambda: taken.append(1) or v.copy())
+        threshold, cutoff = merging._threshold(np.abs(v), n_keep, again)
     finally:
         merging._SLICE_ENTRIES = default
     trimmed = [merging._trim_slice(v[start:start + slice_entries], threshold, cutoff - start)
                for start in range(0, v.size, slice_entries)]
     assert np.concatenate(trimmed).tobytes() == expected.tobytes()
-    assert len(taken) == surplus
+    end = -(-cutoff // slice_entries) * slice_entries if surplus else 0  # the cutoff's slice's end
+    assert taken == [(start, min(start + slice_entries, v.size)) for start in range(0, end, slice_entries)]
 
 
 class TestElectSigns:
@@ -961,11 +968,11 @@ def _off_grid_set(root: Path, tied: bool) -> tuple[Path, list[Path]]:
 
 @pytest.mark.parametrize("tied", [False, True])
 @pytest.mark.parametrize("method", ["mals", "ties", "simple_average"])
-def test_merge_to_archive_reads_each_tuned_entry_twice_a_pass_and_the_base_once(tmp_path, monkeypatch,
-                                                                                method, tied):
-    # each pass of a trimmed merge reads the base once, into a flat, and every task's update
-    # twice: whole, for pass 1's mean or pass 2's threshold, then a part or slice at a time. A
-    # threshold with surplus ties reads its task's group once more, whole, to find the last tie
+def test_merge_to_archive_reads_every_entry_twice_a_trimmed_pass(tmp_path, monkeypatch, method, tied):
+    # each pass of a trimmed merge reads the base and every task's update twice: whole, for
+    # pass 1's means or pass 2's thresholds, then a part or slice at a time, the base's entries
+    # once for every task. A threshold with surplus ties reads its task's group once more, a
+    # slice at a time up to the slice that holds the cutoff, the index after the last tie
     # kept. simple_average runs pass 2 alone and reads every entry once, a slice at a time
     monkeypatch.setattr(merging, "_SLICE_ENTRIES", 7)
     monkeypatch.setattr(conflict, "_NODE_ENTRIES", 20)
@@ -980,17 +987,55 @@ def test_merge_to_archive_reads_each_tuned_entry_twice_a_pass_and_the_base_once(
 
     monkeypatch.setattr(Archive, "read_range", counted)
     base, tuned = read_archive(base_path), [read_archive(path) for path in task_paths]
-    merge_to_archive(base, tuned, MergeConfig(method=method, sign_election=True), tmp_path / "merged.st")
+    _, allocation = merge_to_archive(base, tuned, MergeConfig(method=method, sign_election=True),
+                                     tmp_path / "merged.st")
     counts = {}
     for path, name, entries in reads:
         counts[path, name] = counts.get((path, name), 0) + entries
-    base_reads, tuned_reads = (1, 1) if method == "simple_average" else (2, 4)
-    expected = {(archive.path, name): (base_reads if archive is base else tuned_reads) * 32
-                for archive in (base, *tuned) for name in archive}
+    passes = 1 if method == "simple_average" else 4
+    expected = {(archive.path, name): passes * 32 for archive in (base, *tuned) for name in archive}
     if tied and method != "simple_average":
-        for name in ("model.layers.0.attn.weight", "model.layers.0.mlp.weight"):
-            expected[tuned[0].path, name] += 32
+        # task 0's update of group 0 is ±0.5 at all 64 entries, so the kept ties are the first
+        # n_keep, and the cutoff n_keep lies in the slice of 7 that ends at `end`
+        n_keep = merging._kept(float(allocation.s_final[0]), 64)
+        assert 0 < n_keep < 64
+        end = min(64, -(-n_keep // 7) * 7)
+        expected[tuned[0].path, "model.layers.0.attn.weight"] += min(end, 32)
+        expected[tuned[0].path, "model.layers.0.mlp.weight"] += max(end - 32, 0)
     assert counts == expected
+
+
+def test_each_pass_drops_the_base_flat_before_its_walk(tmp_path, monkeypatch):
+    # each pass reads a group's base whole for its per-task round alone: when its walk reads
+    # the base (pass 1 a part of 20 entries at a time, pass 2 a slice of 7), no flat is held
+    monkeypatch.setattr(merging, "_SLICE_ENTRIES", 7)
+    monkeypatch.setattr(conflict, "_NODE_ENTRIES", 20)
+    base_path, task_paths = _off_grid_set(tmp_path, tied=True)  # the tied group re-reads in slices
+    flats, held = [], []
+    flat_reader, slice_walk = merging.flat_reader, merging._slice_walk
+
+    def recording_reader(tensors, members, offsets):
+        flat = flat_reader(tensors, members, offsets)
+
+        def read(start, stop):
+            values = flat(start, stop)
+            if (start, stop) == (0, offsets[-1]):
+                flats.append(weakref.ref(values))
+            else:
+                held.append(any(ref() is not None for ref in flats))
+            return values
+
+        return read
+
+    def recording_walk(*args):
+        held.append(any(ref() is not None for ref in flats))
+        slice_walk(*args)
+
+    monkeypatch.setattr(merging, "flat_reader", recording_reader)
+    monkeypatch.setattr(merging, "_slice_walk", recording_walk)
+    base, tuned = read_archive(base_path), [read_archive(path) for path in task_paths]
+    merge_to_archive(base, tuned, MergeConfig(method="mals", sign_election=True), tmp_path / "merged.st")
+    assert len(flats) == 6 and len(held) > 6 and not any(held), held
 
 
 @pytest.mark.parametrize("job", [_plan, _cli_merge, _library_merge], ids=lambda job: job.__name__[1:])
