@@ -2,8 +2,8 @@
 
 Exit codes: 0 success, 1 usage error, 2 validation error (bad config,
 shape/key mismatch, malformed archive), 3 numerical failure (allocation
-non-convergence), 130 interrupted (SIGINT, or SIGTERM through the
-``malsmerge`` command).
+non-convergence), 4 out of memory, 130 interrupted (SIGINT, or SIGTERM
+through the ``malsmerge`` command).
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_VALIDATION = 2
 EXIT_NUMERICAL = 3
+EXIT_OUT_OF_MEMORY = 4
 EXIT_INTERRUPTED = 130  # as shells report a process that SIGINT ended
 
 
@@ -272,6 +273,9 @@ def run(argv: list[str] | None = None) -> int:
     except (ValidationError, ArchiveError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
+    except MemoryError:
+        print(f"error: out of memory in {args.command}", file=sys.stderr)
+        return EXIT_OUT_OF_MEMORY
     except KeyboardInterrupt:  # the file being written is removed on the way here
         print("error: interrupted", file=sys.stderr)
         return EXIT_INTERRUPTED

@@ -267,21 +267,21 @@ def _in_order(pool, ahead: int, fn: Callable, jobs: Iterable) -> Iterator:
             future.cancel()
 
 
-def _layer_walk(base: TensorMap, grouping: LayerGrouping) -> Iterator[_Group]:
+def _layer_walk(base: TensorMap, grouping: LayerGrouping, pooled: bool = True) -> Iterator[_Group]:
     """Each layer group's ``(members, offsets, map_jobs)``, in ``grouping`` order: its members'
     names, :func:`grouping.member_offsets` for them, and a ``map`` that runs its jobs, results
-    in order: the builtin one under two slices, where a pool gains nothing, else one over a pool
-    of one thread per CPU this process may use, two jobs a thread ahead (:func:`_in_order`). The
-    pool starts at the first large group (only then is ``concurrent.futures``, which pulls in
-    ``logging``, imported) and shuts down, once the jobs in flight are done, when the walk ends
-    or is closed, as each caller closes it. numpy's ufuncs, its partition and ``preadv`` release
-    the GIL."""
+    in order: the builtin one if not ``pooled`` or under two slices, where a pool gains nothing,
+    else one over a pool of one thread per CPU this process may use, two jobs a thread ahead
+    (:func:`_in_order`). The pool starts at the first large group (only then is
+    ``concurrent.futures``, which pulls in ``logging``, imported) and shuts down, once the jobs
+    in flight are done, when the walk ends or is closed, as each caller closes it. numpy's
+    ufuncs, its partition and ``preadv`` release the GIL."""
     pool = None
     try:
         base_shapes = tensor_shapes(base)
         for _, members in grouping.groups:
             offsets = member_offsets(base_shapes, members)
-            large = offsets[-1] >= 2 * _SLICE_ENTRIES
+            large = pooled and offsets[-1] >= 2 * _SLICE_ENTRIES
             if large and pool is None:
                 from concurrent.futures import ThreadPoolExecutor
 
@@ -412,7 +412,9 @@ def _average_layer(base: TensorMap, tuned: Sequence[TensorMap], group: _Group, l
                    place: _Place) -> None:
     """Pass 2 of ``simple_average`` on one layer group: each slice builds each checkpoint's
     update over it (:func:`update_range`) in task order into one float32 buffer, adds them into a
-    float64 total and divides that by T into the buffer, which the walk composes into."""
+    float64 total and divides that by T into the buffer, which the walk composes into. The walk
+    runs on the calling thread (:func:`_merge_walk` asks for no pool: a slice only reads and
+    adds, and on two CPUs a pool took about as long), so one slice job is alive at a time."""
     members, offsets, _ = group
     tuned_reads = [range_reader(tensors, members) for tensors in tuned]
 
@@ -426,8 +428,8 @@ def _average_layer(base: TensorMap, tuned: Sequence[TensorMap], group: _Group, l
 
 
 def _workers() -> int:
-    """Threads for a large layer group's jobs: the CPUs this process may run on, the
-    machine's where that call is missing."""
+    """Threads for a trimmed merge's large layer group's jobs: the CPUs this process may run
+    on, the machine's where that call is missing."""
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
@@ -437,8 +439,9 @@ def _merge_walk(
 ) -> tuple[Iterator[None], ConflictReport | None, AllocationResult | None]:
     """:func:`plan`, refusing a non-converged allocation with :class:`ConvergenceError`, and
     pass 2 as a generator that its caller closes: for each layer group in turn it averages the
-    updates, or trims, elects and merges them, adds ``lam`` times the result onto the base,
-    hands each slice to the ``_Place`` that ``place(members)`` gives for the group, and yields."""
+    updates on the calling thread, or trims, elects and merges them on :func:`_layer_walk`'s
+    pool, adds ``lam`` times the result onto the base, hands each slice to the ``_Place`` that
+    ``place(members)`` gives for the group, and yields."""
     grouping, conflict, allocation = plan(base, tuned, config, labels)
     if allocation is not None and not allocation.converged:
         raise ConvergenceError(
@@ -448,7 +451,7 @@ def _merge_walk(
         )
 
     def walk() -> Iterator[None]:
-        with closing(_layer_walk(base, grouping)) as groups:
+        with closing(_layer_walk(base, grouping, pooled=allocation is not None)) as groups:
             for l, group in enumerate(groups):
                 if allocation is None:
                     _average_layer(base, tuned, group, config.lam, place(group[0]))
@@ -487,11 +490,13 @@ def merge(
     twice a pass, and pass 2 reads a task's group once more, up to the slice that holds its
     cutoff, where its threshold has surplus ties; ``simple_average`` reads each entry once.
 
-    A layer group of at least two slices (131,072 entries) runs its jobs on one thread
-    per CPU this process may use: pass 1's per-task updates and the parts of its sums'
-    tree, pass 2's per-task thresholds and its slices of averaging or of trim, election,
-    merge and compose. The bytes do not depend on the count. Pass 1's threads end with this
-    call; pass 2's live until ``merged`` is exhausted, closed or raises.
+    In a trimmed merge a layer group of at least two slices (131,072 entries) runs its jobs
+    on one thread per CPU this process may use: pass 1's per-task updates and the parts of
+    its sums' tree, pass 2's per-task thresholds and its slices of trim, election, merge and
+    compose. The bytes do not depend on the count. Pass 1's threads end with this call; pass
+    2's live until ``merged`` is exhausted, closed or raises. ``simple_average`` walks its
+    slices on the thread that iterates ``merged``: it starts no thread and holds one slice
+    job, whatever the CPU count.
     """
     shapes = tensor_shapes(base)
     layer: dict[str, np.ndarray] = {}  # the float32 outputs of the layer group being composed
@@ -529,7 +534,8 @@ def merge_to_archive(
     anything. On :func:`merge`'s pass-2 walk each composed slice is written at its offset in
     the file by the thread that composed it, so no merged layer is held: at most a layer's
     base and one task's update of it per job in flight for a trimmed merge, whatever the
-    task count, and slices for ``simple_average``.
+    task count, and one slice job for ``simple_average``, which runs on the calling thread
+    whatever the CPU count.
     The file is renamed into place once all is written; on any error ``path`` is untouched.
     """
     with archive_writer(tensor_shapes(base), path, metadata) as write_range:

@@ -1,4 +1,5 @@
-"""Pass 2 walks each layer group in fixed slices, and a large group's jobs run on a pool.
+"""Pass 2 walks each layer group in fixed slices; a trimmed merge runs a large group's jobs
+on a pool, and averaging walks on the calling thread.
 
 Every step of the average, and of election, merge and compose, works position
 by position, and each task's trim and pass-1 scores are its own: so the merged
@@ -27,7 +28,7 @@ import pytest
 
 from malsmerge import (
     METHODS, ArchiveError, MergeConfig, ValidationError, merge, merge_to_archive, read_archive,
-    write_archive, write_synthetic_set,
+    write_synthetic_set,
 )
 from malsmerge import merging, task_vectors
 from malsmerge.archive import Archive
@@ -104,33 +105,35 @@ def _merged(base, tuned, lam: float = 1.0) -> dict[str, np.ndarray]:
 
 @pytest.mark.parametrize("lam", [1.0, 0.7])
 @pytest.mark.parametrize("kind", ["F32-archive", "F16-archive", "float32-dict", "float64-dict"])
-def test_bytes_do_not_depend_on_slice_size_or_worker_count(tmp_path, monkeypatch, kind, lam):
+def test_bytes_do_not_depend_on_slice_size(tmp_path, monkeypatch, kind, lam):
+    # merge() and merge_to_archive, which writes each slice at its offset in the file
     base, tuned = _inputs(kind, tmp_path)
     expected = _reference(base, tuned, lam)
-    for slice_entries, workers in product([1, 7, LARGER_THAN_ANY_TENSOR, merging._SLICE_ENTRIES], [1, 2]):
+    for slice_entries in [1, 7, LARGER_THAN_ANY_TENSOR, merging._SLICE_ENTRIES]:
         monkeypatch.setattr(merging, "_SLICE_ENTRIES", slice_entries)
-        _use_workers(monkeypatch, workers)
         merged = _merged(base, tuned, lam)
         assert sorted(merged) == sorted(SHAPES)
         for name, tensor in merged.items():
             assert tensor.dtype == np.float32 and tensor.shape == SHAPES[name]
-            assert tensor.tobytes() == expected[name], (slice_entries, workers, name)
+            assert tensor.tobytes() == expected[name], (slice_entries, name)
+        merge_to_archive(base, tuned, MergeConfig(method="simple_average", lam=lam), tmp_path / "merged.st")
+        written = read_archive(tmp_path / "merged.st")
+        assert {name: written[name].tobytes() for name in written} == expected, slice_entries
 
 
 def test_more_workers_than_cores_with_frequent_switches_give_the_same_bytes(tmp_path, monkeypatch):
-    # the workers share the archives' descriptors and write disjoint ranges of one output:
-    # a read at a wrong offset or a lost write would change some byte
+    # a trimmed merge's workers share the archives' descriptors and write disjoint ranges of
+    # one output: a read at a wrong offset or a lost write would change some byte
+    config = MergeConfig(method="mals", sign_election=True, lam=0.7)
+    base, tuned = _inputs("F16-archive", tmp_path)
+    expected = {name: tensor.tobytes() for name, tensor in merge(base, tuned, config)[0]}
     monkeypatch.setattr(merging, "_SLICE_ENTRIES", 1)
     _use_workers(monkeypatch, 6)
-    base, tuned = _inputs("F16-archive", tmp_path)
-    expected = _reference(base, tuned, 0.7)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         for _ in range(3):
-            merged = _merged(base, tuned, 0.7)
-            assert {name: tensor.tobytes() for name, tensor in merged.items()} == expected
-            merge_to_archive(base, tuned, MergeConfig(method="simple_average", lam=0.7), tmp_path / "merged.st")
+            merge_to_archive(base, tuned, config, tmp_path / "merged.st")
             written = read_archive(tmp_path / "merged.st")
             assert {name: written[name].tobytes() for name in written} == expected
     finally:
@@ -147,11 +150,9 @@ def test_non_finite_value_in_a_later_slice_names_the_file_and_tensor(tmp_path, m
     with pytest.raises(ArchiveError) as lookup:
         read_archive(paths[2])["model.layers.0.mlp.weight"]
     assert str(lookup.value) == f"{paths[2]}: non-finite value detected in tensor 'model.layers.0.mlp.weight'"
-    for workers in (1, 2):
-        _use_workers(monkeypatch, workers)
-        with pytest.raises(ArchiveError) as walk:
-            _merged(read_archive(paths[0]), [read_archive(path) for path in paths[1:]])
-        assert str(walk.value) == str(lookup.value)
+    with pytest.raises(ArchiveError) as walk:
+        _merged(read_archive(paths[0]), [read_archive(path) for path in paths[1:]])
+    assert str(walk.value) == str(lookup.value)
 
 
 def test_overflowing_compose_raises_naming_the_merged_tensor(monkeypatch):
@@ -159,24 +160,25 @@ def test_overflowing_compose_raises_naming_the_merged_tensor(monkeypatch):
     base = {"x": np.full(10, 2e38, dtype=np.float32)}
     tuned = [{"x": np.full(10, 2e38, dtype=np.float32)} for _ in range(2)]
     tuned[0]["x"][9] = 3e38  # the mean update there is 5e37, and 3 times that overflows
-    for workers in (1, 2):
-        _use_workers(monkeypatch, workers)
-        with pytest.raises(ValidationError, match=r"^merged tensor 'x' overflows 32-bit precision$"):
-            _merged(base, tuned, lam=3.0)
+    with pytest.raises(ValidationError, match=r"^merged tensor 'x' overflows 32-bit precision$"):
+        _merged(base, tuned, lam=3.0)
 
 
-class _SlowAtTheEnd(Archive):
-    """An archive whose read of the last slice of ``layers.0.a`` takes a while."""
+class _RecordedReads(Archive):
+    """An archive that records the tensor of every range read from it."""
+
+    def __init__(self, path, reads: list):
+        super().__init__(path)
+        self.reads = reads
 
     def read_range(self, name: str, start: int, stop: int, out: np.ndarray | None = None) -> np.ndarray:
-        if name == "layers.0.a" and stop == 200:
-            time.sleep(0.2)
+        self.reads.append(name)
         return super().read_range(name, start, stop, out)
 
 
-def test_the_first_error_in_walk_order_is_raised_whatever_the_worker_count(tmp_path, monkeypatch):
-    # the first member fails in its last slice, which is slow to read, the second in its
-    # first: two workers reach the second's failure first, a serial walk the first's
+def test_the_first_error_in_walk_order_is_raised_and_the_walk_stops_there(tmp_path, monkeypatch):
+    # the first member fails in its last slice, the second in its first: the walk, on the
+    # calling thread, raises the first's error and reads nothing of the second
     monkeypatch.setattr(merging, "_SLICE_ENTRIES", 2)
     base = {"layers.0.a": np.zeros(200, np.float32), "layers.0.b": np.zeros(200, np.float32)}
     tuned = [{name: np.ones(200, np.float32) for name in base} for _ in range(2)]
@@ -185,40 +187,44 @@ def test_the_first_error_in_walk_order_is_raised_whatever_the_worker_count(tmp_p
     paths = [tmp_path / f"{i}.st" for i in range(3)]
     for checkpoint, path in zip([base, *tuned], paths):
         _write_raw(checkpoint, path)
-    raised = []
-    for workers in (1, 2):
-        _use_workers(monkeypatch, workers)
-        with pytest.raises((ArchiveError, ValidationError)) as info:
-            _merged(read_archive(paths[0]), [read_archive(paths[1]), _SlowAtTheEnd(paths[2])])
-        raised.append((type(info.value), str(info.value)))
-    assert raised[0] == raised[1] == (
+    reads = []
+    with pytest.raises((ArchiveError, ValidationError)) as info:
+        _merged(_RecordedReads(paths[0], reads), [_RecordedReads(path, reads) for path in paths[1:]])
+    assert (type(info.value), str(info.value)) == (
         ArchiveError, f"{paths[2]}: non-finite value detected in tensor 'layers.0.a'"
     )
+    assert reads and set(reads) == {"layers.0.a"}
 
 
-class _SlowFirstSlices(Archive):
-    """An archive whose reads of the first two slices of ``layers.0.a`` take a while, the
-    second's longer."""
+class _SlowSecondSlice(Archive):
+    """An archive whose read of the second slice of ``layers.0.a`` takes a while."""
 
     def read_range(self, name: str, start: int, stop: int, out: np.ndarray | None = None) -> np.ndarray:
-        if name == "layers.0.a" and start < 4:
-            time.sleep(0.2 if start == 0 else 0.4)
+        if name == "layers.0.a" and (start, stop) == (2, 4):
+            time.sleep(0.4)
         return super().read_range(name, start, stop, out)
 
 
-@pytest.mark.parametrize("workers", [1, 2, 4])
-def test_a_failed_merge_to_archive_writes_nothing_after_its_writer_closes(tmp_path, monkeypatch, workers):
-    # the first slice fails once it is read, while the second, slower to read, is still
-    # composing on another worker, and more workers meet the second member's failure first:
-    # the walk must raise the first slice's error, and its pool must finish the second slice
-    # before the writer closes and removes its file, or that slice's write could land in a
-    # descriptor the process has reused since
+@pytest.mark.parametrize("method, workers", [("simple_average", None), ("mals", 1), ("mals", 2), ("mals", 4)],
+                         ids=["simple_average", "mals-1", "mals-2", "mals-4"])
+def test_a_failed_merge_to_archive_writes_nothing_after_its_writer_closes(tmp_path, monkeypatch, method,
+                                                                          workers):
+    # the first slice's compose overflows in pass 2 while the second, slower to read, is still
+    # composing on another worker of a trimmed merge, and more workers meet the second member's
+    # overflow first: the walk must raise the first slice's error, and its pool must finish
+    # the second slice before the writer closes and removes its file, or that slice's write
+    # could land in a descriptor the process has reused since. Averaging walks on the calling
+    # thread and stops at the first slice
     monkeypatch.setattr(merging, "_SLICE_ENTRIES", 2)
-    _use_workers(monkeypatch, workers)
-    base = {"layers.0.a": np.zeros(200, np.float32), "layers.0.b": np.zeros(200, np.float32)}
-    tuned = [{name: np.ones(200, np.float32) for name in base} for _ in range(2)]
-    tuned[1]["layers.0.a"][1] = np.inf
-    base["layers.0.b"][0], tuned[0]["layers.0.b"][0] = -2e38, 2e38  # an update of 4e38
+    if workers:
+        _use_workers(monkeypatch, workers)
+    rng = np.random.RandomState(7)
+    base = {"layers.0.a": np.zeros(4, np.float32), "layers.0.b": np.zeros(4, np.float32)}
+    tuned = [{name: rng.standard_normal(4).astype(np.float32) for name in base} for _ in range(2)]
+    for name in base:  # an update of 1e38 in every task, which 3 times overflows onto 2e38
+        base[name][0] = 2e38
+        for checkpoint in tuned:
+            checkpoint[name][0] = 3e38
     paths = [tmp_path / f"{i}.st" for i in range(3)]
     for checkpoint, path in zip([base, *tuned], paths):
         _write_raw(checkpoint, path)
@@ -242,12 +248,12 @@ def test_a_failed_merge_to_archive_writes_nothing_after_its_writer_closes(tmp_pa
     monkeypatch.setattr(merging, "archive_writer", spied_writer)
     out = tmp_path / "out"
     out.mkdir()
-    with pytest.raises((ArchiveError, ValidationError)) as info:
-        merge_to_archive(read_archive(paths[0]), [read_archive(paths[1]), _SlowFirstSlices(paths[2])],
-                         MergeConfig(method="simple_average"), out / "merged.st")
-    assert (type(info.value), str(info.value)) == (
-        ArchiveError, f"{paths[2]}: non-finite value detected in tensor 'layers.0.a'"
-    )
+    with pytest.raises(ValidationError, match=r"^merged tensor 'layers.0.a' overflows 32-bit precision$"):
+        merge_to_archive(read_archive(paths[0]), [read_archive(paths[1]), _SlowSecondSlice(paths[2])],
+                         MergeConfig(method=method, sign_election=True, lam=3.0), out / "merged.st")
+    for thread in threading.enumerate():  # a worker still running would write after this
+        if thread.name.startswith("ThreadPoolExecutor"):
+            thread.join(5)
     assert events.count("closed") == 1 and events[-1] == "closed", events
     assert list(out.iterdir()) == []
 
@@ -297,18 +303,14 @@ def test_a_bad_output_fails_before_pass_1(tmp_path, monkeypatch, bad):
 def test_the_slice_walk_owns_no_slice_buffer(tmp_path, monkeypatch):
     # an averaging slice job holds the base's slice (4 bytes an entry), the float32 update
     # buffer that the fill divides its float64 total (8) into and the walk composes into (4),
-    # and one raw range of a checkpoint (4): 20 bytes an entry for each worker. A float32
-    # slice buffer of the walk's own, with the fill's result copied into it, would add 4 more
-    import concurrent.futures  # noqa: F401  merge() imports it on first use: not while traced
-
+    # and one raw range of a checkpoint (4): 20 bytes an entry. A float32 slice buffer of the
+    # walk's own, with the fill's result copied into it, would add 4 more
     small, large = 1 << 14, 1 << 15
-    # layer groups of four slices, so each runs on the pool and holds four futures
     sets = {n: write_synthetic_set(tmp_path / str(n), seed=3, num_layers=2, elems_per_layer=4 * n,
                                    num_tasks=3, conflict_profile=[0.5] * 2) for n in (1024, small, large)}
 
-    def peak(slice_entries: int, workers: int) -> int:
+    def peak(slice_entries: int) -> int:
         monkeypatch.setattr(merging, "_SLICE_ENTRIES", slice_entries)
-        _use_workers(monkeypatch, workers)
         paths = sets[slice_entries]
         base, tuned = read_archive(paths["base"]), [read_archive(path) for path in paths["tasks"]]
         tracemalloc.start()
@@ -318,41 +320,46 @@ def test_the_slice_walk_owns_no_slice_buffer(tmp_path, monkeypatch):
         finally:
             tracemalloc.stop()
 
-    peak(1024, 2)  # the first merge's one-time costs
-    one_worker = (peak(large, 1) - peak(small, 1)) / (large - small)
-    added_worker = (peak(large, 2) - peak(large, 1)) / large
-    assert one_worker <= 22 and added_worker <= 22, (one_worker, added_worker)
+    peak(1024)  # the first merge's one-time costs
+    per_entry = (peak(large) - peak(small)) / (large - small)
+    assert per_entry <= 22, per_entry
 
 
-def test_the_pool_holds_a_few_jobs_whatever_the_group_size(tmp_path, monkeypatch):
+def test_the_pool_holds_a_few_jobs_whatever_the_group_size(monkeypatch):
     # the pool's map keeps two jobs a worker submitted ahead, not a future and its job for
     # every slice of the group until it ends (about 1.8 KB a slice, some 29 MB for
-    # Llama-3.1-8B's 1.05B-entry ungrouped group at 65,536-entry slices)
-    import concurrent.futures  # noqa: F401  merge() imports it on first use: not while traced
-
-    monkeypatch.setattr(merging, "_SLICE_ENTRIES", 4096)
+    # Llama-3.1-8B's 1.05B-entry ungrouped group at 65,536-entry slices): here a trimmed
+    # merge's group of 100 slices, and its tasks' and parts' jobs, on 2 workers
+    monkeypatch.setattr(merging, "_SLICE_ENTRIES", 4)
     _use_workers(monkeypatch, 2)
+    in_order, ahead = merging._in_order, []
 
-    def peak(n: int) -> int:
-        path = tmp_path / f"{n}.st"
-        write_archive({"layers.0.w": np.zeros(n, np.float32)}, path)
-        base, tuned = read_archive(path), [read_archive(path) for _ in range(2)]
-        tracemalloc.start()
-        try:
-            merge_to_archive(base, tuned, MergeConfig(method="simple_average"), tmp_path / "merged.st")
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+    def counted(pool, most, fn, jobs):
+        taken = drawn = 0
 
-    peak(1 << 16)  # the first merge's one-time costs
-    small, large = 1 << 20, 1 << 22  # 256 and 1,024 slices
-    per_slice = (peak(large) - peak(small)) / ((large - small) // 4096)
-    assert per_slice <= 64, per_slice
+        def draw():
+            nonlocal drawn
+            for job in jobs:
+                drawn += 1
+                ahead.append(drawn - taken)
+                yield job
+
+        for result in in_order(pool, most, fn, draw()):
+            taken += 1
+            yield result
+
+    monkeypatch.setattr(merging, "_in_order", counted)
+    rng = np.random.RandomState(5)
+    base = {"layers.0.w": rng.standard_normal(400).astype(np.float32)}
+    tuned = [{"layers.0.w": base["layers.0.w"] + rng.standard_normal(400).astype(np.float32)} for _ in range(3)]
+    dict(merge(base, tuned, MergeConfig(method="mals", sign_election=True))[0])
+    assert len(ahead) > 100 and max(ahead) == 2 * 2 + 1, max(ahead)
 
 
 @pytest.mark.parametrize("method", ["simple_average", "mals"])
 def test_the_pool_ends_with_the_merge(monkeypatch, method):
-    # pass 1's pool ends with merge() itself, pass 2's with the walk, however it ends
+    # pass 1's pool ends with merge() itself, pass 2's with the walk, however it ends, and
+    # averaging starts none
     monkeypatch.setattr(merging, "_SLICE_ENTRIES", 3)
     _use_workers(monkeypatch, 2)
     config = MergeConfig(method=method, sign_election=True)
@@ -362,7 +369,8 @@ def test_the_pool_ends_with_the_merge(monkeypatch, method):
     merged, _, _ = merge(base, tuned, config)
     assert threading.active_count() == before
     next(merged)
-    assert threading.active_count() > before  # the pool is running
+    # a trimmed merge's pool is running; averaging walks on this thread
+    assert (threading.active_count() > before) == (method != "simple_average")
     merged.close()
     assert threading.active_count() == before
 
@@ -432,12 +440,12 @@ def test_the_first_failing_task_is_raised_whatever_the_worker_count(tmp_path, mo
 
 def test_small_layer_groups_start_no_threads_and_import_no_pool():
     # concurrent.futures pulls in logging, which only the pool needs: a fresh interpreter
-    # shows what a merge of groups under two slices imports, since pytest's own may
-    # already hold it
+    # shows what a merge of groups under two slices imports, and an average of a group of
+    # two slices, since pytest's own may already hold it
     code = """if True:
         import sys, threading
         import numpy as np
-        from malsmerge import METHODS, MergeConfig, merge
+        from malsmerge import METHODS, MergeConfig, merge, merging
         base = {"layers.0.w": np.zeros(8, np.float32)}
         tuned = [{"layers.0.w": np.arange(8, dtype=np.float32)}] * 2
         before = threading.active_count()
@@ -446,6 +454,11 @@ def test_small_layer_groups_start_no_threads_and_import_no_pool():
             next(merged)
             assert threading.active_count() == before, method
             merged.close()
+        n = 2 * merging._SLICE_ENTRIES
+        merged, _, _ = merge({"layers.0.w": np.zeros(n, np.float32)},
+                             [{"layers.0.w": np.ones(n, np.float32)}] * 2, MergeConfig(method="simple_average"))
+        for _ in merged:
+            assert threading.active_count() == before
         print(sorted(m for m in ("concurrent.futures", "logging") if m in sys.modules))
     """
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
@@ -483,7 +496,8 @@ class _RecordedPools:
 @pytest.mark.parametrize("method", METHODS)
 def test_each_pass_builds_one_pool_and_runs_only_large_groups_on_it(monkeypatch, method):
     # groups of 3, 10, 5 and 12 entries against slices of 4: the second and fourth reach
-    # two slices, so each pass builds one pool at its first large group and keeps it
+    # two slices, so each pass of a trimmed merge builds one pool at its first large group and
+    # keeps it. Averaging runs pass 2 alone, every slice on the calling thread
     monkeypatch.setattr(merging, "_SLICE_ENTRIES", 4)
     _use_workers(monkeypatch, 2)
     sizes = {"layers.0.w": 3, "layers.1.w": 10, "layers.2.w": 5, "layers.3.w": 12}
@@ -498,11 +512,13 @@ def test_each_pass_builds_one_pool_and_runs_only_large_groups_on_it(monkeypatch,
     dict(merged)
     pass_2 = (recorded.pools[len(pass_1[0]):], recorded.calls[len(pass_1[1]):])
 
-    passes = [pass_2] if method == "simple_average" else [pass_1, pass_2]
-    assert len(recorded.pools) == len(passes)
     if method == "simple_average":
-        assert pass_1 == ([], [])
-    for pools, calls in passes:
+        assert pass_1 == ([], []) and recorded.pools == []
+        assert {name for name, _ in recorded.calls} == set(sizes)
+        assert {thread for _, thread in recorded.calls} == {"MainThread"}
+        return
+    assert len(recorded.pools) == 2
+    for pools, calls in (pass_1, pass_2):
         assert len(pools) == 1
         prefix = pools[0].prefix
         assert {name for name, _ in calls} == set(sizes)

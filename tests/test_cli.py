@@ -543,6 +543,30 @@ def test_a_signal_in_pass_2_exits_130_with_one_line_and_no_temp_file(tmp_path, s
     assert not (tmp_path / "merged.safetensors").exists()
 
 
+@pytest.mark.parametrize("method", ["mals", "simple_average"])
+def test_running_out_of_memory_in_pass_2_exits_4_with_one_line_and_no_temp_file(tmp_path, synth_dir, capsys,
+                                                                                 monkeypatch, method):
+    # pass 2's second fill raises MemoryError with the output's temp file open: the run exits 4
+    # with one line naming the command, and the temp file is removed
+    slice_walk, fills = merging._slice_walk, []
+
+    def failing_walk(base_read, group, lam, fill, place):
+        def failing_fill(first, b):
+            fills.append(first)
+            if len(fills) == 2:
+                raise MemoryError
+            return fill(first, b)
+
+        slice_walk(base_read, group, lam, failing_fill, place)
+
+    monkeypatch.setattr(merging, "_slice_walk", failing_walk)
+    assert run(["merge", "--config", str(_config(tmp_path, synth_dir, method=method))]) == 4
+    assert capsys.readouterr().err == "error: out of memory in merge\n"
+    assert len(fills) == 2
+    assert not list(tmp_path.glob("*.tmp"))
+    assert not (tmp_path / "merged.safetensors").exists()
+
+
 def test_simple_average_skips_report_with_warning(tmp_path, synth_dir, capsys):
     cfg = _config(tmp_path, synth_dir, method="simple_average")
     assert run(["merge", "--config", str(cfg)]) == 0

@@ -1059,24 +1059,47 @@ def test_simple_average_memory_follows_one_task_not_the_task_count(tmp_path):
     assert large <= 1.1 * small
 
 
-@pytest.mark.parametrize("workers", [1, 2])
+# bytes per entry that a layer group four times as large may add to averaging through
+# merge_to_archive, the CLI's merge
+_ARCHIVE_AVERAGE_BYTES_PER_ENTRY = 0.5
+
+
 @pytest.mark.parametrize("job, bytes_per_entry", [
     (partial(_library_merge, config=MergeConfig(method="simple_average")), 5),
-    (partial(_cli_merge, options={"method": "simple_average"}), 0.5),
+    (partial(_cli_merge, options={"method": "simple_average"}), _ARCHIVE_AVERAGE_BYTES_PER_ENTRY),
 ], ids=["library", "cli"])
-def test_simple_average_memory_is_the_layer_output_plus_the_slices(tmp_path, monkeypatch, workers, job,
-                                                                   bytes_per_entry):
+def test_simple_average_memory_is_the_layer_output_plus_the_slices(tmp_path, monkeypatch, job, bytes_per_entry):
     # each slice's reads, update and float64 total are slice-sized, so a layer four times
     # as large adds to merge() only its float32 output (4 bytes an entry) and the writer's
     # check of it, and to the CLI's merge, which writes each slice where it is composed, nothing
-    import concurrent.futures  # noqa: F401  merge() imports it on first use: not while traced
-
     monkeypatch.setattr(merging, "_SLICE_ENTRIES", 4096)
-    monkeypatch.setattr(merging, "_workers", lambda: workers)
-    runs = _OVERLAP_RUNS if workers > 1 else 1
-    small = _peak_bytes(tmp_path / "small", 2, job, elems=50_000, runs=runs)
-    large = _peak_bytes(tmp_path / "large", 2, job, elems=200_000, runs=runs)
+    small = _peak_bytes(tmp_path / "small", 2, job, elems=50_000)
+    large = _peak_bytes(tmp_path / "large", 2, job, elems=200_000)
     assert (large - small) / 150_000 <= bytes_per_entry
+
+
+def test_simple_average_memory_does_not_depend_on_the_cpu_count(tmp_path, monkeypatch):
+    # averaging walks its slices on the calling thread, one slice job alive, so
+    # merge_to_archive peaks alike whatever CPU count _workers gives: a pool added a slice job
+    # per worker, 20 bytes a slice entry (80 KiB here), and its futures
+    monkeypatch.setattr(merging, "_SLICE_ENTRIES", 4096)
+    sizes = (50_000, 200_000)
+    sets = {n: write_synthetic_set(tmp_path / str(n), seed=3, num_layers=2, elems_per_layer=n, num_tasks=3,
+                                   conflict_profile=[0.5] * 2) for n in sizes}
+
+    def job(paths) -> None:
+        base, tuned = read_archive(paths["base"]), [read_archive(path) for path in paths["tasks"]]
+        merge_to_archive(base, tuned, MergeConfig(method="simple_average"), tmp_path / "merged.safetensors")
+
+    _traced_peak(partial(job, sets[sizes[0]]))  # the first merge's one-time costs
+    peaks = {}
+    for workers in (1, 2, 8):
+        monkeypatch.setattr(merging, "_workers", lambda: workers)
+        peaks[workers] = [_traced_peak(partial(job, sets[n])) for n in sizes]
+    for small, large in peaks.values():
+        assert (large - small) / (sizes[1] - sizes[0]) <= _ARCHIVE_AVERAGE_BYTES_PER_ENTRY, peaks
+    for at_size in zip(*peaks.values()):
+        assert max(at_size) - min(at_size) <= 4 * merging._SLICE_ENTRIES, peaks
 
 
 @pytest.mark.parametrize("election", [False, True])
