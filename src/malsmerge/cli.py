@@ -285,15 +285,16 @@ def _reuse_freed_memory() -> None:
     """Have glibc keep freed memory for the next layer instead of returning it, in one arena.
 
     Each layer frees arrays that the next one allocates again. By default glibc
-    returns freed heap past twice the largest array freed so far, so every
-    layer's arrays are faulted in anew: `analyze` over 64 layers × 100k
-    entries × 8 tasks took 181k page faults, against 3k with these settings,
-    and 1.3-1.5 times as long. Kept pages were touched before, so peak RSS
+    returns freed heap past twice the largest array freed so far, so a layer's
+    arrays may be faulted in anew: `analyze` over 64 layers × 100k entries × 8
+    tasks took 6.0k page faults, against 5.4k with these settings, which saved
+    no time (3 runs each, 2 vCPUs). Kept pages were touched before, so peak RSS
     does not grow. By default glibc also gives each worker thread an arena of
     its own, which keeps the memory that thread freed apart from the heap the
     main thread freed: with one arena a worker allocates from that heap, and a
     `mals` merge over 24 layers × 400k entries × 4 tasks on two workers peaked
-    at 51 MiB, against 57-60 MiB with an arena per thread. Off Linux, a no-op.
+    at 36.9 MiB, against 38.6 MiB with an arena per thread (medians of 3 runs
+    each, 2 vCPUs). Off Linux, a no-op.
     """
     if sys.platform == "linux":
         mallopt = ctypes.CDLL(None).mallopt

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from functools import partial
 from itertools import combinations
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -262,12 +262,23 @@ def _task_means(b: np.ndarray, update: Callable[[int, np.ndarray], np.ndarray]) 
     return _mean(x), x[0], _mean(np.abs(x, out=x))
 
 
-# (map_jobs, n, base, updates): see score_layers
-_Layer = tuple[Callable, int, Callable[[int, int], np.ndarray],
-               Sequence[Callable[[int, np.ndarray], np.ndarray]]]
+class Layer(NamedTuple):
+    """One layer group, as pass 1, pass 2 and averaging walk it. Its ``members`` lie end to end
+    in the group's flat at ``offsets``; ``map_jobs`` maps as the builtin ``map`` does, results
+    in order; ``base(start, stop)``, the group's one base reader, reads the base's entries over
+    that range of the flat into a new array; ``updates`` holds one ``update(start, b)`` a task,
+    in task order, which, given ``b = base(start, stop)``, builds the task's float32 update
+    there as :func:`task_vectors.update_range` does, into ``out=`` or a new array that its
+    caller may overwrite."""
+
+    members: tuple[str, ...]
+    offsets: list[int]
+    map_jobs: Callable
+    base: Callable[[int, int], np.ndarray]
+    updates: Sequence[Callable[..., np.ndarray]]
 
 
-def _score_layer(layer: _Layer, task_pairs: Sequence[tuple[int, int]]) -> tuple[float, list[float], list[float]]:
+def _score_layer(layer: Layer, task_pairs: Sequence[tuple[int, int]]) -> tuple[float, list[float], list[float]]:
     """Importance, then |rho| and sign disagreement per task pair, of one layer group.
 
     Two rounds of jobs, each job holding at most one task's update of the whole group: the
@@ -280,7 +291,8 @@ def _score_layer(layer: _Layer, task_pairs: Sequence[tuple[int, int]]) -> tuple[
     task whose sum of squares is tiny is built whole again, from the base read whole again,
     for :func:`_constant`'s exact check.
     """
-    map_jobs, n, base, updates = layer
+    _, offsets, map_jobs, base, updates = layer
+    n = offsets[-1]
     if not n:
         return 0.0, [0.0] * len(task_pairs), [0.0] * len(task_pairs)
     # the flat is held by the round's partial alone, so it goes when the round ends
@@ -301,22 +313,17 @@ def _score_layer(layer: _Layer, task_pairs: Sequence[tuple[int, int]]) -> tuple[
     return importance, rho, dis
 
 
-def score_layers(layer_ids: Sequence[str], n_tasks: int, layers: Iterable[_Layer]) -> ConflictReport:
+def score_layers(layer_ids: Sequence[str], n_tasks: int, layers: Iterable[Layer]) -> ConflictReport:
     """Score each layer group's per-task updates, in ``layer_ids`` order.
 
-    ``layers`` yields one ``(map_jobs, n, base, updates)`` per group of ``n`` entries:
-    ``base(start, stop)`` reads the base's entries over that range of the group's flat into a
-    new array, and ``updates`` holds one function per task, in task order, that builds as
-    :func:`task_vectors.update_range` does: ``update(start, b)``, given ``b = base(start,
-    stop)``, gives the task's float32 update over that range in a new array, which scoring
-    may overwrite. The base is read whole for the per-task round, once over the parts of
-    the walk, and whole again only for :func:`_constant`'s rare check; no flat of it
-    outlives the round. ``map_jobs`` maps a function over a sequence as the builtin ``map``
-    does, results in order; a thread pool's ``map`` runs the tasks and the parts of the
-    sums' tree side by side. Every sum a job takes is its own and the parts' sums and sign
-    counts are added in the tree's order, so the scores do not depend on ``map_jobs``. Each
-    group is dropped before the next is taken, so memory grows with the largest group, not
-    the model.
+    ``layers`` yields one :class:`Layer` per group, which scoring reads only through its
+    ``base`` reader and its ``updates``. The base is read whole for the per-task round, once
+    over the parts of the walk, and whole again only for :func:`_constant`'s rare check; no
+    flat of it outlives the round. A thread pool's ``map`` as ``map_jobs`` runs the tasks and
+    the parts of the sums' tree side by side. Every sum a job takes is its own and the parts'
+    sums and sign counts are added in the tree's order, so the scores do not depend on
+    ``map_jobs``. Each group is dropped before the next is taken, so memory grows with the
+    largest group, not the model.
     """
     n_layers = len(layer_ids)
     task_pairs = tuple(combinations(range(n_tasks), 2))
@@ -347,11 +354,11 @@ def layer_conflict(task_vectors: Sequence[TaskVector], grouping: LayerGrouping) 
     _check_names(task_vectors, grouping)
     shapes = tensor_shapes(task_vectors[0].deltas)
 
-    def layer(members: Sequence[str]) -> _Layer:
+    def layer(members: Sequence[str]) -> Layer:
         offsets = member_offsets(shapes, members)
-        updates = [partial(update_range, range_reader(tv.deltas, members), members, offsets)
-                   for tv in task_vectors]
-        return map, offsets[-1], lambda start, stop: np.broadcast_to(np.float32(0), stop - start), updates
+        updates = [partial(update_range, range_reader(t.deltas, members), members, offsets) for t in task_vectors]
+        return Layer(members, offsets, map, lambda start, stop: np.broadcast_to(np.float32(0), stop - start),
+                     updates)
 
     layers = (layer(members) for _, members in grouping.groups)
     return score_layers(grouping.layer_ids, len(task_vectors), layers)

@@ -23,7 +23,7 @@ import numpy as np
 
 from .allocation import AllocationConfig, AllocationResult, allocate, coerce_field_types, config_key
 from .archive import Archive, _within, archive_writer, tensor_shapes
-from .conflict import ConflictReport, score_layers, task_order_sum
+from .conflict import ConflictReport, Layer, score_layers, task_order_sum
 from .errors import ConvergenceError, ValidationError
 from .grouping import DEFAULT_GROUPING_PATTERN, LayerGrouping, compile_grouping, group_layers, member_offsets
 from .task_vectors import (TaskVector, TensorMap, flat_reader, range_reader, require_compatible, stored_sum,
@@ -44,8 +44,6 @@ METHODS = ("mals", "simple_average", "uniform_sparsity", "ties")
 # entries of one member tensor that pass 2 merges or averages, and composes, as one unit of
 # work: a worker's temporaries are a few times this, whatever the layer's size
 _SLICE_ENTRIES = 1 << 16
-# a layer group in a walk: its members' names, their offsets, how to run its jobs
-_Group = tuple[tuple[str, ...], list[int], Callable]
 # takes a composed slice: ``place(name, start, values)`` for entries ``start`` on of ``name``
 _Place = Callable[[str, int, np.ndarray], None]
 
@@ -267,15 +265,16 @@ def _in_order(pool, ahead: int, fn: Callable, jobs: Iterable) -> Iterator:
             future.cancel()
 
 
-def _layer_walk(base: TensorMap, grouping: LayerGrouping, pooled: bool = True) -> Iterator[_Group]:
-    """Each layer group's ``(members, offsets, map_jobs)``, in ``grouping`` order: its members'
-    names, :func:`grouping.member_offsets` for them, and a ``map`` that runs its jobs, results
-    in order: the builtin one if not ``pooled`` or under two slices, where a pool gains nothing,
-    else one over a pool of one thread per CPU this process may use, two jobs a thread ahead
-    (:func:`_in_order`). The pool starts at the first large group (only then is
-    ``concurrent.futures``, which pulls in ``logging``, imported) and shuts down, once the jobs
-    in flight are done, when the walk ends or is closed, as each caller closes it. numpy's
-    ufuncs, its partition and ``preadv`` release the GIL."""
+def _layer_walk(base: TensorMap, tuned: Sequence[TensorMap], grouping: LayerGrouping,
+                pooled: bool = True) -> Iterator[Layer]:
+    """Each layer group's :class:`conflict.Layer` over ``base`` and ``tuned``, in ``grouping``
+    order: the one place a walk's groups are described. Its ``map_jobs`` is the builtin ``map``
+    if not ``pooled`` or under two slices, where a pool gains nothing, else one over a pool of
+    one thread per CPU this process may use, two jobs a thread ahead (:func:`_in_order`). The
+    pool starts at the first large group (only then is ``concurrent.futures``, which pulls in
+    ``logging``, imported) and shuts down, once the jobs in flight are done, when the walk ends
+    or is closed, as each caller closes it. numpy's ufuncs, its partition and ``preadv``
+    release the GIL."""
     pool = None
     try:
         base_shapes = tensor_shapes(base)
@@ -288,7 +287,8 @@ def _layer_walk(base: TensorMap, grouping: LayerGrouping, pooled: bool = True) -
                 workers = _workers()
                 pool = ThreadPoolExecutor(workers)
                 pool_map = partial(_in_order, pool, 2 * workers)
-            yield members, offsets, pool_map if large else map
+            yield Layer(members, offsets, pool_map if large else map, flat_reader(base, members, offsets),
+                        [partial(update_range, range_reader(t, members), members, offsets) for t in tuned])
     finally:
         if pool is not None:
             pool.shutdown()
@@ -330,10 +330,7 @@ def plan(
     grouping = group_layers(base, config.grouping_pattern)
     if config.method == "simple_average":
         return grouping, None, None
-    with closing(_layer_walk(base, grouping)) as walk:
-        layers = ((map_jobs, at[-1], flat_reader(base, members, at),
-                   [partial(update_range, range_reader(t, members), members, at) for t in tuned])
-                  for members, at, map_jobs in walk)
+    with closing(_layer_walk(base, tuned, grouping)) as layers:
         conflict = score_layers(grouping.layer_ids, len(tuned), layers)
     alloc_config = config.allocation
     if config.method in ("uniform_sparsity", "ties"):
@@ -352,29 +349,26 @@ def _slices(members: Iterable[str], offsets: Sequence[int]) -> Iterator[tuple[st
             for start in range(0, end - at, _SLICE_ENTRIES))
 
 
-def _slice_walk(base_read: Callable[[str, int, int], np.ndarray], group: _Group, lam: float,
-                fill: Callable[[int, np.ndarray], np.ndarray], place: _Place) -> None:
-    """Each member's float32 merged tensor, in :func:`_slices`: a slice reads the base's
-    entries once through ``base_read``, as ``b``, ``fill(first, b)`` returns their merged update
-    in a float32 array of its own, the slice's length, which starts at ``first`` in the group's
-    flat, ``b + lam * update`` is stored in that array, and ``place(name, start, update)`` takes
-    it on the thread that composed it, so the walk owns no buffer. Fills work by position, so
-    the bytes depend on neither the slice size nor how the group's ``map_jobs`` (results in
-    walk order) spreads the slices; the error raised is the first a serial walk meets."""
-    members, offsets, map_jobs = group
+def _slice_walk(layer: Layer, lam: float, fill: Callable[[int, np.ndarray], np.ndarray], place: _Place) -> None:
+    """Each member's float32 merged tensor, in :func:`_slices`: a slice starting at ``first``
+    in the group's flat reads the base's entries there once through ``layer.base``, as pass 1
+    and the threshold round do, as ``b``, ``fill(first, b)`` returns their merged update in a
+    float32 array of its own, ``b + lam * update`` is stored in that array, and ``place(name,
+    start, update)`` takes it on the thread that composed it, so the walk owns no buffer. Fills
+    work by position, so the bytes depend on neither the slice size nor how ``layer.map_jobs``
+    (results in walk order) spreads the slices; the error raised is the first a serial walk meets."""
 
     def run(job: tuple[str, int, int, int]) -> None:
         name, at, start, stop = job
-        b = base_read(name, start, stop)
+        b = layer.base(at + start, at + stop)
         update = fill(at + start, b)
         place(name, start, stored_sum(f"merged tensor {name!r}", b, lam, update, out=update))
 
-    for _ in map_jobs(run, _slices(members, offsets)):
+    for _ in layer.map_jobs(run, _slices(layer.members, layer.offsets)):
         pass
 
 
-def _merge_layer(base: TensorMap, tuned: Sequence[TensorMap], group: _Group, level: float,
-                 config: MergeConfig, place: _Place) -> None:
+def _merge_layer(layer: Layer, level: float, config: MergeConfig, place: _Place) -> None:
     """Pass 2 on one layer group: its base is read once into a flat, and one job per task
     builds its update over all of it and finds, from its magnitudes in the update's place,
     the :func:`_threshold` of its trim to ``level`` (a tied threshold rebuilds the update a
@@ -382,49 +376,43 @@ def _merge_layer(base: TensorMap, tuned: Sequence[TensorMap], group: _Group, lev
     slice reads the base's entries over it, rebuilds every task's update there, trims it
     (:func:`_trim_slice`), elects and merges, and the walk adds ``lam`` times that onto the
     same base entries."""
-    members, offsets, map_jobs = group
-    flat = flat_reader(base, members, offsets)(0, offsets[-1])  # for the threshold round alone
-    reads = [range_reader(t, members) for t in tuned]
+    flat = layer.base(0, layer.offsets[-1])  # for the threshold round alone
     n_keep = _kept(level, len(flat))
 
-    def find_threshold(read: Callable) -> tuple[np.generic, int]:
-        row = update_range(read, members, offsets, 0, flat)
+    def find_threshold(update: Callable) -> tuple[np.generic, int]:
+        row = update(0, flat)
 
         def again(start: int, stop: int) -> np.ndarray:
-            part = update_range(read, members, offsets, start, flat[start:stop])
+            part = update(start, flat[start:stop])
             return np.abs(part, out=part)
 
         return _threshold(np.abs(row, out=row), n_keep, again)
 
-    thresholds = list(map_jobs(find_threshold, reads))
+    thresholds = list(layer.map_jobs(find_threshold, layer.updates))
     del flat  # the walk reads the base a slice at a time
     election = config.sign_election or config.method == "ties"
 
     def merge_slice(first: int, b: np.ndarray) -> np.ndarray:
-        rows = [_trim_slice(update_range(read, members, offsets, first, b), threshold, cutoff - first)
-                for read, (threshold, cutoff) in zip(reads, thresholds)]
+        rows = [_trim_slice(update(first, b), threshold, cutoff - first)
+                for update, (threshold, cutoff) in zip(layer.updates, thresholds)]
         return disjoint_merge(rows, elect_signs(rows) if election else None)
 
-    _slice_walk(range_reader(base, members), group, config.lam, merge_slice, place)
+    _slice_walk(layer, config.lam, merge_slice, place)
 
 
-def _average_layer(base: TensorMap, tuned: Sequence[TensorMap], group: _Group, lam: float,
-                   place: _Place) -> None:
+def _average_layer(layer: Layer, lam: float, place: _Place) -> None:
     """Pass 2 of ``simple_average`` on one layer group: each slice builds each checkpoint's
-    update over it (:func:`update_range`) in task order into one float32 buffer, adds them into a
-    float64 total and divides that by T into the buffer, which the walk composes into. The walk
-    runs on the calling thread (:func:`_merge_walk` asks for no pool: a slice only reads and
-    adds, and on two CPUs a pool took about as long), so one slice job is alive at a time."""
-    members, offsets, _ = group
-    tuned_reads = [range_reader(tensors, members) for tensors in tuned]
+    update over it in task order into one float32 buffer, adds them into a float64 total and
+    divides that by T into the buffer, which the walk composes into. The walk runs on the
+    calling thread (:func:`_merge_walk` asks for no pool: a slice only reads and adds, and on
+    two CPUs a pool took about as long), so one slice job is alive at a time."""
 
     def average(first: int, b: np.ndarray) -> np.ndarray:
         update = np.empty(len(b), np.float32)
-        total = task_order_sum((update_range(read, members, offsets, first, b, out=update)
-                                for read in tuned_reads), len(b))
-        return np.divide(total, len(tuned_reads), out=update)
+        total = task_order_sum((build(first, b, out=update) for build in layer.updates), len(b))
+        return np.divide(total, len(layer.updates), out=update)
 
-    _slice_walk(range_reader(base, members), group, lam, average, place)
+    _slice_walk(layer, lam, average, place)
 
 
 def _workers() -> int:
@@ -451,12 +439,12 @@ def _merge_walk(
         )
 
     def walk() -> Iterator[None]:
-        with closing(_layer_walk(base, grouping, pooled=allocation is not None)) as groups:
-            for l, group in enumerate(groups):
+        with closing(_layer_walk(base, tuned, grouping, pooled=allocation is not None)) as layers:
+            for l, layer in enumerate(layers):
                 if allocation is None:
-                    _average_layer(base, tuned, group, config.lam, place(group[0]))
+                    _average_layer(layer, config.lam, place(layer.members))
                 else:
-                    _merge_layer(base, tuned, group, float(allocation.s_final[l]), config, place(group[0]))
+                    _merge_layer(layer, float(allocation.s_final[l]), config, place(layer.members))
                 yield
 
     return walk(), conflict, allocation
@@ -480,15 +468,17 @@ def merge(
     overflowing merged tensor, are raised during iteration. ``dict(merged)`` holds the
     whole model; :func:`merge_to_archive` writes it to a file without holding a merged layer.
 
-    Neither pass keeps a task's update of a layer group: a job in flight holds one, and
-    the rest is built a part or a slice at a time. Pass 1 builds each update whole for its
-    mean and magnitude, then every task's update over each part of its sums' tree; pass 2
-    builds each update whole for its trim threshold, then every task's update over each
-    slice, which it trims, elects and merges. Each pass holds the group's base in a flat
-    for its per-task round alone, and its walk reads the base a part or a slice at a time,
-    once for every task. So a trimmed merge reads each tuned entry and each base entry
-    twice a pass, and pass 2 reads a task's group once more, up to the slice that holds its
-    cutoff, where its threshold has surplus ties; ``simple_average`` reads each entry once.
+    Both passes and averaging walk each layer group as one :class:`conflict.Layer`, and read
+    its base through that one reader. Neither pass keeps a task's update of a layer group: a
+    job in flight holds one, and the rest is built a part or a slice at a time. Pass 1 builds
+    each update whole for its mean and magnitude, then every task's update over each part of
+    its sums' tree; pass 2 builds each update whole for its trim threshold, then every task's
+    update over each slice, which it trims, elects and merges. Each pass holds the group's
+    base in a flat for its per-task round alone, and its walk reads the base a part or a
+    slice at a time, once for every task. So a trimmed merge reads each tuned entry and each
+    base entry twice a pass, and pass 2 reads a task's group once more, up to the slice that
+    holds its cutoff, where its threshold has surplus ties; ``simple_average`` reads each
+    entry once.
 
     In a trimmed merge a layer group of at least two slices (131,072 entries) runs its jobs
     on one thread per CPU this process may use: pass 1's per-task updates and the parts of

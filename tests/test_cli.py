@@ -11,6 +11,7 @@ import signal
 import struct
 import subprocess
 import sys
+import threading
 import tracemalloc
 import warnings
 from dataclasses import fields
@@ -517,13 +518,13 @@ def test_a_signal_in_pass_2_exits_130_with_one_line_and_no_temp_file(tmp_path, s
 
         slice_walk = merging._slice_walk
 
-        def waiting_walk(base_read, group, lam, fill, place):
+        def waiting_walk(layer, lam, fill, place):
             def waiting_fill(first, b):
                 print("filling", flush=True)
                 time.sleep(60)
                 return fill(first, b)
 
-            slice_walk(base_read, group, lam, waiting_fill, place)
+            slice_walk(layer, lam, waiting_fill, place)
 
         merging._slice_walk = waiting_walk
         sys.argv[1:] = ["merge", "--config", sys.argv[1]]
@@ -550,14 +551,14 @@ def test_running_out_of_memory_in_pass_2_exits_4_with_one_line_and_no_temp_file(
     # with one line naming the command, and the temp file is removed
     slice_walk, fills = merging._slice_walk, []
 
-    def failing_walk(base_read, group, lam, fill, place):
+    def failing_walk(layer, lam, fill, place):
         def failing_fill(first, b):
             fills.append(first)
             if len(fills) == 2:
                 raise MemoryError
             return fill(first, b)
 
-        slice_walk(base_read, group, lam, failing_fill, place)
+        slice_walk(layer, lam, failing_fill, place)
 
     monkeypatch.setattr(merging, "_slice_walk", failing_walk)
     assert run(["merge", "--config", str(_config(tmp_path, synth_dir, method=method))]) == 4
@@ -833,6 +834,68 @@ def test_report_write_error_names_the_report(tmp_path, synth_dir, capsys, monkey
     assert capsys.readouterr().err == f"error: {message}\n"
     assert sorted(tmp_path.rglob("*")) == files  # the temp file is removed
     assert out.read_bytes() == b"old report"
+
+
+# the I/O calls a command makes, each failing with the errno that it meets on a full or failing disk
+_IO_FAULTS = {"preadv": errno.EIO, "pwritev": errno.ENOSPC, "fsync": errno.EIO, "open": errno.EIO,
+              "replace": errno.EIO}
+
+
+@pytest.mark.parametrize("command", ["merge", "analyze", "diff", "info"])
+def test_each_io_call_failing_in_turn_exits_2_naming_a_file(tmp_path, synth_dir, capsys, monkeypatch, command):
+    # a fault matrix: a clean run counts every I/O call the command makes, then each fails in
+    # its turn. Every run exits 2 with one line naming a path it was given or its output's
+    # directory, leaves no temp file and no thread running, and leaves each output as it was
+    # or as the clean run wrote it. Slices of 16 entries put merge's groups on the pool
+    monkeypatch.setattr(merging, "_SLICE_ENTRIES", 16)
+    if command == "merge":
+        argv = ["merge", "--config", str(_config(tmp_path, synth_dir))]
+        outputs = [tmp_path / "merged.safetensors", tmp_path / "report.json"]
+    elif command == "info":
+        argv, outputs = ["info", "--archive", str(synth_dir / "base.safetensors")], []
+    else:
+        argv = _argv(tmp_path, synth_dir, command)
+        outputs = [Path(argv[-1])]
+    named = [*synth_dir.glob("*.safetensors"), *outputs, tmp_path]
+    calls, failing = [], []  # the calls made so far, and the number of the one to fail
+    lock = threading.Lock()
+
+    def faulty(name, call, code):
+        def faulty_call(*args):
+            with lock:
+                calls.append(name)
+                fail = len(calls) in failing
+            if fail:  # naming the paths the call names: open its one, replace its two
+                paths = [os.fspath(a) for a in args[:{"open": 1, "replace": 2}.get(name, 0)]]
+                raise (OSError(code, os.strerror(code), *paths) if len(paths) < 2
+                       else OSError(code, os.strerror(code), paths[0], None, paths[1]))
+            return call(*args)
+
+        return faulty_call
+
+    for name, code in _IO_FAULTS.items():
+        monkeypatch.setattr(os, name, faulty(name, getattr(os, name), code))
+    threads = set(threading.enumerate())
+
+    def attempt(k):
+        for path in outputs:
+            path.write_bytes(b"old output")
+        calls.clear()
+        failing[:] = [k]
+        code = run(argv)
+        assert set(threading.enumerate()) <= threads, k
+        return code, capsys.readouterr().err
+
+    assert attempt(0) == (0, "")
+    clean = {path: path.read_bytes() for path in outputs}
+    assert set(calls) == ({"preadv"} if command == "info" else set(_IO_FAULTS))
+    for k in range(1, len(calls) + 1):
+        code, err = attempt(k)
+        assert code == 2 and err.startswith("error: ") and err.count("\n") == 1, (k, err)
+        assert any(repr(str(path)) in err for path in named), (k, err)
+        assert not list(tmp_path.glob("*.tmp")), k
+        for path in outputs:
+            assert path.read_bytes() in (b"old output", clean[path]), (k, path)
 
 
 def test_info_missing_file_exits_2(tmp_path, capsys):

@@ -21,7 +21,7 @@ from malsmerge import (
 )
 from malsmerge.archive import tensor_shapes
 from malsmerge.conflict import (
-    _NODE_ENTRIES, _PART_BYTES, _constant, _cut, _mean, _part_walk, _views, layer_conflict, score_layers,
+    _NODE_ENTRIES, _PART_BYTES, Layer, _constant, _cut, _mean, _part_walk, _views, layer_conflict, score_layers,
 )
 from malsmerge.grouping import flatten_group, member_offsets
 from malsmerge.merging import plan
@@ -464,7 +464,7 @@ def test_score_layers_equals_the_public_kernels_per_pair(n, tasks):
     zeros = lambda start, stop: np.zeros(stop - start, np.float32)
     with ThreadPoolExecutor(2) as pool:
         for map_jobs in (map, pool.map):
-            report = score_layers(["l"], len(xs), [(map_jobs, n, zeros, updates)])
+            report = score_layers(["l"], len(xs), [Layer(("x",), [0, n], map_jobs, zeros, updates)])
             for k, (i, j) in enumerate(report.task_pairs):
                 assert report.rho_abs[k, 0] == pearson_abs(xs[i], xs[j])
                 assert report.sign_disagreement[k, 0] == sign_disagreement(xs[i], xs[j])
@@ -474,10 +474,11 @@ def test_score_layers_equals_the_public_kernels_per_pair(n, tasks):
 
 
 def test_score_layers_takes_each_layer_as_a_one_shot_iterator():
-    # each layer is (map_jobs, its length, a reader of the base's entries over a range of its
-    # flat, a function per task building its update over a range from them). Updates built
-    # from the checkpoints by the range builder, through a thread pool's map running tasks and
-    # parts side by side, score as the task vectors' updates through the builtin map do
+    # each layer is a Layer (its members, their offsets, map_jobs, a reader of the base's
+    # entries over a range of its flat, a function per task building its update over a range
+    # from them). Updates built from the checkpoints by the range builder, through a thread
+    # pool's map running tasks and parts side by side, score as the task vectors' updates
+    # through the builtin map do
     base, tuned = synthesize_checkpoints(5, 3, 1000, 4, [0.9, 0.5, 0.1])
     tvs = [compute_task_vector(base, t, f"t{i}") for i, t in enumerate(tuned)]
     grouping = group_layers(base)
@@ -486,7 +487,7 @@ def test_score_layers_takes_each_layer_as_a_one_shot_iterator():
         for _, members in grouping.groups:
             offsets = member_offsets(tensor_shapes(base), members)
             updates = [partial(update_range, range_reader(t, members), members, offsets) for t in tuned]
-            yield map_jobs, offsets[-1], flat_reader(base, members, offsets), updates
+            yield Layer(members, offsets, map_jobs, flat_reader(base, members, offsets), updates)
 
     fresh = layer_conflict(tvs, grouping)
     with ThreadPoolExecutor(3) as pool:

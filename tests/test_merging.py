@@ -1039,6 +1039,45 @@ def test_each_pass_drops_the_base_flat_before_its_walk(tmp_path, monkeypatch):
     assert len(flats) == 6 and len(held) > 6 and not any(held), held
 
 
+@pytest.mark.parametrize("method", ["mals", "simple_average"])
+def test_every_base_read_comes_through_its_groups_one_base_reader(tmp_path, monkeypatch, method):
+    # each walk describes a layer group once, with one base reader: pass 1's round and parts,
+    # pass 2's threshold round and its slices, and averaging's slices read the base through it
+    # alone, a reader made once a walk for each group, on whichever thread runs the read
+    monkeypatch.setattr(merging, "_SLICE_ENTRIES", 7)
+    monkeypatch.setattr(conflict, "_NODE_ENTRIES", 20)
+    monkeypatch.setattr(merging, "_workers", lambda: 2)
+    base_path, task_paths = _off_grid_set(tmp_path, tied=True)
+    readers, reads, inside = [], [], threading.local()  # inside.members: the reader in use
+    flat_reader, read_range = merging.flat_reader, Archive.read_range
+
+    def recording_reader(tensors, members, offsets):
+        flat = flat_reader(tensors, members, offsets)
+        readers.append(tuple(members))
+
+        def read(start, stop):
+            inside.members = tuple(members)
+            try:
+                return flat(start, stop)
+            finally:
+                inside.members = None
+
+        return read
+
+    def recorded(self, name, start, stop, out=None):
+        if self.path == str(base_path):
+            reads.append((name, getattr(inside, "members", None)))
+        return read_range(self, name, start, stop, out)
+
+    monkeypatch.setattr(merging, "flat_reader", recording_reader)
+    monkeypatch.setattr(Archive, "read_range", recorded)
+    base, tuned = read_archive(base_path), [read_archive(path) for path in task_paths]
+    merge_to_archive(base, tuned, MergeConfig(method=method, sign_election=True), tmp_path / "merged.st")
+    groups = [members for _, members in group_layers(base).groups]
+    assert readers == groups * (1 if method == "simple_average" else 2)
+    assert reads and all(members is not None and name in members for name, members in reads), reads
+
+
 @pytest.mark.parametrize("job", [_plan, _cli_merge, _library_merge], ids=lambda job: job.__name__[1:])
 def test_memory_follows_the_layer_not_the_model(tmp_path, job):
     # archives are read a tensor at a time, and each merged layer is written at its
